@@ -13,16 +13,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import reports
+from .characterize import characterize
 from .corpus import Corpus, load_corpus
 from .criteria import CriterionInapplicable, qnt_matrix, quasi_triviality, triviality
-from .characterize import characterize
 from .decision import is_theorem
 from .formula import SchemaEntry
 from .proofs import check_proof, load_proof_file
 from .semantics import BudgetError, is_tautology
-from .syntax import ParseError, parse_formula, print_formula
+from .syntax import ParseError, is_valid_schema_name, parse_formula, print_formula
 from .verify import conjecture_report, run_verification
 
 
@@ -31,120 +32,151 @@ class UsageError(Exception):
 
 
 def _resolve(text: str, corpus: Corpus) -> SchemaEntry:
-    """A corpus name if it matches one exactly, else parsed formula text."""
+    """A corpus name if it matches one exactly, else parsed formula text.
+
+    Every formula contains "eps(", so text shaped like a schema name is
+    never a formula: when the corpus lacks it, it is an unknown name.
+    """
     if text in corpus:
         return corpus[text]
-    try:
-        body = parse_formula(text)
-    except ParseError as exc:
-        if any(ch in text for ch in "()!&|<->,"):
-            raise
+    if is_valid_schema_name(text):
         raise UsageError(
             f"unknown schema name {text!r}; known names: "
             + ", ".join(corpus.names())
-        ) from exc
+        )
+    body = parse_formula(text)
     return SchemaEntry.make(print_formula(body), body)
 
 
-def _emit(args: argparse.Namespace, payload: object, text: str) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+# name -> (help, arguments as (name or flag, add_argument options), run);
+# run returns the JSON payload without "command", the text and the exit code
+Outcome = tuple[dict, str, int]
+Run = Callable[[argparse.Namespace, Corpus], Outcome]
+COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...], Run]] = {}
 
 
-def _cmd_taut(args: argparse.Namespace, corpus: Corpus) -> int:
-    entry = _resolve(args.formula, corpus)
-    verdict = is_tautology(entry.body)
-    _emit(
-        args,
-        {"command": "taut", "formula": print_formula(entry.body), **reports.jsonable(verdict)},
-        reports.taut_text(verdict),
-    )
-    return 0
+def _command(name: str, help_text: str, *arguments: tuple[str, dict]) -> Callable:
+    def register(run: Run) -> Run:
+        COMMANDS[name] = (help_text, arguments, run)
+        return run
+
+    return register
 
 
-def _cmd_theorem(args: argparse.Namespace, corpus: Corpus) -> int:
-    entry = _resolve(args.formula, corpus)
-    verdict = is_theorem(entry.body)
-    payload = reports.jsonable(verdict)
-    payload["command"] = "theorem"
-    payload["formula"] = print_formula(entry.body)
-    _emit(args, payload, reports.theorem_text(verdict))
-    return 0
+_FORMULA = ("formula", dict(help="formula text or corpus schema name"))
+_SCHEMA = ("schema", dict(help="schema name or formula text"))
 
 
-def _cmd_nontrivial(args: argparse.Namespace, corpus: Corpus) -> int:
+@_command("taut", "classical tautology check", _FORMULA)
+def _taut(args: argparse.Namespace, corpus: Corpus) -> Outcome:
+    body = _resolve(args.formula, corpus).body
+    verdict = is_tautology(body)
+    payload = {"formula": print_formula(body), **reports.jsonable(verdict)}
+    return payload, reports.taut_text(verdict), 0
+
+
+@_command("theorem", "validity over all admissible valuations", _FORMULA)
+def _theorem(args: argparse.Namespace, corpus: Corpus) -> Outcome:
+    body = _resolve(args.formula, corpus).body
+    verdict = is_theorem(body)
+    payload = {"formula": print_formula(body), **reports.jsonable(verdict)}
+    return payload, reports.theorem_text(verdict), 0
+
+
+@_command(
+    "nontrivial",
+    "triviality of a schema against a reference packaging",
+    _SCHEMA,
+    (
+        "--ref",
+        dict(default="A_t", help="reference schema name or formula (default A_t)"),
+    ),
+)
+def _nontrivial(args: argparse.Namespace, corpus: Corpus) -> Outcome:
     subject = _resolve(args.schema, corpus)
     reference = _resolve(args.ref, corpus)
     report = triviality(subject, reference)
-    payload = reports.jsonable(report)
-    payload["command"] = "nontrivial"
-    _emit(args, payload, reports.triviality_text(report))
-    return 0
+    return reports.jsonable(report), reports.triviality_text(report), 0
 
 
-def _cmd_qnt(args: argparse.Namespace, corpus: Corpus) -> int:
+@_command(
+    "qnt",
+    "quasi-triviality comparison of two schemata",
+    ("left", _SCHEMA[1]),
+    ("right", _SCHEMA[1]),
+)
+def _qnt(args: argparse.Namespace, corpus: Corpus) -> Outcome:
     left = _resolve(args.left, corpus)
     right = _resolve(args.right, corpus)
     report = quasi_triviality(left, right)
-    payload = reports.jsonable(report)
-    payload["command"] = "qnt"
-    _emit(args, payload, reports.qnt_text(report))
-    return 0
+    return reports.jsonable(report), reports.qnt_text(report), 0
 
 
-def _cmd_matrix(args: argparse.Namespace, corpus: Corpus) -> int:
+@_command(
+    "matrix",
+    "pairwise quasi-triviality matrix (default: the established five)",
+    (
+        "--corpus",
+        dict(metavar="FILE", help="schema file whose entries form the matrix"),
+    ),
+)
+def _matrix(args: argparse.Namespace, corpus: Corpus) -> Outcome:
     if args.corpus is not None:
-        source = load_corpus(Path(args.corpus))
-        entries = tuple(source[name] for name in source.names())
+        entries = tuple(load_corpus(Path(args.corpus)))
     else:
         entries = corpus.established_five()
     cells = qnt_matrix(entries)
     payload = {
-        "command": "matrix",
         "entries": [e.name for e in entries],
         "cells": {
             f"{a}|{b}": reports.qnt_summary(cell) for (a, b), cell in cells.items()
         },
     }
-    _emit(args, payload, reports.matrix_text(cells))
-    return 0
+    return payload, reports.matrix_text(cells), 0
 
 
-def _cmd_characteristic(args: argparse.Namespace, corpus: Corpus) -> int:
+@_command(
+    "characteristic",
+    "validity plus recovery of the three axiom schemata",
+    _SCHEMA,
+    (
+        "--max-pool",
+        dict(
+            type=int,
+            default=4,
+            choices=(3, 4),
+            help="largest recovery pool to try (default 4)",
+        ),
+    ),
+)
+def _characteristic(args: argparse.Namespace, corpus: Corpus) -> Outcome:
     entry = _resolve(args.schema, corpus)
     report = characterize(entry, max_pool=args.max_pool)
-    payload = reports.jsonable(report)
-    payload["command"] = "characteristic"
-    _emit(args, payload, reports.characterization_text(report))
-    return 0
+    return reports.jsonable(report), reports.characterization_text(report), 0
 
 
-def _cmd_check_proof(args: argparse.Namespace, corpus: Corpus) -> int:
+@_command(
+    "check-proof",
+    "check a proof script file",
+    ("file", dict(help="path to a .proof script")),
+)
+def _check_proof(args: argparse.Namespace, corpus: Corpus) -> Outcome:
     result = check_proof(load_proof_file(args.file))
-    payload = reports.jsonable(result)
-    payload["command"] = "check-proof"
-    _emit(args, payload, reports.proof_check_text(result))
-    return 0 if result.ok else 1
+    text = reports.proof_check_text(result)
+    return reports.jsonable(result), text, 0 if result.ok else 1
 
 
-def _cmd_verify(args: argparse.Namespace, corpus: Corpus) -> int:
+@_command("verify", "re-derive every established claim against the corpus")
+def _verify(args: argparse.Namespace, corpus: Corpus) -> Outcome:
     report = run_verification(corpus)
-    payload = reports.jsonable(report)
-    payload["command"] = "verify"
-    _emit(args, payload, reports.verification_text(report))
-    return 0 if report.ok else 1
+    text = reports.verification_text(report)
+    return reports.jsonable(report), text, 0 if report.ok else 1
 
 
-def _cmd_conjectures(args: argparse.Namespace, corpus: Corpus) -> int:
+@_command("conjectures", "full verdict sweep over the conjectured schemata")
+def _conjectures(args: argparse.Namespace, corpus: Corpus) -> Outcome:
     rows = conjecture_report(corpus)
-    payload = {
-        "command": "conjectures",
-        "rows": [reports.jsonable(row) for row in rows],
-    }
-    _emit(args, payload, reports.conjecture_text(rows))
-    return 0
+    return {"rows": reports.jsonable(rows)}, reports.conjecture_text(rows), 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -168,97 +200,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="use a schema file instead of the bundled corpus for name lookup",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("taut", parents=[common], help="classical tautology check")
-    p.add_argument("formula", help="formula text or corpus schema name")
-    p.set_defaults(fn=_cmd_taut)
-
-    p = sub.add_parser(
-        "theorem", parents=[common], help="validity over all admissible valuations"
-    )
-    p.add_argument("formula", help="formula text or corpus schema name")
-    p.set_defaults(fn=_cmd_theorem)
-
-    p = sub.add_parser(
-        "nontrivial",
-        parents=[common],
-        help="triviality of a schema against a reference packaging",
-    )
-    p.add_argument("schema", help="schema name or formula text")
-    p.add_argument(
-        "--ref",
-        default="A_t",
-        help="reference schema name or formula (default A_t)",
-    )
-    p.set_defaults(fn=_cmd_nontrivial)
-
-    p = sub.add_parser(
-        "qnt", parents=[common], help="quasi-triviality comparison of two schemata"
-    )
-    p.add_argument("left", help="schema name or formula text")
-    p.add_argument("right", help="schema name or formula text")
-    p.set_defaults(fn=_cmd_qnt)
-
-    p = sub.add_parser(
-        "matrix",
-        parents=[common],
-        help="pairwise quasi-triviality matrix (default: the established five)",
-    )
-    p.add_argument(
-        "--corpus",
-        metavar="FILE",
-        default=None,
-        help="schema file whose entries form the matrix",
-    )
-    p.set_defaults(fn=_cmd_matrix)
-
-    p = sub.add_parser(
-        "characteristic",
-        parents=[common],
-        help="validity plus recovery of the three axiom schemata",
-    )
-    p.add_argument("schema", help="schema name or formula text")
-    p.add_argument(
-        "--max-pool",
-        type=int,
-        default=4,
-        choices=(3, 4),
-        help="largest recovery pool to try (default 4)",
-    )
-    p.set_defaults(fn=_cmd_characteristic)
-
-    p = sub.add_parser(
-        "check-proof", parents=[common], help="check a proof script file"
-    )
-    p.add_argument("file", help="path to a .proof script")
-    p.set_defaults(fn=_cmd_check_proof)
-
-    p = sub.add_parser(
-        "verify",
-        parents=[common],
-        help="re-derive every established claim against the corpus",
-    )
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser(
-        "conjectures",
-        parents=[common],
-        help="full verdict sweep over the conjectured schemata",
-    )
-    p.set_defaults(fn=_cmd_conjectures)
+    for name, (help_text, arguments, _) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         corpus = (
             load_corpus(Path(args.corpus_file))
             if args.corpus_file is not None
             else load_corpus()
         )
-        return args.fn(args, corpus)
+        payload, text, code = COMMANDS[args.command][2](args, corpus)
     except (
         UsageError,
         ParseError,
@@ -271,6 +228,12 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
+    if args.json:
+        payload = {"command": args.command, **payload}
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

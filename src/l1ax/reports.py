@@ -1,215 +1,85 @@
 """Serialization of report objects to JSON-ready data and terminal text.
 
-jsonable() lowers every report dataclass to plain dicts and lists:
-formulas become their printed form, substitutions become source-to-target
-maps, permutations become lists, and valuations become an atom list plus
-the true subset. Aggregate reports (matrix cells, conjecture rows) carry
-witness data but compress refutation sweeps to their count; the
-single-pair commands expose every refutation in full.
+jsonable() lowers every report dataclass to a dict of its fields, walking
+into their values: formulas become their printed form, schema entries
+their name, substitutions source-to-target maps, tuples lists, and
+valuations an atom list plus the true subset. Four reports differ from
+their fields; each is marked below. Aggregate reports (matrix cells,
+conjecture rows) carry witness data but compress refutation sweeps to
+their count; the single-pair commands expose every refutation in full.
 """
 
 from __future__ import annotations
 
-from functools import singledispatch
+from dataclasses import fields, is_dataclass
 from typing import Any
 
-from .characterize import CharacterizationReport, RecoveryOutcome
+from .characterize import CharacterizationReport
 from .criteria import InapplicablePair, QntReport, Refutation, TrivialityReport
 from .decision import TheoremVerdict
-from .formula import Atom, Formula, SchemaEntry
-from .proofs import LineResult, ProofCheckResult
+from .formula import Formula, SchemaEntry
+from .proofs import ProofCheckResult
 from .semantics import SemanticsVerdict, Valuation
 from .substitution import CandidateMap, Substitution
 from .syntax import print_formula
-from .verify import ConjectureRow, VerificationItem, VerificationReport
+from .verify import ConjectureRow, VerificationReport
 
 
-@singledispatch
 def jsonable(obj: Any) -> Any:
-    raise TypeError(f"no JSON form for {type(obj).__name__}")
+    """The JSON-ready form of a report: its dataclass fields, lowered in turn."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (tuple, list)):
+        return [jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        return {key: jsonable(value) for key, value in obj.items()}
+    if isinstance(obj, Formula):
+        return print_formula(obj)
+    if isinstance(obj, SchemaEntry):
+        return obj.name
+    if isinstance(obj, Substitution):
+        return dict(obj.items)
+    if isinstance(obj, Valuation):
+        return {
+            "atoms": [str(a) for a in obj.domain],
+            "true": [str(a) for a in obj.domain if a in obj.true_atoms],
+        }
+    if isinstance(obj, ConjectureRow):
+        # exception: the whole schema entry, and both sweeps compressed
+        return {
+            "schema": {
+                "name": obj.entry.name,
+                "formula": print_formula(obj.entry.body),
+                "variables": list(obj.entry.variables),
+                "arity": obj.entry.arity,
+            },
+            "characterization": jsonable(obj.characterization),
+            "nontriviality": qnt_summary(obj.nontriviality),
+            "comparisons": {
+                name: qnt_summary(rep) for name, rep in obj.comparisons.items()
+            },
+        }
+    if not is_dataclass(obj):
+        raise TypeError(f"no JSON form for {type(obj).__name__}")
+    data = {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    if isinstance(obj, Refutation):
+        # exception: the candidate's rho and sigma sit at the top level
+        data.update(data.pop("candidate"))
+    elif isinstance(obj, InapplicablePair):
+        # exception: a verdict, so every matrix cell has one
+        data["verdict"] = "inapplicable"
+    elif isinstance(obj, VerificationReport):
+        # exception: the derived overall result
+        data["ok"] = obj.ok
+    return data
 
 
-@jsonable.register
-def _(obj: type(None)) -> None:
-    return None
-
-
-@jsonable.register
-def _(obj: Atom) -> str:
-    return str(obj)
-
-
-@jsonable.register
-def _(obj: Formula) -> str:
-    return print_formula(obj)
-
-
-@jsonable.register
-def _(obj: SchemaEntry) -> dict:
-    return {
-        "name": obj.name,
-        "formula": print_formula(obj.body),
-        "variables": list(obj.variables),
-        "arity": obj.arity,
-    }
-
-
-@jsonable.register
-def _(obj: Valuation) -> dict:
-    return {
-        "atoms": [str(a) for a in obj.domain],
-        "true": [str(a) for a in obj.domain if a in obj.true_atoms],
-    }
-
-
-@jsonable.register
-def _(obj: Substitution) -> dict:
-    return {src: tgt for src, tgt in obj.items}
-
-
-@jsonable.register
-def _(obj: CandidateMap) -> dict:
-    return {"rho": list(obj.rho), "sigma": jsonable(obj.sigma)}
-
-
-@jsonable.register
-def _(obj: SemanticsVerdict) -> dict:
-    return {"holds": obj.holds, "witness": jsonable(obj.witness)}
-
-
-@jsonable.register
-def _(obj: TheoremVerdict) -> dict:
-    return {
-        "valid": obj.valid,
-        "pool": list(obj.pool),
-        "counter_valuation": jsonable(obj.counter_valuation),
-    }
-
-
-@jsonable.register
-def _(obj: Refutation) -> dict:
-    return {
-        "rho": list(obj.candidate.rho),
-        "sigma": jsonable(obj.candidate.sigma),
-        "valuation": jsonable(obj.valuation),
-        "substituted_value": obj.substituted_value,
-        "target_value": obj.target_value,
-    }
-
-
-@jsonable.register
-def _(obj: TrivialityReport) -> dict:
-    return {
-        "subject": obj.subject.name,
-        "reference": obj.reference.name,
-        "verdict": obj.verdict,
-        "witness": jsonable(obj.witness),
-        "refutations": [jsonable(r) for r in obj.refutations],
-        "map_count": obj.map_count,
-    }
-
-
-@jsonable.register
-def _(obj: QntReport) -> dict:
-    return {
-        "left": obj.left.name,
-        "right": obj.right.name,
-        "case_used": obj.case_used,
-        "verdict": obj.verdict,
-        "witness": jsonable(obj.witness),
-        "witness_left_oriented": jsonable(obj.witness_left_oriented),
-        "refutations": [jsonable(r) for r in obj.refutations],
-        "map_count": obj.map_count,
-        "hypothesis_met": list(obj.hypothesis_met),
-        "cross_check": obj.cross_check,
-    }
-
-
-@jsonable.register
-def _(obj: InapplicablePair) -> dict:
-    return {
-        "left": obj.left.name,
-        "right": obj.right.name,
-        "verdict": "inapplicable",
-        "reason": obj.reason,
-    }
-
-
-@jsonable.register
-def _(obj: RecoveryOutcome) -> dict:
-    return {
-        "axiom": obj.axiom.name,
-        "recovered": obj.recovered,
-        "pool_size": obj.pool_size,
-        "witness_maps": [jsonable(s) for s in obj.witness_maps],
-        "witness_instances": [print_formula(f) for f in obj.witness_instances],
-        "counterexample": jsonable(obj.counterexample),
-    }
-
-
-@jsonable.register
-def _(obj: CharacterizationReport) -> dict:
-    return {
-        "subject": obj.subject.name,
-        "validity": jsonable(obj.validity),
-        "recoveries": [jsonable(r) for r in obj.recoveries],
-        "characteristic": obj.characteristic,
-        "max_pool": obj.max_pool,
-        "derivation_script": obj.derivation_script,
-    }
-
-
-@jsonable.register
-def _(obj: LineResult) -> dict:
-    return {
-        "label": obj.label,
-        "rule": obj.rule,
-        "ok": obj.ok,
-        "detail": obj.detail,
-    }
-
-
-@jsonable.register
-def _(obj: ProofCheckResult) -> dict:
-    return {
-        "name": obj.name,
-        "ok": obj.ok,
-        "lines": [jsonable(l) for l in obj.lines],
-        "conclusion_ok": obj.conclusion_ok,
-        "failures": list(obj.failures),
-    }
-
-
-@jsonable.register
-def _(obj: VerificationItem) -> dict:
-    return {"name": obj.name, "passed": obj.passed, "detail": obj.detail}
-
-
-@jsonable.register
-def _(obj: VerificationReport) -> dict:
-    return {"ok": obj.ok, "items": [jsonable(i) for i in obj.items]}
-
-
-def qnt_summary(cell: QntReport | InapplicablePair) -> dict:
+def qnt_summary(cell: QntReport | InapplicablePair | TrivialityReport) -> dict:
     """Compressed matrix/sweep cell: witnesses kept, refutations counted."""
     data = jsonable(cell)
     if "refutations" in data:
         data["refutation_count"] = len(data.pop("refutations"))
     return data
-
-
-@jsonable.register
-def _(obj: ConjectureRow) -> dict:
-    nontriv = jsonable(obj.nontriviality)
-    nontriv["refutation_count"] = len(nontriv.pop("refutations"))
-    return {
-        "schema": jsonable(obj.entry),
-        "characterization": jsonable(obj.characterization),
-        "nontriviality": nontriv,
-        "comparisons": {
-            name: qnt_summary(rep) for name, rep in obj.comparisons.items()
-        },
-    }
 
 
 # terminal text
@@ -236,14 +106,28 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
+def _describe_map(candidate: CandidateMap) -> str:
+    rho = ",".join(str(k) for k in candidate.rho)
+    return f"sigma {candidate.sigma} rho ({rho})"
+
+
+def _sigma_note(report: QntReport) -> str:
+    """The witness map quoted after a verdict, left-oriented when possible."""
+    if report.witness_left_oriented is not None:
+        return f" (sigma {report.witness_left_oriented})"
+    if report.witness is not None:
+        return f" (sigma {report.witness.sigma})"
+    return ""
+
+
 def refutation_lines(refutations: tuple[Refutation, ...]) -> list[str]:
     lines = []
     for i, ref in enumerate(refutations, start=1):
-        rho = ",".join(str(k) for k in ref.candidate.rho)
         lines.append(
-            f"  {i}. sigma {ref.candidate.sigma} rho ({rho}): "
+            f"  {i}. {_describe_map(ref.candidate)}: "
             f"substituted={str(ref.substituted_value).lower()} "
-            f"target={str(ref.target_value).lower()} under {valuation_text(ref.valuation)}"
+            f"target={str(ref.target_value).lower()} "
+            f"under {valuation_text(ref.valuation)}"
         )
     return lines
 
@@ -256,8 +140,7 @@ def triviality_text(report: TrivialityReport) -> str:
         f"maps examined: {report.map_count}",
     ]
     if report.witness is not None:
-        rho = ",".join(str(k) for k in report.witness.rho)
-        lines.append(f"witness: sigma {report.witness.sigma} rho ({rho})")
+        lines.append(f"witness: {_describe_map(report.witness)}")
     if report.refutations:
         lines.append("refutations:")
         lines.extend(refutation_lines(report.refutations))
@@ -273,8 +156,7 @@ def qnt_text(report: QntReport) -> str:
         f"maps examined: {report.map_count}",
     ]
     if report.witness is not None:
-        rho = ",".join(str(k) for k in report.witness.rho)
-        lines.append(f"witness: sigma {report.witness.sigma} rho ({rho})")
+        lines.append(f"witness: {_describe_map(report.witness)}")
     if report.witness_left_oriented is not None:
         lines.append(f"witness (left-oriented): {report.witness_left_oriented}")
     hyp_left, hyp_right = report.hypothesis_met
@@ -302,16 +184,11 @@ def matrix_text(cells: dict[tuple[str, str], QntReport | InapplicablePair]) -> s
         if isinstance(cell, InapplicablePair):
             lines.append(f"{a} vs {b}: inapplicable ({cell.reason})")
             continue
-        note = ""
+        note = _sigma_note(cell)
         if cell.witness is not None and a == b:
             note = " (identity witness)"
-        elif cell.witness_left_oriented is not None:
-            note = f" (sigma {cell.witness_left_oriented})"
-        elif cell.witness is not None:
-            note = f" (sigma {cell.witness.sigma})"
-        lines.append(
-            f"{a} vs {b}: {cell.verdict} ({_count(cell.map_count, 'map')} examined){note}"
-        )
+        examined = _count(cell.map_count, "map")
+        lines.append(f"{a} vs {b}: {cell.verdict} ({examined} examined){note}")
         if a != b:
             off_diagonal += 1
             if cell.verdict == "quasi-nontrivial":
@@ -408,13 +285,8 @@ def conjecture_text(rows: tuple[ConjectureRow, ...]) -> str:
             f"({_count(row.nontriviality.map_count, 'map')})"
         )
         for name, rep in row.comparisons.items():
-            extra = ""
-            if rep.witness_left_oriented is not None:
-                extra = f" (sigma {rep.witness_left_oriented})"
-            elif rep.witness is not None:
-                extra = f" (sigma {rep.witness.sigma})"
             lines.append(
                 f"  vs {name}: {rep.verdict} (case {rep.case_used}, "
-                f"{_count(rep.map_count, 'map')}){extra}"
+                f"{_count(rep.map_count, 'map')}){_sigma_note(rep)}"
             )
     return "\n".join(lines)

@@ -1,11 +1,14 @@
 """Command line behaviour: exit codes, output shapes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from l1ax import cli, reports
 from l1ax.cli import main
 
 
@@ -67,9 +70,12 @@ def test_nontrivial_inapplicable_exits_two(capsys):
 
 
 def test_unknown_name_lists_the_corpus(capsys):
-    code, _, err = run(capsys, "theorem", "A_M9")
-    assert code == 2
-    assert "A_M8" in err
+    # "-" is legal in schema names, so A_t-2 is a name, not formula text
+    for name in ("A_M9", "A_t-2"):
+        code, _, err = run(capsys, "theorem", name)
+        assert code == 2
+        assert err.startswith(f"error: unknown schema name {name!r}")
+        assert "A_M8" in err
 
 
 def test_qnt_text_carries_the_witness(capsys):
@@ -238,3 +244,14 @@ def test_module_entry_point_subprocess():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "tautology"
+
+
+def test_readme_usage_lists_exactly_the_commands():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    usage = readme.split("## Command line", 1)[1].split("```")[1]
+    assert re.findall(r"^l1ax (\S+)", usage, flags=re.M) == list(cli.COMMANDS)
+
+
+def test_jsonable_rejects_objects_without_a_json_form():
+    with pytest.raises(TypeError, match="no JSON form for object"):
+        reports.jsonable(object())
