@@ -31,6 +31,9 @@ CORPUS = (
 
 INVALID = "eps(a,b) -> eps(b,a)"
 
+# INVALID padded with tautologies on three fresh names: a pool-5 refutation
+SYM_PAD5 = "(eps(a,b) -> eps(b,a)) & (eps(c,d) | !eps(c,d)) & (eps(e,e) | !eps(e,e))"
+
 CASES = [
     ("taut", "eps(a,b) | !eps(a,b)"),
     ("taut", INVALID),
@@ -39,6 +42,8 @@ CASES = [
     ("theorem", INVALID),
     ("theorem", "A_M9"),
     ("theorem", "Mine", "--corpus-file", "{corpus}"),
+    ("theorem", "DoubleStar"),
+    ("theorem", SYM_PAD5),
     ("nontrivial", "A_M8"),
     ("nontrivial", "A_t"),
     ("nontrivial", "A_S3", "--ref", "A_t-1"),
@@ -52,6 +57,7 @@ CASES = [
     ("characteristic", "A_M8", "--max-pool", "3"),
     ("characteristic", "A_S3", "--max-pool", "4"),
     ("characteristic", INVALID, "--max-pool", "3"),
+    ("characteristic", "DoubleStar"),
     ("check-proof", "{good}"),
     ("check-proof", "{tampered}"),
     ("verify",),
