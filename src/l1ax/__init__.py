@@ -88,8 +88,9 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop every internal memoization (truth-table tiles, admissible
-    masks, hypothesis verdicts); used by the slow-path oracle tests."""
+    """Drop every internal memoization (truth-table tiles, enumerated
+    admissible valuations, hypothesis verdicts); used by the slow-path
+    oracle tests."""
     _semantics.clear_caches()
     _decision.clear_caches()
     _criteria.clear_caches()

@@ -12,7 +12,7 @@ the same witness bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .formula import Atom, Epsilon, Formula, Iff, Not, Or, atoms
 
@@ -99,17 +99,13 @@ def atom_tile(n_atoms: int, j: int) -> int:
     return pattern
 
 
-def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:
-    """Big-integer truth table of formula over the given atom ordering."""
-    k = len(atom_order)
-    if k > ATOM_BUDGET:
-        raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
-    index = {atom: j for j, atom in enumerate(atom_order)}
-    full = full_mask(k)
+def tabulate(formula: Formula, tile: Callable[[Atom], int], full: int) -> int:
+    """Truth table of formula over any space of valuations: tile(atom) has bit
+    r set iff the atom is true at valuation r, and full sets every bit."""
 
     def rec(f: Formula) -> int:
         if isinstance(f, Epsilon):
-            return atom_tile(k, index[f.atom])
+            return tile(f.atom)
         if isinstance(f, Not):
             return full ^ rec(f.operand)
         if isinstance(f, Or):
@@ -117,6 +113,15 @@ def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:
         raise TypeError(f"not a formula node: {f!r}")
 
     return rec(formula)
+
+
+def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:
+    """Big-integer truth table of formula over the given atom ordering."""
+    k = len(atom_order)
+    if k > ATOM_BUDGET:
+        raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
+    index = {atom: j for j, atom in enumerate(atom_order)}
+    return tabulate(formula, lambda atom: atom_tile(k, index[atom]), full_mask(k))
 
 
 def lowest_set_bit(mask: int) -> int:

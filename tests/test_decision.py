@@ -1,7 +1,16 @@
-"""The admissible-valuation decision procedure on square atom grids."""
+"""The admissible-valuation decision procedure on square atom grids.
+
+The enumeration of admissible valuations is checked against its oracle, the
+brute-force `admissible_mask` over every grid valuation.
+"""
+
+import functools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from l1ax import decision
 from l1ax.decision import (
     POOL_CAP,
     admissible_count,
@@ -13,11 +22,18 @@ from l1ax.decision import (
     is_theorem,
     iter_set_bits,
 )
-from l1ax.formula import Atom
-from l1ax.semantics import Valuation, evaluate
+from l1ax.formula import And, Atom, Implies, Not, Or, eps, name_variables
+from l1ax.semantics import (
+    Valuation,
+    evaluate,
+    full_mask,
+    lowest_set_bit,
+    truth_table,
+)
 from l1ax.syntax import parse_formula
 
 POOLS = (("a",), ("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d"))
+FIVE = ("a", "b", "c", "d", "e")
 
 
 def test_grid_atoms_row_major():
@@ -30,7 +46,21 @@ def test_grid_atoms_row_major():
 
 
 def test_admissible_counts_frozen():
-    assert [admissible_count(p) for p in POOLS] == [2, 7, 36, 256]
+    assert [admissible_count(p) for p in (*POOLS, FIVE)] == [2, 7, 36, 256, 2483]
+
+
+@pytest.mark.parametrize("symmetry", ["Ax3", "Ax3s"])
+def test_enumeration_matches_brute_force(symmetry):
+    for pool in POOLS:
+        counters = [v.counter for v in admissible_valuations(pool, symmetry)]
+        assert counters == list(iter_set_bits(admissible_mask(pool, symmetry)))
+
+
+def test_enumeration_matches_brute_force_at_pool_five():
+    # the one place a 2^25-bit mask is still built: about 1 s and 440 MB each
+    for symmetry in ("Ax3", "Ax3s"):
+        counters = [v.counter for v in admissible_valuations(FIVE, symmetry)]
+        assert counters == list(iter_set_bits(admissible_mask(FIVE, symmetry)))
 
 
 def test_admissible_counts_match_naive_enumeration():
@@ -110,3 +140,70 @@ def test_iter_set_bits():
 def test_single_name_pool_valuations():
     vals = list(admissible_valuations(("a",)))
     assert sorted(v.counter for v in vals) == [0, 1]
+
+
+@functools.cache
+def _oracle_mask(pool):
+    return admissible_mask(pool)
+
+
+def _reference(formula, pool):
+    """Validity and witness the way the brute-force mask decides them."""
+    grid = grid_atoms(pool)
+    violations = _oracle_mask(pool) & ~truth_table(formula, grid) & full_mask(len(grid))
+    if violations == 0:
+        return True, None
+    return False, Valuation.at_counter(grid, lowest_set_bit(violations))
+
+
+names = st.sampled_from("abcd")
+atom_st = st.builds(eps, names, names)
+formula_st = st.one_of(
+    st.recursive(
+        atom_st,
+        lambda sub: st.one_of(
+            st.builds(Not, sub), st.builds(Or, sub, sub), st.builds(Implies, sub, sub)
+        ),
+        max_leaves=10,
+    ),
+    # premises joined by eps, like the base axioms: valid more often
+    st.builds(Implies, st.builds(And, atom_st, atom_st), atom_st),
+)
+
+
+@given(formula_st)
+def test_enumeration_agrees_with_the_mask_reference(formula):
+    for pool in (name_variables(formula), ("d", "c", "b", "a")):
+        verdict = holds_in_all_admissible(formula, pool)
+        assert (verdict.valid, verdict.counter_valuation) == _reference(formula, pool)
+
+
+# pool-5 verdicts and witnesses, formulas copied as text
+DOUBLE_STAR = (
+    "eps(a,b) & eps(d,e) -> eps(d,d) & eps(a,a)"
+    " & (eps(b,d) -> eps(a,e) & eps(b,a)) & (eps(c,c) | !eps(c,c))"
+)
+SYM_PAD5 = "(eps(a,b) -> eps(b,a)) & (eps(c,d) | !eps(c,d)) & (eps(e,e) | !eps(e,e))"
+REFL_B_PAD5 = "(eps(a,b) -> eps(b,b)) & (eps(c,c) -> eps(c,c)) & (eps(d,e) -> eps(d,e))"
+ROW_B_FALSE = "false: eps(b,a), eps(b,b), eps(b,c), eps(b,d), eps(b,e); all other atoms true"
+
+
+def test_pool_five_verdicts_and_witnesses_are_pinned():
+    verdict = is_theorem(parse_formula(DOUBLE_STAR))
+    assert verdict.valid and verdict.counter_valuation is None
+    assert verdict.pool == ("a", "b", "d", "e", "c")
+    for text in (SYM_PAD5, REFL_B_PAD5):
+        verdict = is_theorem(parse_formula(text))
+        assert not verdict.valid
+        assert verdict.pool == FIVE
+        w = verdict.counter_valuation
+        assert w.counter == 0b11111 << 5
+        assert str(w) == ROW_B_FALSE
+
+
+def test_witness_that_fails_its_replay_raises(monkeypatch):
+    # a fake enumeration holding one inadmissible valuation: only eps(a,b)
+    # true, which refutes the formula but breaks Ax1
+    monkeypatch.setattr(decision, "_admissible", lambda n: ((0b1101,), (0, 1, 0, 0)))
+    with pytest.raises(RuntimeError, match="fails its replay"):
+        holds_in_all_admissible(parse_formula("eps(a,b) -> eps(b,a)"), ("a", "b"))
