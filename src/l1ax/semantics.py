@@ -120,8 +120,8 @@ def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:
     k = len(atom_order)
     if k > ATOM_BUDGET:
         raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
-    index = {atom: j for j, atom in enumerate(atom_order)}
-    return tabulate(formula, lambda atom: atom_tile(k, index[atom]), full_mask(k))
+    tiles = {atom: atom_tile(k, j) for j, atom in enumerate(atom_order)}
+    return tabulate(formula, tiles.__getitem__, full_mask(k))
 
 
 def lowest_set_bit(mask: int) -> int:

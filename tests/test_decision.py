@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import l1ax
 from l1ax import decision
 from l1ax.decision import (
     POOL_CAP,
@@ -207,3 +208,10 @@ def test_witness_that_fails_its_replay_raises(monkeypatch):
     monkeypatch.setattr(decision, "_admissible", lambda n: ((0b1101,), (0, 1, 0, 0)))
     with pytest.raises(RuntimeError, match="fails its replay"):
         holds_in_all_admissible(parse_formula("eps(a,b) -> eps(b,a)"), ("a", "b"))
+
+
+def test_clear_caches_drops_the_enumeration():
+    admissible_count(FIVE)
+    assert decision._admissible.cache_info().currsize > 0
+    l1ax.clear_caches()
+    assert decision._admissible.cache_info().currsize == 0
