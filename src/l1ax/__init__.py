@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from . import criteria as _criteria
 from . import decision as _decision
+from . import proofs as _proofs
 from . import semantics as _semantics
 from .axioms import A_T, A_T1, AX1, AX2, AX3, AX3S, AXIOMS_BY_NAME, BASE_AXIOMS
 from .characterize import (
@@ -89,8 +90,9 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Drop every internal memoization (truth-table tiles, enumerated
-    admissible valuations, hypothesis verdicts); used by the slow-path
-    oracle tests."""
+    admissible valuations, compiled schema bodies, hypothesis verdicts,
+    checked bundled derivations); used by the slow-path oracle tests."""
     _semantics.clear_caches()
     _decision.clear_caches()
     _criteria.clear_caches()
+    _proofs.clear_caches()

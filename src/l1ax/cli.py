@@ -125,7 +125,7 @@ def _matrix(args: argparse.Namespace, corpus: Corpus) -> Outcome:
         entries = tuple(load_corpus(Path(args.corpus)))
     else:
         entries = corpus.established_five()
-    cells = qnt_matrix(entries)
+    cells = qnt_matrix(entries, explain=False)
     payload = {
         "entries": [e.name for e in entries],
         "cells": {

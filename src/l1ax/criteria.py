@@ -2,27 +2,48 @@
 
 Two schemata are compared by sweeping candidate renamings of one onto the
 other and testing tautological equivalence. A successful candidate is the
-witness; when none succeeds, every candidate is returned together with a
-distinguishing valuation, so a negative verdict is as replayable as a
-positive one.
+witness; when none succeeds, every candidate is refuted by a distinguishing
+valuation, so a negative verdict is as replayable as a positive one.
+
+Each schema body is compiled once into its atom list and a closure that
+computes its truth table from atom tiles. A candidate renaming then only
+reindexes atoms: the source's atoms come first, then the target's new ones,
+exactly the order of atoms(Iff(sigma(source), target)), so the lowest bit
+where the two tables differ is the counter-valuation are_equivalent would
+report. The comparisons run in two modes. Decide mode (explain=False)
+returns the verdict, the witness and the number of maps examined. Explain
+mode, the default, also builds a Refutation for every candidate before the
+witness and replays each one, and the witness, through Substitution.apply
+and pointwise evaluation.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .axioms import A_T
-from .formula import Formula, SchemaEntry
-from .semantics import Valuation, are_equivalent, evaluate
+from .formula import Atom, Epsilon, Formula, Not, Or, SchemaEntry
+from .semantics import (
+    ATOM_BUDGET,
+    BudgetError,
+    Valuation,
+    are_equivalent,
+    atom_tile,
+    evaluate,
+    full_mask,
+    lowest_set_bit,
+)
 from .substitution import (
     FRESH_QNT_RIGHT,
+    FRESH_TRIVIALITY,
     CandidateMap,
     Substitution,
-    comparison_maps,
-    padded_bijections,
-    triviality_maps,
+    candidate_map,
+    comparison_orientation,
+    padded_targets,
 )
 
 QT_VERDICTS = ("quasi-trivial", "quasi-nontrivial")
@@ -50,6 +71,9 @@ class Refutation:
 
 @dataclass(frozen=True, slots=True)
 class TrivialityReport:
+    """refutations is empty in decide mode; map_count - (witness is not
+    None) candidates were refuted either way."""
+
     subject: SchemaEntry
     reference: SchemaEntry
     verdict: str
@@ -71,7 +95,7 @@ class QntReport:
     packaging of the axioms, the standing hypothesis of the comparison;
     it is bookkeeping, never a gate. cross_check is set for equal-arity
     pairs: the mirrored sweep (left's variables onto right's) must reach
-    the same verdict.
+    the same verdict. refutations is empty in decide mode.
     """
 
     left: SchemaEntry
@@ -86,38 +110,134 @@ class QntReport:
     cross_check: str | None
 
 
+# table(tiles, full): the truth table of a body, tiles[i] being the tile of
+# its i-th atom and full the mask of every valuation
+Table = Callable[[list[int], int], int]
+
+
+def _closure(f: Formula, order: dict[Atom, int]) -> Table:
+    if isinstance(f, Epsilon):
+        i = order.setdefault(f.atom, len(order))
+        return lambda t, full: t[i]
+    if isinstance(f, Not):
+        operand = _closure(f.operand, order)
+        return lambda t, full: full ^ operand(t, full)
+    if isinstance(f, Or):
+        left = _closure(f.left, order)
+        right = _closure(f.right, order)
+        return lambda t, full: left(t, full) | right(t, full)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+@functools.cache
+def _compile(body: Formula) -> tuple[tuple[Atom, ...], Table]:
+    """The body's atoms in first-occurrence order and its table closure."""
+    order: dict[Atom, int] = {}
+    table = _closure(body, order)
+    return tuple(order), table
+
+
+class _Kernel:
+    """The source body compiled against the target body, for renamings of
+    the source's variables onto targets: the target's variables followed by
+    fresh padding.
+
+    A renaming is given by place, place[s] being the index in targets of
+    the image of source variable s. An atom is coded subject index * n +
+    predicate index over targets. Renamings are bijections, so the source's
+    atoms keep their order as the first atoms of the pair and the source's
+    table depends only on the pair's atom count k.
+    """
+
+    def __init__(self, source: SchemaEntry, target: SchemaEntry, fresh_prefix: str):
+        self.source, self.target = source, target
+        self.targets = padded_targets(source.variables, target.variables, fresh_prefix)
+        n = len(self.targets)
+        source_atoms, self.source_table = _compile(source.body)
+        target_atoms, self.target_table = _compile(target.body)
+        var = {v: i for i, v in enumerate(source.variables)}
+        slot = {v: i for i, v in enumerate(self.targets)}
+        self.source_atoms = [(var[a.subject], var[a.predicate]) for a in source_atoms]
+        self.target_codes = [slot[a.subject] * n + slot[a.predicate] for a in target_atoms]
+        # atom count k -> (atom tiles, full mask, source table)
+        self.spaces: dict[int, tuple[list[int], int, int]] = {}
+
+    def compare(self, place: list[int]) -> tuple[int, int, dict[int, int]]:
+        """The source's table, the bits where the two tables differ, and
+        the pair's atoms (code -> index) under one renaming."""
+        n = len(place)
+        index = {place[s] * n + place[p]: i for i, (s, p) in enumerate(self.source_atoms)}
+        for code in self.target_codes:
+            index.setdefault(code, len(index))
+        k = len(index)
+        if k > ATOM_BUDGET:
+            raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
+        space = self.spaces.get(k)
+        if space is None:
+            tiles = [atom_tile(k, j) for j in range(k)]
+            full = full_mask(k)
+            space = self.spaces[k] = (tiles, full, self.source_table(tiles, full))
+        tiles, full, source_bits = space
+        target_bits = self.target_table([tiles[index[c]] for c in self.target_codes], full)
+        return source_bits, source_bits ^ target_bits, index
+
+    def candidate(self, perm: tuple[int, ...]) -> CandidateMap:
+        return candidate_map(self.source.variables, self.targets, perm)
+
+    def refutation(
+        self, perm: tuple[int, ...], source_bits: int, diff: int, index: dict[int, int]
+    ) -> Refutation:
+        """The refutation at the lowest differing bit, replayed through the
+        substituted formula and pointwise evaluation."""
+        n = len(self.targets)
+        domain = tuple(Atom(self.targets[c // n], self.targets[c % n]) for c in index)
+        counter = lowest_set_bit(diff)
+        valuation = Valuation.at_counter(domain, counter)
+        substituted_value = bool(source_bits >> counter & 1)
+        cand = self.candidate(perm)
+        substituted = cand.sigma.apply(self.source.body)
+        if (
+            evaluate(substituted, valuation) != substituted_value
+            or evaluate(self.target.body, valuation) == substituted_value
+        ):
+            raise RuntimeError(f"refutation of {cand.sigma} fails its replay")
+        return Refutation(cand, valuation, substituted_value, not substituted_value)
+
+    def replay_witness(self, witness: CandidateMap) -> None:
+        substituted = witness.sigma.apply(self.source.body)
+        if not are_equivalent(substituted, self.target.body).holds:
+            raise RuntimeError(f"witness {witness.sigma} fails its replay")
+
+
 def _sweep(
-    candidates: Iterable[CandidateMap],
-    source_body: Formula,
-    target_body: Formula,
+    kernel: _Kernel, explain: bool
 ) -> tuple[CandidateMap | None, tuple[Refutation, ...], int]:
-    """Test candidates in order, stopping at the first equivalence.
+    """Test every renaming in lexicographic rho order, stopping at the
+    first equivalence.
 
     Returns the witness (or None), the refutations of every candidate
-    examined before success, and the number examined. With no witness the
-    refutations cover the whole enumeration.
+    examined before success (explain mode only) and the number examined.
     """
     refutations: list[Refutation] = []
     count = 0
-    for cand in candidates:
+    for perm in itertools.permutations(range(len(kernel.targets))):
         count += 1
-        substituted = cand.sigma.apply(source_body)
-        verdict = are_equivalent(substituted, target_body)
-        if verdict.holds:
-            return cand, tuple(refutations), count
-        assert verdict.witness is not None
-        refutations.append(
-            Refutation(
-                candidate=cand,
-                valuation=verdict.witness,
-                substituted_value=evaluate(substituted, verdict.witness),
-                target_value=evaluate(target_body, verdict.witness),
-            )
-        )
+        # perm sends source variable perm[i] to targets[i]; place inverts it
+        place = sorted(range(len(perm)), key=perm.__getitem__)
+        source_bits, diff, index = kernel.compare(place)
+        if not diff:
+            witness = kernel.candidate(perm)
+            if explain:
+                kernel.replay_witness(witness)
+            return witness, tuple(refutations), count
+        if explain:
+            refutations.append(kernel.refutation(perm, source_bits, diff, index))
     return None, tuple(refutations), count
 
 
-def triviality(subject: SchemaEntry, reference: SchemaEntry) -> TrivialityReport:
+def triviality(
+    subject: SchemaEntry, reference: SchemaEntry, *, explain: bool = True
+) -> TrivialityReport:
     """Is some renaming of subject onto reference's variables equivalent
     to reference? The enumeration covers all arity! padded bijections."""
     if subject.arity < 3:
@@ -131,9 +251,7 @@ def triviality(subject: SchemaEntry, reference: SchemaEntry) -> TrivialityReport
             f"the reference {reference.name} ({reference.arity})"
         )
     witness, refutations, count = _sweep(
-        triviality_maps(subject.variables, reference.variables),
-        subject.body,
-        reference.body,
+        _Kernel(subject, reference, FRESH_TRIVIALITY), explain
     )
     return TrivialityReport(
         subject=subject,
@@ -145,10 +263,10 @@ def triviality(subject: SchemaEntry, reference: SchemaEntry) -> TrivialityReport
     )
 
 
-@lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None)
 def is_nontrivial_standard(entry: SchemaEntry) -> bool:
     """The standing hypothesis: nontrivial w.r.t. the packaged axioms."""
-    return triviality(entry, A_T).verdict == "nontrivial"
+    return triviality(entry, A_T, explain=False).verdict == "nontrivial"
 
 
 def _left_oriented(
@@ -164,18 +282,34 @@ def _left_oriented(
     return None
 
 
+def _holds(kernel: _Kernel, sigma: Substitution) -> bool:
+    """Does sigma, a bijection of the source's variables onto the
+    kernel's targets, make the two bodies equivalent?"""
+    place = [kernel.targets.index(sigma.target(v)) for v in kernel.source.variables]
+    return not kernel.compare(place)[1]
+
+
 def _mirror_cross_check(
-    left: SchemaEntry, right: SchemaEntry, primary_found: bool
+    left: SchemaEntry, right: SchemaEntry, inverse: Substitution | None
 ) -> str:
-    mirrored = padded_bijections(left.variables, right.variables, FRESH_QNT_RIGHT)
-    found = any(
-        are_equivalent(cand.sigma.apply(left.body), right.body).holds
-        for cand in mirrored
-    )
-    return "agree" if found == primary_found else "disagree"
+    """Does the mirrored sweep, left's variables onto right's, find a
+    witness exactly when the primary sweep did?
+
+    inverse is the primary witness inverted (None without one). Renaming
+    both sides of sigma(right) == left by sigma's inverse gives
+    inverse(left) == right, so inverse is a mirrored witness; the full
+    mirrored sweep runs only without one or when it fails.
+    """
+    kernel = _Kernel(left, right, FRESH_QNT_RIGHT)
+    found = inverse is not None and _holds(kernel, inverse)
+    if not found:
+        found = _sweep(kernel, explain=False)[0] is not None
+    return "agree" if found == (inverse is not None) else "disagree"
 
 
-def quasi_triviality(left: SchemaEntry, right: SchemaEntry) -> QntReport:
+def quasi_triviality(
+    left: SchemaEntry, right: SchemaEntry, *, explain: bool = True
+) -> QntReport:
     """Compare two schemata for quasi-triviality.
 
     Case 1 (left arity <= right arity): sweep renamings of the right
@@ -190,22 +324,24 @@ def quasi_triviality(left: SchemaEntry, right: SchemaEntry) -> QntReport:
                 f"{entry.name} has {entry.arity} distinct variables; "
                 "the quasi-triviality comparison needs at least 3 on each side"
             )
-    case_used, candidates = comparison_maps(left.variables, right.variables)
-    if case_used == 1:
-        source, target = right, left
-    else:
-        source, target = left, right
-    witness, refutations, count = _sweep(candidates, source.body, target.body)
+    case_used, _, _, fresh_prefix = comparison_orientation(
+        left.variables, right.variables
+    )
+    source, target = (right, left) if case_used == 1 else (left, right)
+    witness, refutations, count = _sweep(
+        _Kernel(source, target, fresh_prefix), explain
+    )
+    left_oriented = _left_oriented(left, right, case_used, witness)
     cross_check = None
     if left.arity == right.arity:
-        cross_check = _mirror_cross_check(left, right, witness is not None)
+        cross_check = _mirror_cross_check(left, right, left_oriented)
     return QntReport(
         left=left,
         right=right,
         case_used=case_used,
         verdict="quasi-trivial" if witness else "quasi-nontrivial",
         witness=witness,
-        witness_left_oriented=_left_oriented(left, right, case_used, witness),
+        witness_left_oriented=left_oriented,
         refutations=refutations,
         map_count=count,
         hypothesis_met=(is_nontrivial_standard(left), is_nontrivial_standard(right)),
@@ -214,11 +350,11 @@ def quasi_triviality(left: SchemaEntry, right: SchemaEntry) -> QntReport:
 
 
 def is_trivial(subject: SchemaEntry, reference: SchemaEntry) -> bool:
-    return triviality(subject, reference).verdict == "trivial"
+    return triviality(subject, reference, explain=False).verdict == "trivial"
 
 
 def is_quasi_trivial(left: SchemaEntry, right: SchemaEntry) -> bool:
-    return quasi_triviality(left, right).verdict == "quasi-trivial"
+    return quasi_triviality(left, right, explain=False).verdict == "quasi-trivial"
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,7 +370,7 @@ MatrixCell = QntReport | InapplicablePair
 
 
 def qnt_matrix(
-    entries: Iterable[SchemaEntry],
+    entries: Iterable[SchemaEntry], *, explain: bool = True
 ) -> dict[tuple[str, str], MatrixCell]:
     """Quasi-triviality reports for every ordered pair, diagonal included.
 
@@ -246,7 +382,7 @@ def qnt_matrix(
     for a in pool:
         for b in pool:
             try:
-                cells[(a.name, b.name)] = quasi_triviality(a, b)
+                cells[(a.name, b.name)] = quasi_triviality(a, b, explain=explain)
             except CriterionInapplicable as exc:
                 cells[(a.name, b.name)] = InapplicablePair(a, b, str(exc))
     return cells
@@ -254,3 +390,4 @@ def qnt_matrix(
 
 def clear_caches() -> None:
     is_nontrivial_standard.cache_clear()
+    _compile.cache_clear()

@@ -22,9 +22,12 @@ MP(antecedent, implication), SUBST(line, sigma), TAUTCONSEQ(line, ...).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 from .axioms import AXIOMS_BY_NAME
 from .formula import Formula, Implies, SchemaEntry
@@ -372,16 +375,26 @@ def check_bundled_proofs() -> dict[str, ProofCheckResult]:
     return {name: check_proof(s) for name, s in bundled_scripts().items()}
 
 
-def derived_conclusions() -> dict[Formula, str]:
+def derived_conclusions() -> Mapping[Formula, str]:
     """Conclusions of assumption-free bundled scripts that check out.
 
     Used to upgrade 'valid (admissible semantics)' verdicts to
-    'provable (derivation checked)'.
+    'provable (derivation checked)'. The scripts are parsed and checked
+    once; clear_caches() makes the next call check them again.
     """
+    return _derived_conclusions()
+
+
+@functools.cache
+def _derived_conclusions() -> Mapping[Formula, str]:
     out: dict[Formula, str] = {}
     for name, script in bundled_scripts().items():
         if script.assumptions:
             continue
         if check_proof(script).ok and script.lines:
             out.setdefault(script.lines[-1].formula, name)
-    return out
+    return MappingProxyType(out)
+
+
+def clear_caches() -> None:
+    _derived_conclusions.cache_clear()

@@ -11,7 +11,7 @@ their count; the single-pair commands expose every refutation in full.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
+from dataclasses import fields, is_dataclass, replace
 from typing import Any
 
 from .characterize import CharacterizationReport
@@ -75,10 +75,16 @@ def jsonable(obj: Any) -> Any:
 
 
 def qnt_summary(cell: QntReport | InapplicablePair | TrivialityReport) -> dict:
-    """Compressed matrix/sweep cell: witnesses kept, refutations counted."""
-    data = jsonable(cell)
-    if "refutations" in data:
-        data["refutation_count"] = len(data.pop("refutations"))
+    """Compressed matrix/sweep cell: witnesses kept, refutations counted.
+
+    Every map examined before the witness, or every map when there is
+    none, was refuted, whether or not the report lists the refutations.
+    """
+    if isinstance(cell, InapplicablePair):
+        return jsonable(cell)
+    data = jsonable(replace(cell, refutations=()))
+    del data["refutations"]
+    data["refutation_count"] = cell.map_count - (cell.witness is not None)
     return data
 
 

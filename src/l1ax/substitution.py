@@ -106,18 +106,13 @@ class CandidateMap:
     sigma: Substitution
 
 
-def padded_bijections(
+def padded_targets(
     source_vars: Sequence[NameVar],
     target_vars: Sequence[NameVar],
     fresh_prefix: str,
-) -> Iterator[CandidateMap]:
-    """All bijections of source_vars onto target_vars plus fresh padding.
-
-    Requires len(source_vars) >= len(target_vars). The targets are the
-    reference variables in order followed by len(source)-len(target) fresh
-    variables; rho ranges over all permutations in lexicographic order, so
-    the identity permutation comes first and enumeration order is stable.
-    """
+) -> tuple[NameVar, ...]:
+    """The target variables in order followed by len(source)-len(target)
+    fresh variables; requires len(source_vars) >= len(target_vars)."""
     n = len(source_vars)
     r = len(target_vars)
     if n < r:
@@ -125,12 +120,30 @@ def padded_bijections(
             f"need at least {r} source variables, got {n}"
         )
     avoid = set(source_vars) | set(target_vars)
-    targets = tuple(target_vars) + fresh_variables(fresh_prefix, n - r, avoid)
-    for rho in itertools.permutations(range(1, n + 1)):
-        sigma = Substitution.of(
-            {source_vars[rho[i] - 1]: targets[i] for i in range(n)}
-        )
-        yield CandidateMap(rho=rho, sigma=sigma)
+    return tuple(target_vars) + fresh_variables(fresh_prefix, n - r, avoid)
+
+
+def candidate_map(
+    source_vars: Sequence[NameVar], targets: Sequence[NameVar], perm: Sequence[int]
+) -> CandidateMap:
+    """The map sending source variable perm[i] (0-based) to targets[i]."""
+    sigma = Substitution.of({source_vars[s]: targets[i] for i, s in enumerate(perm)})
+    return CandidateMap(rho=tuple(s + 1 for s in perm), sigma=sigma)
+
+
+def padded_bijections(
+    source_vars: Sequence[NameVar],
+    target_vars: Sequence[NameVar],
+    fresh_prefix: str,
+) -> Iterator[CandidateMap]:
+    """All bijections of source_vars onto padded_targets(...).
+
+    rho ranges over all permutations in lexicographic order, so the
+    identity permutation comes first and enumeration order is stable.
+    """
+    targets = padded_targets(source_vars, target_vars, fresh_prefix)
+    for perm in itertools.permutations(range(len(targets))):
+        yield candidate_map(source_vars, targets, perm)
 
 
 def triviality_maps(
@@ -140,10 +153,11 @@ def triviality_maps(
     return padded_bijections(schema_vars, reference_vars, FRESH_TRIVIALITY)
 
 
-def comparison_maps(
+def comparison_orientation(
     left_vars: Sequence[NameVar], right_vars: Sequence[NameVar]
-) -> tuple[int, list[CandidateMap]]:
-    """Candidate maps for the quasi-triviality comparison of left vs right.
+) -> tuple[int, Sequence[NameVar], Sequence[NameVar], str]:
+    """Case, source variables, target variables and fresh prefix of the
+    quasi-triviality comparison of left vs right.
 
     Case 1 (len(left) <= len(right)): maps substitute the right schema's
     variables onto the left schema's plus fresh u-padding; the test is
@@ -152,5 +166,13 @@ def comparison_maps(
     v-padding; the test is sigma(left) == right.
     """
     if len(left_vars) <= len(right_vars):
-        return 1, list(padded_bijections(right_vars, left_vars, FRESH_QNT_LEFT))
-    return 2, list(padded_bijections(left_vars, right_vars, FRESH_QNT_RIGHT))
+        return 1, right_vars, left_vars, FRESH_QNT_LEFT
+    return 2, left_vars, right_vars, FRESH_QNT_RIGHT
+
+
+def comparison_maps(
+    left_vars: Sequence[NameVar], right_vars: Sequence[NameVar]
+) -> tuple[int, list[CandidateMap]]:
+    """The case and every candidate map of the comparison of left vs right."""
+    case, source, target, prefix = comparison_orientation(left_vars, right_vars)
+    return case, list(padded_bijections(source, target, prefix))

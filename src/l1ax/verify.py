@@ -31,6 +31,17 @@ from .substitution import Substitution
 QUARTET = ("A_S1", "A_S2", "A_S3N", "A_S3Nd")
 
 
+class VerificationFailure(Exception):
+    """A re-derived claim came out different from the established one."""
+
+
+def check(condition: object, message: object) -> None:
+    """Fail the current item unless condition holds; unlike assert, this
+    survives python -O."""
+    if not condition:
+        raise VerificationFailure(message)
+
+
 @dataclass(frozen=True, slots=True)
 class VerificationItem:
     name: str
@@ -49,6 +60,10 @@ class VerificationReport:
 
 def _certify(report: TrivialityReport | QntReport) -> int:
     """Replay every refutation; returns how many were replayed."""
+    check(
+        len(report.refutations) == report.map_count - (report.witness is not None),
+        f"{len(report.refutations)} refutations for {report.map_count} maps",
+    )
     if isinstance(report, TrivialityReport):
         source, target = report.subject, report.reference
     elif report.case_used == 1:
@@ -59,8 +74,11 @@ def _certify(report: TrivialityReport | QntReport) -> int:
         substituted = ref.candidate.sigma.apply(source.body)
         left = evaluate(substituted, ref.valuation)
         right = evaluate(target.body, ref.valuation)
-        assert left == ref.substituted_value and right == ref.target_value
-        assert left != right, f"refutation does not distinguish: {ref.candidate.sigma}"
+        check(
+            left == ref.substituted_value and right == ref.target_value,
+            f"refutation values do not replay: {ref.candidate.sigma}",
+        )
+        check(left != right, f"refutation does not distinguish: {ref.candidate.sigma}")
     return len(report.refutations)
 
 
@@ -77,19 +95,19 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
 
     def at_equivalence() -> str:
         verdict = are_equivalent(c["A_t"].body, base_conjunction())
-        assert verdict.holds, f"counterexample {verdict.witness}"
+        check(verdict.holds, f"counterexample {verdict.witness}")
         return "A_t is equivalent to Ax1 & Ax2 & Ax3"
 
     def at1_equivalence() -> str:
         verdict = are_equivalent(c["A_t-1"].body, And(c["Ax2"].body, c["Ax3"].body))
-        assert verdict.holds, f"counterexample {verdict.witness}"
+        check(verdict.holds, f"counterexample {verdict.witness}")
         return "A_t-1 is equivalent to Ax2 & Ax3"
 
     def _theorem_item(name: str) -> str:
         verdict = is_theorem(c[name].body)
-        assert verdict.valid, f"counter-valuation {verdict.counter_valuation}"
+        check(verdict.valid, f"counter-valuation {verdict.counter_valuation}")
         script = derived_conclusions().get(c[name].body)
-        assert script is not None, "no bundled derivation found"
+        check(script is not None, "no bundled derivation found")
         return f"valid over pool {''.join(verdict.pool)}; provable ({script})"
 
     def m8_theorem() -> str:
@@ -97,62 +115,82 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
 
     def m8_nontrivial() -> str:
         report = triviality(c["A_M8"], c["A_t"])
-        assert report.verdict == "nontrivial"
-        assert report.map_count == 24 and len(report.refutations) == 24
+        check(report.verdict == "nontrivial", f"verdict {report.verdict}")
+        check(report.map_count == 24, f"{report.map_count} maps, expected 24")
         _certify(report)
         sigma_cc = Substitution.of({"a": "a", "b": "b", "c": "c", "d": "y1"})
-        assert any(r.candidate.sigma == sigma_cc for r in report.refutations)
+        check(
+            any(r.candidate.sigma == sigma_cc for r in report.refutations),
+            f"no refutation of {sigma_cc}",
+        )
         substituted = sigma_cc.apply(c["A_M8"].body)
         domain = merged_atom_order([substituted, c["A_t"].body])
         val = _all_true_except(domain, {Atom("c", "c")})
-        assert evaluate(substituted, val) is False
-        assert evaluate(c["A_t"].body, val) is True
+        check(evaluate(substituted, val) is False, "the c->c image holds at v(eps(c,c))=f")
+        check(evaluate(c["A_t"].body, val) is True, "A_t fails at v(eps(c,c))=f")
         return "nontrivial wrt A_t; 24 refutations replayed; the v(eps(c,c))=f valuation refutes the c->c map"
 
     def star_quasi_trivial() -> str:
         report = quasi_triviality(c["Star"], c["A_M8"])
-        assert report.verdict == "quasi-trivial" and report.case_used == 1
-        assert report.witness is not None
-        assert report.witness.rho == tuple(range(1, 5))
+        check(
+            report.verdict == "quasi-trivial" and report.case_used == 1,
+            f"{report.verdict} in case {report.case_used}",
+        )
+        check(
+            report.witness is not None and report.witness.rho == tuple(range(1, 5)),
+            f"witness {report.witness}",
+        )
         expected = Substitution.of({"a": "a", "b": "b", "d": "c", "e": "d"})
-        assert report.witness_left_oriented == expected
+        check(
+            report.witness_left_oriented == expected,
+            f"left-oriented witness {report.witness_left_oriented}",
+        )
         return f"quasi-trivial wrt A_M8 at rho=id with sigma {expected}"
 
     def doublestar_quasi_trivial() -> str:
         report = quasi_triviality(c["DoubleStar"], c["A_M8"])
-        assert report.verdict == "quasi-trivial" and report.case_used == 2
-        assert report.witness is not None
-        assert report.witness.rho == tuple(range(1, 6))
+        check(
+            report.verdict == "quasi-trivial" and report.case_used == 2,
+            f"{report.verdict} in case {report.case_used}",
+        )
         expected = Substitution.of(
             {"a": "a", "b": "b", "c": "v1", "d": "c", "e": "d"}
         )
-        assert report.witness.sigma == expected
+        check(
+            report.witness is not None
+            and report.witness.rho == tuple(range(1, 6))
+            and report.witness.sigma == expected,
+            f"witness {report.witness}",
+        )
         return f"quasi-trivial wrt A_M8 at rho=id with sigma {expected} (fresh v1 for the spectator)"
 
     def qt_reflexive() -> str:
         names = [n for n in c.names() if c[n].arity >= 3]
         for name in names:
             report = quasi_triviality(c[name], c[name])
-            assert report.verdict == "quasi-trivial", name
-            assert report.witness is not None
-            assert report.witness.rho == tuple(range(1, c[name].arity + 1)), name
+            check(report.verdict == "quasi-trivial", name)
+            check(
+                report.witness is not None
+                and report.witness.rho == tuple(range(1, c[name].arity + 1)),
+                name,
+            )
         return f"identity witness for all {len(names)} applicable corpus entries"
 
     def qnt_symmetric() -> str:
         five = c.established_five()
         for a in five:
             for b in five:
-                forward = quasi_triviality(a, b).verdict
-                backward = quasi_triviality(b, a).verdict
-                assert forward == backward, (a.name, b.name)
+                forward = quasi_triviality(a, b, explain=False).verdict
+                backward = quasi_triviality(b, a, explain=False).verdict
+                check(forward == backward, (a.name, b.name))
         return "verdicts agree in both directions on all 25 pairs of the established five"
 
     def bridge_at() -> str:
         names = [n for n in c.names() if c[n].arity >= 3]
         for name in names:
-            qt = quasi_triviality(c[name], c["A_t"]).verdict == "quasi-trivial"
-            tv = triviality(c[name], c["A_t"]).verdict == "trivial"
-            assert qt == tv, name
+            qt = quasi_triviality(c[name], c["A_t"], explain=False).verdict
+            tv = triviality(c[name], c["A_t"], explain=False).verdict
+            check((qt == "quasi-trivial") == (tv == "trivial"), name)
         return f"quasi-triviality wrt A_t matches triviality wrt A_t on {len(names)} entries"
 
     def qt_transitive() -> str:
@@ -161,7 +199,7 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
         for a in entries:
             for b in entries:
                 verdict[(a.name, b.name)] = (
-                    quasi_triviality(a, b).verdict == "quasi-trivial"
+                    quasi_triviality(a, b, explain=False).verdict == "quasi-trivial"
                 )
         applicable = 0
         for a in entries:
@@ -173,7 +211,7 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
                         continue
                     if verdict[(a.name, b.name)] and verdict[(b.name, d.name)]:
                         applicable += 1
-                        assert verdict[(a.name, d.name)], (a.name, b.name, d.name)
+                        check(verdict[(a.name, d.name)], (a.name, b.name, d.name))
         return f"holds on all {applicable} monotone-arity triples with both premises"
 
     def s3_theorem() -> str:
@@ -181,35 +219,44 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
 
     def s3_nontrivial() -> str:
         report = triviality(c["A_S3"], c["A_t-1"])
-        assert report.verdict == "nontrivial"
-        assert report.map_count == 24
+        check(report.verdict == "nontrivial", f"verdict {report.verdict}")
+        check(report.map_count == 24, f"{report.map_count} maps, expected 24")
         _certify(report)
         return "nontrivial wrt A_t-1; 24 refutations replayed"
 
     def s3_recovery() -> str:
         outcomes = recover_axioms(c["A_S3"])
         by_name = {o.axiom.name: o for o in outcomes}
-        assert by_name["Ax2"].recovered and by_name["Ax3"].recovered
+        check(
+            by_name["Ax2"].recovered and by_name["Ax3"].recovered,
+            "Ax2 or Ax3 not recovered",
+        )
         ax1 = by_name["Ax1"]
-        assert not ax1.recovered
-        assert ax1.counterexample is not None
+        check(not ax1.recovered, "Ax1 recovered")
+        check(ax1.counterexample is not None, "no counterexample for Ax1")
         # the counterexample satisfies every instance yet falsifies Ax1
         pool = tuple("abcd"[: ax1.pool_size])
         import itertools as _it
 
         for assignment in _it.product(pool, repeat=c["A_S3"].arity):
             sigma = Substitution.of(dict(zip(c["A_S3"].variables, assignment)))
-            assert evaluate(sigma.apply(c["A_S3"].body), ax1.counterexample)
-        assert not evaluate(c["Ax1"].body, ax1.counterexample)
+            check(
+                evaluate(sigma.apply(c["A_S3"].body), ax1.counterexample),
+                f"the counterexample falsifies the instance {sigma}",
+            )
+        check(
+            not evaluate(c["Ax1"].body, ax1.counterexample),
+            "the counterexample satisfies Ax1",
+        )
         return "Ax2 and Ax3 recovered; Ax1 fails at pools <= 4 with a replayable counterexample"
 
     def characteristic_item(name: str) -> CharacterizationReport:
         report = characterize(c[name])
-        assert report.validity.valid, name
-        assert report.characteristic, name
+        check(report.validity.valid, name)
+        check(report.characteristic, name)
         for rec in report.recoveries:
-            assert rec.recovered and rec.pool_size == 3, (name, rec.axiom.name)
-            assert 1 <= len(rec.witness_maps) <= 2, (name, rec.axiom.name)
+            check(rec.recovered and rec.pool_size == 3, (name, rec.axiom.name))
+            check(1 <= len(rec.witness_maps) <= 2, (name, rec.axiom.name))
         return report
 
     def m8_characteristic() -> str:
@@ -225,8 +272,8 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
     def quartet_nontrivial() -> str:
         for name in QUARTET:
             report = triviality(c[name], c["A_t"])
-            assert report.verdict == "nontrivial", name
-            assert report.map_count == 24, name
+            check(report.verdict == "nontrivial", name)
+            check(report.map_count == 24, name)
             _certify(report)
         return "all four nontrivial wrt A_t with 24 replayed refutations each"
 
@@ -234,20 +281,19 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
         five = c.established_five()
         cells = qnt_matrix(five)
         for (a, b), cell in cells.items():
-            assert isinstance(cell, QntReport), (a, b)
+            check(isinstance(cell, QntReport), (a, b))
             if a == b:
-                assert cell.verdict == "quasi-trivial", (a, b)
+                check(cell.verdict == "quasi-trivial", (a, b))
             else:
-                assert cell.verdict == "quasi-nontrivial", (a, b)
+                check(cell.verdict == "quasi-nontrivial", (a, b))
                 _certify(cell)
-            if cell.cross_check is not None:
-                assert cell.cross_check == "agree", (a, b)
+            check(cell.cross_check in (None, "agree"), (a, b))
         pair = cells[("A_S1", "A_S2")]
         sigma = Substitution.of({"a": "c", "b": "d", "c": "a", "d": "b"})
         hits = [r for r in pair.refutations if r.candidate.sigma == sigma]
-        assert hits, "expected the printed sigma among the refutations"
+        check(hits, "expected the printed sigma among the refutations")
         falsified = set(hits[0].valuation.false_atoms())
-        assert falsified & {Atom("c", "b"), Atom("d", "c")}, falsified
+        check(falsified & {Atom("c", "b"), Atom("d", "c")}, falsified)
         return (
             "all 20 ordered off-diagonal pairs quasi-nontrivial (diagonal reflexive); "
             f"(A_S1, A_S2) refuted under {sigma} by falsifying "
@@ -257,13 +303,16 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
     def kanai_equality() -> str:
         for size in (1, 2, 3, 4):
             pool = tuple("abcd"[:size])
-            assert admissible_mask(pool, "Ax3") == admissible_mask(pool, "Ax3s")
+            check(
+                admissible_mask(pool, "Ax3") == admissible_mask(pool, "Ax3s"),
+                f"pool {''.join(pool)}",
+            )
         return "admissible valuations agree under Ax3 and Ax3s for pools 1-4"
 
     def scripts_check() -> str:
         results = check_bundled_proofs()
         bad = [name for name, r in results.items() if not r.ok]
-        assert not bad, f"failing scripts: {bad}"
+        check(not bad, f"failing scripts: {bad}")
         lines = sum(len(r.lines) for r in results.values())
         return f"{len(results)} bundled scripts, {lines} lines, all check"
 

@@ -1,0 +1,253 @@
+"""The compiled sweep kernel against the reference AST path.
+
+The reference path renames the source body with Substitution.apply and
+decides are_equivalent on the result; the kernel must agree with it on
+every candidate, verdict and counter-valuation alike.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import l1ax
+from l1ax import criteria
+from l1ax.cli import main
+from l1ax.criteria import qnt_matrix, quasi_triviality, triviality
+from l1ax.formula import Implies, Not, Or, SchemaEntry, eps
+from l1ax.semantics import BudgetError, are_equivalent
+from l1ax.substitution import (
+    FRESH_QNT_RIGHT,
+    FRESH_TRIVIALITY,
+    Substitution,
+    comparison_maps,
+    padded_bijections,
+)
+
+SRC = str(Path(l1ax.__file__).resolve().parents[1])
+
+
+def ast_sweep(candidates, source, target):
+    """The reference sweep: (witness, refuting valuations, maps examined)."""
+    counters = []
+    for count, cand in enumerate(candidates, start=1):
+        verdict = are_equivalent(cand.sigma.apply(source.body), target.body)
+        if verdict.holds:
+            return cand, counters, count
+        counters.append(verdict.witness)
+    return None, counters, count
+
+
+def place_of(cand):
+    """The kernel's form of a candidate: target slot of each source variable."""
+    perm = [r - 1 for r in cand.rho]
+    return sorted(range(len(perm)), key=perm.__getitem__)
+
+
+def test_decide_and_explain_agree_on_every_corpus_pair(corpus):
+    entries = [e for e in corpus if e.arity >= 3]
+    assert len(entries) ** 2 == 784
+    for a in entries:
+        for b in entries:
+            decided = quasi_triviality(a, b, explain=False)
+            explained = quasi_triviality(a, b)
+            assert decided.refutations == ()
+            for field in ("verdict", "witness", "map_count", "case_used", "cross_check"):
+                assert getattr(decided, field) == getattr(explained, field), (a.name, b.name)
+            assert len(explained.refutations) == explained.map_count - (
+                explained.witness is not None
+            )
+
+
+variables = st.sampled_from("abcde")
+bodies = st.recursive(
+    st.builds(eps, variables, variables),
+    lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Or, sub, sub), st.builds(Implies, sub, sub)
+    ),
+    max_leaves=8,
+)
+schemata = bodies.map(lambda body: SchemaEntry.make("S", body)).filter(
+    lambda entry: entry.arity >= 3
+)
+
+
+@st.composite
+def schema_pairs(draw):
+    """An independent pair, or a schema and a renaming of it (a witness)."""
+    source = draw(schemata)
+    if draw(st.booleans()):
+        return source, draw(schemata)
+    names = draw(st.permutations("abcdefg"))
+    sigma = Substitution.of(dict(zip(source.variables, names)))
+    return source, SchemaEntry.make("T", sigma.apply(source.body))
+
+
+@given(schema_pairs())
+def test_kernel_matches_the_ast_path_on_every_candidate(pair):
+    source, target = sorted(pair, key=lambda e: -e.arity)
+    kernel = criteria._Kernel(source, target, FRESH_TRIVIALITY)
+    for cand in padded_bijections(source.variables, target.variables, FRESH_TRIVIALITY):
+        oracle = are_equivalent(cand.sigma.apply(source.body), target.body)
+        source_bits, diff, index = kernel.compare(place_of(cand))
+        assert (diff == 0) == oracle.holds
+        if diff:
+            perm = tuple(r - 1 for r in cand.rho)
+            ref = kernel.refutation(perm, source_bits, diff, index)
+            assert ref.candidate == cand
+            assert ref.valuation == oracle.witness
+
+
+@given(schema_pairs())
+def test_sweeps_match_the_ast_sweep(pair):
+    left, right = pair
+    source, target = sorted(pair, key=lambda e: -e.arity)
+    expected = ast_sweep(
+        padded_bijections(source.variables, target.variables, FRESH_TRIVIALITY),
+        source,
+        target,
+    )
+    report = triviality(source, target)
+    assert report.witness == expected[0]
+    assert [r.valuation for r in report.refutations] == expected[1]
+    assert report.map_count == expected[2]
+    assert triviality(source, target, explain=False).witness == expected[0]
+
+    case, candidates = comparison_maps(left.variables, right.variables)
+    oriented = (right, left) if case == 1 else (left, right)
+    expected = ast_sweep(candidates, *oriented)
+    report = quasi_triviality(left, right)
+    assert (report.case_used, report.witness) == (case, expected[0])
+    assert [r.valuation for r in report.refutations] == expected[1]
+    if left.arity == right.arity:
+        mirrored = ast_sweep(
+            padded_bijections(left.variables, right.variables, FRESH_QNT_RIGHT), left, right
+        )
+        agree = (mirrored[0] is None) == (expected[0] is None)
+        assert report.cross_check == ("agree" if agree else "disagree")
+
+
+GRID36 = " | ".join(f"eps({x},{y})" for x in "abcdef" for y in "abcdef")
+
+
+def test_thirty_six_atoms_exceed_the_budget(capsys):
+    entry = SchemaEntry.make("grid", l1ax.parse_formula(GRID36))
+    for explain in (True, False):
+        with pytest.raises(BudgetError) as exc:
+            quasi_triviality(entry, entry, explain=explain)
+        assert str(exc.value) == "36 atoms exceed the budget of 30"
+    assert main(["qnt", GRID36, GRID36]) == 2
+    assert capsys.readouterr().err == "error: 36 atoms exceed the budget of 30\n"
+
+
+def spy_sweeps(monkeypatch, entries, skip=None):
+    """Record (source, target) of every sweep; a sweep whose source is
+    skip finds nothing. The hypothesis verdicts are computed beforehand."""
+    for entry in entries:
+        criteria.is_nontrivial_standard(entry)
+    calls = []
+    sweep = criteria._sweep
+
+    def spy(kernel, explain):
+        calls.append((kernel.source.name, kernel.target.name))
+        if kernel.source.name == skip:
+            return None, (), 0
+        return sweep(kernel, explain)
+
+    monkeypatch.setattr(criteria, "_sweep", spy)
+    return calls
+
+
+def test_inverse_witness_spares_the_mirrored_sweep(corpus, monkeypatch):
+    calls = spy_sweeps(monkeypatch, [corpus["Star"], corpus["A_M8"]])
+    report = quasi_triviality(corpus["Star"], corpus["A_M8"], explain=False)
+    assert report.cross_check == "agree"
+    assert calls == [("A_M8", "Star")]  # the primary sweep only
+
+
+def test_failed_inverse_falls_back_to_the_full_mirrored_sweep(corpus, monkeypatch):
+    star, m8 = corpus["Star"], corpus["A_M8"]
+    monkeypatch.setattr(criteria, "_holds", lambda kernel, sigma: False)
+    calls = spy_sweeps(monkeypatch, [star, m8])
+    report = quasi_triviality(star, m8)
+    assert report.verdict == "quasi-trivial"
+    assert report.cross_check == "agree"
+    assert calls == [("A_M8", "Star"), ("Star", "A_M8")]  # primary, then mirrored
+
+
+def test_failed_fallback_reports_the_disagreement(corpus, monkeypatch):
+    star, m8 = corpus["Star"], corpus["A_M8"]
+    monkeypatch.setattr(criteria, "_holds", lambda kernel, sigma: False)
+    calls = spy_sweeps(monkeypatch, [star, m8], skip="Star")
+    report = quasi_triviality(star, m8)
+    assert report.verdict == "quasi-trivial"
+    assert report.cross_check == "disagree"
+    assert calls == [("A_M8", "Star"), ("Star", "A_M8")]
+
+
+def test_mirrored_sweep_runs_without_a_primary_witness(corpus, monkeypatch):
+    s1, s2 = corpus["A_S1"], corpus["A_S2"]
+    calls = spy_sweeps(monkeypatch, [s1, s2])
+    cells = qnt_matrix([s1, s2], explain=False)
+    assert {cell.cross_check for cell in cells.values()} == {"agree"}
+    assert calls == [
+        ("A_S1", "A_S1"),
+        ("A_S2", "A_S1"),
+        ("A_S1", "A_S2"),  # mirrored: no primary witness
+        ("A_S1", "A_S2"),
+        ("A_S2", "A_S1"),  # mirrored
+        ("A_S2", "A_S2"),
+    ]
+
+
+TAMPERED_REPLAY = """
+import sys
+from l1ax import criteria
+from l1ax.corpus import load_corpus
+
+compare = criteria._Kernel.compare
+
+def claim_counter_zero(self, place):
+    # report a disagreement at counter 0, where the two tables agree
+    source_bits, diff, index = compare(self, place)
+    return source_bits, diff | 1, index
+
+criteria._Kernel.compare = claim_counter_zero
+c = load_corpus()
+try:
+    criteria.triviality(c["A_M8"], c["A_t"])
+except RuntimeError as exc:
+    print(exc)
+    sys.exit(3)
+"""
+
+
+def test_a_refutation_that_fails_its_replay_raises_under_dash_o():
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", TAMPERED_REPLAY],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "refutation of {a->a, b->b, c->c, d->y1} fails its replay\n"
+
+
+def test_a_witness_that_fails_its_replay_raises(corpus, monkeypatch):
+    monkeypatch.setattr(criteria, "are_equivalent", lambda a, b: are_equivalent(a, Not(b)))
+    with pytest.raises(RuntimeError, match="fails its replay"):
+        triviality(corpus["A_t"], corpus["A_t"])
+    # decide mode does not replay
+    assert triviality(corpus["A_t"], corpus["A_t"], explain=False).verdict == "trivial"
+
+
+def test_clear_caches_drops_the_compiled_bodies(corpus):
+    triviality(corpus["A_M8"], corpus["A_t"], explain=False)
+    assert criteria._compile.cache_info().currsize > 0
+    l1ax.clear_caches()
+    assert criteria._compile.cache_info().currsize == 0

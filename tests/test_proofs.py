@@ -4,6 +4,8 @@ import itertools
 
 import pytest
 
+import l1ax
+from l1ax import proofs
 from l1ax.decision import grid_atoms, is_theorem
 from l1ax.proofs import (
     bundled_scripts,
@@ -272,3 +274,23 @@ s2: eps(b,a) ; TAUTCONSEQ(s1)
     )
     assert not result.ok
     assert result.failures == ("s2",)
+
+
+def test_derived_conclusions_check_the_scripts_once(monkeypatch):
+    checked = []
+    check = proofs.check_proof
+
+    def counted(script):
+        checked.append(script.name)
+        return check(script)
+
+    monkeypatch.setattr(proofs, "check_proof", counted)
+    l1ax.clear_caches()
+    first = derived_conclusions()
+    assert checked
+    once = list(checked)
+    assert derived_conclusions() == first
+    assert checked == once  # the second call checks nothing
+    l1ax.clear_caches()
+    assert derived_conclusions() == first
+    assert checked == once + once

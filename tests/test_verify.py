@@ -1,5 +1,10 @@
 """The self-verification battery and the conjecture sweep."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import l1ax
 from l1ax.axioms import A_T
 from l1ax.characterize import characterize
@@ -91,3 +96,41 @@ def test_conjecture_verdicts_survive_cold_caches(corpus):
         assert fresh.verdict == rep.verdict
     fresh_char = characterize(sample.entry)
     assert fresh_char.characteristic == sample.characterization.characteristic
+
+
+CORPUS_FILE = Path(l1ax.__file__).parent / "data" / "corpus.schemata"
+M8_FAILURES = ("m8-theorem", "star-quasi-trivial", "doublestar-quasi-trivial", "m8-characteristic")
+
+
+def run_verify(*python_flags, corpus_file=None):
+    argv = [sys.executable, *python_flags, "-m", "l1ax.cli", "verify"]
+    if corpus_file is not None:
+        argv += ["--corpus-file", str(corpus_file)]
+    env = {**os.environ, "PYTHONPATH": str(Path(l1ax.__file__).parents[1])}
+    return subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+
+
+def test_tampered_corpus_fails_the_same_items_under_dash_o(tmp_path):
+    # the last atom of A_M8 reads eps(b,b): its derivation and its
+    # companions' witnesses no longer match
+    text = CORPUS_FILE.read_text()
+    line = next(x for x in text.splitlines() if x.startswith("A_M8 :="))
+    assert line.endswith("eps(b,a))")
+    tampered = tmp_path / "tampered.schemata"
+    tampered.write_text(text.replace(line, line[: -len("eps(b,a))")] + "eps(b,b))"))
+
+    plain = run_verify(corpus_file=tampered)
+    optimized = run_verify("-O", corpus_file=tampered)
+    assert plain.returncode == optimized.returncode == 1
+    failed = [x for x in plain.stdout.splitlines() if x.startswith("FAIL ")]
+    assert [x.split(":")[0][len("FAIL ") :] for x in failed] == list(M8_FAILURES)
+    assert all(": VerificationFailure: " in x for x in failed)
+    assert optimized.stdout == plain.stdout
+
+
+def test_bundled_battery_reads_the_same_under_dash_o():
+    plain = run_verify()
+    optimized = run_verify("-O")
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+    assert plain.stdout.endswith("result: ok\n")
