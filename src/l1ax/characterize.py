@@ -2,9 +2,11 @@
 
 A schema is characteristic when it is valid and the set of its
 substitution instances over a small variable pool tautologically yields
-each of the three base axiom schemata. Recovery sweeps every instance,
-then shrinks the witness to the smallest certifying subset so reports
-stay close to the two-substitution certificates given by hand.
+each of the three base axiom schemata. Recovery tables every instance on
+the pool's atom grid, then shrinks the witness to the smallest certifying
+subset so reports stay close to the two-substitution certificates given
+by hand. The witness is re-certified through entails on the substituted
+instances, and a reported counterexample is replayed pointwise.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ import itertools
 from dataclasses import dataclass
 
 from .axioms import BASE_AXIOMS
-from .decision import TheoremVerdict, grid_atoms, is_theorem
+from .decision import TheoremVerdict, grid_atoms, instance_tables, is_theorem
 from .formula import Formula, SchemaEntry
 from .proofs import ProofLine, ProofScript, SchemaRef, TautConseq, derived_conclusions
-from .semantics import Valuation, entails, full_mask, lowest_set_bit, truth_table
-from .substitution import Substitution
+from .semantics import Valuation, entails, evaluate, full_mask, lowest_set_bit, truth_table
+from .substitution import Substitution, instances
 
 RECOVERY_POOLS = (("a", "b", "c"), ("a", "b", "c", "d"))
 
@@ -51,13 +53,16 @@ class CharacterizationReport:
     derivation_script: str | None
 
 
-def _instance_maps(
-    entry: SchemaEntry, pool: tuple[str, ...]
-) -> list[Substitution]:
-    return [
-        Substitution.of(dict(zip(entry.variables, assignment)))
-        for assignment in itertools.product(pool, repeat=entry.arity)
-    ]
+def _replay_counterexample(
+    entry: SchemaEntry, axiom: SchemaEntry, pool: tuple[str, ...], valuation: Valuation
+) -> None:
+    """Every instance over the pool holds at the valuation and the axiom fails."""
+    if evaluate(axiom.body, valuation) or not all(
+        evaluate(instance, valuation) for instance in instances(entry, pool)
+    ):
+        raise RuntimeError(
+            f"counterexample for {axiom.name} from {entry.name} fails its replay"
+        )
 
 
 def _shrink(
@@ -114,9 +119,7 @@ def recover_axioms(
             break
         atom_order = grid_atoms(pool)
         full = full_mask(len(atom_order))
-        maps = _instance_maps(entry, pool)
-        instances = [sigma.apply(entry.body) for sigma in maps]
-        tables = [truth_table(inst, atom_order) for inst in instances]
+        tables = instance_tables(entry, pool)
         conjunction = full
         for t in tables:
             conjunction &= t
@@ -130,11 +133,18 @@ def recover_axioms(
                 )
                 continue
             chosen = _shrink(tables, axiom_table, full)
-            assert chosen is not None
-            witness_maps = tuple(maps[i] for i in chosen)
-            witness_instances = tuple(instances[i] for i in chosen)
-            certified = entails(list(witness_instances), axiom.body)
-            assert certified.holds
+            if chosen is None:
+                raise RuntimeError(f"no instance subset of {entry.name} implies {axiom.name}")
+            targets = list(itertools.product(pool, repeat=entry.arity))
+            witness_maps = tuple(
+                Substitution.of(dict(zip(entry.variables, targets[i]))) for i in chosen
+            )
+            witness_instances = tuple(sigma.apply(entry.body) for sigma in witness_maps)
+            if not entails(list(witness_instances), axiom.body).holds:
+                raise RuntimeError(
+                    f"witness {'; '.join(map(str, witness_maps))} for {axiom.name} "
+                    "fails its replay"
+                )
             outcomes[axiom.name] = RecoveryOutcome(
                 axiom=axiom,
                 recovered=True,
@@ -148,6 +158,8 @@ def recover_axioms(
         if axiom.name in outcomes:
             result.append(outcomes[axiom.name])
         else:
+            counterexample = last_counterexamples[axiom.name]
+            _replay_counterexample(entry, axiom, pools[-1], counterexample)
             result.append(
                 RecoveryOutcome(
                     axiom=axiom,
@@ -155,7 +167,7 @@ def recover_axioms(
                     pool_size=max_pool,
                     witness_maps=(),
                     witness_instances=(),
-                    counterexample=last_counterexamples.get(axiom.name),
+                    counterexample=counterexample,
                 )
             )
     return tuple(result)

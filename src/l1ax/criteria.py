@@ -22,16 +22,17 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .axioms import A_T
-from .formula import Atom, Epsilon, Formula, Not, Or, SchemaEntry
+from .formula import Atom, SchemaEntry
 from .semantics import (
     ATOM_BUDGET,
     BudgetError,
     Valuation,
     are_equivalent,
     atom_tile,
+    compile_formula,
     evaluate,
     full_mask,
     lowest_set_bit,
@@ -110,31 +111,8 @@ class QntReport:
     cross_check: str | None
 
 
-# table(tiles, full): the truth table of a body, tiles[i] being the tile of
-# its i-th atom and full the mask of every valuation
-Table = Callable[[list[int], int], int]
-
-
-def _closure(f: Formula, order: dict[Atom, int]) -> Table:
-    if isinstance(f, Epsilon):
-        i = order.setdefault(f.atom, len(order))
-        return lambda t, full: t[i]
-    if isinstance(f, Not):
-        operand = _closure(f.operand, order)
-        return lambda t, full: full ^ operand(t, full)
-    if isinstance(f, Or):
-        left = _closure(f.left, order)
-        right = _closure(f.right, order)
-        return lambda t, full: left(t, full) | right(t, full)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-@functools.cache
-def _compile(body: Formula) -> tuple[tuple[Atom, ...], Table]:
-    """The body's atoms in first-occurrence order and its table closure."""
-    order: dict[Atom, int] = {}
-    table = _closure(body, order)
-    return tuple(order), table
+# a schema body is tabled under many renamings, so it is compiled only once
+_compile = functools.cache(compile_formula)
 
 
 class _Kernel:
@@ -307,6 +285,21 @@ def _mirror_cross_check(
     return "agree" if found == (inverse is not None) else "disagree"
 
 
+def _oriented_kernel(left: SchemaEntry, right: SchemaEntry) -> tuple[int, _Kernel]:
+    """The case and the kernel of the primary sweep of left against right."""
+    for entry in (left, right):
+        if entry.arity < 3:
+            raise CriterionInapplicable(
+                f"{entry.name} has {entry.arity} distinct variables; "
+                "the quasi-triviality comparison needs at least 3 on each side"
+            )
+    case_used, _, _, fresh_prefix = comparison_orientation(
+        left.variables, right.variables
+    )
+    source, target = (right, left) if case_used == 1 else (left, right)
+    return case_used, _Kernel(source, target, fresh_prefix)
+
+
 def quasi_triviality(
     left: SchemaEntry, right: SchemaEntry, *, explain: bool = True
 ) -> QntReport:
@@ -318,19 +311,8 @@ def quasi_triviality(
     with fresh v-variables. Equal-arity pairs also run the mirrored sweep
     as a cross-check; the definition's branch stays authoritative.
     """
-    for entry in (left, right):
-        if entry.arity < 3:
-            raise CriterionInapplicable(
-                f"{entry.name} has {entry.arity} distinct variables; "
-                "the quasi-triviality comparison needs at least 3 on each side"
-            )
-    case_used, _, _, fresh_prefix = comparison_orientation(
-        left.variables, right.variables
-    )
-    source, target = (right, left) if case_used == 1 else (left, right)
-    witness, refutations, count = _sweep(
-        _Kernel(source, target, fresh_prefix), explain
-    )
+    case_used, kernel = _oriented_kernel(left, right)
+    witness, refutations, count = _sweep(kernel, explain)
     left_oriented = _left_oriented(left, right, case_used, witness)
     cross_check = None
     if left.arity == right.arity:
@@ -354,7 +336,9 @@ def is_trivial(subject: SchemaEntry, reference: SchemaEntry) -> bool:
 
 
 def is_quasi_trivial(left: SchemaEntry, right: SchemaEntry) -> bool:
-    return quasi_triviality(left, right, explain=False).verdict == "quasi-trivial"
+    """The verdict of quasi_triviality alone: the primary sweep, without
+    the mirrored cross-check or the hypothesis bookkeeping."""
+    return _sweep(_oriented_kernel(left, right)[1], explain=False)[0] is not None
 
 
 @dataclass(frozen=True, slots=True)

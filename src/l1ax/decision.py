@@ -31,13 +31,14 @@ from .axioms import AX1, AX2, AX3, AX3S
 from .formula import Atom, Formula, NameVar, SchemaEntry, name_variables
 from .semantics import (
     Valuation,
+    atom_tile,
+    compile_formula,
     evaluate,
     full_mask,
     lowest_set_bit,
-    tabulate,
     truth_table,
 )
-from .substitution import Substitution
+from .substitution import instances
 
 POOL_CAP = 5
 
@@ -45,6 +46,21 @@ POOL_CAP = 5
 def grid_atoms(pool: Sequence[NameVar]) -> tuple[Atom, ...]:
     """Row-major atom grid: all eps(x,y) with x, y from the pool."""
     return tuple(Atom(x, y) for x in pool for y in pool)
+
+
+def instance_tables(entry: SchemaEntry, pool: Sequence[NameVar]) -> list[int]:
+    """Tables over grid_atoms(pool) of every instance of entry over the pool, in
+    product order: each reindexes the compiled body, eps(x,y) to atom x*n+y."""
+    n = len(pool)
+    body_atoms, table = compile_formula(entry.body)
+    var = {v: i for i, v in enumerate(entry.variables)}
+    coded = [(var[a.subject], var[a.predicate]) for a in body_atoms]
+    tiles = [atom_tile(n * n, j) for j in range(n * n)]
+    full = full_mask(n * n)
+    return [
+        table([tiles[place[s] * n + place[p]] for s, p in coded], full)
+        for place in itertools.product(range(n), repeat=entry.arity)
+    ]
 
 
 def _symmetry_axiom(symmetry: str) -> SchemaEntry:
@@ -68,9 +84,7 @@ def axiom_instances(
 ) -> Iterator[Formula]:
     """Every instance of Ax1, Ax2 and the chosen symmetry axiom over the pool."""
     for schema in (AX1, AX2, _symmetry_axiom(symmetry)):
-        for targets in itertools.product(pool, repeat=schema.arity):
-            sigma = Substitution.of(dict(zip(schema.variables, targets)))
-            yield sigma.apply(schema.body)
+        yield from instances(schema, pool)
 
 
 def admissible_mask(pool: Sequence[NameVar], symmetry: str = "Ax3") -> int:
@@ -168,7 +182,8 @@ def holds_in_all_admissible(
     grid = grid_atoms(pool)
     counters, tiles = _admissible(len(pool))
     full = (1 << len(counters)) - 1
-    violations = full & ~tabulate(formula, dict(zip(grid, tiles)).__getitem__, full)
+    formula_atoms, table = compile_formula(formula)
+    violations = full & ~table([tiles[grid.index(a)] for a in formula_atoms], full)
     if violations == 0:
         return TheoremVerdict(True, pool, None)
     witness = Valuation.at_counter(grid, counters[lowest_set_bit(violations)])

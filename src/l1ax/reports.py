@@ -209,7 +209,8 @@ def theorem_text(verdict: TheoremVerdict) -> str:
     pool = ",".join(verdict.pool)
     if verdict.valid:
         return f"valid\npool: {pool}"
-    assert verdict.counter_valuation is not None
+    if verdict.counter_valuation is None:
+        raise RuntimeError("an invalid verdict carries no counter-valuation")
     return (
         "not valid\n"
         f"pool: {pool}\n"
@@ -220,7 +221,8 @@ def theorem_text(verdict: TheoremVerdict) -> str:
 def taut_text(verdict: SemanticsVerdict) -> str:
     if verdict.holds:
         return "tautology"
-    assert verdict.witness is not None
+    if verdict.witness is None:
+        raise RuntimeError("a refuted tautology check carries no counterexample")
     return f"not a tautology\ncounterexample: {valuation_text(verdict.witness)}"
 
 
@@ -230,7 +232,8 @@ def characterization_text(report: CharacterizationReport) -> str:
         lines.append(f"valid: yes (pool {','.join(report.validity.pool)})")
     else:
         lines.append("valid: no")
-        assert report.validity.counter_valuation is not None
+        if report.validity.counter_valuation is None:
+            raise RuntimeError("an invalid verdict carries no counter-valuation")
         lines.append(
             f"counter-valuation: {valuation_text(report.validity.counter_valuation)}"
         )

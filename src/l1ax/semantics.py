@@ -99,20 +99,30 @@ def atom_tile(n_atoms: int, j: int) -> int:
     return pattern
 
 
-def tabulate(formula: Formula, tile: Callable[[Atom], int], full: int) -> int:
-    """Truth table of formula over any space of valuations: tile(atom) has bit
-    r set iff the atom is true at valuation r, and full sets every bit."""
+# table(tiles, full): a formula's truth table over any space of valuations,
+# tiles[i] being the tile of its i-th atom and full the mask of every one
+Table = Callable[[Sequence[int], int], int]
 
-    def rec(f: Formula) -> int:
-        if isinstance(f, Epsilon):
-            return tile(f.atom)
-        if isinstance(f, Not):
-            return full ^ rec(f.operand)
-        if isinstance(f, Or):
-            return rec(f.left) | rec(f.right)
-        raise TypeError(f"not a formula node: {f!r}")
 
-    return rec(formula)
+def _closure(f: Formula, order: dict[Atom, int]) -> Table:
+    if isinstance(f, Epsilon):
+        i = order.setdefault(f.atom, len(order))
+        return lambda t, full: t[i]
+    if isinstance(f, Not):
+        operand = _closure(f.operand, order)
+        return lambda t, full: full ^ operand(t, full)
+    if isinstance(f, Or):
+        left = _closure(f.left, order)
+        right = _closure(f.right, order)
+        return lambda t, full: left(t, full) | right(t, full)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def compile_formula(formula: Formula) -> tuple[tuple[Atom, ...], Table]:
+    """The formula's atoms in first-occurrence order and its Table."""
+    order: dict[Atom, int] = {}
+    table = _closure(formula, order)
+    return tuple(order), table
 
 
 def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:
@@ -120,8 +130,9 @@ def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:
     k = len(atom_order)
     if k > ATOM_BUDGET:
         raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
-    tiles = {atom: atom_tile(k, j) for j, atom in enumerate(atom_order)}
-    return tabulate(formula, tiles.__getitem__, full_mask(k))
+    index = {atom: j for j, atom in enumerate(atom_order)}
+    formula_atoms, table = compile_formula(formula)
+    return table([atom_tile(k, index[atom]) for atom in formula_atoms], full_mask(k))
 
 
 def lowest_set_bit(mask: int) -> int:

@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from .formula import Atom, Epsilon, Formula, NameVar, Not, Or
+from .formula import Atom, Epsilon, Formula, NameVar, Not, Or, SchemaEntry
 
 # Fresh variables come from reserved pools so reported witnesses are stable:
 # y1,y2,... pad triviality maps, u1,u2,... pad the first quasi-triviality
@@ -83,6 +83,13 @@ class Substitution:
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{s}->{t}" for s, t in self.items) + "}"
+
+
+def instances(entry: SchemaEntry, pool: Sequence[NameVar]) -> Iterator[Formula]:
+    """Every instance of entry with its variables drawn from pool, repeats
+    allowed, in itertools.product order."""
+    for targets in itertools.product(pool, repeat=entry.arity):
+        yield Substitution.of(dict(zip(entry.variables, targets))).apply(entry.body)
 
 
 def fresh_variables(prefix: str, count: int, avoid: set[NameVar]) -> tuple[NameVar, ...]:

@@ -1,19 +1,25 @@
 """Axiom recovery from instance sets and the characterization verdict."""
 
+import importlib
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from l1ax.axioms import AX1, AX2, AX3
 from l1ax.characterize import characterize, recover_axioms, recovery_script
-from l1ax.decision import grid_atoms
-from l1ax.formula import Atom, SchemaEntry
+from l1ax.decision import grid_atoms, instance_tables
+from l1ax.formula import Atom, Implies, Not, Or, SchemaEntry, eps
 from l1ax.proofs import check_proof
-from l1ax.semantics import Valuation, entails, evaluate
-from l1ax.substitution import Substitution
+from l1ax.semantics import Valuation, entails, evaluate, full_mask, truth_table
+from l1ax.substitution import Substitution, instances
 from l1ax.syntax import parse_formula
 
 QUARTET = ("A_S1", "A_S2", "A_S3N", "A_S3Nd")
+
+# the package exports the function characterize under the module's name
+characterize_module = importlib.import_module("l1ax.characterize")
 
 
 def all_instances(entry, pool):
@@ -138,3 +144,53 @@ def test_recovery_script_for_the_quartet_checks(corpus):
     for name in QUARTET:
         result = check_proof(recovery_script(corpus[name]))
         assert result.ok, name
+
+
+def assert_tables_match_the_applied_instances(entry, pool):
+    applied = all_instances(entry, pool)
+    assert list(instances(entry, pool)) == applied
+    grid = grid_atoms(pool)
+    expected = [truth_table(inst, grid) for inst in applied]
+    assert instance_tables(entry, pool) == expected
+
+
+def test_reindexed_instance_tables_match_the_applied_instances(corpus):
+    for entry in corpus:
+        for pool in (("a", "b", "c"), ("a", "b", "c", "d")):
+            assert_tables_match_the_applied_instances(entry, pool)
+
+
+bodies = st.recursive(
+    st.builds(eps, st.sampled_from("abcde"), st.sampled_from("abcde")),
+    lambda sub: st.one_of(
+        st.builds(Not, sub), st.builds(Or, sub, sub), st.builds(Implies, sub, sub)
+    ),
+    max_leaves=8,
+)
+
+
+@given(bodies, st.sampled_from([("a", "b", "c"), ("b", "d", "a", "c")]))
+def test_reindexed_tables_match_on_random_schemata(body, pool):
+    assert_tables_match_the_applied_instances(SchemaEntry.make("S", body), pool)
+
+
+def tamper_tables(monkeypatch, rewrite):
+    monkeypatch.setattr(
+        characterize_module,
+        "instance_tables",
+        lambda entry, pool: rewrite(instance_tables(entry, pool), full_mask(len(pool) ** 2)),
+    )
+
+
+def test_a_witness_that_fails_its_replay_raises(corpus, monkeypatch):
+    # an all-false first instance looks like a one-instance witness for Ax1
+    tamper_tables(monkeypatch, lambda tables, full: [0, *tables[1:]])
+    with pytest.raises(RuntimeError, match="witness {a->a, b->a, c->a, d->a} for Ax1 fails its replay"):
+        recover_axioms(corpus["A_M8"], max_pool=3)
+
+
+def test_a_counterexample_that_fails_its_replay_raises(corpus, monkeypatch):
+    # all-true tables leave every falsifier of an axiom as a counterexample
+    tamper_tables(monkeypatch, lambda tables, full: [full] * len(tables))
+    with pytest.raises(RuntimeError, match="counterexample for Ax1 from A_M8 fails its replay"):
+        recover_axioms(corpus["A_M8"], max_pool=3)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import l1ax
 from l1ax import criteria
 from l1ax.cli import main
-from l1ax.criteria import qnt_matrix, quasi_triviality, triviality
+from l1ax.criteria import is_quasi_trivial, qnt_matrix, quasi_triviality, triviality
 from l1ax.formula import Implies, Not, Or, SchemaEntry, eps
 from l1ax.semantics import BudgetError, are_equivalent
 from l1ax.substitution import (
@@ -56,6 +56,7 @@ def test_decide_and_explain_agree_on_every_corpus_pair(corpus):
             decided = quasi_triviality(a, b, explain=False)
             explained = quasi_triviality(a, b)
             assert decided.refutations == ()
+            assert is_quasi_trivial(a, b) == (decided.verdict == "quasi-trivial")
             for field in ("verdict", "witness", "map_count", "case_used", "cross_check"):
                 assert getattr(decided, field) == getattr(explained, field), (a.name, b.name)
             assert len(explained.refutations) == explained.map_count - (
@@ -202,6 +203,17 @@ def test_mirrored_sweep_runs_without_a_primary_witness(corpus, monkeypatch):
         ("A_S2", "A_S1"),  # mirrored
         ("A_S2", "A_S2"),
     ]
+
+
+def test_is_quasi_trivial_runs_the_primary_sweep_only(corpus, monkeypatch):
+    s1, s2, star, m8 = (corpus[n] for n in ("A_S1", "A_S2", "Star", "A_M8"))
+    calls = spy_sweeps(monkeypatch, [s1, s2, star, m8])
+    hypotheses = criteria.is_nontrivial_standard.cache_info()
+    monkeypatch.setattr(criteria, "_holds", lambda kernel, sigma: pytest.fail("cross-checked"))
+    assert not is_quasi_trivial(s1, s2)  # equal arity, no witness
+    assert is_quasi_trivial(star, m8)  # equal arity, witness
+    assert calls == [("A_S2", "A_S1"), ("A_M8", "Star")]
+    assert criteria.is_nontrivial_standard.cache_info() == hypotheses
 
 
 TAMPERED_REPLAY = """

@@ -1,5 +1,6 @@
 """The self-verification battery and the conjecture sweep."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -134,3 +135,12 @@ def test_bundled_battery_reads_the_same_under_dash_o():
     assert plain.returncode == optimized.returncode == 0
     assert optimized.stdout == plain.stdout
     assert plain.stdout.endswith("result: ok\n")
+
+
+def test_the_library_has_no_assert_statements():
+    # python -O strips asserts, so no library check may rely on one
+    modules = sorted(Path(l1ax.__file__).parent.rglob("*.py"))
+    assert len(modules) >= 14
+    for path in modules:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        assert not any(isinstance(node, ast.Assert) for node in ast.walk(tree)), path
