@@ -55,9 +55,11 @@ CASES = [
     ("matrix",),
     ("matrix", "--corpus", "{corpus}"),
     ("characteristic", "A_M8", "--max-pool", "3"),
+    ("characteristic", "A_S3", "--max-pool", "3"),
     ("characteristic", "A_S3", "--max-pool", "4"),
     ("characteristic", INVALID, "--max-pool", "3"),
     ("characteristic", "DoubleStar"),
+    ("characteristic", "A_ad1"),
     ("check-proof", "{good}"),
     ("check-proof", "{tampered}"),
     ("verify",),
