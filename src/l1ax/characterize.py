@@ -1,12 +1,13 @@
 """Characteristic-schema checking: validity plus axiom recovery.
 
 A schema is characteristic when it is valid and the set of its
-substitution instances over a small variable pool tautologically yields
-each of the three base axiom schemata. Recovery tables every instance on
-the pool's atom grid, then shrinks the witness to the smallest certifying
-subset so reports stay close to the two-substitution certificates given
-by hand. The witness is re-certified through entails on the substituted
-instances, and a reported counterexample is replayed pointwise.
+substitution instances tautologically yields each of the three base axiom
+schemata. Instances over the names a, b, c decide this exactly. Recovery
+tables every such instance on the atom grid, then shrinks the witness to
+the smallest certifying subset so reports stay close to the
+two-substitution certificates given by hand. The witness is re-certified
+through entails on the substituted instances, and a reported
+counterexample is replayed pointwise.
 """
 
 from __future__ import annotations
@@ -15,24 +16,32 @@ import itertools
 from dataclasses import dataclass
 
 from .axioms import BASE_AXIOMS
-from .decision import TheoremVerdict, grid_atoms, instance_tables, is_theorem
-from .formula import Formula, SchemaEntry
+from .decision import (
+    TheoremVerdict,
+    grid_atoms,
+    instance_tables,
+    is_countermodel,
+    is_theorem,
+)
+from .formula import Atom, Formula, NameVar, SchemaEntry
 from .proofs import ProofLine, ProofScript, SchemaRef, TautConseq, derived_conclusions
-from .semantics import Valuation, entails, evaluate, full_mask, lowest_set_bit, truth_table
-from .substitution import Substitution, instances
+from .semantics import Valuation, entails, full_mask, lowest_set_bit, truth_table
+from .substitution import Substitution
 
-RECOVERY_POOLS = (("a", "b", "c"), ("a", "b", "c", "d"))
+# recovery decides over the first three; counterexamples lie on the first max_pool
+NAMES = ("a", "b", "c", "d")
 
 
 @dataclass(frozen=True, slots=True)
 class RecoveryOutcome:
     """Result of recovering one axiom from a schema's instances.
 
-    When recovered, witness_maps lists the shrunken instance set (the
-    conjunction of the corresponding instances tautologically implies the
-    axiom, re-certified through entails). When not recovered at any pool
-    up to the bound, counterexample is a valuation over the largest grid
-    satisfying every instance but falsifying the axiom.
+    When recovered (always at pool_size 3), witness_maps lists the shrunken
+    instance set over a, b, c: the conjunction of the corresponding
+    instances tautologically implies the axiom, re-certified through
+    entails. Otherwise the axiom does not follow from the schema's instances
+    over any pool, and counterexample is the lowest valuation of the
+    pool_size grid satisfying every instance there but falsifying the axiom.
     """
 
     axiom: SchemaEntry
@@ -53,27 +62,13 @@ class CharacterizationReport:
     derivation_script: str | None
 
 
-def _replay_counterexample(
-    entry: SchemaEntry, axiom: SchemaEntry, pool: tuple[str, ...], valuation: Valuation
-) -> None:
-    """Every instance over the pool holds at the valuation and the axiom fails."""
-    if evaluate(axiom.body, valuation) or not all(
-        evaluate(instance, valuation) for instance in instances(entry, pool)
-    ):
-        raise RuntimeError(
-            f"counterexample for {axiom.name} from {entry.name} fails its replay"
-        )
-
-
-def _shrink(
-    tables: list[int], axiom_table: int, full: int
-) -> tuple[int, ...] | None:
-    """Smallest instance subset whose conjunction implies the axiom.
+def _shrink(tables: list[int], axiom_table: int, full: int) -> tuple[int, ...]:
+    """Smallest instance subset whose conjunction implies the axiom, given
+    that the whole set does.
 
     Tries singletons, then pairs, in enumeration order; beyond that a
     greedy backward elimination returns an irredundant (not necessarily
-    minimum) set. Returns indices into tables, or None if even the whole
-    set fails.
+    minimum) set. Returns indices into tables.
     """
     gap = ~axiom_table & full
     if not gap:
@@ -84,11 +79,6 @@ def _shrink(
     for i, j in itertools.combinations(range(len(tables)), 2):
         if tables[i] & tables[j] & gap == 0:
             return (i, j)
-    everything = full
-    for t in tables:
-        everything &= t
-    if everything & gap:
-        return None
     keep = list(range(len(tables)))
     for idx in reversed(range(len(tables))):
         rest = full
@@ -100,76 +90,66 @@ def _shrink(
     return tuple(keep)
 
 
+def _tabulate(
+    entry: SchemaEntry, pool: tuple[NameVar, ...]
+) -> tuple[tuple[Atom, ...], list[int], int]:
+    """The pool's atom grid, the tables of entry's instances over it, and
+    their conjunction."""
+    grid = grid_atoms(pool)
+    tables = instance_tables(entry, pool)
+    conjunction = full_mask(len(grid))
+    for t in tables:
+        conjunction &= t
+    return grid, tables, conjunction
+
+
 def recover_axioms(
     entry: SchemaEntry, max_pool: int = 4
 ) -> tuple[RecoveryOutcome, ...]:
-    """Per-axiom recovery over growing pools, smallest witness first.
+    """Per-axiom recovery from the instances over a, b, c, smallest witness first.
 
-    A failure at the bound is reported as not recovered there, never as
-    impossibility.
+    The verdict is exact at three names. A valuation of the abc grid that
+    satisfies every instance and falsifies an axiom lifts to any larger pool
+    by sending each extra name to a: every instance over the larger pool
+    then takes the value of an instance over abc, and the axiom keeps its
+    value. So no pool recovers an axiom that abc does not, and a miss proves
+    that the axiom does not follow. Its counterexample is the lowest one on
+    the max_pool grid, tabulated once, at the first miss.
     """
     if not 3 <= max_pool <= 4:
         raise ValueError("max_pool must be 3 or 4")
-    pools = [p for p in RECOVERY_POOLS if len(p) <= max_pool]
-    outcomes: dict[str, RecoveryOutcome] = {}
-    last_counterexamples: dict[str, Valuation | None] = {}
-    for pool in pools:
-        pending = [ax for ax in BASE_AXIOMS if ax.name not in outcomes]
-        if not pending:
-            break
-        atom_order = grid_atoms(pool)
-        full = full_mask(len(atom_order))
-        tables = instance_tables(entry, pool)
-        conjunction = full
-        for t in tables:
-            conjunction &= t
-        for axiom in pending:
-            axiom_table = truth_table(axiom.body, atom_order)
-            violations = conjunction & ~axiom_table & full
-            if violations:
-                counter = lowest_set_bit(violations)
-                last_counterexamples[axiom.name] = Valuation.at_counter(
-                    atom_order, counter
-                )
-                continue
-            chosen = _shrink(tables, axiom_table, full)
-            if chosen is None:
-                raise RuntimeError(f"no instance subset of {entry.name} implies {axiom.name}")
-            targets = list(itertools.product(pool, repeat=entry.arity))
-            witness_maps = tuple(
-                Substitution.of(dict(zip(entry.variables, targets[i]))) for i in chosen
-            )
-            witness_instances = tuple(sigma.apply(entry.body) for sigma in witness_maps)
-            if not entails(list(witness_instances), axiom.body).holds:
-                raise RuntimeError(
-                    f"witness {'; '.join(map(str, witness_maps))} for {axiom.name} "
-                    "fails its replay"
-                )
-            outcomes[axiom.name] = RecoveryOutcome(
-                axiom=axiom,
-                recovered=True,
-                pool_size=len(pool),
-                witness_maps=witness_maps,
-                witness_instances=witness_instances,
-                counterexample=None,
-            )
+    pool = NAMES[:3]
+    grid, tables, conjunction = _tabulate(entry, pool)
+    full = full_mask(len(grid))
+    wide_pool = NAMES[:max_pool]
+    wide = None
     result = []
     for axiom in BASE_AXIOMS:
-        if axiom.name in outcomes:
-            result.append(outcomes[axiom.name])
-        else:
-            counterexample = last_counterexamples[axiom.name]
-            _replay_counterexample(entry, axiom, pools[-1], counterexample)
-            result.append(
-                RecoveryOutcome(
-                    axiom=axiom,
-                    recovered=False,
-                    pool_size=max_pool,
-                    witness_maps=(),
-                    witness_instances=(),
-                    counterexample=counterexample,
+        axiom_table = truth_table(axiom.body, grid)
+        if conjunction & ~axiom_table:
+            if wide is None:
+                wide = _tabulate(entry, wide_pool) if max_pool > 3 else (grid, tables, conjunction)
+            wide_grid, _, wide_conjunction = wide
+            violations = wide_conjunction & ~truth_table(axiom.body, wide_grid)
+            counterexample = Valuation.at_counter(wide_grid, lowest_set_bit(violations))
+            if not is_countermodel(counterexample, axiom.body, (entry,), wide_pool):
+                raise RuntimeError(
+                    f"counterexample for {axiom.name} from {entry.name} fails its replay"
                 )
+            result.append(RecoveryOutcome(axiom, False, max_pool, (), (), counterexample))
+            continue
+        targets = list(itertools.product(pool, repeat=entry.arity))
+        witness_maps = tuple(
+            Substitution.of(dict(zip(entry.variables, targets[i])))
+            for i in _shrink(tables, axiom_table, full)
+        )
+        witness_instances = tuple(sigma.apply(entry.body) for sigma in witness_maps)
+        if not entails(list(witness_instances), axiom.body).holds:
+            raise RuntimeError(
+                f"witness {'; '.join(map(str, witness_maps))} for {axiom.name} "
+                "fails its replay"
             )
+        result.append(RecoveryOutcome(axiom, True, 3, witness_maps, witness_instances, None))
     return tuple(result)
 
 

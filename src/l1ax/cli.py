@@ -145,7 +145,7 @@ def _matrix(args: argparse.Namespace, corpus: Corpus) -> Outcome:
             type=int,
             default=4,
             choices=(3, 4),
-            help="largest recovery pool to try (default 4)",
+            help="names in the grid of reported counterexamples (default 4)",
         ),
     ),
 )
@@ -221,11 +221,12 @@ def main(argv: list[str] | None = None) -> int:
         ParseError,
         CriterionInapplicable,
         BudgetError,
-        FileNotFoundError,
+        OSError,
         KeyError,
         ValueError,
     ) as exc:
-        message = exc.args[0] if exc.args else str(exc)
+        # str() of a KeyError quotes its message; that of an OSError names the path
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
     if args.json:

@@ -27,7 +27,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .axioms import AX1, AX2, AX3, AX3S
+from .axioms import AX1, AX2, AX3, AX3S, BASE_AXIOMS
 from .formula import Atom, Formula, NameVar, SchemaEntry, name_variables
 from .semantics import (
     Valuation,
@@ -63,14 +63,7 @@ def instance_tables(entry: SchemaEntry, pool: Sequence[NameVar]) -> list[int]:
     ]
 
 
-def _symmetry_axiom(symmetry: str) -> SchemaEntry:
-    if symmetry not in ("Ax3", "Ax3s"):
-        raise ValueError(f"unknown symmetry axiom {symmetry!r}")
-    return AX3 if symmetry == "Ax3" else AX3S
-
-
-def _check_pool(pool: Sequence[NameVar], symmetry: str) -> tuple[NameVar, ...]:
-    _symmetry_axiom(symmetry)
+def _check_pool(pool: Sequence[NameVar]) -> tuple[NameVar, ...]:
     pool = tuple(pool)
     if not 1 <= len(pool) <= POOL_CAP:
         raise ValueError(f"pool size {len(pool)} outside 1..{POOL_CAP}")
@@ -83,7 +76,9 @@ def axiom_instances(
     pool: Sequence[NameVar], symmetry: str = "Ax3"
 ) -> Iterator[Formula]:
     """Every instance of Ax1, Ax2 and the chosen symmetry axiom over the pool."""
-    for schema in (AX1, AX2, _symmetry_axiom(symmetry)):
+    if symmetry not in ("Ax3", "Ax3s"):
+        raise ValueError(f"unknown symmetry axiom {symmetry!r}")
+    for schema in (AX1, AX2, AX3 if symmetry == "Ax3" else AX3S):
         yield from instances(schema, pool)
 
 
@@ -91,7 +86,7 @@ def admissible_mask(pool: Sequence[NameVar], symmetry: str = "Ax3") -> int:
     """Bitmask over grid valuations: bit c set iff valuation c is admissible.
 
     Brute force over all 2^(n*n) valuations; the oracle for the enumeration."""
-    pool = _check_pool(pool, symmetry)
+    pool = _check_pool(pool)
     grid = grid_atoms(pool)
     mask = full_mask(len(grid))
     for instance in axiom_instances(pool, symmetry):
@@ -148,18 +143,16 @@ def _admissible(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(counters), tiles
 
 
-def admissible_valuations(
-    pool: Sequence[NameVar], symmetry: str = "Ax3"
-) -> Iterator[Valuation]:
+def admissible_valuations(pool: Sequence[NameVar]) -> Iterator[Valuation]:
     """Admissible valuations in ascending counter order."""
-    pool = _check_pool(pool, symmetry)
+    pool = _check_pool(pool)
     grid = grid_atoms(pool)
     for counter in _admissible(len(pool))[0]:
         yield Valuation.at_counter(grid, counter)
 
 
-def admissible_count(pool: Sequence[NameVar], symmetry: str = "Ax3") -> int:
-    return len(_admissible(len(_check_pool(pool, symmetry)))[0])
+def admissible_count(pool: Sequence[NameVar]) -> int:
+    return len(_admissible(len(_check_pool(pool)))[0])
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,10 +165,23 @@ class TheoremVerdict:
     counter_valuation: Valuation | None
 
 
-def holds_in_all_admissible(
-    formula: Formula, pool: Sequence[NameVar], symmetry: str = "Ax3"
-) -> TheoremVerdict:
-    pool = _check_pool(pool, symmetry)
+def is_countermodel(
+    valuation: Valuation,
+    formula: Formula,
+    schemata: Sequence[SchemaEntry],
+    pool: Sequence[NameVar],
+) -> bool:
+    """The valuation falsifies formula and satisfies every instance of the
+    schemata over the pool: the pointwise replay of a reported refutation."""
+    return not evaluate(formula, valuation) and all(
+        evaluate(instance, valuation)
+        for schema in schemata
+        for instance in instances(schema, pool)
+    )
+
+
+def holds_in_all_admissible(formula: Formula, pool: Sequence[NameVar]) -> TheoremVerdict:
+    pool = _check_pool(pool)
     missing = set(name_variables(formula)) - set(pool)
     if missing:
         raise ValueError(f"formula variables outside pool: {sorted(missing)}")
@@ -187,9 +193,7 @@ def holds_in_all_admissible(
     if violations == 0:
         return TheoremVerdict(True, pool, None)
     witness = Valuation.at_counter(grid, counters[lowest_set_bit(violations)])
-    if evaluate(formula, witness) or not all(
-        evaluate(instance, witness) for instance in axiom_instances(pool, symmetry)
-    ):
+    if not is_countermodel(witness, formula, BASE_AXIOMS, pool):
         raise RuntimeError(f"counter-valuation {witness.counter} fails its replay")
     return TheoremVerdict(False, pool, witness)
 

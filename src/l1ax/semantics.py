@@ -156,13 +156,7 @@ def merged_atom_order(formulas: Iterable[Formula]) -> tuple[Atom, ...]:
 
 
 def is_tautology(formula: Formula) -> SemanticsVerdict:
-    order = atoms(formula)
-    table = truth_table(formula, order)
-    gaps = full_mask(len(order)) & ~table
-    if gaps == 0:
-        return SemanticsVerdict(True, None)
-    counter = lowest_set_bit(gaps)
-    return SemanticsVerdict(False, Valuation.at_counter(order, counter))
+    return entails((), formula)
 
 
 def are_equivalent(left: Formula, right: Formula) -> SemanticsVerdict:

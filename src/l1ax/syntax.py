@@ -288,11 +288,6 @@ def print_formula(f: Formula) -> str:
     return _render(f, _IFF)
 
 
-def print_substitution(mapping: dict[str, str]) -> str:
-    inner = ", ".join(f"{s}->{t}" for s, t in sorted(mapping.items()))
-    return "{" + inner + "}"
-
-
 # schema files
 
 SCHEMA_NAME_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"

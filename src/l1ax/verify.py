@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .axioms import BASE_AXIOMS
 from .characterize import CharacterizationReport, characterize, recover_axioms
 from .corpus import Corpus, load_corpus
 from .criteria import (
@@ -24,12 +23,11 @@ from .criteria import (
     quasi_triviality,
     triviality,
 )
-from .decision import admissible_mask, is_theorem
+from .decision import admissible_mask, is_countermodel, is_theorem
 from .formula import And, Atom, SchemaEntry, conjoin
 from .proofs import check_bundled_proofs, derived_conclusions
 from .semantics import Valuation, are_equivalent, evaluate, merged_atom_order
-from .substitution import Substitution, instances
-from .syntax import print_formula
+from .substitution import Substitution
 
 QUARTET = ("A_S1", "A_S2", "A_S3N", "A_S3Nd")
 
@@ -231,16 +229,10 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
         ax1 = by_name["Ax1"]
         check(not ax1.recovered, "Ax1 recovered")
         check(ax1.counterexample is not None, "no counterexample for Ax1")
-        # the counterexample satisfies every instance yet falsifies Ax1
         pool = tuple("abcd"[: ax1.pool_size])
-        for instance in instances(c["A_S3"], pool):
-            check(
-                evaluate(instance, ax1.counterexample),
-                f"the counterexample falsifies the instance {print_formula(instance)}",
-            )
         check(
-            not evaluate(c["Ax1"].body, ax1.counterexample),
-            "the counterexample satisfies Ax1",
+            is_countermodel(ax1.counterexample, c["Ax1"].body, (c["A_S3"],), pool),
+            "the counterexample falsifies an A_S3 instance or satisfies Ax1",
         )
         return "Ax2 and Ax3 recovered; Ax1 fails at pools <= 4 with a replayable counterexample"
 

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from l1ax.axioms import AX1, AX2, AX3
 from l1ax.characterize import characterize, recover_axioms, recovery_script
-from l1ax.decision import grid_atoms, instance_tables
-from l1ax.formula import Atom, Implies, Not, Or, SchemaEntry, eps
+from l1ax.decision import grid_atoms, instance_tables, is_countermodel
+from l1ax.formula import And, Atom, Implies, Not, Or, SchemaEntry, eps
 from l1ax.proofs import check_proof
 from l1ax.semantics import Valuation, entails, evaluate, full_mask, truth_table
 from l1ax.substitution import Substitution, instances
@@ -194,3 +194,131 @@ def test_a_counterexample_that_fails_its_replay_raises(corpus, monkeypatch):
     tamper_tables(monkeypatch, lambda tables, full: [full] * len(tables))
     with pytest.raises(RuntimeError, match="counterexample for Ax1 from A_M8 fails its replay"):
         recover_axioms(corpus["A_M8"], max_pool=3)
+
+
+def seed_recovery(entry, max_pool):
+    """The two-pool search recovery used to run: each axiom tried at a, b, c
+    and, failing that, at a, b, c, d; a miss reports the last pool's lowest
+    counterexample. The oracle for deciding at three names."""
+    pools = [("a", "b", "c"), ("a", "b", "c", "d")][: max_pool - 2]
+    outcomes, counterexamples = {}, {}
+    for pool in pools:
+        grid = grid_atoms(pool)
+        full = full_mask(len(grid))
+        tables = instance_tables(entry, pool)
+        conjunction = full
+        for t in tables:
+            conjunction &= t
+        targets = list(itertools.product(pool, repeat=entry.arity))
+        for axiom in (AX1, AX2, AX3):
+            if axiom.name in outcomes:
+                continue
+            axiom_table = truth_table(axiom.body, grid)
+            violations = conjunction & ~axiom_table & full
+            if violations:
+                counter = (violations & -violations).bit_length() - 1
+                counterexamples[axiom.name] = Valuation.at_counter(grid, counter)
+                continue
+            chosen = characterize_module._shrink(tables, axiom_table, full)
+            maps = tuple(
+                Substitution.of(dict(zip(entry.variables, targets[i]))) for i in chosen
+            )
+            outcomes[axiom.name] = (True, len(pool), maps, None)
+    return [
+        outcomes.get(axiom.name, (False, max_pool, (), counterexamples.get(axiom.name)))
+        for axiom in (AX1, AX2, AX3)
+    ]
+
+
+def assert_recovery_matches_the_seed_search(entry, max_pool):
+    got = [
+        (r.recovered, r.pool_size, r.witness_maps, r.counterexample)
+        for r in recover_axioms(entry, max_pool=max_pool)
+    ]
+    assert got == seed_recovery(entry, max_pool), (entry.name, max_pool)
+
+
+def retract(valuation, pool):
+    """The valuation lifted from the abc grid to pool's grid, every name
+    beyond c read as a."""
+    r = {x: x if x in "abc" else "a" for x in pool}
+    return Valuation(
+        domain=grid_atoms(pool),
+        true_atoms=frozenset(
+            atom
+            for atom in grid_atoms(pool)
+            if valuation.value(Atom(r[atom.subject], r[atom.predicate]))
+        ),
+    )
+
+
+def assert_pool_three_misses_lift(entry):
+    wide = ("a", "b", "c", "d")
+    for rec in recover_axioms(entry, max_pool=3):
+        if not rec.recovered:
+            lifted = retract(rec.counterexample, wide)
+            assert is_countermodel(lifted, rec.axiom.body, (entry,), wide), (
+                entry.name,
+                rec.axiom.name,
+            )
+
+
+def test_recovery_matches_the_seed_search_on_the_corpus(corpus):
+    for entry in corpus:
+        for max_pool in (3, 4):
+            assert_recovery_matches_the_seed_search(entry, max_pool)
+
+
+def test_pool_three_counterexamples_lift_on_the_corpus(corpus):
+    misses = 0
+    for entry in corpus:
+        assert_pool_three_misses_lift(entry)
+        misses += sum(not r.recovered for r in recover_axioms(entry, max_pool=3))
+    assert misses > 0
+
+
+def schemata(k):
+    names = st.sampled_from("abcde"[:k])
+    atom = st.builds(eps, names, names)
+    body = st.one_of(
+        st.recursive(
+            atom,
+            lambda sub: st.one_of(
+                st.builds(Not, sub), st.builds(Or, sub, sub), st.builds(Implies, sub, sub)
+            ),
+            max_leaves=8,
+        ),
+        # the shape of A_M8: two memberships imply a conjunction
+        st.builds(
+            Implies,
+            st.builds(And, atom, atom),
+            st.builds(And, atom, st.builds(Implies, atom, st.builds(And, atom, atom))),
+        ),
+    )
+    return body.map(lambda b: SchemaEntry.make("S", b)).filter(lambda e: e.arity == k)
+
+
+@given(st.integers(2, 5).flatmap(schemata), st.sampled_from([3, 4]))
+def test_recovery_matches_the_seed_search_on_random_schemata(entry, max_pool):
+    assert_recovery_matches_the_seed_search(entry, max_pool)
+
+
+@given(st.integers(2, 5).flatmap(schemata))
+def test_pool_three_counterexamples_lift_on_random_schemata(entry):
+    assert_pool_three_misses_lift(entry)
+
+
+@pytest.mark.parametrize(
+    "name, max_pool, calls",
+    [("A_M8", 4, 1), ("A_S3", 3, 1), ("A_S3", 4, 2), ("A_ad1", 3, 1), ("A_ad1", 4, 2)],
+)
+def test_instance_tables_are_built_once_per_pool(corpus, monkeypatch, name, max_pool, calls):
+    pools = []
+
+    def counted(entry, pool):
+        pools.append(pool)
+        return instance_tables(entry, pool)
+
+    monkeypatch.setattr(characterize_module, "instance_tables", counted)
+    recover_axioms(corpus[name], max_pool=max_pool)
+    assert len(pools) == calls

@@ -199,6 +199,26 @@ def test_check_proof_missing_file_exits_two(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("check-proof", "{path}"),
+        ("theorem", "A_t", "--corpus-file", "{path}"),
+        ("matrix", "--corpus", "{path}"),
+    ],
+)
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_unreadable_paths_exit_two_with_one_line(capsys, tmp_path, argv, kind):
+    path = tmp_path / "nope" if kind == "missing" else tmp_path
+    code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: [Errno ")
+    assert err.endswith(f"{str(path)!r}\n")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_conjectures_json_rows(capsys):
     code, out, _ = run(capsys, "conjectures", "--json")
     assert code == 0

@@ -5,13 +5,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from l1ax.formula import And, Iff, Implies, Not, Or, eps
+from l1ax.substitution import Substitution
 from l1ax.syntax import (
     ParseError,
     parse_formula,
     parse_schema_file,
     parse_substitution_mapping,
     print_formula,
-    print_substitution,
 )
 
 ab, ba, cd, aa = eps("a", "b"), eps("b", "a"), eps("c", "d"), eps("a", "a")
@@ -106,7 +106,7 @@ def test_print_parse_round_trip(f):
 
 def test_substitution_mapping_round_trip():
     mapping = {"a": "b", "c": "y1"}
-    assert parse_substitution_mapping(print_substitution(mapping)) == mapping
+    assert parse_substitution_mapping(str(Substitution.of(mapping))) == mapping
     assert parse_substitution_mapping("{ a ->b ,c-> y1 }") == mapping
 
 
