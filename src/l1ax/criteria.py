@@ -15,17 +15,24 @@ returns the verdict, the witness and the number of maps examined. Explain
 mode, the default, also builds a Refutation for every candidate before the
 witness and replays each one, and the witness, through Substitution.apply
 and pointwise evaluation.
+
+Both modes walk the renamings depth first in lexicographic rho order.
+Equivalent formulas depend on the same atoms, and a renaming maps atoms
+injectively, so a witness carries the source's essential atoms exactly onto
+the target's. Decide mode cuts every branch that already breaks this;
+the number of maps examined is still the witness's position in that order,
+or n! without one. Explain mode refutes every candidate, so it cuts nothing.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
 from .axioms import A_T
-from .formula import Atom, SchemaEntry
+from .formula import Atom, Formula, SchemaEntry
 from .semantics import (
     ATOM_BUDGET,
     BudgetError,
@@ -33,6 +40,7 @@ from .semantics import (
     are_equivalent,
     atom_tile,
     compile_formula,
+    essential_atoms,
     evaluate,
     full_mask,
     lowest_set_bit,
@@ -115,6 +123,11 @@ class QntReport:
 _compile = functools.cache(compile_formula)
 
 
+@functools.cache
+def _essential(body: Formula) -> frozenset[Atom]:
+    return essential_atoms(*_compile(body))
+
+
 class _Kernel:
     """The source body compiled against the target body, for renamings of
     the source's variables onto targets: the target's variables followed by
@@ -125,6 +138,11 @@ class _Kernel:
     predicate index over targets. Renamings are bijections, so the source's
     atoms keep their order as the first atoms of the pair and the source's
     table depends only on the pair's atom count k.
+
+    essential holds the essential atoms of the source, coded over its own
+    variables, and of the target, coded over targets. It is None when the
+    two bodies have more than ATOM_BUDGET atoms between them: then some
+    renaming may exceed the budget, and no map may be skipped before it.
     """
 
     def __init__(self, source: SchemaEntry, target: SchemaEntry, fresh_prefix: str):
@@ -137,10 +155,21 @@ class _Kernel:
         slot = {v: i for i, v in enumerate(self.targets)}
         self.source_atoms = [(var[a.subject], var[a.predicate]) for a in source_atoms]
         self.target_codes = [slot[a.subject] * n + slot[a.predicate] for a in target_atoms]
+        self.essential = None
+        if len(source_atoms) + len(target_atoms) <= ATOM_BUDGET:
+            self.essential = (
+                frozenset(var[a.subject] * n + var[a.predicate] for a in _essential(source.body)),
+                frozenset(slot[a.subject] * n + slot[a.predicate] for a in _essential(target.body)),
+            )
         # atom count k -> (atom tiles, full mask, source table)
         self.spaces: dict[int, tuple[list[int], int, int]] = {}
 
-    def compare(self, place: list[int]) -> tuple[int, int, dict[int, int]]:
+    @functools.cached_property
+    def grid(self) -> list[Atom]:
+        """The atom of every code."""
+        return [Atom(s, p) for s in self.targets for p in self.targets]
+
+    def compare(self, place: Sequence[int]) -> tuple[int, int, dict[int, int]]:
         """The source's table, the bits where the two tables differ, and
         the pair's atoms (code -> index) under one renaming."""
         n = len(place)
@@ -167,8 +196,7 @@ class _Kernel:
     ) -> Refutation:
         """The refutation at the lowest differing bit, replayed through the
         substituted formula and pointwise evaluation."""
-        n = len(self.targets)
-        domain = tuple(Atom(self.targets[c // n], self.targets[c % n]) for c in index)
+        domain = tuple(self.grid[c] for c in index)
         counter = lowest_set_bit(diff)
         valuation = Valuation.at_counter(domain, counter)
         substituted_value = bool(source_bits >> counter & 1)
@@ -187,30 +215,73 @@ class _Kernel:
             raise RuntimeError(f"witness {witness.sigma} fails its replay")
 
 
+def _renamings(
+    n: int, essential: tuple[frozenset[int], frozenset[int]] | None
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Every permutation perm of range(n) in lexicographic order, with its
+    inverse place: perm sends source variable perm[i] to target slot i.
+
+    Given essential, the essential atoms coded over source variables and
+    over target slots, a branch is cut as soon as a pair of assigned
+    slots holds an essential atom on one side only.
+    """
+    perm: list[int] = []
+    place = [0] * n
+
+    def extend(i: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+        if i == n:
+            yield tuple(perm), tuple(place)
+            return
+        for s in range(n):
+            if s in perm:
+                continue
+            perm.append(s)
+            place[s] = i
+            if essential is None or all(
+                (perm[a] * n + perm[b] in essential[0]) == (a * n + b in essential[1])
+                for j in range(i + 1)
+                for a, b in ((j, i), (i, j))
+            ):
+                yield from extend(i + 1)
+            perm.pop()
+
+    return extend(0)
+
+
+def _position(perm: tuple[int, ...]) -> int:
+    """The 1-based position of perm in lexicographic order."""
+    n = len(perm)
+    return 1 + sum(
+        sum(t < s for t in perm[i + 1 :]) * math.factorial(n - 1 - i)
+        for i, s in enumerate(perm)
+    )
+
+
 def _sweep(
     kernel: _Kernel, explain: bool
 ) -> tuple[CandidateMap | None, tuple[Refutation, ...], int]:
-    """Test every renaming in lexicographic rho order, stopping at the
-    first equivalence.
+    """Test the renamings in lexicographic rho order, stopping at the
+    first equivalence; decide mode skips those that cannot preserve the
+    essential atoms.
 
     Returns the witness (or None), the refutations of every candidate
-    examined before success (explain mode only) and the number examined.
+    before success (explain mode only) and the witness's position, or n!.
     """
+    n = len(kernel.targets)
+    essential = None if explain else kernel.essential
+    if essential is not None and len(essential[0]) != len(essential[1]):
+        return None, (), math.factorial(n)
     refutations: list[Refutation] = []
-    count = 0
-    for perm in itertools.permutations(range(len(kernel.targets))):
-        count += 1
-        # perm sends source variable perm[i] to targets[i]; place inverts it
-        place = sorted(range(len(perm)), key=perm.__getitem__)
+    for perm, place in _renamings(n, essential):
         source_bits, diff, index = kernel.compare(place)
         if not diff:
             witness = kernel.candidate(perm)
             if explain:
                 kernel.replay_witness(witness)
-            return witness, tuple(refutations), count
+            return witness, tuple(refutations), _position(perm)
         if explain:
             refutations.append(kernel.refutation(perm, source_bits, diff, index))
-    return None, tuple(refutations), count
+    return None, tuple(refutations), math.factorial(n)
 
 
 def triviality(
@@ -375,3 +446,4 @@ def qnt_matrix(
 def clear_caches() -> None:
     is_nontrivial_standard.cache_clear()
     _compile.cache_clear()
+    _essential.cache_clear()

@@ -9,6 +9,7 @@ are immutable and hashable; equality is structural.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Iterator
@@ -21,6 +22,8 @@ VARIABLE_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"eps"})
 
 
+# atoms are built by the thousand from a handful of names
+@functools.lru_cache(maxsize=4096)
 def is_valid_variable(name: str) -> bool:
     return bool(VARIABLE_RE.match(name)) and name not in RESERVED_WORDS
 

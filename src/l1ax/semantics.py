@@ -49,9 +49,12 @@ class Valuation:
         )
 
     def value(self, atom: Atom) -> bool:
+        # true atoms lie in the domain; only a false answer scans it
+        if atom in self.true_atoms:
+            return True
         if atom not in self.domain:
             raise ValueError(f"atom {atom} outside valuation domain")
-        return atom in self.true_atoms
+        return False
 
     def false_atoms(self) -> tuple[Atom, ...]:
         return tuple(a for a in self.domain if a not in self.true_atoms)
@@ -67,11 +70,12 @@ class Valuation:
 
 def evaluate(formula: Formula, valuation: Valuation) -> bool:
     """Pointwise evaluation; the replay path used to certify reported witnesses."""
-    if isinstance(formula, Epsilon):
+    node = type(formula)
+    if node is Epsilon:
         return valuation.value(formula.atom)
-    if isinstance(formula, Not):
+    if node is Not:
         return not evaluate(formula.operand, valuation)
-    if isinstance(formula, Or):
+    if node is Or:
         return evaluate(formula.left, valuation) or evaluate(formula.right, valuation)
     raise TypeError(f"not a formula node: {formula!r}")
 
@@ -123,6 +127,19 @@ def compile_formula(formula: Formula) -> tuple[tuple[Atom, ...], Table]:
     order: dict[Atom, int] = {}
     table = _closure(formula, order)
     return tuple(order), table
+
+
+def essential_atoms(atoms: Sequence[Atom], table: Table) -> frozenset[Atom]:
+    """The atoms a compiled formula's truth function depends on: atom j
+    is essential iff flipping it changes the table somewhere."""
+    k = len(atoms)
+    tiles = [atom_tile(k, j) for j in range(k)]
+    t = table(tiles, full_mask(k))
+    return frozenset(
+        atom
+        for j, (atom, tile) in enumerate(zip(atoms, tiles))
+        if (t & ~tile) >> (1 << j) != t & tile
+    )
 
 
 def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:

@@ -59,14 +59,21 @@ class Substitution:
 
     def apply(self, formula: Formula) -> Formula:
         m = self.mapping
+        images: dict[Atom, Epsilon] = {}  # each distinct atom is renamed once
 
         def rec(f: Formula) -> Formula:
-            if isinstance(f, Epsilon):
+            node = type(f)
+            if node is Epsilon:
                 a = f.atom
-                return Epsilon(Atom(m.get(a.subject, a.subject), m.get(a.predicate, a.predicate)))
-            if isinstance(f, Not):
+                image = images.get(a)
+                if image is None:
+                    image = images[a] = Epsilon(
+                        Atom(m.get(a.subject, a.subject), m.get(a.predicate, a.predicate))
+                    )
+                return image
+            if node is Not:
                 return Not(rec(f.operand))
-            if isinstance(f, Or):
+            if node is Or:
                 return Or(rec(f.left), rec(f.right))
             raise TypeError(f"not a formula node: {f!r}")
 

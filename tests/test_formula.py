@@ -35,6 +35,16 @@ def test_atom_rejects_bad_variable_names():
             Atom("a", bad)
 
 
+def test_atom_rejects_bad_names_after_good_ones_are_cached():
+    for _ in range(2):
+        assert Atom("a", "b_1") == Atom("a", "b_1")
+        for bad in ("eps", "1x"):
+            with pytest.raises(ValueError, match="invalid variable name"):
+                Atom("a", bad)
+            with pytest.raises(ValueError, match="invalid variable name"):
+                Atom(bad, "a")
+
+
 def test_atom_allows_digits_and_underscores():
     assert Atom("a1", "b_2") == Atom("a1", "b_2")
 

@@ -18,7 +18,7 @@ import l1ax
 from l1ax import criteria
 from l1ax.cli import main
 from l1ax.criteria import is_quasi_trivial, qnt_matrix, quasi_triviality, triviality
-from l1ax.formula import Implies, Not, Or, SchemaEntry, eps
+from l1ax.formula import And, Implies, Not, Or, SchemaEntry, eps
 from l1ax.semantics import BudgetError, are_equivalent
 from l1ax.substitution import (
     FRESH_QNT_RIGHT,
@@ -103,33 +103,110 @@ def test_kernel_matches_the_ast_path_on_every_candidate(pair):
             assert ref.valuation == oracle.witness
 
 
-@given(schema_pairs())
-def test_sweeps_match_the_ast_sweep(pair):
-    left, right = pair
-    source, target = sorted(pair, key=lambda e: -e.arity)
+@st.composite
+def padded_pairs(draw):
+    """A pair of schema_pairs, either side possibly padded with
+    eps(x,y) | !eps(x,y), an inessential atom that may bring new names,
+    so that the arities and atom counts of the two sides differ."""
+    sides = [entry.body for entry in draw(schema_pairs())]
+    for i in range(2):
+        if draw(st.booleans()):
+            x, y = draw(st.sampled_from("abcdefgh")), draw(st.sampled_from("abcdefgh"))
+            sides[i] = And(sides[i], Or(eps(x, y), Not(eps(x, y))))
+    if draw(st.booleans()):
+        sides.reverse()
+    return SchemaEntry.make("S", sides[0]), SchemaEntry.make("T", sides[1])
+
+
+def assert_sweeps_match_the_ast_sweep(left, right):
+    """Both modes of both criteria, and the mirrored sweep, report the
+    reference sweep's witness and map count; explain mode also its
+    refutations."""
+    source, target = sorted((left, right), key=lambda e: -e.arity)
     expected = ast_sweep(
         padded_bijections(source.variables, target.variables, FRESH_TRIVIALITY),
         source,
         target,
     )
     report = triviality(source, target)
-    assert report.witness == expected[0]
     assert [r.valuation for r in report.refutations] == expected[1]
-    assert report.map_count == expected[2]
-    assert triviality(source, target, explain=False).witness == expected[0]
+    for report in (report, triviality(source, target, explain=False)):
+        assert (report.witness, report.map_count) == (expected[0], expected[2])
 
     case, candidates = comparison_maps(left.variables, right.variables)
     oriented = (right, left) if case == 1 else (left, right)
     expected = ast_sweep(candidates, *oriented)
     report = quasi_triviality(left, right)
-    assert (report.case_used, report.witness) == (case, expected[0])
     assert [r.valuation for r in report.refutations] == expected[1]
+    decided = quasi_triviality(left, right, explain=False)
+    for report in (report, decided):
+        assert (report.case_used, report.witness) == (case, expected[0])
+        assert report.map_count == expected[2]
     if left.arity == right.arity:
         mirrored = ast_sweep(
             padded_bijections(left.variables, right.variables, FRESH_QNT_RIGHT), left, right
         )
+        kernel = criteria._Kernel(left, right, FRESH_QNT_RIGHT)
+        assert criteria._sweep(kernel, explain=False) == (mirrored[0], (), mirrored[2])
         agree = (mirrored[0] is None) == (expected[0] is None)
-        assert report.cross_check == ("agree" if agree else "disagree")
+        for report in (report, decided):
+            assert report.cross_check == ("agree" if agree else "disagree")
+
+
+@given(schema_pairs())
+def test_sweeps_match_the_ast_sweep(pair):
+    assert_sweeps_match_the_ast_sweep(*pair)
+
+
+@given(padded_pairs())
+def test_sweeps_match_the_ast_sweep_on_padded_schemata(pair):
+    assert_sweeps_match_the_ast_sweep(*pair)
+
+
+def count_compares(monkeypatch):
+    """Record (kernel, place) of every map the kernel tables."""
+    calls = []
+    compare = criteria._Kernel.compare
+
+    def counted(self, place):
+        calls.append((self, place))
+        return compare(self, place)
+
+    monkeypatch.setattr(criteria._Kernel, "compare", counted)
+    return calls
+
+
+def test_decide_mode_skips_maps_but_counts_them(corpus, monkeypatch):
+    s1, s2 = corpus["A_S1"], corpus["A_S2"]
+    calls = count_compares(monkeypatch)
+    decided = triviality(s1, s2, explain=False)
+    assert (decided.witness, decided.map_count) == (None, 24)
+    assert len(calls) < 24
+    calls.clear()
+    explained = triviality(s1, s2)
+    assert (explained.witness, explained.map_count, len(calls)) == (None, 24, 24)
+
+
+def test_decide_mode_tables_only_maps_that_keep_essential_atoms(corpus, monkeypatch):
+    entries = [e for e in corpus if e.arity >= 3]
+    calls = count_compares(monkeypatch)
+    for a in entries:
+        for b in entries:
+            quasi_triviality(a, b, explain=False)
+    assert 0 < len(calls) < 784
+    for kernel, place in calls:
+        source, target = kernel.essential
+        n = len(place)
+        assert {place[c // n] * n + place[c % n] for c in source} == target
+
+
+def test_unequal_essential_atom_counts_compare_no_map(corpus, monkeypatch):
+    star = corpus["Star"]
+    extended = SchemaEntry.make("extended", And(star.body, eps("b", "b")))
+    calls = count_compares(monkeypatch)
+    report = quasi_triviality(star, extended, explain=False)
+    assert (report.witness, report.map_count, report.cross_check) == (None, 24, "agree")
+    assert calls == []
 
 
 GRID36 = " | ".join(f"eps({x},{y})" for x in "abcdef" for y in "abcdef")
@@ -143,6 +220,30 @@ def test_thirty_six_atoms_exceed_the_budget(capsys):
         assert str(exc.value) == "36 atoms exceed the budget of 30"
     assert main(["qnt", GRID36, GRID36]) == 2
     assert capsys.readouterr().err == "error: 36 atoms exceed the budget of 30\n"
+
+
+# On the same six names, 18 atoms in rows a-c against 17 in rows d-f plus
+# two padded atoms in rows a and c: the first map meets 35 atoms. The
+# essential counts differ (18 against 17), so a pruned sweep would return
+# at once; the budget check must raise as the unpruned walk does.
+ROWS_ABC = " | ".join(f"eps({x},{y})" for x in "abc" for y in "abcdef")
+ROWS_DEF = " | ".join(f"eps({x},{y})" for x in "def" for y in "abcdef" if x + y != "ff")
+PADDED_DEF = f"(eps(a,b) | !eps(a,b)) & (eps(c,c) | !eps(c,c)) & ({ROWS_DEF})"
+
+
+def test_a_pair_over_the_budget_raises_alike_in_both_modes():
+    source = SchemaEntry.make("abc", l1ax.parse_formula(ROWS_ABC))
+    target = SchemaEntry.make("def", l1ax.parse_formula(PADDED_DEF))
+    messages = []
+    for explain in (True, False):
+        for run in (triviality, quasi_triviality):
+            with pytest.raises(BudgetError) as exc:
+                run(source, target, explain=explain)
+            messages.append(str(exc.value))
+    with pytest.raises(BudgetError) as exc:
+        is_quasi_trivial(source, target)
+    messages.append(str(exc.value))
+    assert messages == ["35 atoms exceed the budget of 30"] * 5
 
 
 def spy_sweeps(monkeypatch, entries, skip=None):

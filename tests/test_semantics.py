@@ -17,7 +17,9 @@ from l1ax.semantics import (
     Valuation,
     are_equivalent,
     clear_caches,
+    compile_formula,
     entails,
+    essential_atoms,
     evaluate,
     full_mask,
     is_tautology,
@@ -60,6 +62,15 @@ def test_value_outside_domain_rejected():
         v.value(BA)
 
 
+def test_value_answers_false_in_the_domain_and_raises_outside_it():
+    v = Valuation.at_counter((AB, AA), 0b10)
+    assert v.value(AB) is True
+    assert v.value(AA) is False
+    for _ in range(2):
+        with pytest.raises(ValueError, match="outside valuation domain"):
+            v.value(BA)
+
+
 def test_true_atoms_outside_domain_rejected():
     with pytest.raises(ValueError):
         Valuation(domain=(AB,), true_atoms=frozenset({BA}))
@@ -95,6 +106,23 @@ def test_table_bit_equals_evaluation(f, seed):
     tt = truth_table(f, domain)
     k = seed % (2 ** len(domain))
     assert bool((tt >> k) & 1) == evaluate(f, Valuation.at_counter(domain, k))
+
+
+@given(formula_st)
+def test_essential_atoms_are_those_a_flip_can_change(f):
+    domain = merged_atom_order([f])
+    expected = set()
+    for k in range(2 ** len(domain)):
+        value = evaluate(f, Valuation.at_counter(domain, k))
+        for j, atom in enumerate(domain):
+            if evaluate(f, Valuation.at_counter(domain, k ^ 1 << j)) != value:
+                expected.add(atom)
+    assert essential_atoms(*compile_formula(f)) == expected
+
+
+def test_a_padded_tautology_is_inessential():
+    f = And(eps("a", "b"), Or(eps("b", "b"), Not(eps("b", "b"))))
+    assert essential_atoms(*compile_formula(f)) == {AB}
 
 
 def test_excluded_middle_is_a_tautology():
