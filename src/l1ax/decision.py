@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .axioms import AX1, AX2, AX3, AX3S, BASE_AXIOMS
-from .formula import Atom, Formula, NameVar, SchemaEntry, name_variables
+from .formula import Atom, Formula, NameVar, SchemaEntry, atoms, name_variables
 from .semantics import (
     Valuation,
     atom_tile,
@@ -172,12 +172,31 @@ def is_countermodel(
     pool: Sequence[NameVar],
 ) -> bool:
     """The valuation falsifies formula and satisfies every instance of the
-    schemata over the pool: the pointwise replay of a reported refutation."""
-    return not evaluate(formula, valuation) and all(
-        evaluate(instance, valuation)
-        for schema in schemata
-        for instance in instances(schema, pool)
-    )
+    schemata over the pool: the pointwise replay of a reported refutation.
+
+    No instance is built. By the substitution lemma sigma(body) holds at v
+    iff body holds at v o sigma, the valuation of the body's own atoms that
+    gives eps(x,y) the value of eps(sigma(x),sigma(y)) under v.
+    """
+    if evaluate(formula, valuation):
+        return False
+    value: dict[tuple[NameVar, NameVar], bool] = {}
+    for schema in schemata:
+        body_atoms = atoms(schema.body)
+        var = {v: i for i, v in enumerate(schema.variables)}
+        coded = [(a, var[a.subject], var[a.predicate]) for a in body_atoms]
+        for targets in itertools.product(pool, repeat=schema.arity):
+            true = []
+            for atom, s, p in coded:
+                image = targets[s], targets[p]
+                holds = value.get(image)
+                if holds is None:
+                    holds = value[image] = valuation.value(Atom(*image))
+                if holds:
+                    true.append(atom)
+            if not evaluate(schema.body, Valuation(body_atoms, frozenset(true))):
+                return False
+    return True
 
 
 def holds_in_all_admissible(formula: Formula, pool: Sequence[NameVar]) -> TheoremVerdict:

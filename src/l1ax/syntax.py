@@ -1,4 +1,4 @@
-"""Concrete syntax: tokenizer, parser, printer, schema files, substitutions.
+"""Concrete syntax: scanner, parser, printer, schema files, substitutions.
 
 Grammar (binding from loosest to tightest):
 
@@ -10,6 +10,12 @@ Grammar (binding from loosest to tightest):
     not     := "!" not | "(" formula ")" | "eps(" var "," var ")"
     var     := [a-z][a-z0-9_]*           'eps' is reserved
 
+One compiled regex splits the input into token strings; the parser reads
+them by index. Positions are not tracked per token: a ParseError's span is
+worked out from the offset of the offending token when it is raised. Input
+nesting deeper than MAX_DEPTH, or parsing to a formula deeper than that, is
+refused with a ParseError.
+
 The printer is the exact inverse of the parser on desugared formulas: it
 resugars conjunction, implication and equivalence patterns and emits minimal
 parentheses, so parse(print(f)) == f structurally.
@@ -17,6 +23,8 @@ parentheses, so parse(print(f)) == f structurally.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass
 
 from .formula import (
@@ -49,181 +57,173 @@ class ParseError(ValueError):
         self.span = span
 
 
-_PUNCT = (
-    ("<->", "DARROW"),
-    ("->", "ARROW"),
-    ("(", "LPAREN"),
-    (")", "RPAREN"),
-    (",", "COMMA"),
-    ("!", "BANG"),
-    ("&", "AMP"),
-    ("|", "PIPE"),
-    ("{", "LBRACE"),
-    ("}", "RBRACE"),
-)
+# Bound on both the nesting the parser descends through and the depth of the
+# formula it returns. The parser and every later walk of a formula (compile,
+# substitute, evaluate, print, ==, hash) recurse per level; at the default
+# recursion limit, under pytest, 190 nested parentheses (five parser frames
+# each) or `qnt` on two formulas of depth 314 raise RecursionError.
+MAX_DEPTH = 100
 
-
-@dataclass(frozen=True, slots=True)
-class Token:
-    kind: str
-    text: str
-    span: SourceSpan
-
-
-def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
-    """Token stream for formulas and substitutions, ending with EOF.
-
-    line/column give the position of text[0] inside the enclosing source,
-    so errors in schema files and proof scripts point at the real location.
-    """
-    tokens: list[Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            column = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            column += 1
-            i += 1
-            continue
-        span = SourceSpan(line, column)
-        for lit, kind in _PUNCT:
-            if text.startswith(lit, i):
-                tokens.append(Token(kind, lit, span))
-                i += len(lit)
-                column += len(lit)
-                break
-        else:
-            if ch.isalpha() and ch.islower():
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                word = text[i:j]
-                tokens.append(Token("IDENT", word, span))
-                column += j - i
-                i = j
-            else:
-                raise ParseError(f"unknown token {ch!r}", span)
-    tokens.append(Token("EOF", "", SourceSpan(line, column)))
-    return tokens
+# one token after optional blanks: an operator, a word (\w is exactly
+# str.isalnum() or "_"), or any other single character, refused below
+_TOKEN = re.compile(r"[ \t\r\n]*+(<->|->|[(),!&|{}]|\w+|.)")
+_PUNCT = frozenset(("<->", "->", "(", ")", ",", "!", "&", "|", "{", "}"))
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token]):
+    """Recursive descent over the token texts of one input, "" closing them.
+
+    Tokens are plain strings; the span of an error is worked out from the
+    text only when the error is raised. The formula methods return the
+    formula and its depth after desugaring (an Epsilon is 1, '&' adds 3
+    levels, '<->' 5), and `nest` counts the '!', '(' and right-nested '->'
+    enclosing the current position; both are bounded by MAX_DEPTH.
+    """
+
+    def __init__(self, text: str, line: int, column: int):
+        self.text = text
+        self.origin = line, column
+        # the scan ends at the last token: a search restarting at each
+        # trailing blank would take quadratic time
+        self.end = len(text.rstrip(" \t\r\n"))
+        tokens = _TOKEN.findall(text, 0, self.end)
+        for i, tok in enumerate(tokens):
+            if tok not in _PUNCT and not (tok[0].isalpha() and tok[0].islower()):
+                raise self.error(f"unknown token {tok[0]!r}", i)
+        tokens.append("")
         self.tokens = tokens
         self.pos = 0
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError located at token i, counting lines from the origin."""
+        match = next(itertools.islice(_TOKEN.finditer(self.text, 0, self.end), i, None), None)
+        offset = len(self.text) if match is None else match.start(1)
+        line, column = self.origin
+        newline = self.text.rfind("\n", 0, offset)
+        if newline < 0:
+            return ParseError(message, SourceSpan(line, column + offset))
+        return ParseError(
+            message, SourceSpan(line + self.text.count("\n", 0, offset), offset - newline)
+        )
 
-    def advance(self) -> Token:
+    def bound(self, depth: int, i: int) -> int:
+        if depth > MAX_DEPTH:
+            raise self.error(f"formula nests deeper than {MAX_DEPTH} levels", i)
+        return depth
+
+    def expect(self, tok: str, what: str) -> None:
+        if self.tokens[self.pos] != tok:
+            raise self.error(f"expected {what}", self.pos)
+        self.pos += 1
+
+    def parse_formula(self, nest: int) -> tuple[Formula, int]:
+        left, depth = self.parse_imp(nest)
+        while self.tokens[self.pos] == "<->":
+            op = self.pos
+            self.pos += 1
+            right, d = self.parse_imp(nest)
+            left, depth = Iff(left, right), self.bound(max(depth, d) + 5, op)
+        return left, depth
+
+    def parse_imp(self, nest: int) -> tuple[Formula, int]:
+        left, depth = self.parse_or(nest)
+        if self.tokens[self.pos] == "->":
+            op = self.pos
+            self.pos += 1
+            right, d = self.parse_imp(nest + 1)
+            return Implies(left, right), self.bound(max(depth + 1, d) + 1, op)
+        return left, depth
+
+    def parse_or(self, nest: int) -> tuple[Formula, int]:
+        left, depth = self.parse_and(nest)
+        while self.tokens[self.pos] == "|":
+            op = self.pos
+            self.pos += 1
+            right, d = self.parse_and(nest)
+            left, depth = Or(left, right), self.bound(max(depth, d) + 1, op)
+        return left, depth
+
+    def parse_and(self, nest: int) -> tuple[Formula, int]:
+        left, depth = self.parse_not(nest)
+        while self.tokens[self.pos] == "&":
+            op = self.pos
+            self.pos += 1
+            right, d = self.parse_not(nest)
+            left, depth = And(left, right), self.bound(max(depth, d) + 3, op)
+        return left, depth
+
+    def parse_not(self, nest: int) -> tuple[Formula, int]:
+        op = self.pos
+        self.bound(nest, op)
+        tok = self.tokens[op]
+        if tok == "!":
+            self.pos += 1
+            operand, depth = self.parse_not(nest + 1)
+            return Not(operand), self.bound(depth + 1, op)
+        if tok == "(":
+            self.pos += 1
+            inner = self.parse_formula(nest + 1)
+            self.expect(")", "')'")
+            return inner
+        if tok == "eps":
+            self.pos += 1
+            self.expect("(", "'(' after eps")
+            subject = self.parse_variable()
+            self.expect(",", "','")
+            predicate = self.parse_variable()
+            self.expect(")", "')'")
+            return Epsilon(Atom(subject, predicate)), 1
+        raise self.error("expected a formula", op)
+
+    def parse_variable(self) -> str:
         tok = self.tokens[self.pos]
+        if not tok or tok in _PUNCT:
+            raise self.error("expected a variable", self.pos)
+        if not is_valid_variable(tok):
+            raise self.error(f"invalid variable name {tok!r}", self.pos)
         self.pos += 1
         return tok
 
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}", tok.span)
-        return self.advance()
-
-    def parse_formula(self) -> Formula:
-        left = self.parse_imp()
-        while self.peek().kind == "DARROW":
-            self.advance()
-            left = Iff(left, self.parse_imp())
-        return left
-
-    def parse_imp(self) -> Formula:
-        left = self.parse_or()
-        if self.peek().kind == "ARROW":
-            self.advance()
-            return Implies(left, self.parse_imp())
-        return left
-
-    def parse_or(self) -> Formula:
-        left = self.parse_and()
-        while self.peek().kind == "PIPE":
-            self.advance()
-            left = Or(left, self.parse_and())
-        return left
-
-    def parse_and(self) -> Formula:
-        left = self.parse_not()
-        while self.peek().kind == "AMP":
-            self.advance()
-            left = And(left, self.parse_not())
-        return left
-
-    def parse_not(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "BANG":
-            self.advance()
-            return Not(self.parse_not())
-        if tok.kind == "LPAREN":
-            self.advance()
-            inner = self.parse_formula()
-            self.expect("RPAREN", "')'")
-            return inner
-        if tok.kind == "IDENT" and tok.text == "eps":
-            self.advance()
-            self.expect("LPAREN", "'(' after eps")
-            subject = self.parse_variable()
-            self.expect("COMMA", "','")
-            predicate = self.parse_variable()
-            self.expect("RPAREN", "')'")
-            return Epsilon(Atom(subject, predicate))
-        raise ParseError("expected a formula", tok.span)
-
-    def parse_variable(self) -> str:
-        tok = self.peek()
-        if tok.kind != "IDENT":
-            raise ParseError("expected a variable", tok.span)
-        if not is_valid_variable(tok.text):
-            raise ParseError(f"invalid variable name {tok.text!r}", tok.span)
-        self.advance()
-        return tok.text
-
     def parse_substitution_body(self) -> dict[str, str]:
-        self.expect("LBRACE", "'{'")
+        self.expect("{", "'{'")
         mapping: dict[str, str] = {}
-        if self.peek().kind != "RBRACE":
+        if self.tokens[self.pos] != "}":
             while True:
-                src_tok = self.peek()
+                src_pos = self.pos
                 src = self.parse_variable()
-                self.expect("ARROW", "'->'")
+                self.expect("->", "'->'")
                 tgt = self.parse_variable()
                 if src in mapping:
-                    raise ParseError(f"duplicate source variable {src!r}", src_tok.span)
+                    raise self.error(f"duplicate source variable {src!r}", src_pos)
                 mapping[src] = tgt
-                if self.peek().kind != "COMMA":
+                if self.tokens[self.pos] != ",":
                     break
-                self.advance()
-        self.expect("RBRACE", "'}'")
+                self.pos += 1
+        self.expect("}", "'}'")
         return mapping
 
 
 def parse_formula(text: str, line: int = 1, column: int = 1) -> Formula:
-    parser = _Parser(tokenize(text, line, column))
-    if parser.peek().kind == "EOF":
-        raise ParseError("empty input", parser.peek().span)
-    formula = parser.parse_formula()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.text!r} after formula", tok.span)
+    """Parse formula text; line/column give the position of text[0] inside
+    the enclosing source, so errors in schema files and proof scripts point
+    at the real location."""
+    parser = _Parser(text, line, column)
+    if not parser.tokens[0]:
+        raise parser.error("empty input", 0)
+    formula, _ = parser.parse_formula(0)
+    tok = parser.tokens[parser.pos]
+    if tok:
+        raise parser.error(f"unexpected {tok!r} after formula", parser.pos)
     return formula
 
 
 def parse_substitution_mapping(text: str, line: int = 1, column: int = 1) -> dict[str, str]:
     """Parse '{a->b, c->d}' into a plain mapping. '{}' is the identity."""
-    parser = _Parser(tokenize(text, line, column))
+    parser = _Parser(text, line, column)
     mapping = parser.parse_substitution_body()
-    tok = parser.peek()
-    if tok.kind != "EOF":
-        raise ParseError(f"unexpected {tok.text!r} after substitution", tok.span)
+    tok = parser.tokens[parser.pos]
+    if tok:
+        raise parser.error(f"unexpected {tok!r} after substitution", parser.pos)
     return mapping
 
 

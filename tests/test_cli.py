@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, output shapes, determinism."""
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import l1ax
 from l1ax import cli, reports
 from l1ax.cli import main
+from l1ax.syntax import MAX_DEPTH, ParseError, parse_formula, print_formula
 
 
 def run(capsys, *argv):
@@ -217,6 +220,69 @@ def test_unreadable_paths_exit_two_with_one_line(capsys, tmp_path, argv, kind):
     assert err.endswith(f"{str(path)!r}\n")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "!" * 3000 + "eps(a,b)",
+        "(" * 3000 + "eps(a,b)" + ")" * 3000,
+        " & ".join(["eps(a,b)"] * 400),
+    ],
+    ids=["bangs", "parentheses", "flat-conjunction"],
+)
+@pytest.mark.parametrize("command", ["taut", "theorem", "characteristic"])
+def test_deep_formulas_exit_two_with_one_line(capsys, command, text):
+    code, out, err = run(capsys, command, text)
+    assert code == 2
+    assert out == ""
+    assert re.fullmatch(rf"error: error at 1:\d+ \(formula nests deeper than {MAX_DEPTH} levels\)\n", err)
+
+
+# depth exactly MAX_DEPTH: the valid Ax2 under 94 negations (depth 6 + 94),
+# and a flat conjunction of 34 atoms (3 levels per '&')
+AT_THE_CAP = (
+    "!" * 94 + "(eps(a,b) & eps(b,c) -> eps(a,c))",
+    " & ".join(["eps(a,b)"] * 34),
+)
+AT_THE_CAP_COMMANDS = (("taut",), ("theorem",), ("characteristic",), ("characteristic", "--json"))
+
+
+@pytest.mark.parametrize("text", AT_THE_CAP)
+def test_formulas_at_the_depth_cap_run_every_command(capsys, text):
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse_formula("!" + text)
+    f = parse_formula(text)
+    assert parse_formula(print_formula(f)) == f
+    for argv in AT_THE_CAP_COMMANDS:
+        code, out, err = run(capsys, *argv, text)
+        assert (code, err) == (0, ""), argv
+        assert out
+
+
+def test_formulas_at_the_depth_cap_run_under_dash_o():
+    script = (
+        "import sys\n"
+        "from l1ax.cli import main\n"
+        "from l1ax.syntax import parse_formula, print_formula\n"
+        f"for text in {AT_THE_CAP!r}:\n"
+        "    f = parse_formula(text)\n"
+        "    if parse_formula(print_formula(f)) != f:\n"
+        "        sys.exit(1)\n"
+        f"    for argv in {AT_THE_CAP_COMMANDS!r}:\n"
+        "        if main([*argv, text]) != 0:\n"
+        "            sys.exit(1)\n"
+    )
+    src = str(Path(l1ax.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_conjectures_json_rows(capsys):

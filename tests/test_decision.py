@@ -1,7 +1,8 @@
 """The admissible-valuation decision procedure on square atom grids.
 
 The enumeration of admissible valuations is checked against its oracle, the
-brute-force `admissible_mask` over every grid valuation.
+brute-force `admissible_mask` over every grid valuation, and the countermodel
+replay against the one it replaced, which built every instance.
 """
 
 import functools
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 import l1ax
 from l1ax import decision
+from l1ax.axioms import BASE_AXIOMS
 from l1ax.decision import (
     POOL_CAP,
     admissible_count,
@@ -20,10 +22,12 @@ from l1ax.decision import (
     axiom_instances,
     grid_atoms,
     holds_in_all_admissible,
+    instance_tables,
+    is_countermodel,
     is_theorem,
     iter_set_bits,
 )
-from l1ax.formula import And, Atom, Implies, Not, Or, eps, name_variables
+from l1ax.formula import And, Atom, Implies, Not, Or, SchemaEntry, eps, name_variables
 from l1ax.semantics import (
     Valuation,
     evaluate,
@@ -31,6 +35,7 @@ from l1ax.semantics import (
     lowest_set_bit,
     truth_table,
 )
+from l1ax.substitution import instances
 from l1ax.syntax import parse_formula
 
 POOLS = (("a",), ("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d"))
@@ -209,6 +214,69 @@ def test_witness_that_fails_its_replay_raises(monkeypatch):
     monkeypatch.setattr(decision, "_admissible", lambda n: ((0b1101,), (0, 1, 0, 0)))
     with pytest.raises(RuntimeError, match="fails its replay"):
         holds_in_all_admissible(parse_formula("eps(a,b) -> eps(b,a)"), ("a", "b"))
+
+
+def reference_is_countermodel(valuation, formula, schemata, pool):
+    """The replay as it was: build every instance and evaluate it."""
+    return not evaluate(formula, valuation) and all(
+        evaluate(instance, valuation)
+        for schema in schemata
+        for instance in instances(schema, pool)
+    )
+
+
+schema_st = st.recursive(
+    st.builds(eps, st.sampled_from("abcde"), st.sampled_from("abcde")),
+    lambda sub: st.one_of(st.builds(Not, sub), st.builds(Or, sub, sub), st.builds(And, sub, sub)),
+    max_leaves=5,
+).map(lambda body: SchemaEntry.make("S", body))
+
+
+@st.composite
+def replays(draw):
+    """A pool of 3 to 5 names, a formula over it, schemata and a valuation of
+    the pool's grid: a random one, the lowest admissible one refuting the
+    formula, or (pools 3 and 4) the lowest one satisfying every instance of
+    the schemata and refuting the formula."""
+    pool = FIVE[: draw(st.integers(3, 5))]
+    on_pool = st.builds(eps, st.sampled_from(pool), st.sampled_from(pool))
+    formula = draw(
+        st.recursive(
+            on_pool,
+            lambda sub: st.one_of(st.builds(Not, sub), st.builds(Implies, sub, sub)),
+            max_leaves=6,
+        )
+    )
+    schemata = draw(st.one_of(st.just(BASE_AXIOMS), st.lists(schema_st, min_size=1, max_size=2)))
+    grid = grid_atoms(pool)
+    kind = draw(st.sampled_from(["random", "admissible", "lowest"]))
+    if kind == "admissible":
+        witness = holds_in_all_admissible(formula, pool).counter_valuation
+        if witness is not None:
+            return witness, formula, tuple(schemata), pool
+    if kind == "lowest" and len(pool) < 5:
+        mask = full_mask(len(grid)) & ~truth_table(formula, grid)
+        for schema in schemata:
+            for table in instance_tables(schema, pool):
+                mask &= table
+        if mask:
+            return Valuation.at_counter(grid, lowest_set_bit(mask)), formula, tuple(schemata), pool
+    counter = draw(st.integers(0, (1 << len(grid)) - 1))
+    return Valuation.at_counter(grid, counter), formula, tuple(schemata), pool
+
+
+@given(replays())
+def test_countermodel_replay_matches_building_every_instance(replay):
+    assert is_countermodel(*replay) == reference_is_countermodel(*replay)
+
+
+def test_countermodel_replay_rejects_atoms_outside_the_domain():
+    # all true on the ab grid, refuting !eps(a,a); eps(x,y) reaches eps(a,c)
+    valuation = Valuation.at_counter(grid_atoms(("a", "b")), 0)
+    args = (valuation, Not(eps("a", "a")), (SchemaEntry.make("S", eps("x", "y")),), ("a", "b", "c"))
+    for replay in (is_countermodel, reference_is_countermodel):
+        with pytest.raises(ValueError, match=r"atom eps\(a,c\) outside valuation domain"):
+            replay(*args)
 
 
 def test_clear_caches_drops_the_enumeration():

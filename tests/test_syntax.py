@@ -1,13 +1,37 @@
-"""Concrete syntax: parsing, printing, and the round trip between them."""
+"""Concrete syntax: parsing, printing, and the round trip between them.
+
+The regex scanner and index-reading parser of `l1ax.syntax` replaced a
+character-loop tokenizer and a parser over Token objects. That pair is kept
+below, verbatim, as the oracle: both must give the same formula, or the same
+error message and span, on every input within the depth limit.
+"""
+
+import re
+from dataclasses import dataclass
+from importlib import resources
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l1ax.formula import And, Iff, Implies, Not, Or, eps
+from l1ax import proofs, syntax
+from l1ax.formula import (
+    And,
+    Atom,
+    Epsilon,
+    Formula,
+    Iff,
+    Implies,
+    Not,
+    Or,
+    eps,
+    is_valid_variable,
+)
 from l1ax.substitution import Substitution
 from l1ax.syntax import (
+    MAX_DEPTH,
     ParseError,
+    SourceSpan,
     parse_formula,
     parse_schema_file,
     parse_substitution_mapping,
@@ -142,3 +166,359 @@ def test_schema_file_errors_report_their_line():
     with pytest.raises(ParseError) as exc:
         parse_schema_file("X1 := eps(a,b)\nX2 := eps(a,\n")
     assert "error at 2:" in str(exc.value)
+
+
+# the reference implementation: tokenizer and parser as they were before the
+# regex scanner
+
+
+_PUNCT = (
+    ("<->", "DARROW"),
+    ("->", "ARROW"),
+    ("(", "LPAREN"),
+    (")", "RPAREN"),
+    (",", "COMMA"),
+    ("!", "BANG"),
+    ("&", "AMP"),
+    ("|", "PIPE"),
+    ("{", "LBRACE"),
+    ("}", "RBRACE"),
+)
+
+
+@dataclass(frozen=True, slots=True)
+class Token:
+    kind: str
+    text: str
+    span: SourceSpan
+
+
+def tokenize(text: str, line: int = 1, column: int = 1) -> list[Token]:
+    """Token stream for formulas and substitutions, ending with EOF.
+
+    line/column give the position of text[0] inside the enclosing source,
+    so errors in schema files and proof scripts point at the real location.
+    """
+    tokens: list[Token] = []
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            column = 1
+            i += 1
+            continue
+        if ch in " \t\r":
+            column += 1
+            i += 1
+            continue
+        span = SourceSpan(line, column)
+        for lit, kind in _PUNCT:
+            if text.startswith(lit, i):
+                tokens.append(Token(kind, lit, span))
+                i += len(lit)
+                column += len(lit)
+                break
+        else:
+            if ch.isalpha() and ch.islower():
+                j = i
+                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                    j += 1
+                word = text[i:j]
+                tokens.append(Token("IDENT", word, span))
+                column += j - i
+                i = j
+            else:
+                raise ParseError(f"unknown token {ch!r}", span)
+    tokens.append(Token("EOF", "", SourceSpan(line, column)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[Token]):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> Token:
+        return self.tokens[self.pos]
+
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            raise ParseError(f"expected {what}", tok.span)
+        return self.advance()
+
+    def parse_formula(self) -> Formula:
+        left = self.parse_imp()
+        while self.peek().kind == "DARROW":
+            self.advance()
+            left = Iff(left, self.parse_imp())
+        return left
+
+    def parse_imp(self) -> Formula:
+        left = self.parse_or()
+        if self.peek().kind == "ARROW":
+            self.advance()
+            return Implies(left, self.parse_imp())
+        return left
+
+    def parse_or(self) -> Formula:
+        left = self.parse_and()
+        while self.peek().kind == "PIPE":
+            self.advance()
+            left = Or(left, self.parse_and())
+        return left
+
+    def parse_and(self) -> Formula:
+        left = self.parse_not()
+        while self.peek().kind == "AMP":
+            self.advance()
+            left = And(left, self.parse_not())
+        return left
+
+    def parse_not(self) -> Formula:
+        tok = self.peek()
+        if tok.kind == "BANG":
+            self.advance()
+            return Not(self.parse_not())
+        if tok.kind == "LPAREN":
+            self.advance()
+            inner = self.parse_formula()
+            self.expect("RPAREN", "')'")
+            return inner
+        if tok.kind == "IDENT" and tok.text == "eps":
+            self.advance()
+            self.expect("LPAREN", "'(' after eps")
+            subject = self.parse_variable()
+            self.expect("COMMA", "','")
+            predicate = self.parse_variable()
+            self.expect("RPAREN", "')'")
+            return Epsilon(Atom(subject, predicate))
+        raise ParseError("expected a formula", tok.span)
+
+    def parse_variable(self) -> str:
+        tok = self.peek()
+        if tok.kind != "IDENT":
+            raise ParseError("expected a variable", tok.span)
+        if not is_valid_variable(tok.text):
+            raise ParseError(f"invalid variable name {tok.text!r}", tok.span)
+        self.advance()
+        return tok.text
+
+    def parse_substitution_body(self) -> dict[str, str]:
+        self.expect("LBRACE", "'{'")
+        mapping: dict[str, str] = {}
+        if self.peek().kind != "RBRACE":
+            while True:
+                src_tok = self.peek()
+                src = self.parse_variable()
+                self.expect("ARROW", "'->'")
+                tgt = self.parse_variable()
+                if src in mapping:
+                    raise ParseError(f"duplicate source variable {src!r}", src_tok.span)
+                mapping[src] = tgt
+                if self.peek().kind != "COMMA":
+                    break
+                self.advance()
+        self.expect("RBRACE", "'}'")
+        return mapping
+
+
+def reference_parse_formula(text: str, line: int = 1, column: int = 1) -> Formula:
+    parser = _Parser(tokenize(text, line, column))
+    if parser.peek().kind == "EOF":
+        raise ParseError("empty input", parser.peek().span)
+    formula = parser.parse_formula()
+    tok = parser.peek()
+    if tok.kind != "EOF":
+        raise ParseError(f"unexpected {tok.text!r} after formula", tok.span)
+    return formula
+
+
+def reference_parse_substitution_mapping(text: str, line: int = 1, column: int = 1) -> dict[str, str]:
+    """Parse '{a->b, c->d}' into a plain mapping. '{}' is the identity."""
+    parser = _Parser(tokenize(text, line, column))
+    mapping = parser.parse_substitution_body()
+    tok = parser.peek()
+    if tok.kind != "EOF":
+        raise ParseError(f"unexpected {tok.text!r} after substitution", tok.span)
+    return mapping
+
+
+# printer
+
+
+def outcome(parse, *args):
+    """The parse result, or the type, message and span of its ParseError."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return type(exc), exc.message, exc.span
+
+
+def reference_outcome(parse, *args):
+    """outcome() with the reference parser behind every formula and
+    substitution that parse reads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syntax, "parse_formula", reference_parse_formula)
+        mp.setattr(proofs, "parse_formula", reference_parse_formula)
+        mp.setattr(proofs, "parse_substitution_mapping", reference_parse_substitution_mapping)
+        return outcome(parse, *args)
+
+
+blanks = st.text(alphabet=" \t\r\n", max_size=3)
+
+
+@st.composite
+def spaced(draw, f):
+    """f printed, with random blanks, newlines included, between its tokens."""
+    tokens = re.findall(r"<->|->|\w+|\S", print_formula(f))
+    return "".join(tok + draw(blanks) for tok in tokens)
+
+
+# junk from fragments: operators, names, braces, blanks, uppercase, digits,
+# non-ASCII letters and characters no token starts with
+junk = st.lists(
+    st.sampled_from(
+        [
+            "eps(", "eps", "a", "b1", "x_y", "(", ")", ",", "!", "&", "|", "->",
+            "<->", "<-", "<", "-", "{", "}", " ", "\n", "\t", "\r", "\x0b", "A",
+            "Eps", "1", "_", "$", "é²ªß", "ǅ", "eps(a,b)", "{a->b}", "{c->y1, d->a}",
+        ]
+    ),
+    max_size=14,
+).map("".join)
+texts = st.one_of(formulas.flatmap(spaced), junk)
+positions = st.integers(min_value=1, max_value=40)
+
+
+@given(texts, positions, positions)
+def test_parse_formula_matches_the_reference(text, line, column):
+    assert outcome(parse_formula, text, line, column) == outcome(
+        reference_parse_formula, text, line, column
+    )
+
+
+mappings = st.dictionaries(variables, st.sampled_from(["a", "b", "y1", "u2"]), max_size=4)
+substitution_texts = st.one_of(
+    mappings.map(lambda m: str(Substitution.of(m))).flatmap(
+        lambda text: st.lists(blanks, min_size=len(text) + 1, max_size=len(text) + 1).map(
+            lambda gaps: "".join(g + c for g, c in zip(gaps, text + " "))
+        )
+    ),
+    junk,
+)
+
+
+@given(substitution_texts, positions, positions)
+def test_parse_substitution_mapping_matches_the_reference(text, line, column):
+    assert outcome(parse_substitution_mapping, text, line, column) == outcome(
+        reference_parse_substitution_mapping, text, line, column
+    )
+
+
+# "X1" twice, so that duplicate definitions are drawn often
+names = st.sampled_from(["X1", "A_t", "B-2", "x", "1X", "X1"])
+
+
+@given(st.lists(st.tuples(names, blanks, texts, st.sampled_from(["", "  # note"])), max_size=4))
+def test_parse_schema_file_matches_the_reference(lines):
+    text = "\n".join(f"{name} :={gap}{body}{comment}" for name, gap, body, comment in lines)
+    assert outcome(parse_schema_file, text) == reference_outcome(parse_schema_file, text)
+
+
+@given(texts, texts, texts, substitution_texts)
+def test_parse_proof_script_matches_the_reference(assumed, conclusion, step, sigma):
+    text = (
+        f"name: drawn\nassume: S := {assumed}\nconclude: {conclusion}\n"
+        f"s1: {step} ; SCHEMA(S, {sigma})\ns2: {conclusion} ; TAUTCONSEQ(s1)\n"
+    )
+    assert outcome(proofs.parse_proof_script, text) == reference_outcome(
+        proofs.parse_proof_script, text
+    )
+
+
+def test_bundled_sources_parse_as_the_reference_parses_them():
+    root = resources.files("l1ax")
+    corpus_text = root.joinpath("data/corpus.schemata").read_text()
+    assert parse_schema_file(corpus_text) == reference_outcome(parse_schema_file, corpus_text)
+    for entry in root.joinpath("proofs").iterdir():
+        text = entry.read_text()
+        assert proofs.parse_proof_script(text) == reference_outcome(
+            proofs.parse_proof_script, text
+        )
+
+
+def test_an_error_at_the_end_counts_the_trailing_blanks():
+    tail = " \t\r\n" * 2000
+    assert parse_formula("eps(a,b)" + tail) == eps("a", "b")
+    with pytest.raises(ParseError) as exc:
+        parse_formula("eps(a,b) ->" + tail, line=3, column=5)
+    assert exc.value.span == SourceSpan(2003, 1)
+    with pytest.raises(ParseError) as exc:
+        parse_formula("eps(a,b) ->  ", line=3, column=5)
+    assert exc.value.span == SourceSpan(3, 18)
+
+
+def depth(f):
+    """AST depth, an Epsilon counting 1."""
+    if isinstance(f, Not):
+        return 1 + depth(f.operand)
+    if isinstance(f, Or):
+        return 1 + max(depth(f.left), depth(f.right))
+    return 1
+
+
+def chain(op, n):
+    return f" {op} ".join(["eps(a,b)"] * n)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * MAX_DEPTH + "eps(a,b)" + ")" * MAX_DEPTH,
+        "!" * (MAX_DEPTH - 1) + "eps(a,b)",
+        chain("&", 34),
+        chain("->", MAX_DEPTH - 1),
+        chain("|", MAX_DEPTH),
+    ],
+)
+def test_formulas_up_to_the_depth_limit_parse(text):
+    f = parse_formula(text)
+    assert depth(f) <= MAX_DEPTH
+    assert parse_formula(print_formula(f)) == f
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        # nesting: the first token past the limit
+        ("(" * (MAX_DEPTH + 1) + "eps(a,b)" + ")" * (MAX_DEPTH + 1), MAX_DEPTH + 2),
+        ("(" * 3000, MAX_DEPTH + 2),
+        ("!" * 3000 + "eps(a,b)", MAX_DEPTH + 2),
+        # depth: the operator whose node passes the limit
+        ("!" * MAX_DEPTH + "eps(a,b)", 1),
+        (chain("&", 35), 34 * len("eps(a,b) & ") - 1),
+        (chain("&", 400), 34 * len("eps(a,b) & ") - 1),
+        (chain("|", MAX_DEPTH + 1), MAX_DEPTH * len("eps(a,b) | ") - 1),
+        (chain("<->", 21), 20 * len("eps(a,b) <-> ") - 3),
+    ],
+)
+def test_deeper_formulas_fail_as_parse_errors(text, column):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text, line=2)
+    assert exc.value.message == f"formula nests deeper than {MAX_DEPTH} levels"
+    assert exc.value.span == SourceSpan(2, column)
+
+
+def test_parsed_depth_is_the_formula_depth():
+    # the bound holds exactly: one level less than the limit passes
+    for n, expected in ((34, 100), (33, 97)):
+        assert depth(parse_formula(chain("&", n))) == expected
+    assert depth(parse_formula(chain("->", MAX_DEPTH - 1))) == MAX_DEPTH
+    assert depth(parse_formula(chain("<->", 4))) == 16
