@@ -176,7 +176,10 @@ def is_countermodel(
 
     No instance is built. By the substitution lemma sigma(body) holds at v
     iff body holds at v o sigma, the valuation of the body's own atoms that
-    gives eps(x,y) the value of eps(sigma(x),sigma(y)) under v.
+    gives eps(x,y) the value of eps(sigma(x),sigma(y)) under v. The
+    valuation's domain must hold the pool's grid: every image atom is looked
+    up before the body is evaluated, so one outside it raises ValueError
+    even where evaluating the instance would not reach it.
     """
     if evaluate(formula, valuation):
         return False

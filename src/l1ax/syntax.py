@@ -12,9 +12,9 @@ Grammar (binding from loosest to tightest):
 
 One compiled regex splits the input into token strings; the parser reads
 them by index. Positions are not tracked per token: a ParseError's span is
-worked out from the offset of the offending token when it is raised. Input
-nesting deeper than MAX_DEPTH, or parsing to a formula deeper than that, is
-refused with a ParseError.
+worked out from the offset of the offending token when it is raised. A
+formula deeper than MAX_DEPTH, or parentheses nested deeper than MAX_PARENS,
+are refused with a ParseError.
 
 The printer is the exact inverse of the parser on desugared formulas: it
 resugars conjunction, implication and equivalence patterns and emits minimal
@@ -57,16 +57,19 @@ class ParseError(ValueError):
         self.span = span
 
 
-# Bound on both the nesting the parser descends through and the depth of the
-# formula it returns. The parser and every later walk of a formula (compile,
-# substitute, evaluate, print, ==, hash) recurse per level; at the default
-# recursion limit, under pytest, 190 nested parentheses (five parser frames
-# each) or `qnt` on two formulas of depth 314 raise RecursionError.
-MAX_DEPTH = 100
+# Bounds on the input, set from the recursion depths measured at the default
+# recursion limit under pytest. Every walk of a formula (compile, substitute,
+# evaluate, print, ==, hash) recurses per level of its depth, and `qnt` on two
+# formulas of depth 316 raises RecursionError; MAX_DEPTH leaves over a third
+# of that to callers' frames. The parser spends five frames per parenthesis,
+# which add no depth, and overflows at 190 nested ones.
+MAX_DEPTH = 200
+MAX_PARENS = 100
 
 # one token after optional blanks: an operator, a word (\w is exactly
-# str.isalnum() or "_"), or any other single character, refused below
-_TOKEN = re.compile(r"[ \t\r\n]*+(<->|->|[(),!&|{}]|\w+|.)")
+# str.isalnum() or "_"), or any other single character, refused below.
+# The scan ends at the last token, so blanks are always followed by one.
+_TOKEN = re.compile(r"[ \t\r\n]*(<->|->|[(),!&|{}]|\w+|.)")
 _PUNCT = frozenset(("<->", "->", "(", ")", ",", "!", "&", "|", "{", "}"))
 
 
@@ -76,8 +79,10 @@ class _Parser:
     Tokens are plain strings; the span of an error is worked out from the
     text only when the error is raised. The formula methods return the
     formula and its depth after desugaring (an Epsilon is 1, '&' adds 3
-    levels, '<->' 5), and `nest` counts the '!', '(' and right-nested '->'
-    enclosing the current position; both are bounded by MAX_DEPTH.
+    levels, '<->' 5), bounded by MAX_DEPTH. `nest` counts the '!' and
+    right-nested '->' enclosing the current position; each adds a level, so
+    bounding it by MAX_DEPTH as the parser descends refuses no formula the
+    depth bound accepts. `parens` counts the enclosing '(', up to MAX_PARENS.
     """
 
     def __init__(self, text: str, line: int, column: int):
@@ -93,6 +98,7 @@ class _Parser:
         tokens.append("")
         self.tokens = tokens
         self.pos = 0
+        self.parens = 0
 
     def error(self, message: str, i: int) -> ParseError:
         """A ParseError located at token i, counting lines from the origin."""
@@ -161,9 +167,13 @@ class _Parser:
             operand, depth = self.parse_not(nest + 1)
             return Not(operand), self.bound(depth + 1, op)
         if tok == "(":
+            if self.parens == MAX_PARENS:
+                raise self.error(f"parentheses nest deeper than {MAX_PARENS} levels", op)
+            self.parens += 1
             self.pos += 1
-            inner = self.parse_formula(nest + 1)
+            inner = self.parse_formula(nest)
             self.expect(")", "')'")
+            self.parens -= 1
             return inner
         if tok == "eps":
             self.pos += 1

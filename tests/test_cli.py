@@ -12,7 +12,7 @@ import pytest
 import l1ax
 from l1ax import cli, reports
 from l1ax.cli import main
-from l1ax.syntax import MAX_DEPTH, ParseError, parse_formula, print_formula
+from l1ax.syntax import MAX_DEPTH, MAX_PARENS, ParseError, parse_formula, print_formula
 
 
 def run(capsys, *argv):
@@ -223,29 +223,37 @@ def test_unreadable_paths_exit_two_with_one_line(capsys, tmp_path, argv, kind):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, message",
     [
-        "!" * 3000 + "eps(a,b)",
-        "(" * 3000 + "eps(a,b)" + ")" * 3000,
-        " & ".join(["eps(a,b)"] * 400),
+        ("!" * 3000 + "eps(a,b)", f"formula nests deeper than {MAX_DEPTH} levels"),
+        ("(" * 3000 + "eps(a,b)" + ")" * 3000, f"parentheses nest deeper than {MAX_PARENS} levels"),
+        (" & ".join(["eps(a,b)"] * 400), f"formula nests deeper than {MAX_DEPTH} levels"),
     ],
     ids=["bangs", "parentheses", "flat-conjunction"],
 )
 @pytest.mark.parametrize("command", ["taut", "theorem", "characteristic"])
-def test_deep_formulas_exit_two_with_one_line(capsys, command, text):
+def test_deep_formulas_exit_two_with_one_line(capsys, command, text, message):
     code, out, err = run(capsys, command, text)
     assert code == 2
     assert out == ""
-    assert re.fullmatch(rf"error: error at 1:\d+ \(formula nests deeper than {MAX_DEPTH} levels\)\n", err)
+    assert re.fullmatch(rf"error: error at 1:\d+ \({message}\)\n", err)
 
 
-# depth exactly MAX_DEPTH: the valid Ax2 under 94 negations (depth 6 + 94),
-# and a flat conjunction of 34 atoms (3 levels per '&')
+# depth exactly MAX_DEPTH: the valid Ax2 under 194 negations (depth 6 + 194),
+# a conjunction of 67 atoms (3 levels per '&') under one negation, and A_M8
+# under 191 negations (depth 9 + 191), the shape whose `qnt` overflows first
 AT_THE_CAP = (
-    "!" * 94 + "(eps(a,b) & eps(b,c) -> eps(a,c))",
-    " & ".join(["eps(a,b)"] * 34),
+    "!" * 194 + "(eps(a,b) & eps(b,c) -> eps(a,c))",
+    "!(" + " & ".join(["eps(a,b)", "eps(b,c)", "eps(c,a)"] * 22 + ["eps(a,b)"]) + ")",
+    "!" * 191 + "(eps(a,b) & eps(c,d) -> eps(a,a) & eps(c,c) & (eps(b,c) -> eps(a,d) & eps(b,a)))",
 )
-AT_THE_CAP_COMMANDS = (("taut",), ("theorem",), ("characteristic",), ("characteristic", "--json"))
+AT_THE_CAP_COMMANDS = (
+    ("taut",),
+    ("theorem",),
+    ("characteristic",),
+    ("characteristic", "--json"),
+    ("qnt", "A_M8"),
+)
 
 
 @pytest.mark.parametrize("text", AT_THE_CAP)

@@ -270,13 +270,12 @@ def test_countermodel_replay_matches_building_every_instance(replay):
     assert is_countermodel(*replay) == reference_is_countermodel(*replay)
 
 
-def test_countermodel_replay_rejects_atoms_outside_the_domain():
+def test_countermodel_replay_needs_the_pool_grid_in_the_domain():
     # all true on the ab grid, refuting !eps(a,a); eps(x,y) reaches eps(a,c)
     valuation = Valuation.at_counter(grid_atoms(("a", "b")), 0)
     args = (valuation, Not(eps("a", "a")), (SchemaEntry.make("S", eps("x", "y")),), ("a", "b", "c"))
-    for replay in (is_countermodel, reference_is_countermodel):
-        with pytest.raises(ValueError, match=r"atom eps\(a,c\) outside valuation domain"):
-            replay(*args)
+    with pytest.raises(ValueError, match=r"atom eps\(a,c\) outside valuation domain"):
+        is_countermodel(*args)
 
 
 def test_clear_caches_drops_the_enumeration():

@@ -30,6 +30,7 @@ from l1ax.formula import (
 from l1ax.substitution import Substitution
 from l1ax.syntax import (
     MAX_DEPTH,
+    MAX_PARENS,
     ParseError,
     SourceSpan,
     parse_formula,
@@ -481,11 +482,15 @@ def chain(op, n):
 @pytest.mark.parametrize(
     "text",
     [
-        "(" * MAX_DEPTH + "eps(a,b)" + ")" * MAX_DEPTH,
+        "(" * MAX_PARENS + "eps(a,b)" + ")" * MAX_PARENS,
         "!" * (MAX_DEPTH - 1) + "eps(a,b)",
-        chain("&", 34),
+        chain("&", 67),
         chain("->", MAX_DEPTH - 1),
         chain("|", MAX_DEPTH),
+        # siblings do not nest
+        " | ".join(["(eps(a,b))"] * (MAX_PARENS + 50)),
+        # the most parser frames: six per '(!', one per further '!'
+        "(!" * MAX_PARENS + "!" * (MAX_DEPTH - MAX_PARENS - 1) + "eps(a,b)" + ")" * MAX_PARENS,
     ],
 )
 def test_formulas_up_to_the_depth_limit_parse(text):
@@ -497,16 +502,14 @@ def test_formulas_up_to_the_depth_limit_parse(text):
 @pytest.mark.parametrize(
     "text, column",
     [
-        # nesting: the first token past the limit
-        ("(" * (MAX_DEPTH + 1) + "eps(a,b)" + ")" * (MAX_DEPTH + 1), MAX_DEPTH + 2),
-        ("(" * 3000, MAX_DEPTH + 2),
+        # '!' nesting: the first token past the limit
         ("!" * 3000 + "eps(a,b)", MAX_DEPTH + 2),
         # depth: the operator whose node passes the limit
         ("!" * MAX_DEPTH + "eps(a,b)", 1),
-        (chain("&", 35), 34 * len("eps(a,b) & ") - 1),
-        (chain("&", 400), 34 * len("eps(a,b) & ") - 1),
+        (chain("&", 68), 67 * len("eps(a,b) & ") - 1),
+        (chain("&", 400), 67 * len("eps(a,b) & ") - 1),
         (chain("|", MAX_DEPTH + 1), MAX_DEPTH * len("eps(a,b) | ") - 1),
-        (chain("<->", 21), 20 * len("eps(a,b) <-> ") - 3),
+        (chain("<->", 41), 40 * len("eps(a,b) <-> ") - 3),
     ],
 )
 def test_deeper_formulas_fail_as_parse_errors(text, column):
@@ -516,9 +519,25 @@ def test_deeper_formulas_fail_as_parse_errors(text, column):
     assert exc.value.span == SourceSpan(2, column)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(" * (MAX_PARENS + 1) + "eps(a,b)" + ")" * (MAX_PARENS + 1),
+        "(" * 3000,
+        "(!" * 3000,
+    ],
+)
+def test_deeper_parentheses_fail_at_the_first_one_past_the_limit(text):
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text, line=2)
+    assert exc.value.message == f"parentheses nest deeper than {MAX_PARENS} levels"
+    past = [i for i, c in enumerate(text) if c == "("][MAX_PARENS]
+    assert exc.value.span == SourceSpan(2, past + 1)
+
+
 def test_parsed_depth_is_the_formula_depth():
-    # the bound holds exactly: one level less than the limit passes
-    for n, expected in ((34, 100), (33, 97)):
-        assert depth(parse_formula(chain("&", n))) == expected
+    # the parser's count is exact: a conjunction of n atoms is 3n - 2 deep
+    for n in (33, 34, 66, 67):
+        assert depth(parse_formula(chain("&", n))) == 3 * n - 2
     assert depth(parse_formula(chain("->", MAX_DEPTH - 1))) == MAX_DEPTH
     assert depth(parse_formula(chain("<->", 4))) == 16
