@@ -10,6 +10,7 @@ command are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -31,27 +32,33 @@ class UsageError(Exception):
     pass
 
 
-def _resolve(text: str, corpus: Corpus) -> SchemaEntry:
+Loader = Callable[[], Corpus]
+
+
+def _resolve(text: str, corpus: Loader) -> SchemaEntry:
     """A corpus name if it matches one exactly, else parsed formula text.
 
     Every formula contains "eps(", so text shaped like a schema name is
-    never a formula: when the corpus lacks it, it is an unknown name.
+    never a formula: it names a corpus entry or none. Every corpus key
+    has that shape, so only such text needs the corpus read.
     """
-    if text in corpus:
-        return corpus[text]
-    if is_valid_schema_name(text):
+    if not is_valid_schema_name(text):
+        body = parse_formula(text)
+        return SchemaEntry.make(print_formula(body), body)
+    known = corpus()
+    if text not in known:
         raise UsageError(
             f"unknown schema name {text!r}; known names: "
-            + ", ".join(corpus.names())
+            + ", ".join(known.names())
         )
-    body = parse_formula(text)
-    return SchemaEntry.make(print_formula(body), body)
+    return known[text]
 
 
 # name -> (help, arguments as (name or flag, add_argument options), run);
-# run returns the JSON payload without "command", the text and the exit code
-Outcome = tuple[dict, str, int]
-Run = Callable[[argparse.Namespace, Corpus], Outcome]
+# run returns the JSON payload without "command" and the text, each unrendered
+# until main prints it, and the exit code
+Outcome = tuple[Callable[[], dict], Callable[[], str], int]
+Run = Callable[[argparse.Namespace, Loader], Outcome]
 COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...], Run]] = {}
 
 
@@ -68,19 +75,25 @@ _SCHEMA = ("schema", dict(help="schema name or formula text"))
 
 
 @_command("taut", "classical tautology check", _FORMULA)
-def _taut(args: argparse.Namespace, corpus: Corpus) -> Outcome:
+def _taut(args: argparse.Namespace, corpus: Loader) -> Outcome:
     body = _resolve(args.formula, corpus).body
     verdict = is_tautology(body)
-    payload = {"formula": print_formula(body), **reports.jsonable(verdict)}
-    return payload, reports.taut_text(verdict), 0
+    return (
+        lambda: {"formula": print_formula(body), **reports.jsonable(verdict)},
+        lambda: reports.taut_text(verdict),
+        0,
+    )
 
 
 @_command("theorem", "validity over all admissible valuations", _FORMULA)
-def _theorem(args: argparse.Namespace, corpus: Corpus) -> Outcome:
+def _theorem(args: argparse.Namespace, corpus: Loader) -> Outcome:
     body = _resolve(args.formula, corpus).body
     verdict = is_theorem(body)
-    payload = {"formula": print_formula(body), **reports.jsonable(verdict)}
-    return payload, reports.theorem_text(verdict), 0
+    return (
+        lambda: {"formula": print_formula(body), **reports.jsonable(verdict)},
+        lambda: reports.theorem_text(verdict),
+        0,
+    )
 
 
 @_command(
@@ -92,11 +105,11 @@ def _theorem(args: argparse.Namespace, corpus: Corpus) -> Outcome:
         dict(default="A_t", help="reference schema name or formula (default A_t)"),
     ),
 )
-def _nontrivial(args: argparse.Namespace, corpus: Corpus) -> Outcome:
+def _nontrivial(args: argparse.Namespace, corpus: Loader) -> Outcome:
     subject = _resolve(args.schema, corpus)
     reference = _resolve(args.ref, corpus)
     report = triviality(subject, reference)
-    return reports.jsonable(report), reports.triviality_text(report), 0
+    return lambda: reports.jsonable(report), lambda: reports.triviality_text(report), 0
 
 
 @_command(
@@ -105,11 +118,11 @@ def _nontrivial(args: argparse.Namespace, corpus: Corpus) -> Outcome:
     ("left", _SCHEMA[1]),
     ("right", _SCHEMA[1]),
 )
-def _qnt(args: argparse.Namespace, corpus: Corpus) -> Outcome:
+def _qnt(args: argparse.Namespace, corpus: Loader) -> Outcome:
     left = _resolve(args.left, corpus)
     right = _resolve(args.right, corpus)
     report = quasi_triviality(left, right)
-    return reports.jsonable(report), reports.qnt_text(report), 0
+    return lambda: reports.jsonable(report), lambda: reports.qnt_text(report), 0
 
 
 @_command(
@@ -120,19 +133,23 @@ def _qnt(args: argparse.Namespace, corpus: Corpus) -> Outcome:
         dict(metavar="FILE", help="schema file whose entries form the matrix"),
     ),
 )
-def _matrix(args: argparse.Namespace, corpus: Corpus) -> Outcome:
+def _matrix(args: argparse.Namespace, corpus: Loader) -> Outcome:
     if args.corpus is not None:
         entries = tuple(load_corpus(Path(args.corpus)))
     else:
-        entries = corpus.established_five()
+        entries = corpus().established_five()
     cells = qnt_matrix(entries, explain=False)
-    payload = {
-        "entries": [e.name for e in entries],
-        "cells": {
-            f"{a}|{b}": reports.qnt_summary(cell) for (a, b), cell in cells.items()
+    return (
+        lambda: {
+            "entries": [e.name for e in entries],
+            "cells": {
+                f"{a}|{b}": reports.qnt_summary(cell)
+                for (a, b), cell in cells.items()
+            },
         },
-    }
-    return payload, reports.matrix_text(cells), 0
+        lambda: reports.matrix_text(cells),
+        0,
+    )
 
 
 @_command(
@@ -149,10 +166,14 @@ def _matrix(args: argparse.Namespace, corpus: Corpus) -> Outcome:
         ),
     ),
 )
-def _characteristic(args: argparse.Namespace, corpus: Corpus) -> Outcome:
+def _characteristic(args: argparse.Namespace, corpus: Loader) -> Outcome:
     entry = _resolve(args.schema, corpus)
     report = characterize(entry, max_pool=args.max_pool)
-    return reports.jsonable(report), reports.characterization_text(report), 0
+    return (
+        lambda: reports.jsonable(report),
+        lambda: reports.characterization_text(report),
+        0,
+    )
 
 
 @_command(
@@ -160,26 +181,39 @@ def _characteristic(args: argparse.Namespace, corpus: Corpus) -> Outcome:
     "check a proof script file",
     ("file", dict(help="path to a .proof script")),
 )
-def _check_proof(args: argparse.Namespace, corpus: Corpus) -> Outcome:
+def _check_proof(args: argparse.Namespace, corpus: Loader) -> Outcome:
     result = check_proof(load_proof_file(args.file))
-    text = reports.proof_check_text(result)
-    return reports.jsonable(result), text, 0 if result.ok else 1
+    return (
+        lambda: reports.jsonable(result),
+        lambda: reports.proof_check_text(result),
+        0 if result.ok else 1,
+    )
 
 
 @_command("verify", "re-derive every established claim against the corpus")
-def _verify(args: argparse.Namespace, corpus: Corpus) -> Outcome:
-    report = run_verification(corpus)
-    text = reports.verification_text(report)
-    return reports.jsonable(report), text, 0 if report.ok else 1
+def _verify(args: argparse.Namespace, corpus: Loader) -> Outcome:
+    report = run_verification(corpus())
+    return (
+        lambda: reports.jsonable(report),
+        lambda: reports.verification_text(report),
+        0 if report.ok else 1,
+    )
 
 
 @_command("conjectures", "full verdict sweep over the conjectured schemata")
-def _conjectures(args: argparse.Namespace, corpus: Corpus) -> Outcome:
-    rows = conjecture_report(corpus)
-    return {"rows": reports.jsonable(rows)}, reports.conjecture_text(rows), 0
+def _conjectures(args: argparse.Namespace, corpus: Loader) -> Outcome:
+    rows = conjecture_report(corpus())
+    return (
+        lambda: {"rows": reports.jsonable(rows)},
+        lambda: reports.conjecture_text(rows),
+        0,
+    )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: a constant of the
+    program, like the compiled scanner, so clear_caches() keeps it."""
     parser = argparse.ArgumentParser(
         prog="l1ax",
         description=(
@@ -207,15 +241,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _corpus_loader(path: str | None) -> Loader:
+    """The corpus of one request: the bundled one is read on first use, at
+    most once; a --corpus-file is read at once, so a bad file fails every
+    command."""
+    if path is not None:
+        corpus = load_corpus(Path(path))
+        return lambda: corpus
+    return functools.cache(load_corpus)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        corpus = (
-            load_corpus(Path(args.corpus_file))
-            if args.corpus_file is not None
-            else load_corpus()
+        payload, text, code = COMMANDS[args.command][2](
+            args, _corpus_loader(args.corpus_file)
         )
-        payload, text, code = COMMANDS[args.command][2](args, corpus)
+        if args.json:
+            output = json.dumps(
+                {"command": args.command, **payload()}, indent=2, sort_keys=True
+            )
+        else:
+            output = text()
     except (
         UsageError,
         ParseError,
@@ -229,11 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
-    if args.json:
-        payload = {"command": args.command, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        print(text)
+    print(output)
     return code
 
 

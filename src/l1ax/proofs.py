@@ -233,52 +233,61 @@ def check_proof(script: ProofScript) -> ProofCheckResult:
 # script text parsing
 
 
-def _split_args(text: str, span: SourceSpan) -> list[str]:
-    args: list[str] = []
+def _strip_at(text: str, column: int) -> tuple[str, int]:
+    """text without surrounding blanks, and the column of its first
+    character, given the column of text[0]."""
+    body = text.lstrip()
+    return body.rstrip(), column + len(text) - len(body)
+
+
+def _split_args(text: str, column: int, span: SourceSpan) -> list[tuple[str, int]]:
+    """The top-level comma-separated arguments, each stripped and with its
+    column; column is that of text[0]."""
+    args: list[tuple[str, int]] = []
     depth = 0
-    current = ""
-    for ch in text:
+    start = 0
+    for i, ch in enumerate(text):
         if ch == "{":
             depth += 1
         elif ch == "}":
             depth -= 1
-        if ch == "," and depth == 0:
-            args.append(current.strip())
-            current = ""
-        else:
-            current += ch
-    if current.strip():
-        args.append(current.strip())
+        elif ch == "," and depth == 0:
+            args.append(_strip_at(text[start:i], column + start))
+            start = i + 1
+    if text[start:].strip():
+        args.append(_strip_at(text[start:], column + start))
     if depth != 0:
         raise ParseError("unbalanced braces in justification", span)
     return args
 
 
-def _parse_sigma(arg: str, lineno: int) -> Substitution:
-    return Substitution.of(parse_substitution_mapping(arg, line=lineno))
-
-
-def _parse_justification(text: str, lineno: int) -> Justification:
+def _parse_justification(text: str, lineno: int, column: int) -> Justification:
     span = SourceSpan(lineno, 1)
-    text = text.strip()
+    text, column = _strip_at(text, column)
     if text == "TAUT":
         return Taut()
     if "(" not in text or not text.endswith(")"):
         raise ParseError(f"malformed justification {text!r}", span)
     head, _, inner = text.partition("(")
+    pieces = _split_args(inner[:-1], column + len(head) + 1, span)
+    args = [arg for arg, _ in pieces]
     head = head.strip()
-    args = _split_args(inner[:-1], span)
+
+    def sigma() -> Substitution:
+        arg, at = pieces[1]
+        return Substitution.of(parse_substitution_mapping(arg, line=lineno, column=at))
+
     if head == "AXIOM":
         if len(args) == 1:
             return AxiomRef(args[0], Substitution.identity())
         if len(args) == 2:
-            return AxiomRef(args[0], _parse_sigma(args[1], lineno))
+            return AxiomRef(args[0], sigma())
         raise ParseError("AXIOM takes a name and an optional substitution", span)
     if head == "SCHEMA":
         if len(args) == 1:
             return SchemaRef(args[0], Substitution.identity())
         if len(args) == 2:
-            return SchemaRef(args[0], _parse_sigma(args[1], lineno))
+            return SchemaRef(args[0], sigma())
         raise ParseError("SCHEMA takes a name and an optional substitution", span)
     if head == "MP":
         if len(args) != 2:
@@ -287,7 +296,7 @@ def _parse_justification(text: str, lineno: int) -> Justification:
     if head == "SUBST":
         if len(args) != 2:
             raise ParseError("SUBST takes a line label and a substitution", span)
-        return Subst(args[0], _parse_sigma(args[1], lineno))
+        return Subst(args[0], sigma())
     if head == "TAUTCONSEQ":
         if not args:
             raise ParseError("TAUTCONSEQ needs at least one line label", span)
@@ -304,31 +313,32 @@ def parse_proof_script(text: str, default_name: str = "script") -> ProofScript:
     seen_labels: set[str] = set()
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+        # column counts from 1 at the line's start, so errors point into it
+        stripped, column = _strip_at(raw.split("#", 1)[0], 1)
         if not stripped:
             continue
         span = SourceSpan(lineno, 1)
         if ":" not in stripped:
             raise ParseError("expected 'label: formula ; JUSTIFICATION'", span)
         head, _, rest = stripped.partition(":")
+        rest, column = _strip_at(rest, column + len(head) + 1)
         head = head.strip()
-        rest = rest.strip()
         if head == "name":
             name = rest
         elif head == "assume":
             if ":=" not in rest:
                 raise ParseError("assume needs 'Name := formula'", span)
             schema_name, _, formula_text = rest.partition(":=")
-            schema_name = schema_name.strip()
-            body = parse_formula(formula_text.strip(), line=lineno)
-            assumptions.append(SchemaEntry.make(schema_name, body))
+            formula_text, column = _strip_at(formula_text, column + len(schema_name) + 2)
+            body = parse_formula(formula_text, line=lineno, column=column)
+            assumptions.append(SchemaEntry.make(schema_name.strip(), body))
         elif head == "meta":
             if "=" not in rest:
                 raise ParseError("meta needs 'key = value'", span)
             key, _, value = rest.partition("=")
             metadata[key.strip()] = value.strip()
         elif head == "conclude":
-            conclusion = parse_formula(rest, line=lineno)
+            conclusion = parse_formula(rest, line=lineno, column=column)
         else:
             if head in DIRECTIVES or not head or not head.replace("_", "").isalnum():
                 raise ParseError(f"invalid step label {head!r}", span)
@@ -337,8 +347,11 @@ def parse_proof_script(text: str, default_name: str = "script") -> ProofScript:
             if ";" not in rest:
                 raise ParseError("step needs 'formula ; JUSTIFICATION'", span)
             formula_text, _, just_text = rest.rpartition(";")
-            formula = parse_formula(formula_text.strip(), line=lineno)
-            justification = _parse_justification(just_text, lineno)
+            step_text, step_column = _strip_at(formula_text, column)
+            formula = parse_formula(step_text, line=lineno, column=step_column)
+            justification = _parse_justification(
+                just_text, lineno, column + len(formula_text) + 1
+            )
             seen_labels.add(head)
             lines.append(ProofLine(head, formula, justification))
 

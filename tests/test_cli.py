@@ -12,7 +12,14 @@ import pytest
 import l1ax
 from l1ax import cli, reports
 from l1ax.cli import main
-from l1ax.syntax import MAX_DEPTH, MAX_PARENS, ParseError, parse_formula, print_formula
+from l1ax.syntax import (
+    MAX_DEPTH,
+    MAX_PARENS,
+    ParseError,
+    SourceSpan,
+    parse_formula,
+    print_formula,
+)
 
 
 def run(capsys, *argv):
@@ -349,3 +356,173 @@ def test_readme_usage_lists_exactly_the_commands():
 def test_jsonable_rejects_objects_without_a_json_form():
     with pytest.raises(TypeError, match="no JSON form for object"):
         reports.jsonable(object())
+
+
+# a request reads the bundled corpus only to resolve a name-shaped argument,
+# or for verify, conjectures and matrix without --corpus
+
+
+@pytest.fixture
+def loads(monkeypatch):
+    """The arguments of every load_corpus call the command line makes."""
+    calls = []
+    real = cli.load_corpus
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "load_corpus", counted)
+    return calls
+
+
+def _bundled_script(name):
+    return str(l1ax.proofs.resources.files("l1ax").joinpath(f"proofs/{name}.proof"))
+
+
+SYMMETRY = "eps(a,b) -> eps(b,a)"
+A_M8_TEXT = (
+    "eps(a,b) & eps(c,d) -> eps(a,a) & eps(c,c) & (eps(b,c) -> eps(a,d) & eps(b,a))"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("taut", SYMMETRY),
+        ("theorem", SYMMETRY),
+        ("characteristic", SYMMETRY, "--max-pool", "3"),
+        ("check-proof", "{script}"),
+        ("qnt", A_M8_TEXT, A_M8_TEXT),
+        ("nontrivial", A_M8_TEXT, "--ref", A_M8_TEXT),
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_formula_text_reads_no_corpus(capsys, loads, argv, json_flag):
+    script = _bundled_script("s3_from_base")
+    code, out, _ = run(capsys, *(a.format(script=script) for a in argv), *json_flag)
+    assert code == 0
+    assert loads == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("qnt", "A_M8", "A_S1"),
+        ("nontrivial", A_M8_TEXT),
+        ("theorem", "A_M9"),
+        ("verify",),
+        ("conjectures",),
+        ("matrix",),
+    ],
+    ids=" ".join,
+)
+def test_a_name_reads_the_bundled_corpus_once(capsys, loads, argv):
+    run(capsys, *argv)
+    assert loads == [()]
+
+
+def test_matrix_over_a_file_reads_no_bundled_corpus(capsys, loads, tmp_path):
+    path = tmp_path / "one.schemata"
+    path.write_text(f"M := {A_M8_TEXT}\n")
+    code, out, _ = run(capsys, "matrix", "--corpus", str(path))
+    assert code == 0
+    assert out.startswith("entries: M\n")
+    assert loads == [(Path(path),)]
+
+
+def test_a_missing_corpus_file_fails_before_the_command_runs(capsys, loads, tmp_path):
+    path = tmp_path / "nope.schemata"
+    code, out, err = run(capsys, "taut", SYMMETRY, "--corpus-file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: [Errno ")
+    assert err.count("\n") == 1
+    assert loads == [(Path(path),)]
+
+
+# main renders only the output it prints
+
+RENDER_ARGVS = [
+    ("taut", SYMMETRY),
+    ("theorem", "A_M8"),
+    ("nontrivial", "A_M8"),
+    ("qnt", "A_S1", "A_S2"),
+    ("matrix",),
+    ("characteristic", "A_S3", "--max-pool", "3"),
+    ("check-proof", "{script}"),
+    ("check-proof", "{broken}"),
+    ("verify",),
+    ("conjectures",),
+]
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """Names of the reports functions called, jsonable and every *_text."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in dir(reports):
+        if name == "jsonable" or name.endswith("_text"):
+            monkeypatch.setattr(reports, name, counted(name, getattr(reports, name)))
+    return calls
+
+
+@pytest.mark.parametrize("argv", RENDER_ARGVS, ids=" ".join)
+def test_only_the_requested_format_is_rendered(capsys, renders, tmp_path, argv):
+    broken = tmp_path / "broken.proof"
+    broken.write_text(
+        Path(_bundled_script("s3_from_base"))
+        .read_text()
+        .replace("eps(b,b) ; AXIOM(Ax1", "eps(b,a) ; AXIOM(Ax1")
+    )
+    argv = [a.format(script=_bundled_script("s3_from_base"), broken=broken) for a in argv]
+    code, _, _ = run(capsys, *argv)
+    assert code in (0, 1)
+    assert renders and "jsonable" not in renders
+    renders.clear()
+    assert run(capsys, *argv, "--json")[0] == code
+    assert renders and not any(name.endswith("_text") for name in renders)
+
+
+def test_the_parser_is_built_once_and_survives_clear_caches():
+    parser = cli.build_parser()
+    l1ax.clear_caches()
+    assert cli.build_parser() is parser
+
+
+def test_reusing_the_parser_leaks_no_state_between_requests(tmp_path):
+    from test_cli_snapshots import DATA, _argvs, _snapshot, _write_files
+
+    files = _write_files(tmp_path)
+    expected = json.loads(DATA.read_text())
+    argvs = _argvs()
+    for argv in argvs + argvs[::-1]:
+        assert _snapshot(argv, files) == expected[" ".join(argv)], argv
+
+
+def test_proof_script_errors_point_at_their_column():
+    from l1ax.proofs import parse_proof_script
+
+    text = Path(_bundled_script("base_from_m8")).read_text()
+    with pytest.raises(ParseError, match=r"^error at 9:9 \(unknown token 'A'\)$"):
+        parse_proof_script(text.replace("s2: eps(", "s2: eps(A,a) & eps(", 1))
+    # an uppercase B in an assumed schema, the conclusion, and a justification
+    # map, each behind extra blanks
+    for old, new in [
+        ("assume: A_M8 := eps(a,b)", "assume:  A_M8  :=  eps(a,B)"),
+        ("conclude: (eps(a,b)", "conclude:   (eps(a,B)"),
+        ("s1: eps", "  s1:  eps"),
+    ]:
+        script = text.replace(old, new).replace("{c->a, d->b}", "{c->a,  d->B}")
+        lineno, line = next((i, l) for i, l in enumerate(script.splitlines(), 1) if "B" in l)
+        with pytest.raises(ParseError) as exc:
+            parse_proof_script(script)
+        assert exc.value.span == SourceSpan(lineno, line.index("B") + 1)

@@ -5,12 +5,20 @@ placeholders unexpanded) to [exit code, sha256 of stdout]. Regenerate it
 only for an intended output change:
 
     PYTHONPATH=src python tests/test_cli_snapshots.py
+
+The same table is checked once more under Python 3.10, the floor pyproject
+declares, when a python3.10 that starts is on PATH (under pyenv, list a 3.10
+in PYENV_VERSION after the main version); that interpreter needs no pytest.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -102,6 +110,56 @@ def test_every_case_is_recorded():
 @pytest.mark.parametrize("argv", _argvs(), ids=" ".join)
 def test_output_matches_the_snapshot(argv, files):
     assert _snapshot(argv, files) == json.loads(DATA.read_text())[" ".join(argv)]
+
+
+# replays the snapshot argvs in one process of the declared floor, which has
+# no pytest: argvs in on stdin, [exit code, digest] pairs out on stdout
+FLOOR_SCRIPT = """
+import contextlib, hashlib, io, json, sys
+from l1ax.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, hashlib.sha256(out.getvalue().encode()).hexdigest()])
+json.dump(results, sys.stdout)
+"""
+
+
+def _floor_python() -> str | None:
+    """A python3.10 that starts, if there is one: pyproject declares >=3.10."""
+    if sys.version_info[:2] == (3, 10):
+        return sys.executable
+    found = shutil.which("python3.10")
+    if found is None:
+        return None
+    probe = subprocess.run(
+        [found, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return found if probe.stdout.strip() == "True" else None
+
+
+def test_every_case_matches_the_snapshot_on_python_3_10(files):
+    python = _floor_python()
+    if python is None:
+        pytest.skip("no working python3.10 on PATH")
+    argvs = _argvs()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [python, "-c", FLOOR_SCRIPT],
+        input=json.dumps([[arg.format(**files) for arg in argv] for argv in argvs]),
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    expected = json.loads(DATA.read_text())
+    assert json.loads(proc.stdout) == [expected[" ".join(argv)] for argv in argvs]
 
 
 if __name__ == "__main__":
