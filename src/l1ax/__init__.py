@@ -91,7 +91,8 @@ __version__ = "0.1.0"
 def clear_caches() -> None:
     """Drop every internal memoization (truth-table tiles, enumerated
     admissible valuations, compiled schema bodies, hypothesis verdicts,
-    checked bundled derivations); used by the slow-path oracle tests."""
+    checked bundled derivations, the bundled scripts' directive index);
+    used by the slow-path oracle tests."""
     _semantics.clear_caches()
     _decision.clear_caches()
     _criteria.clear_caches()

@@ -24,7 +24,7 @@ from .decision import (
     is_theorem,
 )
 from .formula import Atom, Formula, NameVar, SchemaEntry
-from .proofs import ProofLine, ProofScript, SchemaRef, TautConseq, derived_conclusions
+from .proofs import ProofLine, ProofScript, SchemaRef, TautConseq, derivation_of
 from .semantics import Valuation, entails, full_mask, lowest_set_bit, truth_table
 from .substitution import Substitution
 
@@ -158,7 +158,9 @@ def characterize(entry: SchemaEntry, max_pool: int = 4) -> CharacterizationRepor
 
     derivation_script names a bundled assumption-free proof of the schema
     body when one exists, upgrading the validity verdict from exhaustive
-    semantics to a checked derivation.
+    semantics to a checked derivation. It is looked up by stated
+    conclusion (proofs.derivation_of), so only a script that concludes the
+    body, or states no conclusion, is parsed and checked.
     """
     validity = is_theorem(entry.body)
     recoveries = recover_axioms(entry, max_pool=max_pool)
@@ -169,7 +171,7 @@ def characterize(entry: SchemaEntry, max_pool: int = 4) -> CharacterizationRepor
         recoveries=recoveries,
         characteristic=characteristic,
         max_pool=max_pool,
-        derivation_script=derived_conclusions().get(entry.body),
+        derivation_script=derivation_of(entry.body),
     )
 
 

@@ -2,9 +2,9 @@
 
 Exit codes: 0 when the requested verdict was computed (whatever it is),
 1 when a proof check or the verification battery reports failures, and
-2 for usage problems — parse errors, unknown names, or a comparison the
-criteria do not cover. Output is deterministic: two runs of the same
-command are byte-identical.
+2 for usage problems — parse errors, unknown names, a comparison the
+criteria do not cover, or an input beyond a size limit. Output is
+deterministic: two runs of the same command are byte-identical.
 """
 
 from __future__ import annotations

@@ -55,6 +55,10 @@ from .substitution import (
     padded_targets,
 )
 
+# renamings one sweep may walk: a chain schema of 8 variables takes about
+# 2 s in explain mode, and each further variable multiplies that by its count
+MAP_BUDGET = math.factorial(8)
+
 QT_VERDICTS = ("quasi-trivial", "quasi-nontrivial")
 TRIV_VERDICTS = ("trivial", "nontrivial")
 
@@ -143,9 +147,17 @@ class _Kernel:
     variables, and of the target, coded over targets. It is None when the
     two bodies have more than ATOM_BUDGET atoms between them: then some
     renaming may exceed the budget, and no map may be skipped before it.
+    More than MAP_BUDGET renamings raise BudgetError before anything is
+    compiled.
     """
 
     def __init__(self, source: SchemaEntry, target: SchemaEntry, fresh_prefix: str):
+        maps = math.factorial(source.arity)
+        if maps > MAP_BUDGET:
+            raise BudgetError(
+                f"{source.arity} variables make {maps} renamings, "
+                f"beyond the budget of {MAP_BUDGET}"
+            )
         self.source, self.target = source, target
         self.targets = padded_targets(source.variables, target.variables, fresh_prefix)
         n = len(self.targets)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .axioms import AXIOMS_BY_NAME
 from .formula import Formula, Implies, SchemaEntry
@@ -304,6 +304,24 @@ def _parse_justification(text: str, lineno: int, column: int) -> Justification:
     raise ParseError(f"unknown justification {head!r}", span)
 
 
+def _script_lines(text: str) -> Iterator[tuple[int, str, str, int]]:
+    """Each line of a script that is not blank once its '#' comment is cut,
+    as (line number, head, rest, column of rest): head is the text before
+    the first ':', rest the text after it, both stripped. Columns count
+    from 1 at the line's start, so errors point into it."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        stripped, column = _strip_at(raw.split("#", 1)[0], 1)
+        if not stripped:
+            continue
+        if ":" not in stripped:
+            raise ParseError(
+                "expected 'label: formula ; JUSTIFICATION'", SourceSpan(lineno, 1)
+            )
+        head, _, rest = stripped.partition(":")
+        rest, column = _strip_at(rest, column + len(head) + 1)
+        yield lineno, head.strip(), rest, column
+
+
 def parse_proof_script(text: str, default_name: str = "script") -> ProofScript:
     name = default_name
     assumptions: list[SchemaEntry] = []
@@ -312,17 +330,8 @@ def parse_proof_script(text: str, default_name: str = "script") -> ProofScript:
     lines: list[ProofLine] = []
     seen_labels: set[str] = set()
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        # column counts from 1 at the line's start, so errors point into it
-        stripped, column = _strip_at(raw.split("#", 1)[0], 1)
-        if not stripped:
-            continue
+    for lineno, head, rest, column in _script_lines(text):
         span = SourceSpan(lineno, 1)
-        if ":" not in stripped:
-            raise ParseError("expected 'label: formula ; JUSTIFICATION'", span)
-        head, _, rest = stripped.partition(":")
-        rest, column = _strip_at(rest, column + len(head) + 1)
-        head = head.strip()
         if head == "name":
             name = rest
         elif head == "assume":
@@ -371,16 +380,23 @@ def load_proof_file(path: str | Path) -> ProofScript:
     return parse_proof_script(p.read_text(), default_name=p.stem)
 
 
+def _bundled_texts() -> list[tuple[str, str]]:
+    """(file stem, text) of every script in the proofs/ data directory, in
+    file-name order."""
+    root = resources.files("l1ax").joinpath("proofs")
+    return [
+        (entry.name[: -len(".proof")], entry.read_text())
+        for entry in sorted(root.iterdir(), key=lambda e: e.name)
+        if entry.name.endswith(".proof")
+    ]
+
+
 def bundled_scripts() -> dict[str, ProofScript]:
     """All proof scripts shipped in the proofs/ data directory, by name."""
     out: dict[str, ProofScript] = {}
-    root = resources.files("l1ax").joinpath("proofs")
-    for entry in sorted(root.iterdir(), key=lambda e: e.name):
-        if entry.name.endswith(".proof"):
-            script = parse_proof_script(
-                entry.read_text(), default_name=entry.name[: -len(".proof")]
-            )
-            out[script.name] = script
+    for stem, text in _bundled_texts():
+        script = parse_proof_script(text, default_name=stem)
+        out[script.name] = script
     return out
 
 
@@ -389,11 +405,13 @@ def check_bundled_proofs() -> dict[str, ProofCheckResult]:
 
 
 def derived_conclusions() -> Mapping[Formula, str]:
-    """Conclusions of assumption-free bundled scripts that check out.
+    """Conclusions of assumption-free bundled scripts that check out, each
+    mapped to the first such script in bundled_scripts() order.
 
-    Used to upgrade 'valid (admissible semantics)' verdicts to
-    'provable (derivation checked)'. The scripts are parsed and checked
-    once; clear_caches() makes the next call check them again.
+    The full map parses every bundled script and checks every
+    assumption-free one, once until clear_caches(). Verdicts look a single
+    formula up through derivation_of instead, which gives the same answer;
+    this map stays as the public listing and as its test oracle.
     """
     return _derived_conclusions()
 
@@ -409,5 +427,53 @@ def _derived_conclusions() -> Mapping[Formula, str]:
     return MappingProxyType(out)
 
 
+@functools.cache
+def _directive_index() -> tuple[tuple[Formula | None, str, str], ...]:
+    """(stated conclusion or None, file stem, text) of every
+    assumption-free bundled script, in bundled_scripts() order.
+
+    Only the directive lines are read; of the formulas, only conclude: is
+    parsed. Like bundled_scripts(), a later file with the same name:
+    replaces an earlier one in the earlier one's place.
+    """
+    by_name: dict[str, tuple[bool, Formula | None, str, str]] = {}
+    for stem, text in _bundled_texts():
+        name, assumes, conclusion = stem, False, None
+        for lineno, head, rest, column in _script_lines(text):
+            if head == "name":
+                name = rest
+            elif head == "assume":
+                assumes = True
+            elif head == "conclude":
+                conclusion = parse_formula(rest, line=lineno, column=column)
+        by_name[name] = (assumes, conclusion, stem, text)
+    return tuple(
+        (conclusion, stem, text)
+        for assumes, conclusion, stem, text in by_name.values()
+        if not assumes
+    )
+
+
+def derivation_of(formula: Formula) -> str | None:
+    """The name of the bundled assumption-free script that derives formula,
+    exactly derived_conclusions().get(formula).
+
+    A script that states a conclusion checks only if its last line is that
+    conclusion, so only scripts stating formula, or stating none, can be
+    the answer. Those alone are parsed and checked, in bundled_scripts()
+    order, and the first that checks and ends in formula is returned. A
+    script that does not parse fails derived_conclusions() outright, but
+    fails here only when its directives or the script itself are read.
+    """
+    for conclusion, stem, text in _directive_index():
+        if conclusion is not None and conclusion != formula:
+            continue
+        script = parse_proof_script(text, default_name=stem)
+        if script.lines[-1].formula == formula and check_proof(script).ok:
+            return script.name
+    return None
+
+
 def clear_caches() -> None:
     _derived_conclusions.cache_clear()
+    _directive_index.cache_clear()

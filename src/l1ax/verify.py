@@ -25,7 +25,7 @@ from .criteria import (
 )
 from .decision import admissible_mask, is_countermodel, is_theorem
 from .formula import And, Atom, SchemaEntry, conjoin
-from .proofs import check_bundled_proofs, derived_conclusions
+from .proofs import check_bundled_proofs, derivation_of
 from .semantics import Valuation, are_equivalent, evaluate, merged_atom_order
 from .substitution import Substitution
 
@@ -107,7 +107,7 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
     def _theorem_item(name: str) -> str:
         verdict = is_theorem(c[name].body)
         check(verdict.valid, f"counter-valuation {verdict.counter_valuation}")
-        script = derived_conclusions().get(c[name].body)
+        script = derivation_of(c[name].body)
         check(script is not None, "no bundled derivation found")
         return f"valid over pool {''.join(verdict.pool)}; provable ({script})"
 

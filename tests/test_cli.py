@@ -526,3 +526,62 @@ def test_proof_script_errors_point_at_their_column():
         with pytest.raises(ParseError) as exc:
             parse_proof_script(script)
         assert exc.value.span == SourceSpan(lineno, line.index("B") + 1)
+
+
+# characteristic and verify look up the one bundled derivation they cite
+
+
+@pytest.fixture
+def proof_work(monkeypatch):
+    """Counts of bundled-text reads, script parses and proof checks."""
+    counts = {"texts": 0, "parse": 0, "check": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for key, name in (("texts", "_bundled_texts"), ("parse", "parse_proof_script"), ("check", "check_proof")):
+        monkeypatch.setattr(l1ax.proofs, name, counted(key, getattr(l1ax.proofs, name)))
+    l1ax.clear_caches()
+    yield counts
+    l1ax.clear_caches()
+
+
+# A_M8 with a and d swapped: valid and characteristic, but no script concludes it
+RENAMED_A_M8 = (
+    "eps(d,b) & eps(c,a) -> eps(d,d) & eps(c,c) & (eps(b,c) -> eps(d,a) & eps(b,d))"
+)
+
+
+@pytest.mark.parametrize(
+    "schema, script, checks",
+    [("A_S3", "s3_from_base", 1), ("A_t", None, 0), (RENAMED_A_M8, None, 0)],
+    ids=["A_S3", "A_t", "renamed-A_M8"],
+)
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_characteristic_checks_only_the_script_it_cites(capsys, proof_work, schema, script, checks, json_flag):
+    code, out, _ = run(capsys, "characteristic", schema, "--max-pool", "3", *json_flag)
+    assert code == 0
+    if json_flag:
+        assert json.loads(out)["derivation_script"] == script
+    else:
+        assert (f"provable: yes (bundled script {script})" in out) == (script is not None)
+    assert proof_work == {"texts": 1, "parse": checks, "check": checks}
+
+
+def test_verify_cites_the_same_derivations(capsys, proof_work):
+    code, out, _ = run(capsys, "verify")
+    assert code == 0
+    assert re.findall(r"provable \((\w+)\)", out) == ["m8_from_base", "s3_from_base"]
+
+
+def test_the_directive_index_is_rebuilt_after_clear_caches(capsys, proof_work):
+    for expected in (1, 1):
+        assert run(capsys, "characteristic", "A_S3", "--max-pool", "3")[0] == 0
+        assert proof_work["texts"] == expected
+    l1ax.clear_caches()
+    assert run(capsys, "characteristic", "A_S3", "--max-pool", "3")[0] == 0
+    assert proof_work == {"texts": 2, "parse": 3, "check": 3}

@@ -5,6 +5,9 @@ import random
 import pytest
 
 from l1ax.axioms import A_T, A_T1
+from l1ax.characterize import recover_axioms
+from l1ax.cli import main
+from l1ax.corpus import load_corpus
 from l1ax.criteria import (
     CriterionInapplicable,
     InapplicablePair,
@@ -16,7 +19,9 @@ from l1ax.criteria import (
     quasi_triviality,
     triviality,
 )
+from l1ax.formula import SchemaEntry
 from l1ax.semantics import are_equivalent, evaluate
+from l1ax.substitution import Substitution
 
 
 def certify_refutations(report, source_body, target_body):
@@ -205,3 +210,44 @@ def test_nested_variant_nontrivial_against_the_flattened_standard(corpus):
     assert report.verdict == "nontrivial"
     assert len(report.refutations) == 24
     certify_refutations(report, corpus["A_S3"].body, A_T1.body)
+
+
+# The fresh pools y1..., u1..., v1... are reserved only in schema files.
+# Formula text may use them: fresh_variables skips every name already in
+# use, so such a name never clashes with padding and changes no verdict.
+
+
+def renamed(entry, var, name):
+    return SchemaEntry.make(entry.name, Substitution.of({var: name}).apply(entry.body))
+
+
+def outcomes(entry, references):
+    out = [(lambda r: (r.verdict, r.map_count))(triviality(entry, A_T, explain=False))]
+    for ref in references:
+        for left, right in ((entry, ref), (ref, entry)):
+            report = quasi_triviality(left, right, explain=False)
+            out.append((report.verdict, report.map_count, report.case_used))
+    out.append(tuple(r.recovered for r in recover_axioms(entry)))
+    return out
+
+
+def test_reserved_fresh_names_in_formula_text_change_no_verdict(corpus):
+    references = [corpus[n] for n in ("A_t", "A_M8", "Star")]
+    compared = 0
+    for entry in corpus:
+        if entry.arity < 3:
+            continue
+        for var in entry.variables:
+            control = outcomes(renamed(entry, var, "w"), references)
+            for name in ("y1", "y2", "u1", "v1"):
+                assert outcomes(renamed(entry, var, name), references) == control, (entry.name, var, name)
+                compared += len(control)
+    assert compared > 2000
+
+
+def test_schema_files_still_reject_reserved_names(tmp_path):
+    path = tmp_path / "reserved.schemata"
+    path.write_text("Mine := eps(u1,b) -> eps(u1,u1)\n")
+    with pytest.raises(ValueError, match="u1"):
+        load_corpus(path)
+    assert main(["characteristic", "eps(u1,b) -> eps(u1,u1)"]) == 0

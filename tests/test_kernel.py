@@ -8,6 +8,7 @@ every candidate, verdict and counter-valuation alike.
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -244,6 +245,46 @@ def test_a_pair_over_the_budget_raises_alike_in_both_modes():
         is_quasi_trivial(source, target)
     messages.append(str(exc.value))
     assert messages == ["35 atoms exceed the budget of 30"] * 5
+
+
+
+def chain(k):
+    """eps(x0,x1) & ... & eps(x(k-2),x(k-1)) -> eps(x0,x0), on k variables."""
+    links = " & ".join(f"eps(x{i},x{i + 1})" for i in range(k - 1))
+    return SchemaEntry.make(f"chain{k}", l1ax.parse_formula(f"{links} -> eps(x0,x0)"))
+
+
+def test_nine_variables_exceed_the_map_budget_before_any_table(capsys, corpus, monkeypatch, tmp_path):
+    def no_tables(body):
+        raise AssertionError("a table was compiled")
+
+    monkeypatch.setattr(criteria, "_compile", no_tables)
+    entry, m8 = chain(9), corpus["A_M8"]
+    message = "9 variables make 362880 renamings, beyond the budget of 40320"
+    start = time.perf_counter()
+    for explain in (True, False):
+        for run, args in ((triviality, (entry, corpus["A_t"])), (quasi_triviality, (entry, m8)),
+                          (quasi_triviality, (m8, entry)), (quasi_triviality, (entry, entry))):
+            with pytest.raises(BudgetError, match=f"^{message}$"):
+                run(*args, explain=explain)
+        with pytest.raises(BudgetError, match=f"^{message}$"):
+            qnt_matrix([entry, m8], explain=explain)
+    for run in (is_quasi_trivial, criteria.is_trivial):
+        with pytest.raises(BudgetError, match=f"^{message}$"):
+            run(entry, m8)
+    text = l1ax.print_formula(entry.body)
+    path = tmp_path / "chain.schemata"
+    path.write_text(f"Chain := {text}\nM := {l1ax.print_formula(m8.body)}\n")
+    for argv in (["nontrivial", text], ["qnt", "A_M8", text], ["matrix", "--corpus", str(path)]):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_eight_variables_stay_within_the_map_budget(corpus):
+    assert criteria.MAP_BUDGET == 40320
+    report = triviality(chain(8), corpus["A_t"], explain=False)
+    assert (report.verdict, report.map_count) == ("nontrivial", 40320)
 
 
 def spy_sweeps(monkeypatch, entries, skip=None):
