@@ -5,7 +5,6 @@ import random
 import pytest
 
 from l1ax.axioms import A_T, A_T1
-from l1ax.characterize import recover_axioms
 from l1ax.cli import main
 from l1ax.corpus import load_corpus
 from l1ax.criteria import (
@@ -22,6 +21,7 @@ from l1ax.criteria import (
 from l1ax.formula import SchemaEntry
 from l1ax.semantics import are_equivalent, evaluate
 from l1ax.substitution import Substitution
+from l1ax.syntax import parse_formula
 
 
 def certify_refutations(report, source_body, target_body):
@@ -216,33 +216,51 @@ def test_nested_variant_nontrivial_against_the_flattened_standard(corpus):
 # Formula text may use them: fresh_variables skips every name already in
 # use, so such a name never clashes with padding and changes no verdict.
 
+# A_t with the second c split off as d: four variables, so a comparison
+# with a three-variable schema pads that schema's side
+SPLIT_A_T = "eps(a,b) -> eps(a,a) & (eps(b,c) -> eps(a,d) & eps(b,a))"
+
 
 def renamed(entry, var, name):
     return SchemaEntry.make(entry.name, Substitution.of({var: name}).apply(entry.body))
 
 
-def outcomes(entry, references):
-    out = [(lambda r: (r.verdict, r.map_count))(triviality(entry, A_T, explain=False))]
+def outcomes(entry, references, split):
+    """Verdicts and map counts of entry against A_t and each reference,
+    both ways. The sweep kernel works on variable slots, names aside, but
+    explain mode replays every candidate through Substitution.apply, on
+    names. A three-variable entry is padded against split (with y in
+    triviality, u and v in quasi-triviality), so those run in explain mode:
+    a padding name that clashed with one of entry's would fail the replay."""
+    runs = [(triviality, entry, A_T, False)]
     for ref in references:
-        for left, right in ((entry, ref), (ref, entry)):
-            report = quasi_triviality(left, right, explain=False)
-            out.append((report.verdict, report.map_count, report.case_used))
-    out.append(tuple(r.recovered for r in recover_axioms(entry)))
-    return out
+        runs += [(quasi_triviality, entry, ref, False), (quasi_triviality, ref, entry, False)]
+    if entry.arity == 3:
+        runs += [
+            (triviality, split, entry, True),
+            (quasi_triviality, entry, split, True),
+            (quasi_triviality, split, entry, True),
+        ]
+    return [
+        (report.verdict, report.map_count)
+        for report in (run(left, right, explain=explain) for run, left, right, explain in runs)
+    ]
 
 
 def test_reserved_fresh_names_in_formula_text_change_no_verdict(corpus):
     references = [corpus[n] for n in ("A_t", "A_M8", "Star")]
+    split = SchemaEntry.make("split", parse_formula(SPLIT_A_T))
     compared = 0
     for entry in corpus:
         if entry.arity < 3:
             continue
         for var in entry.variables:
-            control = outcomes(renamed(entry, var, "w"), references)
+            control = outcomes(renamed(entry, var, "w"), references, split)
             for name in ("y1", "y2", "u1", "v1"):
-                assert outcomes(renamed(entry, var, name), references) == control, (entry.name, var, name)
+                reserved = outcomes(renamed(entry, var, name), references, split)
+                assert reserved == control, (entry.name, var, name)
                 compared += len(control)
-    assert compared > 2000
+    assert compared > 3000
 
 
 def test_schema_files_still_reject_reserved_names(tmp_path):

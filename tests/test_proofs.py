@@ -312,6 +312,9 @@ def bundled_formulas():
     return out
 
 
+BUNDLED_FORMULAS = bundled_formulas()
+
+
 def assert_lookups_agree(formulas):
     derived = derived_conclusions()
     for formula in formulas:
@@ -319,18 +322,16 @@ def assert_lookups_agree(formulas):
 
 
 def test_derivation_of_agrees_on_every_corpus_body_and_script_formula(corpus):
-    assert_lookups_agree([entry.body for entry in corpus] + bundled_formulas())
-    assert {proofs.derivation_of(corpus[n].body) for n in ("A_t", "A_t-1", "Star")} == {None}
+    assert_lookups_agree([entry.body for entry in corpus] + BUNDLED_FORMULAS)
+    for name in ("A_t", "A_t-1", "Star"):
+        assert proofs.derivation_of(corpus[name].body) is None
 
 
-BUNDLED_FORMULAS = bundled_formulas()
-lookup_formulas = st.one_of(
-    st.sampled_from(BUNDLED_FORMULAS),
-    st.recursive(
-        st.sampled_from(BUNDLED_FORMULAS) | st.builds(eps, st.sampled_from("abcd"), st.sampled_from("abcd")),
-        lambda sub: st.one_of(st.builds(Not, sub), st.builds(Or, sub, sub), st.builds(Implies, sub, sub)),
-        max_leaves=4,
-    ),
+atoms = st.builds(eps, st.sampled_from("abcd"), st.sampled_from("abcd"))
+lookup_formulas = st.recursive(
+    st.sampled_from(BUNDLED_FORMULAS) | atoms,
+    lambda sub: st.builds(Not, sub) | st.builds(Or, sub, sub) | st.builds(Implies, sub, sub),
+    max_leaves=4,
 )
 
 
@@ -340,23 +341,28 @@ def test_derivation_of_agrees_on_random_formulas(formula):
 
 
 @pytest.fixture
-def tamper(monkeypatch):
+def tamper(monkeypatch, corpus):
     """Replace the bundled texts by edit(list of (file stem, text)) of the
-    real ones; the caches are dropped before and after, so nothing
-    tampered outlives it."""
+    real ones, then require the two lookups to agree; the caches are
+    dropped before and after, so nothing tampered outlives the test."""
     original = proofs._bundled_texts()
 
     def apply(edit):
         texts = edit(list(original))
         monkeypatch.setattr(proofs, "_bundled_texts", lambda: texts)
         l1ax.clear_caches()
+        assert_lookups_agree([entry.body for entry in corpus] + BUNDLED_FORMULAS)
 
     yield apply
     l1ax.clear_caches()
 
 
-def bundled_text(name):
-    return dict(proofs._bundled_texts())[name]
+def bundled_text(stem):
+    return dict(proofs._bundled_texts())[stem]
+
+
+def replacing(stem, text):
+    return lambda texts: [(s, text if s == stem else t) for s, t in texts]
 
 
 def renamed(text, old, new):
@@ -370,41 +376,32 @@ def test_a_script_that_fails_its_check_falls_through(corpus, tamper):
     s3 = bundled_text("s3_from_base")
     broken = s3.replace(*BROKEN_S3)
     assert broken != s3
-    tamper(
-        lambda texts: [(stem, broken if stem == "s3_from_base" else text) for stem, text in texts]
-        + [("zz_s3_copy", renamed(s3, "s3_from_base", "s3_copy"))]
-    )
+    copy = ("zz_s3_copy", renamed(s3, "s3_from_base", "s3_copy"))
+    tamper(lambda texts: [*replacing("s3_from_base", broken)(texts), copy])
     assert proofs.derivation_of(corpus["A_S3"].body) == "s3_copy"
-    assert_lookups_agree([entry.body for entry in corpus] + BUNDLED_FORMULAS)
-    tamper(lambda texts: [(stem, broken if stem == "s3_from_base" else text) for stem, text in texts])
+    tamper(replacing("s3_from_base", broken))
     assert proofs.derivation_of(corpus["A_S3"].body) is None
-    assert_lookups_agree([entry.body for entry in corpus] + BUNDLED_FORMULAS)
 
 
 def test_a_script_without_conclude_is_found_by_its_last_line(corpus, tamper):
     s1 = bundled_text("s1_from_base")
     open_ended = "\n".join(l for l in s1.splitlines() if not l.startswith("conclude:"))
     assert open_ended != s1
-    tamper(lambda texts: [(stem, open_ended if stem == "s1_from_base" else text) for stem, text in texts])
+    tamper(replacing("s1_from_base", open_ended))
     stated = {stem: conclusion for conclusion, stem, _ in proofs._directive_index()}
     assert stated["s1_from_base"] is None and stated["m8_from_base"] is not None
     assert proofs.derivation_of(corpus["A_S1"].body) == "s1_from_base"
-    assert_lookups_agree([entry.body for entry in corpus] + BUNDLED_FORMULAS)
 
 
 def test_the_earlier_file_name_wins(corpus, tamper):
-    m8 = bundled_text("m8_from_base")
-    tamper(lambda texts: [("a_m8", renamed(m8, "m8_from_base", "m8_copy")), *texts])
+    copy = renamed(bundled_text("m8_from_base"), "m8_from_base", "m8_copy")
+    tamper(lambda texts: [("a_m8", copy), *texts])
     assert proofs.derivation_of(corpus["A_M8"].body) == "m8_copy"
-    assert_lookups_agree([entry.body for entry in corpus] + BUNDLED_FORMULAS)
-    tamper(lambda texts: [*texts, ("zz_m8", renamed(m8, "m8_from_base", "m8_copy"))])
+    tamper(lambda texts: [*texts, ("zz_m8", copy)])
     assert proofs.derivation_of(corpus["A_M8"].body) == "m8_from_base"
-    assert_lookups_agree([entry.body for entry in corpus] + BUNDLED_FORMULAS)
 
 
 def test_a_later_file_of_the_same_name_replaces_the_earlier(corpus, tamper):
-    s3 = bundled_text("s3_from_base")
-    tamper(lambda texts: [*texts, ("zz_s3", s3.replace(*BROKEN_S3))])
+    broken = bundled_text("s3_from_base").replace(*BROKEN_S3)
+    tamper(lambda texts: [*texts, ("zz_s3", broken)])
     assert proofs.derivation_of(corpus["A_S3"].body) is None
-    assert_lookups_agree([entry.body for entry in corpus] + BUNDLED_FORMULAS)
-
