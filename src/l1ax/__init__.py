@@ -13,7 +13,6 @@ from __future__ import annotations
 from . import criteria as _criteria
 from . import decision as _decision
 from . import proofs as _proofs
-from . import semantics as _semantics
 from .axioms import A_T, A_T1, AX1, AX2, AX3, AX3S, AXIOMS_BY_NAME, BASE_AXIOMS
 from .characterize import (
     CharacterizationReport,
@@ -89,11 +88,10 @@ __version__ = "0.1.0"
 
 
 def clear_caches() -> None:
-    """Drop every internal memoization (truth-table tiles, enumerated
-    admissible valuations, compiled schema bodies, hypothesis verdicts,
-    checked bundled derivations, the bundled scripts' directive index);
-    used by the slow-path oracle tests."""
-    _semantics.clear_caches()
+    """Drop every internal memoization (enumerated admissible valuations,
+    compiled schema bodies, hypothesis verdicts, checked bundled
+    derivations, the bundled scripts' directive index); used by the
+    slow-path oracle tests."""
     _decision.clear_caches()
     _criteria.clear_caches()
     _proofs.clear_caches()

@@ -96,7 +96,7 @@ def _tabulate(
     """The pool's atom grid, the tables of entry's instances over it, and
     their conjunction."""
     grid = grid_atoms(pool)
-    tables = instance_tables(entry, pool)
+    tables = list(instance_tables(entry, pool))
     conjunction = full_mask(len(grid))
     for t in tables:
         conjunction &= t

@@ -19,18 +19,13 @@ from typing import Callable
 from . import reports
 from .characterize import characterize
 from .corpus import Corpus, load_corpus
-from .criteria import CriterionInapplicable, qnt_matrix, quasi_triviality, triviality
+from .criteria import qnt_matrix, quasi_triviality, triviality
 from .decision import is_theorem
 from .formula import SchemaEntry
 from .proofs import check_proof, load_proof_file
-from .semantics import BudgetError, is_tautology
-from .syntax import ParseError, is_valid_schema_name, parse_formula, print_formula
+from .semantics import is_tautology
+from .syntax import is_valid_schema_name, parse_formula, print_formula
 from .verify import conjecture_report, run_verification
-
-
-class UsageError(Exception):
-    pass
-
 
 Loader = Callable[[], Corpus]
 
@@ -45,13 +40,7 @@ def _resolve(text: str, corpus: Loader) -> SchemaEntry:
     if not is_valid_schema_name(text):
         body = parse_formula(text)
         return SchemaEntry.make(print_formula(body), body)
-    known = corpus()
-    if text not in known:
-        raise UsageError(
-            f"unknown schema name {text!r}; known names: "
-            + ", ".join(known.names())
-        )
-    return known[text]
+    return corpus()[text]
 
 
 # name -> (help, arguments as (name or flag, add_argument options), run);
@@ -263,15 +252,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             output = text()
-    except (
-        UsageError,
-        ParseError,
-        CriterionInapplicable,
-        BudgetError,
-        OSError,
-        KeyError,
-        ValueError,
-    ) as exc:
+    except (OSError, KeyError, ValueError) as exc:
+        # parse errors, inapplicable criteria and budget errors are ValueErrors
         # str() of a KeyError quotes its message; that of an OSError names the path
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)

@@ -46,21 +46,18 @@ from .semantics import (
     lowest_set_bit,
 )
 from .substitution import (
+    FRESH_QNT_LEFT,
     FRESH_QNT_RIGHT,
     FRESH_TRIVIALITY,
     CandidateMap,
     Substitution,
     candidate_map,
-    comparison_orientation,
     padded_targets,
 )
 
 # renamings one sweep may walk: a chain schema of 8 variables takes about
 # 2 s in explain mode, and each further variable multiplies that by its count
 MAP_BUDGET = math.factorial(8)
-
-QT_VERDICTS = ("quasi-trivial", "quasi-nontrivial")
-TRIV_VERDICTS = ("trivial", "nontrivial")
 
 
 class CriterionInapplicable(ValueError):
@@ -369,18 +366,17 @@ def _mirror_cross_check(
 
 
 def _oriented_kernel(left: SchemaEntry, right: SchemaEntry) -> tuple[int, _Kernel]:
-    """The case and the kernel of the primary sweep of left against right."""
+    """The case and the kernel of the primary sweep of left against right,
+    as quasi_triviality's docstring sets them out."""
     for entry in (left, right):
         if entry.arity < 3:
             raise CriterionInapplicable(
                 f"{entry.name} has {entry.arity} distinct variables; "
                 "the quasi-triviality comparison needs at least 3 on each side"
             )
-    case_used, _, _, fresh_prefix = comparison_orientation(
-        left.variables, right.variables
-    )
-    source, target = (right, left) if case_used == 1 else (left, right)
-    return case_used, _Kernel(source, target, fresh_prefix)
+    if left.arity <= right.arity:
+        return 1, _Kernel(right, left, FRESH_QNT_LEFT)
+    return 2, _Kernel(left, right, FRESH_QNT_RIGHT)
 
 
 def quasi_triviality(

@@ -15,9 +15,14 @@ names Ax3 makes eps symmetric and Ax2 transitive, so they split into blocks:
 eps holds inside each block and nowhere else between singular names. What
 is left is one free bit per (block, non-singular name z) pair: eps(x,z)
 holds for every x of the block or for none of them (Ax2). Pools of 1 to 5
-names have 2, 7, 36, 256 and 2483 admissible valuations. Kanai's shortened
-symmetry axiom Ax3s carves the same sets; the tests check both against the
-brute-force `admissible_mask` at pools 1 to 5.
+names have 2, 7, 36, 256 and 2483 admissible valuations.
+
+The brute-force filter `admissible_mask` is kept as the enumeration's
+oracle: it ANDs the tables of every axiom instance over all 2^(n*n) grid
+valuations. It tables the instances through `instance_tables`, the
+reindexing that recovery uses, and builds no instance formula. Kanai's
+shortened symmetry axiom Ax3s carves the same sets; the tests check both
+against the enumeration at pools 1 to 5.
 """
 
 from __future__ import annotations
@@ -36,9 +41,7 @@ from .semantics import (
     evaluate,
     full_mask,
     lowest_set_bit,
-    truth_table,
 )
-from .substitution import instances
 
 POOL_CAP = 5
 
@@ -48,19 +51,18 @@ def grid_atoms(pool: Sequence[NameVar]) -> tuple[Atom, ...]:
     return tuple(Atom(x, y) for x in pool for y in pool)
 
 
-def instance_tables(entry: SchemaEntry, pool: Sequence[NameVar]) -> list[int]:
+def instance_tables(entry: SchemaEntry, pool: Sequence[NameVar]) -> Iterator[int]:
     """Tables over grid_atoms(pool) of every instance of entry over the pool, in
-    product order: each reindexes the compiled body, eps(x,y) to atom x*n+y."""
+    product order, one at a time: each reindexes the compiled body, eps(x,y)
+    to atom x*n+y, so no instance formula is built."""
     n = len(pool)
     body_atoms, table = compile_formula(entry.body)
     var = {v: i for i, v in enumerate(entry.variables)}
     coded = [(var[a.subject], var[a.predicate]) for a in body_atoms]
     tiles = [atom_tile(n * n, j) for j in range(n * n)]
     full = full_mask(n * n)
-    return [
-        table([tiles[place[s] * n + place[p]] for s, p in coded], full)
-        for place in itertools.product(range(n), repeat=entry.arity)
-    ]
+    for place in itertools.product(range(n), repeat=entry.arity):
+        yield table([tiles[place[s] * n + place[p]] for s, p in coded], full)
 
 
 def _check_pool(pool: Sequence[NameVar]) -> tuple[NameVar, ...]:
@@ -72,41 +74,19 @@ def _check_pool(pool: Sequence[NameVar]) -> tuple[NameVar, ...]:
     return pool
 
 
-def axiom_instances(
-    pool: Sequence[NameVar], symmetry: str = "Ax3"
-) -> Iterator[Formula]:
-    """Every instance of Ax1, Ax2 and the chosen symmetry axiom over the pool."""
-    if symmetry not in ("Ax3", "Ax3s"):
-        raise ValueError(f"unknown symmetry axiom {symmetry!r}")
-    for schema in (AX1, AX2, AX3 if symmetry == "Ax3" else AX3S):
-        yield from instances(schema, pool)
-
-
 def admissible_mask(pool: Sequence[NameVar], symmetry: str = "Ax3") -> int:
-    """Bitmask over grid valuations: bit c set iff valuation c is admissible.
+    """Bitmask over grid valuations: bit c set iff valuation c satisfies
+    every instance over the pool of Ax1, Ax2 and the chosen symmetry axiom.
 
     Brute force over all 2^(n*n) valuations; the oracle for the enumeration."""
     pool = _check_pool(pool)
-    grid = grid_atoms(pool)
-    mask = full_mask(len(grid))
-    for instance in axiom_instances(pool, symmetry):
-        mask &= truth_table(instance, grid)
+    if symmetry not in ("Ax3", "Ax3s"):
+        raise ValueError(f"unknown symmetry axiom {symmetry!r}")
+    mask = full_mask(len(pool) ** 2)
+    for schema in (AX1, AX2, AX3 if symmetry == "Ax3" else AX3S):
+        for table in instance_tables(schema, pool):
+            mask &= table
     return mask
-
-
-def iter_set_bits(mask: int) -> Iterator[int]:
-    if mask <= 0:
-        if mask < 0:
-            raise ValueError("negative mask")
-        return
-    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    for byte_index, b in enumerate(data):
-        if b:
-            base = byte_index * 8
-            while b:
-                low = b & -b
-                yield base + low.bit_length() - 1
-                b ^= low
 
 
 def _partitions(items: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], ...]]:

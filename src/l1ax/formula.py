@@ -128,10 +128,6 @@ def name_variables(formula: Formula) -> tuple[NameVar, ...]:
     return tuple(seen)
 
 
-def variable_count(formula: Formula) -> int:
-    return len(name_variables(formula))
-
-
 @dataclass(frozen=True, slots=True)
 class SchemaEntry:
     """A named axiom schema with its variable tuple precomputed."""

@@ -80,26 +80,18 @@ def evaluate(formula: Formula, valuation: Valuation) -> bool:
     raise TypeError(f"not a formula node: {formula!r}")
 
 
-_TILE_CACHE: dict[tuple[int, int], int] = {}
-
-
 def full_mask(n_atoms: int) -> int:
     return (1 << (1 << n_atoms)) - 1
 
 
 def atom_tile(n_atoms: int, j: int) -> int:
     """Truth table of atom j alone over n_atoms: one bit per valuation."""
-    key = (n_atoms, j)
-    cached = _TILE_CACHE.get(key)
-    if cached is not None:
-        return cached
     pattern = (1 << (1 << j)) - 1
     span = 1 << (j + 1)
     total = 1 << n_atoms
     while span < total:
         pattern |= pattern << span
         span <<= 1
-    _TILE_CACHE[key] = pattern
     return pattern
 
 
@@ -193,7 +185,3 @@ def entails(premises: Sequence[Formula], conclusion: Formula) -> SemanticsVerdic
         return SemanticsVerdict(True, None)
     counter = lowest_set_bit(violations)
     return SemanticsVerdict(False, Valuation.at_counter(order, counter))
-
-
-def clear_caches() -> None:
-    _TILE_CACHE.clear()

@@ -1,19 +1,20 @@
-"""Uniform simultaneous substitution and enumeration of candidate maps.
+"""Uniform simultaneous substitution and the candidate maps of the criteria.
 
 A substitution maps name variables to name variables and applies to every
-atom at once, so swaps like {a->b, b->a} behave correctly. The enumerators
-below produce the full space of maps the triviality and quasi-triviality
-criteria quantify over: bijections of one schema's variables onto another's,
-padded with canonically chosen fresh variables when the arities differ.
+atom at once, so swaps like {a->b, b->a} behave correctly. The triviality
+and quasi-triviality criteria quantify over bijections of one schema's
+variables onto another's, padded with canonically chosen fresh variables
+when the arities differ. This module fixes the padded targets and builds
+the CandidateMap of one permutation; criteria._renamings walks the
+permutations, and the tests keep the plain enumeration as an oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .formula import Atom, Epsilon, Formula, NameVar, Not, Or, SchemaEntry
+from .formula import Atom, Epsilon, Formula, NameVar, Not, Or
 
 # Fresh variables come from reserved pools so reported witnesses are stable:
 # y1,y2,... pad triviality maps, u1,u2,... pad the first quasi-triviality
@@ -92,13 +93,6 @@ class Substitution:
         return "{" + ", ".join(f"{s}->{t}" for s, t in self.items) + "}"
 
 
-def instances(entry: SchemaEntry, pool: Sequence[NameVar]) -> Iterator[Formula]:
-    """Every instance of entry with its variables drawn from pool, repeats
-    allowed, in itertools.product order."""
-    for targets in itertools.product(pool, repeat=entry.arity):
-        yield Substitution.of(dict(zip(entry.variables, targets))).apply(entry.body)
-
-
 def fresh_variables(prefix: str, count: int, avoid: set[NameVar]) -> tuple[NameVar, ...]:
     """First `count` names prefix1, prefix2, ... that avoid the given set."""
     out: list[NameVar] = []
@@ -143,50 +137,3 @@ def candidate_map(
     """The map sending source variable perm[i] (0-based) to targets[i]."""
     sigma = Substitution.of({source_vars[s]: targets[i] for i, s in enumerate(perm)})
     return CandidateMap(rho=tuple(s + 1 for s in perm), sigma=sigma)
-
-
-def padded_bijections(
-    source_vars: Sequence[NameVar],
-    target_vars: Sequence[NameVar],
-    fresh_prefix: str,
-) -> Iterator[CandidateMap]:
-    """All bijections of source_vars onto padded_targets(...).
-
-    rho ranges over all permutations in lexicographic order, so the
-    identity permutation comes first and enumeration order is stable.
-    """
-    targets = padded_targets(source_vars, target_vars, fresh_prefix)
-    for perm in itertools.permutations(range(len(targets))):
-        yield candidate_map(source_vars, targets, perm)
-
-
-def triviality_maps(
-    schema_vars: Sequence[NameVar], reference_vars: Sequence[NameVar]
-) -> Iterator[CandidateMap]:
-    """The n! candidate substitutions of the triviality criterion."""
-    return padded_bijections(schema_vars, reference_vars, FRESH_TRIVIALITY)
-
-
-def comparison_orientation(
-    left_vars: Sequence[NameVar], right_vars: Sequence[NameVar]
-) -> tuple[int, Sequence[NameVar], Sequence[NameVar], str]:
-    """Case, source variables, target variables and fresh prefix of the
-    quasi-triviality comparison of left vs right.
-
-    Case 1 (len(left) <= len(right)): maps substitute the right schema's
-    variables onto the left schema's plus fresh u-padding; the test is
-    sigma(right) == left. Case 2 (len(left) > len(right)): maps substitute
-    the left schema's variables onto the right schema's plus fresh
-    v-padding; the test is sigma(left) == right.
-    """
-    if len(left_vars) <= len(right_vars):
-        return 1, right_vars, left_vars, FRESH_QNT_LEFT
-    return 2, left_vars, right_vars, FRESH_QNT_RIGHT
-
-
-def comparison_maps(
-    left_vars: Sequence[NameVar], right_vars: Sequence[NameVar]
-) -> tuple[int, list[CandidateMap]]:
-    """The case and every candidate map of the comparison of left vs right."""
-    case, source, target, prefix = comparison_orientation(left_vars, right_vars)
-    return case, list(padded_bijections(source, target, prefix))

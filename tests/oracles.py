@@ -1,0 +1,95 @@
+"""Slow reference paths the tests compare the program against.
+
+Each one builds what the program only computes implicitly: every instance
+of a schema as a formula, every padded bijection as a Substitution, every
+set bit of a mask. They follow the definitions on formulas, through
+Substitution.apply, pointwise evaluation and are_equivalent, and decide
+the comparison's orientation themselves, so the sweep kernel, the
+instance tabler and the admissible enumeration are each checked against
+a path they do not share.
+"""
+
+import itertools
+
+from l1ax.semantics import are_equivalent, evaluate
+from l1ax.substitution import (
+    FRESH_QNT_LEFT,
+    FRESH_QNT_RIGHT,
+    FRESH_TRIVIALITY,
+    CandidateMap,
+    Substitution,
+)
+
+
+def all_instances(entry, pool):
+    """Every instance of entry with its variables drawn from pool, repeats
+    allowed, in itertools.product order."""
+    return [
+        Substitution.of(dict(zip(entry.variables, targets))).apply(entry.body)
+        for targets in itertools.product(pool, repeat=entry.arity)
+    ]
+
+
+def padded_bijections(source_vars, target_vars, fresh_prefix):
+    """Every bijection of source_vars onto target_vars followed by the first
+    fresh names prefix1, prefix2, ... that neither side uses, with rho in
+    lexicographic order, so the identity permutation comes first."""
+    if len(source_vars) < len(target_vars):
+        raise ValueError(
+            f"need at least {len(target_vars)} source variables, got {len(source_vars)}"
+        )
+    used = set(source_vars) | set(target_vars)
+    fresh = (f"{fresh_prefix}{i}" for i in itertools.count(1))
+    unused = (name for name in fresh if name not in used)
+    targets = [*target_vars, *itertools.islice(unused, len(source_vars) - len(target_vars))]
+    for perm in itertools.permutations(range(len(targets))):
+        sigma = Substitution.of({source_vars[s]: targets[i] for i, s in enumerate(perm)})
+        yield CandidateMap(rho=tuple(s + 1 for s in perm), sigma=sigma)
+
+
+def triviality_maps(schema_vars, reference_vars):
+    """The n! candidate substitutions of the triviality criterion."""
+    return padded_bijections(schema_vars, reference_vars, FRESH_TRIVIALITY)
+
+
+def comparison_maps(left_vars, right_vars):
+    """The case and every candidate map of the quasi-triviality comparison
+    of left vs right. Case 1 (left no longer than right) substitutes the
+    right schema's variables onto the left's plus u-padding, case 2 the
+    left's onto the right's plus v-padding."""
+    if len(left_vars) <= len(right_vars):
+        return 1, list(padded_bijections(right_vars, left_vars, FRESH_QNT_LEFT))
+    return 2, list(padded_bijections(left_vars, right_vars, FRESH_QNT_RIGHT))
+
+
+def qnt_bodies(report):
+    """The substituted and the compared body of a quasi-triviality report."""
+    if report.case_used == 1:
+        return report.right.body, report.left.body
+    return report.left.body, report.right.body
+
+
+def certify_refutations(report, source_body, target_body):
+    """Replay every reported refutation and require a genuine disagreement
+    at the lowest counter where the two sides differ."""
+    for ref in report.refutations:
+        image = ref.candidate.sigma.apply(source_body)
+        assert evaluate(image, ref.valuation) == ref.substituted_value
+        assert evaluate(target_body, ref.valuation) == ref.target_value
+        assert ref.substituted_value != ref.target_value
+        recomputed = are_equivalent(image, target_body)
+        assert not recomputed.holds
+        assert recomputed.witness.counter == ref.valuation.counter
+
+
+def iter_set_bits(mask):
+    """The indices of the set bits of a non-negative mask, ascending; a
+    byte at a time, so a 2^25-bit mask costs no quadratic shifting."""
+    if mask < 0:
+        raise ValueError("negative mask")
+    data = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    for byte_index, byte in enumerate(data):
+        while byte:
+            low = byte & -byte
+            yield byte_index * 8 + low.bit_length() - 1
+            byte ^= low

@@ -24,14 +24,11 @@ from l1ax.criteria import (
 from l1ax.decision import admissible_mask, is_theorem
 from l1ax.formula import Atom
 from l1ax.proofs import bundled_scripts, check_proof
-from l1ax.semantics import are_equivalent, evaluate
-from l1ax.substitution import (
-    Substitution,
-    is_reserved_fresh_name,
-    triviality_maps,
-)
+from l1ax.semantics import are_equivalent
+from l1ax.substitution import Substitution, is_reserved_fresh_name
 from l1ax.syntax import print_formula
 from l1ax.verify import conjecture_report
+from oracles import certify_refutations, qnt_bodies, triviality_maps
 
 CORPUS = load_corpus()
 FIVE = CORPUS.established_five()
@@ -63,21 +60,6 @@ def timed(num, label, budget, fn):
     assert elapsed <= budget, f"criterion {num} took {elapsed:.3f}s"
 
 
-def certify(report, source_body, target_body):
-    """Replay every reported refutation against both sides."""
-    for ref in report.refutations:
-        image = ref.candidate.sigma.apply(source_body)
-        assert evaluate(image, ref.valuation) == ref.substituted_value
-        assert evaluate(target_body, ref.valuation) == ref.target_value
-        assert ref.substituted_value != ref.target_value
-
-
-def qnt_bodies(report):
-    if report.case_used == 1:
-        return report.right.body, report.left.body
-    return report.left.body, report.right.body
-
-
 def test_criterion_1_standard_equals_base_conjunction():
     def check():
         at = print_formula(CORPUS["A_t"].body)
@@ -97,7 +79,7 @@ def test_criterion_2_reference_schema_nontrivial():
         assert report.verdict == "nontrivial"
         assert report.map_count == 24
         assert len(report.refutations) == 24
-        certify(report, CORPUS["A_M8"].body, A_T.body)
+        certify_refutations(report, CORPUS["A_M8"].body, A_T.body)
         code, out = run_cli("nontrivial", "A_M8")
         assert code == 0
         assert out.count("substituted=") == 24
@@ -141,7 +123,7 @@ def test_criterion_4_nested_variant_end_to_end():
         report = triviality(CORPUS["A_S3"], A_T1)
         assert report.verdict == "nontrivial"
         assert len(report.refutations) == 24
-        certify(report, CORPUS["A_S3"].body, A_T1.body)
+        certify_refutations(report, CORPUS["A_S3"].body, A_T1.body)
         recs = {r.axiom.name: r for r in recover_axioms(CORPUS["A_S3"], max_pool=4)}
         assert recs["Ax2"].recovered
         assert recs["Ax3"].recovered
@@ -169,7 +151,7 @@ def test_criterion_6_quartet_nontrivial():
             report = triviality(entry, A_T)
             assert report.verdict == "nontrivial", entry.name
             assert len(report.refutations) == 24
-            certify(report, entry.body, A_T.body)
+            certify_refutations(report, entry.body, A_T.body)
 
     timed(6, "each sibling is nontrivial with a full replayable refutation list", 2.0, check)
 
@@ -183,7 +165,7 @@ def test_criterion_7_pairwise_matrix():
             cell = cells[key]
             assert cell.verdict == "quasi-nontrivial", key
             assert len(cell.refutations) == cell.map_count == 24
-            certify(cell, *qnt_bodies(cell))
+            certify_refutations(cell, *qnt_bodies(cell))
 
         # the documented separating map for the sibling pair must fail on
         # one of its two distinguished atoms
@@ -245,7 +227,7 @@ def test_criterion_8_property_battery():
 
         # reported witnesses certify themselves on replay
         report = triviality(CORPUS["A_M8"], A_T)
-        certify(report, CORPUS["A_M8"].body, A_T.body)
+        certify_refutations(report, CORPUS["A_M8"].body, A_T.body)
 
         # kernel soundness: assumption-free script lines are valid outright
         for name, script in bundled_scripts().items():
@@ -269,9 +251,9 @@ def test_criterion_9_conjecture_sweep_with_cold_replay():
         for row in rows:
             assert len(row.characterization.recoveries) == 3
             assert tuple(row.comparisons) == five_names
-            certify(row.nontriviality, row.entry.body, A_T.body)
+            certify_refutations(row.nontriviality, row.entry.body, A_T.body)
             for name, rep in row.comparisons.items():
-                certify(rep, *qnt_bodies(rep))
+                certify_refutations(rep, *qnt_bodies(rep))
 
         # independent replay: drop every cache and recompute each verdict
         clear_caches()

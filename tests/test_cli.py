@@ -79,13 +79,27 @@ def test_nontrivial_inapplicable_exits_two(capsys):
     assert err.startswith("error:")
 
 
+BUNDLED_NAMES = (
+    "Ax1, Ax2, Ax3, Ax3s, A_t, A_t-1, A_M8, A_S1, A_S2, A_S3, A_S3N, A_S3Nd, "
+    "Star, DoubleStar, A_k1, A_k2, A_k3, A_ad1, A_ad2, A_ad6, A_ad6_2, A_ad7, "
+    "A_ad7_2, A_ad8, A_S1ex1, A_S1ex2, A_S1ex3, A_S2ex1, A_S2ex2, A_S2ex3"
+)
+
+
 def test_unknown_name_lists_the_corpus(capsys):
     # "-" is legal in schema names, so A_t-2 is a name, not formula text
     for name in ("A_M9", "A_t-2"):
-        code, _, err = run(capsys, "theorem", name)
-        assert code == 2
-        assert err.startswith(f"error: unknown schema name {name!r}")
-        assert "A_M8" in err
+        code, out, err = run(capsys, "theorem", name)
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown schema name {name!r}; known names: {BUNDLED_NAMES}\n"
+
+
+def test_unknown_name_lists_the_corpus_file(capsys, tmp_path):
+    path = tmp_path / "mine.schemata"
+    path.write_text("Mine := eps(a,b) -> eps(b,a)\nYours := eps(a,a)\n")
+    code, out, err = run(capsys, "theorem", "A_M8", "--corpus-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: unknown schema name 'A_M8'; known names: Mine, Yours\n"
 
 
 def test_qnt_text_carries_the_witness(capsys):

@@ -19,28 +19,9 @@ from l1ax.criteria import (
     triviality,
 )
 from l1ax.formula import SchemaEntry
-from l1ax.semantics import are_equivalent, evaluate
 from l1ax.substitution import Substitution
 from l1ax.syntax import parse_formula
-
-
-def certify_refutations(report, source_body, target_body):
-    """Replay every reported refutation and require a genuine disagreement."""
-    for ref in report.refutations:
-        image = ref.candidate.sigma.apply(source_body)
-        assert evaluate(image, ref.valuation) == ref.substituted_value
-        assert evaluate(target_body, ref.valuation) == ref.target_value
-        assert ref.substituted_value != ref.target_value
-        # canonical means lowest falsifying counter
-        recomputed = are_equivalent(image, target_body)
-        assert not recomputed.holds
-        assert recomputed.witness.counter == ref.valuation.counter
-
-
-def qnt_bodies(report):
-    if report.case_used == 1:
-        return report.right.body, report.left.body
-    return report.left.body, report.right.body
+from oracles import certify_refutations, qnt_bodies
 
 
 def test_four_variable_schema_nontrivial_with_full_refutation_list(corpus):

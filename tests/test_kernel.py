@@ -21,13 +21,8 @@ from l1ax.cli import main
 from l1ax.criteria import is_quasi_trivial, qnt_matrix, quasi_triviality, triviality
 from l1ax.formula import And, Implies, Not, Or, SchemaEntry, eps
 from l1ax.semantics import BudgetError, are_equivalent
-from l1ax.substitution import (
-    FRESH_QNT_RIGHT,
-    FRESH_TRIVIALITY,
-    Substitution,
-    comparison_maps,
-    padded_bijections,
-)
+from l1ax.substitution import FRESH_QNT_RIGHT, FRESH_TRIVIALITY, Substitution
+from oracles import comparison_maps, padded_bijections
 
 SRC = str(Path(l1ax.__file__).resolve().parents[1])
 

@@ -1,0 +1,60 @@
+"""Every public module-level name of the package is used by the package.
+
+A public function that only the tests call is a second way to compute
+what the program already computes; the project keeps such slow paths in
+tests/oracles.py. This parses every module of l1ax and requires each
+public module-level function, class and constant to be loaded somewhere
+in the package: read as a name or an attribute, or imported by a module
+(the re-exports of l1ax/__init__ count).
+"""
+
+import ast
+from pathlib import Path
+
+import l1ax
+
+PACKAGE = Path(l1ax.__file__).resolve().parent
+
+# read only from outside the package
+ALLOWED = {
+    "proofs.derived_conclusions": "perfbench/tracer.py wraps it by name, "
+    "and it is the oracle of derivation_of",
+    "corpus.ESTABLISHED": "perfbench/test_perfbench.py imports it",
+}
+
+
+def definitions(tree):
+    """Public names bound at module level by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (name for name in names if not name.startswith("_"))
+
+
+def loads(tree):
+    """Names the module loads, as names or attributes, and names it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_every_public_name_is_loaded_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    loaded = {name for tree in trees.values() for name in loads(tree)}
+    orphans = sorted(
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in definitions(tree)
+        if name not in loaded
+    )
+    assert orphans == sorted(ALLOWED)

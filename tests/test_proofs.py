@@ -1,7 +1,5 @@
 """The derivation kernel: script parsing, line checking, fault isolation."""
 
-import itertools
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -19,8 +17,8 @@ from l1ax.proofs import (
     parse_proof_script,
 )
 from l1ax.semantics import full_mask, truth_table
-from l1ax.substitution import Substitution
 from l1ax.syntax import ParseError, parse_formula
+from oracles import all_instances
 
 EXPECTED_SCRIPTS = (
     "at1_from_s3",
@@ -40,14 +38,6 @@ EXPECTED_SCRIPTS = (
 
 def check_text(text):
     return check_proof(parse_proof_script(text))
-
-
-def all_instances(entry, pool):
-    out = []
-    for targets in itertools.product(pool, repeat=entry.arity):
-        sigma = Substitution.of(dict(zip(entry.variables, targets)))
-        out.append(sigma.apply(entry.body))
-    return out
 
 
 def test_bundled_scripts_all_check():

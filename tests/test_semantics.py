@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import l1ax
 from l1ax.axioms import A_T
 from l1ax.formula import And, Atom, Implies, Not, Or, conjoin, eps
 from l1ax.semantics import (
     BudgetError,
     Valuation,
     are_equivalent,
-    clear_caches,
     compile_formula,
     entails,
     essential_atoms,
@@ -212,6 +212,6 @@ def test_lowest_set_bit():
 def test_clear_caches_keeps_answers_stable():
     f = Implies(eps("a", "b"), eps("b", "a"))
     before = is_tautology(f)
-    clear_caches()
+    l1ax.clear_caches()
     after = is_tautology(f)
     assert before == after

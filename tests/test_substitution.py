@@ -1,19 +1,14 @@
-"""Substitutions and the padded bijection enumeration behind the criteria."""
+"""Substitutions, and the padded bijection oracle the criteria's sweeps
+are checked against."""
 
 import random
 
 import pytest
 
 from l1ax.semantics import are_equivalent
-from l1ax.substitution import (
-    Substitution,
-    comparison_maps,
-    fresh_variables,
-    is_reserved_fresh_name,
-    padded_bijections,
-    triviality_maps,
-)
+from l1ax.substitution import Substitution, fresh_variables, is_reserved_fresh_name
 from l1ax.syntax import parse_formula
+from oracles import comparison_maps, padded_bijections, triviality_maps
 
 
 def test_apply_renames_subject_and_predicate_positions(corpus):
