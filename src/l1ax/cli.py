@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Exit codes: 0 when the requested verdict was computed (whatever it is),
-1 when a proof check or the verification battery reports failures, and
+1 when a proof check or the verification battery reports failures,
 2 for usage problems — parse errors, unknown names, a comparison the
-criteria do not cover, or an input beyond a size limit. Output is
-deterministic: two runs of the same command are byte-identical.
+criteria do not cover, or an input beyond a size limit — and 3 for an
+internal fault, such as a witness that fails its replay, reported on one
+stderr line with nothing on stdout. Output is deterministic: two runs of
+the same command are byte-identical.
 """
 
 from __future__ import annotations
@@ -232,8 +234,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _corpus_loader(path: str | None) -> Loader:
     """The corpus of one request: the bundled one is read on first use, at
-    most once; a --corpus-file is read at once, so a bad file fails every
-    command."""
+    most once, and parses each entry the request reads when it first reads
+    it; a --corpus-file is read and parsed whole at once, so a bad file fails
+    every command."""
     if path is not None:
         corpus = load_corpus(Path(path))
         return lambda: corpus
@@ -258,6 +261,10 @@ def main(argv: list[str] | None = None) -> int:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        # a failed replay or a verdict without its witness; RecursionError too
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 3
     print(output)
     return code
 

@@ -6,17 +6,22 @@ conjectured schemata. Formulas live in data/corpus.schemata; status and
 naming metadata live here. Two exchange-series entries carry a legacy_label
 because they circulated under the same printed labels as the A_S1ex pair;
 the legacy labels are informational only and never used for lookup.
+
+The bundled corpus parses an entry's formula the first time the entry is
+read, so a request that names one schema parses one; its names come from
+scanning the file. A schema file given by path is parsed whole at once.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
 from .formula import SchemaEntry
 from .substitution import is_reserved_fresh_name
-from .syntax import parse_schema_file
+from .syntax import ParseError, parse_schema_entry, parse_schema_file, scan_schema_file
 
 ESTABLISHED = (
     "Ax1",
@@ -65,7 +70,14 @@ LEGACY_LABELS = {
 
 @dataclass(frozen=True, slots=True)
 class Corpus:
-    entries: dict[str, SchemaEntry]
+    """Named schema entries, in file order, and where they came from.
+
+    `entries` is a plain dict, or the LazyEntries of the bundled corpus;
+    names, membership, length and the unknown-name error never parse a
+    formula.
+    """
+
+    entries: Mapping[str, SchemaEntry]
     source: str
 
     def __getitem__(self, name: str) -> SchemaEntry:
@@ -114,16 +126,64 @@ def validate_entries(entries: dict[str, SchemaEntry], source: str) -> None:
             )
 
 
-def load_corpus(path: str | Path | None = None) -> Corpus:
-    """Load the bundled corpus, or any schema file in the same format."""
-    if path is None:
-        source = "bundled corpus"
-        text = (
-            resources.files("l1ax").joinpath("data/corpus.schemata").read_text()
-        )
-    else:
-        source = str(path)
-        text = Path(path).read_text()
+def _parse_whole(text: str, source: str) -> dict[str, SchemaEntry]:
+    """Every entry of a schema file, parsed line by line, then validated."""
     entries = parse_schema_file(text)
     validate_entries(entries, source)
-    return Corpus(entries=entries, source=source)
+    return entries
+
+
+class LazyEntries(Mapping[str, SchemaEntry]):
+    """The entries of a schema file, each parsed and validated when it is
+    first read and kept for the life of this mapping.
+
+    The names come from scanning the file when the mapping is made. An error
+    is raised as _parse_whole raises it, as the first error of the whole
+    file, whichever entry is read first.
+    """
+
+    __slots__ = ("_text", "_source", "_lines", "_parsed")
+
+    def __init__(self, text: str, source: str):
+        self._text = text
+        self._source = source
+        self._parsed: dict[str, SchemaEntry] = {}
+        try:
+            self._lines = {scanned[0]: scanned for scanned in scan_schema_file(text)}
+        except ParseError:
+            _parse_whole(text, source)
+            raise
+
+    def __getitem__(self, name: str) -> SchemaEntry:
+        entry = self._parsed.get(name)
+        if entry is None:
+            scanned = self._lines[name]
+            try:
+                entry = parse_schema_entry(*scanned)
+                validate_entries({name: entry}, self._source)
+            except ValueError:
+                _parse_whole(self._text, self._source)
+                raise
+            self._parsed[name] = entry
+        return entry
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._lines
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._lines)
+
+    def __len__(self) -> int:
+        return len(self._lines)
+
+
+def load_corpus(path: str | Path | None = None) -> Corpus:
+    """The bundled corpus, its entries parsed as they are read, or any schema
+    file in the same format, parsed whole before it is returned so that a bad
+    file fails whichever entries are used."""
+    if path is None:
+        source = "bundled corpus"
+        text = resources.files("l1ax").joinpath("data/corpus.schemata").read_text()
+        return Corpus(entries=LazyEntries(text, source), source=source)
+    source = str(path)
+    return Corpus(entries=_parse_whole(Path(path).read_text(), source), source=source)

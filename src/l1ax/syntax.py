@@ -13,8 +13,8 @@ Grammar (binding from loosest to tightest):
 One compiled regex splits the input into token strings; the parser reads
 them by index. Positions are not tracked per token: a ParseError's span is
 worked out from the offset of the offending token when it is raised. A
-formula deeper than MAX_DEPTH, or parentheses nested deeper than MAX_PARENS,
-are refused with a ParseError.
+formula deeper than MAX_DEPTH, one that desugars to more than MAX_SIZE nodes,
+or parentheses nested deeper than MAX_PARENS, are refused with a ParseError.
 
 The printer is the exact inverse of the parser on desugared formulas: it
 resugars conjunction, implication and equivalence patterns and emits minimal
@@ -26,6 +26,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from typing import Iterator
 
 from .formula import (
     And,
@@ -65,6 +66,11 @@ class ParseError(ValueError):
 # which add no depth, and overflows at 190 nested ones.
 MAX_DEPTH = 200
 MAX_PARENS = 100
+# Bound on the desugared node count. '<->' holds each operand twice, so an
+# iff chain doubles per operand within MAX_DEPTH (14 operands: 90,102 nodes)
+# and every walk visits each copy. Bundled corpus entries expand to at most
+# 35 nodes and proof-script formulas to 46.
+MAX_SIZE = 4096
 
 # one token after optional blanks: an operator, a word (\w is exactly
 # str.isalnum() or "_"), or any other single character, refused below.
@@ -78,8 +84,10 @@ class _Parser:
 
     Tokens are plain strings; the span of an error is worked out from the
     text only when the error is raised. The formula methods return the
-    formula and its depth after desugaring (an Epsilon is 1, '&' adds 3
-    levels, '<->' 5), bounded by MAX_DEPTH. `nest` counts the '!' and
+    formula, its depth after desugaring (an Epsilon is 1, '&' adds 3
+    levels, '<->' 5), bounded by MAX_DEPTH, and its desugared node count
+    (an Epsilon is 1; '!' adds 1, '|' 1, '->' 2, '&' 4; 'l <-> r' is
+    8 + 2l + 2r), bounded by MAX_SIZE. `nest` counts the '!' and
     right-nested '->' enclosing the current position; each adds a level, so
     bounding it by MAX_DEPTH as the parser descends refuses no formula the
     depth bound accepts. `parens` counts the enclosing '(', up to MAX_PARENS.
@@ -112,60 +120,68 @@ class _Parser:
             message, SourceSpan(line + self.text.count("\n", 0, offset), offset - newline)
         )
 
-    def bound(self, depth: int, i: int) -> int:
+    def bound(self, depth: int, i: int) -> None:
         if depth > MAX_DEPTH:
             raise self.error(f"formula nests deeper than {MAX_DEPTH} levels", i)
-        return depth
+
+    def node(self, formula: Formula, depth: int, size: int, i: int) -> tuple[Formula, int, int]:
+        """The formula built at token i with its depth and size, both bounded."""
+        self.bound(depth, i)
+        if size > MAX_SIZE:
+            raise self.error(f"formula expands to more than {MAX_SIZE} nodes", i)
+        return formula, depth, size
 
     def expect(self, tok: str, what: str) -> None:
         if self.tokens[self.pos] != tok:
             raise self.error(f"expected {what}", self.pos)
         self.pos += 1
 
-    def parse_formula(self, nest: int) -> tuple[Formula, int]:
-        left, depth = self.parse_imp(nest)
+    def parse_formula(self, nest: int) -> tuple[Formula, int, int]:
+        left, depth, size = self.parse_imp(nest)
         while self.tokens[self.pos] == "<->":
             op = self.pos
             self.pos += 1
-            right, d = self.parse_imp(nest)
-            left, depth = Iff(left, right), self.bound(max(depth, d) + 5, op)
-        return left, depth
+            right, d, n = self.parse_imp(nest)
+            left, depth, size = self.node(
+                Iff(left, right), max(depth, d) + 5, 8 + 2 * (size + n), op
+            )
+        return left, depth, size
 
-    def parse_imp(self, nest: int) -> tuple[Formula, int]:
-        left, depth = self.parse_or(nest)
+    def parse_imp(self, nest: int) -> tuple[Formula, int, int]:
+        left, depth, size = self.parse_or(nest)
         if self.tokens[self.pos] == "->":
             op = self.pos
             self.pos += 1
-            right, d = self.parse_imp(nest + 1)
-            return Implies(left, right), self.bound(max(depth + 1, d) + 1, op)
-        return left, depth
+            right, d, n = self.parse_imp(nest + 1)
+            return self.node(Implies(left, right), max(depth + 1, d) + 1, size + n + 2, op)
+        return left, depth, size
 
-    def parse_or(self, nest: int) -> tuple[Formula, int]:
-        left, depth = self.parse_and(nest)
+    def parse_or(self, nest: int) -> tuple[Formula, int, int]:
+        left, depth, size = self.parse_and(nest)
         while self.tokens[self.pos] == "|":
             op = self.pos
             self.pos += 1
-            right, d = self.parse_and(nest)
-            left, depth = Or(left, right), self.bound(max(depth, d) + 1, op)
-        return left, depth
+            right, d, n = self.parse_and(nest)
+            left, depth, size = self.node(Or(left, right), max(depth, d) + 1, size + n + 1, op)
+        return left, depth, size
 
-    def parse_and(self, nest: int) -> tuple[Formula, int]:
-        left, depth = self.parse_not(nest)
+    def parse_and(self, nest: int) -> tuple[Formula, int, int]:
+        left, depth, size = self.parse_not(nest)
         while self.tokens[self.pos] == "&":
             op = self.pos
             self.pos += 1
-            right, d = self.parse_not(nest)
-            left, depth = And(left, right), self.bound(max(depth, d) + 3, op)
-        return left, depth
+            right, d, n = self.parse_not(nest)
+            left, depth, size = self.node(And(left, right), max(depth, d) + 3, size + n + 4, op)
+        return left, depth, size
 
-    def parse_not(self, nest: int) -> tuple[Formula, int]:
+    def parse_not(self, nest: int) -> tuple[Formula, int, int]:
         op = self.pos
         self.bound(nest, op)
         tok = self.tokens[op]
         if tok == "!":
             self.pos += 1
-            operand, depth = self.parse_not(nest + 1)
-            return Not(operand), self.bound(depth + 1, op)
+            operand, depth, size = self.parse_not(nest + 1)
+            return self.node(Not(operand), depth + 1, size + 1, op)
         if tok == "(":
             if self.parens == MAX_PARENS:
                 raise self.error(f"parentheses nest deeper than {MAX_PARENS} levels", op)
@@ -182,7 +198,7 @@ class _Parser:
             self.expect(",", "','")
             predicate = self.parse_variable()
             self.expect(")", "')'")
-            return Epsilon(Atom(subject, predicate)), 1
+            return Epsilon(Atom(subject, predicate)), 1, 1
         raise self.error("expected a formula", op)
 
     def parse_variable(self) -> str:
@@ -220,7 +236,7 @@ def parse_formula(text: str, line: int = 1, column: int = 1) -> Formula:
     parser = _Parser(text, line, column)
     if not parser.tokens[0]:
         raise parser.error("empty input", 0)
-    formula, _ = parser.parse_formula(0)
+    formula = parser.parse_formula(0)[0]
     tok = parser.tokens[parser.pos]
     if tok:
         raise parser.error(f"unexpected {tok!r} after formula", parser.pos)
@@ -311,13 +327,15 @@ def is_valid_schema_name(name: str) -> bool:
     )
 
 
-def parse_schema_file(text: str) -> dict[str, SchemaEntry]:
-    """Parse lines of the form 'Name := formula' into an ordered mapping.
+def scan_schema_file(text: str) -> Iterator[tuple[str, str, int, int]]:
+    """Yield (name, formula text, line, column) for each 'Name := formula'
+    line, parsing no formula; line and column locate the formula text.
 
-    Blank lines are skipped and '#' starts a comment. Duplicate names are
-    rejected with the position of the second definition.
+    Blank lines are skipped and '#' starts a comment. A line without ':=',
+    an invalid name and a duplicate name (at its second definition) are
+    refused with a ParseError at column 1 of their line.
     """
-    entries: dict[str, SchemaEntry] = {}
+    seen: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -328,9 +346,19 @@ def parse_schema_file(text: str) -> dict[str, SchemaEntry]:
         name = name_part.strip()
         if not is_valid_schema_name(name):
             raise ParseError(f"invalid schema name {name!r}", SourceSpan(lineno, 1))
-        if name in entries:
+        if name in seen:
             raise ParseError(f"duplicate schema name {name!r}", SourceSpan(lineno, 1))
+        seen.add(name)
         column = len(name_part) + 2 + (len(formula_part) - len(formula_part.lstrip())) + 1
-        body = parse_formula(formula_part.strip(), line=lineno, column=column)
-        entries[name] = SchemaEntry.make(name, body)
-    return entries
+        yield name, formula_part.strip(), lineno, column
+
+
+def parse_schema_entry(name: str, text: str, line: int, column: int) -> SchemaEntry:
+    """One scanned line of a schema file, its formula parsed."""
+    return SchemaEntry.make(name, parse_formula(text, line=line, column=column))
+
+
+def parse_schema_file(text: str) -> dict[str, SchemaEntry]:
+    """Parse lines of the form 'Name := formula' into an ordered mapping,
+    line by line: the first error in the file is the one raised."""
+    return {scanned[0]: parse_schema_entry(*scanned) for scanned in scan_schema_file(text)}

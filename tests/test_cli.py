@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -606,3 +607,35 @@ def test_the_directive_index_is_rebuilt_after_clear_caches(capsys, proof_work):
     l1ax.clear_caches()
     run(capsys, *argv)
     assert proof_work == {"texts": 2, "parse": 3, "check": 3}
+
+
+# an iff chain outgrows syntax.MAX_SIZE before any walk visits its copies
+
+IFF_CHAIN = " <-> ".join(["eps(a,b)"] * 19)  # 2,883,574 nodes desugared
+PAST_THE_SIZE = "formula expands to more than 4096 nodes"
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (("taut", IFF_CHAIN), "1:114"),
+        (("theorem", IFF_CHAIN), "1:114"),
+        (("theorem", "X", "--corpus-file", "{file}"), "3:122"),
+    ],
+    ids=["taut", "theorem", "schema-file"],
+)
+def test_an_oversize_formula_fails_fast_at_its_operator(capsys, tmp_path, argv, where):
+    path = tmp_path / "big.schemata"
+    path.write_text(f"X := eps(a,b)\n\nBig :=  {IFF_CHAIN}\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(a.format(file=path) for a in argv))
+    assert time.perf_counter() - start < 0.1
+    assert (code, out, err) == (2, "", f"error: error at {where} ({PAST_THE_SIZE})\n")
+
+
+def test_an_internal_fault_exits_3_on_one_line(capsys, monkeypatch):
+    real = l1ax.criteria.evaluate
+    monkeypatch.setattr(l1ax.criteria, "evaluate", lambda f, v: not real(f, v))
+    code, out, err = run(capsys, "qnt", "A_M8", "A_S1")
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"internal error: refutation of \{[^\n]*\} fails its replay\n", err)

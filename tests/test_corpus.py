@@ -1,11 +1,17 @@
 """The bundled schema corpus: names, statuses, and transcription pins."""
 
-import pytest
+from importlib import resources
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+from l1ax import syntax
 from l1ax.axioms import A_T, A_T1, AX1, AX2, AX3, AX3S
-from l1ax.corpus import load_corpus
+from l1ax.cli import main
+from l1ax.corpus import LazyEntries, load_corpus, validate_entries
 from l1ax.formula import And, Implies, conjoin, eps
-from l1ax.syntax import parse_formula, print_formula
+from l1ax.syntax import parse_formula, parse_schema_file, print_formula
 
 ALL_NAMES = (
     "Ax1",
@@ -148,3 +154,125 @@ def test_reserved_fresh_names_rejected_at_load(tmp_path):
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_corpus(tmp_path / "nope.schemata")
+
+
+# the bundled corpus parses an entry the first time it is read; a schema file
+# given by path is parsed whole
+
+
+def test_every_bundled_entry_parses_and_validates():
+    text = resources.files("l1ax").joinpath("data/corpus.schemata").read_text()
+    eager = parse_schema_file(text)
+    validate_entries(eager, "bundled corpus")
+    corpus = load_corpus()
+    assert corpus.names() == tuple(eager) == ALL_NAMES
+    assert [corpus[name] for name in reversed(ALL_NAMES)] == list(reversed(eager.values()))
+
+
+@pytest.fixture
+def corpus_parses(monkeypatch):
+    """The line of every formula parsed from a schema file."""
+    lines = []
+    real = syntax.parse_formula
+
+    def counted(text, line=1, column=1):
+        lines.append(line)
+        return real(text, line, column)
+
+    monkeypatch.setattr(syntax, "parse_formula", counted)
+    return lines
+
+
+@pytest.mark.parametrize(
+    "argv, parsed",
+    [
+        (("theorem", "A_M8"), 1),
+        (("qnt", "A_M8", "A_S1"), 2),
+        (("nontrivial", "A_M8", "--ref", "A_M8"), 1),
+        (("verify",), 30),
+    ],
+    ids=["theorem", "qnt", "one-name-twice", "verify"],
+)
+def test_a_request_parses_only_the_entries_it_reads(capsys, corpus_parses, argv, parsed):
+    assert main(list(argv)) == 0
+    capsys.readouterr()
+    assert len(corpus_parses) == len(set(corpus_parses)) == parsed
+
+
+def test_names_membership_and_the_unknown_name_error_parse_nothing(corpus_parses):
+    corpus = load_corpus()
+    assert corpus.names() == ALL_NAMES
+    assert len(corpus) == 30 and "A_M8" in corpus and "A_M9" not in corpus
+    with pytest.raises(KeyError, match="unknown schema name 'A_M9'; known names: Ax1, Ax2,"):
+        corpus["A_M9"]
+    assert corpus_parses == []
+
+
+BAD_FILES = [
+    # (text, stderr of `theorem X --corpus-file FILE`), FILE standing for the path
+    ("X := eps(a,b) -> eps(a,a)\nY := eps(a,\n", "error: error at 2:12 (expected a variable)\n"),
+    ("X := eps(a,b) -> eps(a,a)\nX := eps(a,b)\n", "error: error at 2:1 (duplicate schema name 'X')\n"),
+    (
+        "X := eps(a,b) -> eps(a,a)\nY := eps(y1,a) -> eps(a,a)\n",
+        "error: FILE: schema 'Y' uses reserved fresh variable names ['y1']; the pools"
+        " y1.., u1.., v1.. are reserved for generated substitutions\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_FILES, ids=["formula", "duplicate", "reserved"])
+def test_a_bad_line_of_a_corpus_file_fails_a_request_for_another_name(
+    capsys, tmp_path, text, message
+):
+    path = tmp_path / "bad.schemata"
+    path.write_text(text)
+    assert main(["theorem", "X", "--corpus-file", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", message.replace("FILE", str(path)))
+
+
+# generated schema files: valid lines, and each way a line can be wrong
+line_kinds = st.sampled_from(
+    [
+        "{name} := eps(a,b) -> eps(b,a)",
+        "{name} :=eps(a,b) & eps(c,c)  # note",
+        "  {name}  :=   !eps(b,a)",
+        "{name} := eps(y1,a) -> eps(a,a)",  # reserved variable
+        "{name} := eps(a, -> eps(a,a)",  # bad formula
+        "{name} eps(a,b)",  # no ':='
+        "1{name} := eps(a,b)",  # bad name
+        "",
+        "# comment",
+    ]
+)
+# "X1" twice, so that duplicate definitions are drawn often
+schema_files = st.lists(
+    st.tuples(line_kinds, st.sampled_from(["X1", "A_t", "B-2", "X1"])), max_size=6
+).map(lambda lines: "\n".join(kind.format(name=name) for kind, name in lines))
+
+
+def read(entries_of, text, order):
+    """The names and entries of a schema file, read in the given order, or
+    the type and message of the first error."""
+    try:
+        entries = entries_of(text)
+        names = list(entries)
+        for i in order(len(names)):
+            entries[names[i]]
+        return names, [entries[name] for name in names]
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@given(schema_files, st.randoms(use_true_random=False))
+def test_entries_read_on_demand_match_the_whole_file_parse(text, rng):
+    def eager(text):
+        entries = parse_schema_file(text)
+        validate_entries(entries, "drawn")
+        return entries
+
+    def shuffled(n):
+        return rng.sample(range(n), n)
+
+    expected = read(eager, text, range)
+    assert read(lambda text: LazyEntries(text, "drawn"), text, shuffled) == expected

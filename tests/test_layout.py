@@ -6,9 +6,16 @@ tests/oracles.py. This parses every module of l1ax and requires each
 public module-level function, class and constant to be loaded somewhere
 in the package: read as a name or an attribute, or imported by a module
 (the re-exports of l1ax/__init__ count).
+
+It also checks that importing l1ax.cli loads every module the benchmark's
+tracer wraps: the tracer rebinds functions in the namespaces loaded when it
+is installed, so a module imported later would go untraced.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import l1ax
@@ -58,3 +65,24 @@ def test_every_public_name_is_loaded_in_the_package():
         if name not in loaded
     )
     assert orphans == sorted(ALLOWED)
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    tracer = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    layers = next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+    )
+    traced = sorted({module for module, _ in layers.values()})
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, l1ax.cli; print(*sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        check=True,
+    )
+    loaded = set(proc.stdout.split())
+    assert [module for module in traced if module not in loaded] == []

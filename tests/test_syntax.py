@@ -31,6 +31,7 @@ from l1ax.substitution import Substitution
 from l1ax.syntax import (
     MAX_DEPTH,
     MAX_PARENS,
+    MAX_SIZE,
     ParseError,
     SourceSpan,
     parse_formula,
@@ -509,7 +510,9 @@ def test_formulas_up_to_the_depth_limit_parse(text):
         (chain("&", 68), 67 * len("eps(a,b) & ") - 1),
         (chain("&", 400), 67 * len("eps(a,b) & ") - 1),
         (chain("|", MAX_DEPTH + 1), MAX_DEPTH * len("eps(a,b) | ") - 1),
-        (chain("<->", 41), 40 * len("eps(a,b) <-> ") - 3),
+        # an iff chain outgrows MAX_SIZE long before MAX_DEPTH: deepen its
+        # last operand instead
+        (chain("<->", 3) + " <-> " + "!" * 195 + "eps(a,b)", 2 * len("eps(a,b) <-> ") + 10),
     ],
 )
 def test_deeper_formulas_fail_as_parse_errors(text, column):
@@ -541,3 +544,53 @@ def test_parsed_depth_is_the_formula_depth():
         assert depth(parse_formula(chain("&", n))) == 3 * n - 2
     assert depth(parse_formula(chain("->", MAX_DEPTH - 1))) == MAX_DEPTH
     assert depth(parse_formula(chain("<->", 4))) == 16
+
+
+def size(f):
+    """Node count of the desugared formula, shared subterms counted each time."""
+    if isinstance(f, Not):
+        return 1 + size(f.operand)
+    if isinstance(f, Or):
+        return 1 + size(f.left) + size(f.right)
+    return 1
+
+
+def balanced(k):
+    """A disjunction of 2^k atoms, k deep."""
+    return "eps(a,b)" if k == 0 else f"({balanced(k - 1)} | {balanced(k - 1)})"
+
+
+def parsed_size(text):
+    return syntax._Parser(text, 1, 1).parse_formula(0)[2]
+
+
+@given(formulas)
+def test_parsed_size_is_the_node_count(f):
+    assert parsed_size(print_formula(f)) == size(f)
+
+
+def test_an_iff_chain_doubles_its_size_per_operand(monkeypatch):
+    monkeypatch.setattr(syntax, "MAX_SIZE", 10**6)
+    assert [parsed_size(chain("<->", n)) for n in (1, 2, 3, 4, 14)] == [1, 12, 34, 78, 90102]
+
+
+@pytest.mark.parametrize(
+    "text, column",
+    [
+        # the tenth operand takes the chain to 5622 nodes
+        (chain("<->", 10), 8 * len("eps(a,b) <-> ") + 10),
+        (chain("<->", 41), 8 * len("eps(a,b) <-> ") + 10),
+        # a balanced disjunction of 2048 atoms has 4095 nodes; '!' adds one
+        ("!" + balanced(11), None),
+        ("!!" + balanced(11), 1),
+    ],
+    ids=["iff-10", "iff-41", "at-the-limit", "past-the-limit"],
+)
+def test_larger_formulas_fail_as_parse_errors(text, column):
+    if column is None:
+        assert size(parse_formula(text)) == MAX_SIZE
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_formula(text, line=2)
+    assert exc.value.message == f"formula expands to more than {MAX_SIZE} nodes"
+    assert exc.value.span == SourceSpan(2, column)
