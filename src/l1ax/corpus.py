@@ -2,10 +2,8 @@
 
 Thirty entries: the base axiom schemata, their single-schema packagings, the
 established characteristic schemata, the two starred companions and sixteen
-conjectured schemata. Formulas live in data/corpus.schemata; status and
-naming metadata live here. Two exchange-series entries carry a legacy_label
-because they circulated under the same printed labels as the A_S1ex pair;
-the legacy labels are informational only and never used for lookup.
+conjectured schemata. Formulas live in data/corpus.schemata; which names
+are established and which conjectured is recorded here.
 
 The bundled corpus parses an entry's formula the first time the entry is
 read, so a request that names one schema parses one; its names come from
@@ -62,12 +60,6 @@ CONJECTURES = (
 # the five schemata of the pairwise quasi-nontriviality theorem
 ESTABLISHED_FIVE = ("A_M8", "A_S1", "A_S2", "A_S3N", "A_S3Nd")
 
-LEGACY_LABELS = {
-    "A_S2ex2": "A_S1ex2",
-    "A_S2ex3": "A_S1ex3",
-}
-
-
 @dataclass(frozen=True, slots=True)
 class Corpus:
     """Named schema entries, in file order, and where they came from.
@@ -100,13 +92,6 @@ class Corpus:
 
     def names(self) -> tuple[str, ...]:
         return tuple(self.entries)
-
-    def status(self, name: str) -> str:
-        self[name]
-        return "conjecture" if name in CONJECTURES else "established"
-
-    def legacy_label(self, name: str) -> str | None:
-        return LEGACY_LABELS.get(name)
 
     def established_five(self) -> tuple[SchemaEntry, ...]:
         return tuple(self[name] for name in ESTABLISHED_FIVE)

@@ -13,8 +13,9 @@ where the two tables differ is the counter-valuation are_equivalent would
 report. The comparisons run in two modes. Decide mode (explain=False)
 returns the verdict, the witness and the number of maps examined. Explain
 mode, the default, also builds a Refutation for every candidate before the
-witness and replays each one, and the witness, through Substitution.apply
-and pointwise evaluation.
+witness and replays each one through Substitution.apply and pointwise
+evaluation; only reports that print refutations ask for it. Both modes
+replay the witness through Substitution.apply and are_equivalent.
 
 Both modes walk the renamings depth first in lexicographic rho order.
 Equivalent formulas depend on the same atoms, and a renaming maps atoms
@@ -270,8 +271,8 @@ def _sweep(
     kernel: _Kernel, explain: bool
 ) -> tuple[CandidateMap | None, tuple[Refutation, ...], int]:
     """Test the renamings in lexicographic rho order, stopping at the
-    first equivalence; decide mode skips those that cannot preserve the
-    essential atoms.
+    first equivalence, whose witness is replayed; decide mode skips those
+    that cannot preserve the essential atoms.
 
     Returns the witness (or None), the refutations of every candidate
     before success (explain mode only) and the witness's position, or n!.
@@ -285,8 +286,7 @@ def _sweep(
         source_bits, diff, index = kernel.compare(place)
         if not diff:
             witness = kernel.candidate(perm)
-            if explain:
-                kernel.replay_witness(witness)
+            kernel.replay_witness(witness)
             return witness, tuple(refutations), _position(perm)
         if explain:
             refutations.append(kernel.refutation(perm, source_bits, diff, index))
@@ -340,29 +340,11 @@ def _left_oriented(
     return None
 
 
-def _holds(kernel: _Kernel, sigma: Substitution) -> bool:
-    """Does sigma, a bijection of the source's variables onto the
-    kernel's targets, make the two bodies equivalent?"""
-    place = [kernel.targets.index(sigma.target(v)) for v in kernel.source.variables]
-    return not kernel.compare(place)[1]
-
-
-def _mirror_cross_check(
-    left: SchemaEntry, right: SchemaEntry, inverse: Substitution | None
-) -> str:
+def _mirror_cross_check(left: SchemaEntry, right: SchemaEntry, found: bool) -> str:
     """Does the mirrored sweep, left's variables onto right's, find a
-    witness exactly when the primary sweep did?
-
-    inverse is the primary witness inverted (None without one). Renaming
-    both sides of sigma(right) == left by sigma's inverse gives
-    inverse(left) == right, so inverse is a mirrored witness; the full
-    mirrored sweep runs only without one or when it fails.
-    """
-    kernel = _Kernel(left, right, FRESH_QNT_RIGHT)
-    found = inverse is not None and _holds(kernel, inverse)
-    if not found:
-        found = _sweep(kernel, explain=False)[0] is not None
-    return "agree" if found == (inverse is not None) else "disagree"
+    witness exactly when the primary sweep did (found)?"""
+    mirrored = _sweep(_Kernel(left, right, FRESH_QNT_RIGHT), explain=False)[0]
+    return "agree" if (mirrored is not None) == found else "disagree"
 
 
 def _oriented_kernel(left: SchemaEntry, right: SchemaEntry) -> tuple[int, _Kernel]:
@@ -395,7 +377,7 @@ def quasi_triviality(
     left_oriented = _left_oriented(left, right, case_used, witness)
     cross_check = None
     if left.arity == right.arity:
-        cross_check = _mirror_cross_check(left, right, left_oriented)
+        cross_check = _mirror_cross_check(left, right, witness is not None)
     return QntReport(
         left=left,
         right=right,

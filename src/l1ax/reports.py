@@ -11,7 +11,7 @@ their count; the single-pair commands expose every refutation in full.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from typing import Any
 
 from .characterize import CharacterizationReport
@@ -82,7 +82,7 @@ def qnt_summary(cell: QntReport | InapplicablePair | TrivialityReport) -> dict:
     """
     if isinstance(cell, InapplicablePair):
         return jsonable(cell)
-    data = jsonable(replace(cell, refutations=()))
+    data = jsonable(cell)
     del data["refutations"]
     data["refutation_count"] = cell.map_count - (cell.witness is not None)
     return data

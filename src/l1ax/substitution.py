@@ -52,12 +52,6 @@ class Substitution:
     def mapping(self) -> dict[NameVar, NameVar]:
         return dict(self.items)
 
-    def target(self, var: NameVar) -> NameVar:
-        for src, tgt in self.items:
-            if src == var:
-                return tgt
-        return var
-
     def apply(self, formula: Formula) -> Formula:
         m = self.mapping
         images: dict[Atom, Epsilon] = {}  # each distinct atom is renamed once

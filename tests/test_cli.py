@@ -639,3 +639,11 @@ def test_an_internal_fault_exits_3_on_one_line(capsys, monkeypatch):
     code, out, err = run(capsys, "qnt", "A_M8", "A_S1")
     assert (code, out) == (3, "")
     assert re.fullmatch(r"internal error: refutation of \{[^\n]*\} fails its replay\n", err)
+
+
+def test_a_witness_that_fails_its_replay_in_decide_mode_exits_3(capsys, monkeypatch):
+    never = l1ax.semantics.SemanticsVerdict(False, None)
+    monkeypatch.setattr(l1ax.criteria, "are_equivalent", lambda a, b: never)
+    code, out, err = run(capsys, "matrix")
+    assert (code, out) == (3, "")
+    assert re.fullmatch(r"internal error: witness \{[^\n]*\} fails its replay\n", err)

@@ -1,4 +1,4 @@
-"""The bundled schema corpus: names, statuses, and transcription pins."""
+"""The bundled schema corpus: names, lazy parsing, and transcription pins."""
 
 from importlib import resources
 
@@ -46,7 +46,6 @@ ALL_NAMES = (
     "A_S2ex3",
 )
 
-ESTABLISHED = ALL_NAMES[:14]
 CONJECTURES = ALL_NAMES[14:]
 
 
@@ -55,13 +54,6 @@ def test_names_and_size(corpus):
     assert len(corpus) == 30
     assert "A_M8" in corpus
     assert "A_M9" not in corpus
-
-
-def test_statuses(corpus):
-    for name in ESTABLISHED:
-        assert corpus.status(name) == "established"
-    for name in CONJECTURES:
-        assert corpus.status(name) == "conjecture"
 
 
 def test_established_five(corpus):
@@ -73,12 +65,6 @@ def test_established_five(corpus):
 
 def test_conjecture_entries(corpus):
     assert tuple(e.name for e in corpus.conjecture_entries()) == CONJECTURES
-
-
-def test_legacy_labels(corpus):
-    assert corpus.legacy_label("A_S2ex2") == "A_S1ex2"
-    assert corpus.legacy_label("A_S2ex3") == "A_S1ex3"
-    assert corpus.legacy_label("A_S1") is None
 
 
 def test_axiom_constants_match_the_corpus(corpus):
@@ -139,8 +125,6 @@ def test_loading_a_custom_schema_file(tmp_path):
     custom = load_corpus(path)
     assert custom.names() == ("Mine",)
     assert custom["Mine"].arity == 2
-    # bundled statuses still answer for custom names
-    assert custom.status("Mine") == "established"
 
 
 def test_reserved_fresh_names_rejected_at_load(tmp_path):

@@ -307,14 +307,22 @@ def spy_sweeps(monkeypatch, entries, skip=None):
 
 def test_inverse_witness_spares_the_mirrored_sweep(corpus, monkeypatch):
     calls = spy_sweeps(monkeypatch, [corpus["Star"], corpus["A_M8"]])
+    compared = []
+    compare = criteria._Kernel.compare
+
+    def spy_compare(kernel, place):
+        compared.append(kernel.source.name)
+        return compare(kernel, place)
+
+    monkeypatch.setattr(criteria._Kernel, "compare", spy_compare)
     report = quasi_triviality(corpus["Star"], corpus["A_M8"], explain=False)
     assert report.cross_check == "agree"
-    assert calls == [("A_M8", "Star")]  # the primary sweep only
+    assert calls == [("A_M8", "Star"), ("Star", "A_M8")]  # primary, then mirrored
+    assert compared.count("Star") == 1  # the mirrored sweep's witness is its first map
 
 
 def test_failed_inverse_falls_back_to_the_full_mirrored_sweep(corpus, monkeypatch):
     star, m8 = corpus["Star"], corpus["A_M8"]
-    monkeypatch.setattr(criteria, "_holds", lambda kernel, sigma: False)
     calls = spy_sweeps(monkeypatch, [star, m8])
     report = quasi_triviality(star, m8)
     assert report.verdict == "quasi-trivial"
@@ -324,7 +332,6 @@ def test_failed_inverse_falls_back_to_the_full_mirrored_sweep(corpus, monkeypatc
 
 def test_failed_fallback_reports_the_disagreement(corpus, monkeypatch):
     star, m8 = corpus["Star"], corpus["A_M8"]
-    monkeypatch.setattr(criteria, "_holds", lambda kernel, sigma: False)
     calls = spy_sweeps(monkeypatch, [star, m8], skip="Star")
     report = quasi_triviality(star, m8)
     assert report.verdict == "quasi-trivial"
@@ -339,11 +346,13 @@ def test_mirrored_sweep_runs_without_a_primary_witness(corpus, monkeypatch):
     assert {cell.cross_check for cell in cells.values()} == {"agree"}
     assert calls == [
         ("A_S1", "A_S1"),
+        ("A_S1", "A_S1"),  # mirrored
         ("A_S2", "A_S1"),
         ("A_S1", "A_S2"),  # mirrored: no primary witness
         ("A_S1", "A_S2"),
         ("A_S2", "A_S1"),  # mirrored
         ("A_S2", "A_S2"),
+        ("A_S2", "A_S2"),  # mirrored
     ]
 
 
@@ -351,11 +360,38 @@ def test_is_quasi_trivial_runs_the_primary_sweep_only(corpus, monkeypatch):
     s1, s2, star, m8 = (corpus[n] for n in ("A_S1", "A_S2", "Star", "A_M8"))
     calls = spy_sweeps(monkeypatch, [s1, s2, star, m8])
     hypotheses = criteria.is_nontrivial_standard.cache_info()
-    monkeypatch.setattr(criteria, "_holds", lambda kernel, sigma: pytest.fail("cross-checked"))
     assert not is_quasi_trivial(s1, s2)  # equal arity, no witness
     assert is_quasi_trivial(star, m8)  # equal arity, witness
     assert calls == [("A_S2", "A_S1"), ("A_M8", "Star")]
     assert criteria.is_nontrivial_standard.cache_info() == hypotheses
+
+
+@pytest.mark.parametrize(
+    "argv, built, replayed",
+    [
+        (["conjectures"], 0, 0),
+        (["matrix"], 0, 10),
+        (["verify"], 624, 116),
+        (["qnt", "A_S1", "A_S2"], 24, 0),
+        (["nontrivial", "A_M8"], 24, 0),
+    ],
+)
+def test_refutations_are_built_only_for_reports_that_show_them(
+    argv, built, replayed, capsys, monkeypatch
+):
+    counts = {"refutation": 0, "replay_witness": 0}
+    for name in counts:
+        method = getattr(criteria._Kernel, name)
+
+        def spy(kernel, *args, name=name, method=method):
+            counts[name] += 1
+            return method(kernel, *args)
+
+        monkeypatch.setattr(criteria._Kernel, name, spy)
+    l1ax.clear_caches()
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert counts == {"refutation": built, "replay_witness": replayed}
 
 
 TAMPERED_REPLAY = """
@@ -394,10 +430,9 @@ def test_a_refutation_that_fails_its_replay_raises_under_dash_o():
 
 def test_a_witness_that_fails_its_replay_raises(corpus, monkeypatch):
     monkeypatch.setattr(criteria, "are_equivalent", lambda a, b: are_equivalent(a, Not(b)))
-    with pytest.raises(RuntimeError, match="fails its replay"):
-        triviality(corpus["A_t"], corpus["A_t"])
-    # decide mode does not replay
-    assert triviality(corpus["A_t"], corpus["A_t"], explain=False).verdict == "trivial"
+    for explain in (True, False):
+        with pytest.raises(RuntimeError, match="fails its replay"):
+            triviality(corpus["A_t"], corpus["A_t"], explain=explain)
 
 
 def test_clear_caches_drops_the_compiled_bodies(corpus):

@@ -3,9 +3,12 @@
 A public function that only the tests call is a second way to compute
 what the program already computes; the project keeps such slow paths in
 tests/oracles.py. This parses every module of l1ax and requires each
-public module-level function, class and constant to be loaded somewhere
-in the package: read as a name or an attribute, or imported by a module
-(the re-exports of l1ax/__init__ count).
+public module-level function, class and constant, and each public method
+or property of a module-level class, to be loaded somewhere in the
+package: read as a name or an attribute, or imported by a module (the
+re-exports of l1ax/__init__ count). Dunder methods are exempt. A method
+is matched by its name alone, so it passes when any attribute of that
+name is loaded.
 
 It also checks that importing l1ax.cli loads every module the benchmark's
 tracer wraps: the tracer rebinds functions in the namespaces loaded when it
@@ -31,8 +34,16 @@ ALLOWED = {
 
 
 def definitions(tree):
-    """Public names bound at module level by def, class or assignment."""
+    """Public names bound at module level by def, class or assignment, and
+    the public methods and properties of module-level classes, as
+    Class.name."""
     for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                f"{node.name}.{item.name}"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")
+            )
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names = [node.name]
         elif isinstance(node, ast.Assign):
@@ -62,7 +73,7 @@ def test_every_public_name_is_loaded_in_the_package():
         f"{module}.{name}"
         for module, tree in trees.items()
         for name in definitions(tree)
-        if name not in loaded
+        if name.rsplit(".", 1)[-1] not in loaded
     )
     assert orphans == sorted(ALLOWED)
 

@@ -20,12 +20,6 @@ def test_apply_renames_subject_and_predicate_positions(corpus):
     )
 
 
-def test_target_defaults_to_identity():
-    sigma = Substitution.of({"a": "b"})
-    assert sigma.target("a") == "b"
-    assert sigma.target("z") == "z"
-
-
 def test_identity_and_rendering():
     assert Substitution.identity().mapping == {}
     assert str(Substitution.of({"a": "x", "b": "y"})) == "{a->x, b->y}"
