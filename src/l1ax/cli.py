@@ -4,9 +4,9 @@ Exit codes: 0 when the requested verdict was computed (whatever it is),
 1 when a proof check or the verification battery reports failures,
 2 for usage problems — parse errors, unknown names, a comparison the
 criteria do not cover, or an input beyond a size limit — and 3 for an
-internal fault, such as a witness that fails its replay, reported on one
-stderr line with nothing on stdout. Output is deterministic: two runs of
-the same command are byte-identical.
+internal fault, such as a witness that fails its replay or any KeyError
+but an unknown name, reported on one stderr line with nothing on stdout.
+Output is deterministic: two runs of the same command are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Callable
 
 from . import reports
 from .characterize import characterize
-from .corpus import Corpus, load_corpus
+from .corpus import Corpus, UnknownSchemaName, load_corpus
 from .criteria import qnt_matrix, quasi_triviality, triviality
 from .decision import is_theorem
 from .formula import SchemaEntry
@@ -129,7 +129,7 @@ def _matrix(args: argparse.Namespace, corpus: Loader) -> Outcome:
         entries = tuple(load_corpus(Path(args.corpus)))
     else:
         entries = corpus().established_five()
-    cells = qnt_matrix(entries, explain=False)
+    cells = qnt_matrix(entries)
     return (
         lambda: {
             "entries": [e.name for e in entries],
@@ -235,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _corpus_loader(path: str | None) -> Loader:
     """The corpus of one request: the bundled one is read on first use, at
     most once, and parses each entry the request reads when it first reads
-    it; a --corpus-file is read and parsed whole at once, so a bad file fails
-    every command."""
+    it; a --corpus-file is loaded at once with every entry read, so a bad
+    file fails every command."""
     if path is not None:
         corpus = load_corpus(Path(path))
         return lambda: corpus
@@ -255,14 +255,14 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             output = text()
-    except (OSError, KeyError, ValueError) as exc:
-        # parse errors, inapplicable criteria and budget errors are ValueErrors
-        # str() of a KeyError quotes its message; that of an OSError names the path
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+    except (OSError, UnknownSchemaName, ValueError) as exc:
+        # parse errors, inapplicable criteria and budget errors are ValueErrors;
+        # str() of an OSError names the path
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        # a failed replay or a verdict without its witness; RecursionError too
+    except (RuntimeError, KeyError) as exc:
+        # a failed replay or a verdict without its witness, RecursionError too,
+        # and any KeyError but an unknown name
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     print(output)

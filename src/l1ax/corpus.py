@@ -5,15 +5,15 @@ established characteristic schemata, the two starred companions and sixteen
 conjectured schemata. Formulas live in data/corpus.schemata; which names
 are established and which conjectured is recorded here.
 
-The bundled corpus parses an entry's formula the first time the entry is
-read, so a request that names one schema parses one; its names come from
-scanning the file. A schema file given by path is parsed whole at once.
+A Corpus parses an entry's formula the first time the entry is read, so a
+request that names one bundled schema parses one; its names come from
+scanning the file. A schema file given by path has every entry read at
+load, so a bad line fails every request.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
 
@@ -60,45 +60,6 @@ CONJECTURES = (
 # the five schemata of the pairwise quasi-nontriviality theorem
 ESTABLISHED_FIVE = ("A_M8", "A_S1", "A_S2", "A_S3N", "A_S3Nd")
 
-@dataclass(frozen=True, slots=True)
-class Corpus:
-    """Named schema entries, in file order, and where they came from.
-
-    `entries` is a plain dict, or the LazyEntries of the bundled corpus;
-    names, membership, length and the unknown-name error never parse a
-    formula.
-    """
-
-    entries: Mapping[str, SchemaEntry]
-    source: str
-
-    def __getitem__(self, name: str) -> SchemaEntry:
-        try:
-            return self.entries[name]
-        except KeyError:
-            raise KeyError(
-                f"unknown schema name {name!r}; known names: "
-                + ", ".join(self.entries)
-            ) from None
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def __iter__(self):
-        return iter(self.entries.values())
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.entries)
-
-    def established_five(self) -> tuple[SchemaEntry, ...]:
-        return tuple(self[name] for name in ESTABLISHED_FIVE)
-
-    def conjecture_entries(self) -> tuple[SchemaEntry, ...]:
-        return tuple(self[name] for name in CONJECTURES if name in self.entries)
-
 
 def validate_entries(entries: dict[str, SchemaEntry], source: str) -> None:
     for entry in entries.values():
@@ -111,20 +72,29 @@ def validate_entries(entries: dict[str, SchemaEntry], source: str) -> None:
             )
 
 
-def _parse_whole(text: str, source: str) -> dict[str, SchemaEntry]:
-    """Every entry of a schema file, parsed line by line, then validated."""
-    entries = parse_schema_file(text)
-    validate_entries(entries, source)
-    return entries
+def _parse_whole(text: str, source: str) -> None:
+    """Parse every entry of a schema file line by line, then validate them:
+    the first error of the whole file is the one raised."""
+    validate_entries(parse_schema_file(text), source)
 
 
-class LazyEntries(Mapping[str, SchemaEntry]):
-    """The entries of a schema file, each parsed and validated when it is
-    first read and kept for the life of this mapping.
+class UnknownSchemaName(KeyError):
+    """A name that no entry of the corpus has: a user error, unlike a
+    KeyError raised by a fault of the program."""
 
-    The names come from scanning the file when the mapping is made. An error
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+class Corpus:
+    """The named entries of one schema file, in file order, each parsed and
+    validated when it is first read and kept for the life of the corpus.
+
+    The names come from scanning the file when the corpus is made, so names,
+    membership, length and the unknown-name error parse no formula. An error
     is raised as _parse_whole raises it, as the first error of the whole
-    file, whichever entry is read first.
+    file, whichever entry is read first. Iteration yields the entries, and
+    so parses them all.
     """
 
     __slots__ = ("_text", "_source", "_lines", "_parsed")
@@ -142,7 +112,11 @@ class LazyEntries(Mapping[str, SchemaEntry]):
     def __getitem__(self, name: str) -> SchemaEntry:
         entry = self._parsed.get(name)
         if entry is None:
-            scanned = self._lines[name]
+            scanned = self._lines.get(name)
+            if scanned is None:
+                raise UnknownSchemaName(
+                    f"unknown schema name {name!r}; known names: " + ", ".join(self._lines)
+                )
             try:
                 entry = parse_schema_entry(*scanned)
                 validate_entries({name: entry}, self._source)
@@ -152,23 +126,33 @@ class LazyEntries(Mapping[str, SchemaEntry]):
             self._parsed[name] = entry
         return entry
 
-    def __contains__(self, name: object) -> bool:
+    def __contains__(self, name: str) -> bool:
         return name in self._lines
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._lines)
+    def __iter__(self) -> Iterator[SchemaEntry]:
+        return (self[name] for name in self._lines)
 
     def __len__(self) -> int:
         return len(self._lines)
 
+    def names(self) -> tuple[str, ...]:
+        return tuple(self._lines)
+
+    def established_five(self) -> tuple[SchemaEntry, ...]:
+        return tuple(self[name] for name in ESTABLISHED_FIVE)
+
+    def conjecture_entries(self) -> tuple[SchemaEntry, ...]:
+        return tuple(self[name] for name in CONJECTURES if name in self._lines)
+
 
 def load_corpus(path: str | Path | None = None) -> Corpus:
     """The bundled corpus, its entries parsed as they are read, or any schema
-    file in the same format, parsed whole before it is returned so that a bad
-    file fails whichever entries are used."""
+    file in the same format, every entry read before it is returned so that
+    a bad file fails whichever entries are used."""
     if path is None:
-        source = "bundled corpus"
         text = resources.files("l1ax").joinpath("data/corpus.schemata").read_text()
-        return Corpus(entries=LazyEntries(text, source), source=source)
-    source = str(path)
-    return Corpus(entries=_parse_whole(Path(path).read_text(), source), source=source)
+        return Corpus(text, "bundled corpus")
+    corpus = Corpus(Path(path).read_text(), str(path))
+    for _ in corpus:
+        pass
+    return corpus

@@ -414,10 +414,9 @@ class InapplicablePair:
 MatrixCell = QntReport | InapplicablePair
 
 
-def qnt_matrix(
-    entries: Iterable[SchemaEntry], *, explain: bool = True
-) -> dict[tuple[str, str], MatrixCell]:
-    """Quasi-triviality reports for every ordered pair, diagonal included.
+def qnt_matrix(entries: Iterable[SchemaEntry]) -> dict[tuple[str, str], MatrixCell]:
+    """Decide-mode quasi-triviality reports for every ordered pair, diagonal
+    included.
 
     Pairs the definition does not cover become InapplicablePair cells
     rather than aborting the whole matrix.
@@ -427,7 +426,7 @@ def qnt_matrix(
     for a in pool:
         for b in pool:
             try:
-                cells[(a.name, b.name)] = quasi_triviality(a, b, explain=explain)
+                cells[(a.name, b.name)] = quasi_triviality(a, b, explain=False)
             except CriterionInapplicable as exc:
                 cells[(a.name, b.name)] = InapplicablePair(a, b, str(exc))
     return cells

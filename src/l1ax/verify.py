@@ -243,7 +243,7 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
             check(isinstance(cell, QntReport), (a, b))
             check(cell.verdict == ("quasi-trivial" if a == b else "quasi-nontrivial"), (a, b))
             check(cell.cross_check in (None, "agree"), (a, b))
-        pair = cells[("A_S1", "A_S2")]
+        pair = quasi_triviality(c["A_S1"], c["A_S2"])
         sigma = Substitution.of({"a": "c", "b": "d", "c": "a", "d": "b"})
         hits = [r for r in pair.refutations if r.candidate.sigma == sigma]
         check(hits, "expected the printed sigma among the refutations")

@@ -161,15 +161,25 @@ def test_criterion_7_pairwise_matrix():
         cells = qnt_matrix(FIVE)
         off_diagonal = [key for key in cells if key[0] != key[1]]
         assert len(off_diagonal) == 20
+        # the matrix decides; each pair's refutations come from explain mode,
+        # which must reach the same verdict, case, witness and map count
+        explained = {}
         for key in off_diagonal:
             cell = cells[key]
             assert cell.verdict == "quasi-nontrivial", key
-            assert len(cell.refutations) == cell.map_count == 24
-            certify_refutations(cell, *qnt_bodies(cell))
+            report = explained[key] = quasi_triviality(cell.left, cell.right)
+            assert (report.verdict, report.case_used, report.witness, report.map_count) == (
+                cell.verdict,
+                cell.case_used,
+                cell.witness,
+                cell.map_count,
+            ), key
+            assert len(report.refutations) == cell.map_count == 24
+            certify_refutations(report, *qnt_bodies(report))
 
         # the documented separating map for the sibling pair must fail on
         # one of its two distinguished atoms
-        cell = cells[("A_S1", "A_S2")]
+        cell = explained[("A_S1", "A_S2")]
         wanted = {"a": "c", "b": "d", "c": "a", "d": "b"}
         match = [r for r in cell.refutations if r.candidate.sigma.mapping == wanted]
         assert len(match) == 1

@@ -1,5 +1,7 @@
 """Command line behaviour: exit codes, output shapes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -9,6 +11,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import l1ax
 from l1ax import cli, reports
@@ -21,6 +25,7 @@ from l1ax.syntax import (
     parse_formula,
     print_formula,
 )
+from test_corpus import schema_files
 
 
 def run(capsys, *argv):
@@ -647,3 +652,76 @@ def test_a_witness_that_fails_its_replay_in_decide_mode_exits_3(capsys, monkeypa
     code, out, err = run(capsys, "matrix")
     assert (code, out) == (3, "")
     assert re.fullmatch(r"internal error: witness \{[^\n]*\} fails its replay\n", err)
+
+
+def test_a_stray_key_error_is_an_internal_fault(capsys, monkeypatch):
+    def faulty_lookup(left, right):
+        return {}[left.name]
+
+    monkeypatch.setattr(cli, "quasi_triviality", faulty_lookup)
+    code, out, err = run(capsys, "qnt", "A_S1", "A_S2")
+    assert (code, out, err) == (3, "", "internal error: 'A_S1'\n")
+
+
+# drawn proof scripts: directives, then steps, some with bad justifications;
+# or junk text
+directives = st.sampled_from(
+    [
+        "name: drawn",
+        "assume: A := eps(a,b) -> eps(a,a)",
+        "assume: eps(a,b)",  # no ':='
+        "meta: source = drawn",
+        "meta: source",  # no '='
+        "conclude: eps(a,b) -> eps(a,a)",
+        "conclude: eps(a,",
+        "# comment",
+    ]
+)
+steps = st.sampled_from(
+    [
+        "s1: eps(a,b) -> eps(a,a) ; SCHEMA(A)",
+        "s2: eps(c,d) -> eps(c,c) ; SCHEMA(A, {a->c, b->d})",
+        "s3: eps(a,b) | !eps(a,b) ; TAUT",
+        "s4: eps(a,a) ; MP(s3, s1)",
+        "s5: eps(a,a) ; TAUTCONSEQ(s1, s9)",
+        "s6: eps(a,b) -> eps(a,a) ; AXIOM(Ax1)",
+        "s7: eps(a,a) ; SCHEMA(Nope)",
+        "s8: eps(a,a) ; AXIOM(Ax9, {a->b})",
+        "s9: eps(b,a) -> eps(b,b) ; SUBST(s1, {a->b, b->a})",
+        "s10: eps(a,a) ; SUBST(s1, {a->})",
+        "s11: eps(a,a) ; MP(s1)",
+        "s12: eps(a,a) ; BOGUS(s1)",
+        "s1: eps(a,a) ; TAUT",  # a duplicate label when s1 is drawn too
+        "s13: eps(a,a)",  # no justification
+    ]
+)
+proof_scripts = st.one_of(
+    st.tuples(st.lists(directives, max_size=3), st.lists(steps, min_size=1, max_size=4)).map(
+        lambda parts: "\n".join(parts[0] + parts[1])
+    ),
+    st.text(alphabet="eps(a,b);:->{}|!&s1 TAUMP\n", max_size=24),
+)
+
+
+@pytest.fixture(scope="module")
+def drawn_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("drawn")
+
+
+@given(schema_files, st.sampled_from(["X1", "A_t", "B-2", "Q"]), proof_scripts)
+def test_main_ends_in_an_exit_code_on_drawn_files(drawn_dir, text, name, script):
+    schemata, proof = drawn_dir / "drawn.schemata", drawn_dir / "drawn.proof"
+    schemata.write_text(text)
+    proof.write_text(script)
+    for argv in (
+        ["theorem", name, "--corpus-file", str(schemata)],
+        ["matrix", "--corpus", str(schemata)],
+        ["check-proof", str(proof)],
+    ):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        if code == 2:
+            assert out.getvalue() == "" and re.fullmatch(r"error: [^\n]*\n", err.getvalue()), argv
+        else:
+            assert code in (0, 1) and err.getvalue() == "", (argv, code, err.getvalue())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from l1ax import syntax
 from l1ax.axioms import A_T, A_T1, AX1, AX2, AX3, AX3S
 from l1ax.cli import main
-from l1ax.corpus import LazyEntries, load_corpus, validate_entries
+from l1ax.corpus import Corpus, load_corpus, validate_entries
 from l1ax.formula import And, Implies, conjoin, eps
 from l1ax.syntax import parse_formula, parse_schema_file, print_formula
 
@@ -140,8 +140,8 @@ def test_missing_file_raises(tmp_path):
         load_corpus(tmp_path / "nope.schemata")
 
 
-# the bundled corpus parses an entry the first time it is read; a schema file
-# given by path is parsed whole
+# a corpus parses an entry the first time it is read; a schema file given by
+# path has every entry read at load
 
 
 def test_every_bundled_entry_parses_and_validates():
@@ -237,10 +237,10 @@ schema_files = st.lists(
 
 def read(entries_of, text, order):
     """The names and entries of a schema file, read in the given order, or
-    the type and message of the first error."""
+    the type and message of the first error; entries_of gives the entries
+    and their names."""
     try:
-        entries = entries_of(text)
-        names = list(entries)
+        entries, names = entries_of(text)
         for i in order(len(names)):
             entries[names[i]]
         return names, [entries[name] for name in names]
@@ -253,10 +253,15 @@ def test_entries_read_on_demand_match_the_whole_file_parse(text, rng):
     def eager(text):
         entries = parse_schema_file(text)
         validate_entries(entries, "drawn")
-        return entries
+        return entries, list(entries)
+
+    def lazy(text):
+        # iterating a Corpus parses its entries, so its names come from names()
+        corpus = Corpus(text, "drawn")
+        return corpus, list(corpus.names())
 
     def shuffled(n):
         return rng.sample(range(n), n)
 
     expected = read(eager, text, range)
-    assert read(lambda text: LazyEntries(text, "drawn"), text, shuffled) == expected
+    assert read(lazy, text, shuffled) == expected

@@ -5,10 +5,10 @@ what the program already computes; the project keeps such slow paths in
 tests/oracles.py. This parses every module of l1ax and requires each
 public module-level function, class and constant, and each public method
 or property of a module-level class, to be loaded somewhere in the
-package: read as a name or an attribute, or imported by a module (the
-re-exports of l1ax/__init__ count). Dunder methods are exempt. A method
-is matched by its name alone, so it passes when any attribute of that
-name is loaded.
+package: read as a name or an attribute, or imported by a module other
+than l1ax/__init__, whose re-exports load nothing (its attribute loads
+count). Dunder methods are exempt. A method is matched by its name alone,
+so it passes when any attribute of that name is loaded.
 
 It also checks that importing l1ax.cli loads every module the benchmark's
 tracer wraps: the tracer rebinds functions in the namespaces loaded when it
@@ -30,6 +30,13 @@ ALLOWED = {
     "proofs.derived_conclusions": "perfbench/tracer.py wraps it by name, "
     "and it is the oracle of derivation_of",
     "corpus.ESTABLISHED": "perfbench/test_perfbench.py imports it",
+    "axioms.A_T1": "the tests' constant for A_t-1, pinned to the corpus entry",
+    "decision.admissible_valuations": "the enumerated admissible valuations, "
+    "the tests' view of admissible_mask",
+    "decision.admissible_count": "the size of admissible_valuations, the "
+    "tests' check of the mask's population",
+    "characterize.recovery_script": "the proof script of a recovery; ROADMAP "
+    "item 1 generalises it for derives",
 }
 
 
@@ -55,20 +62,23 @@ def definitions(tree):
         yield from (name for name in names if not name.startswith("_"))
 
 
-def loads(tree):
-    """Names the module loads, as names or attributes, and names it imports."""
+def loads(tree, imports=True):
+    """Names the module loads, as names or attributes, and, if imports,
+    names it imports."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
-        elif isinstance(node, ast.ImportFrom):
+        elif imports and isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
 
 
 def test_every_public_name_is_loaded_in_the_package():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    loaded = {name for tree in trees.values() for name in loads(tree)}
+    loaded = {
+        name for module, tree in trees.items() for name in loads(tree, module != "__init__")
+    }
     orphans = sorted(
         f"{module}.{name}"
         for module, tree in trees.items()

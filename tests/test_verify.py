@@ -4,6 +4,7 @@ import ast
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import l1ax
@@ -46,12 +47,13 @@ def test_full_battery_passes():
 
 
 def test_tampering_with_the_corpus_is_detected():
-    base = load_corpus()
-    entries = dict(base.entries)
+    text = resources.files("l1ax").joinpath("data/corpus.schemata").read_text()
+    lines = {line.split(" := ")[0]: line for line in text.splitlines() if " := " in line}
     # make the second sibling identical to the first: the off-diagonal
     # matrix cells for that pair collapse to quasi-trivial
-    entries["A_S2"] = SchemaEntry.make("A_S2", base["A_S1"].body)
-    tampered = Corpus(entries=entries, source="tampered")
+    sibling = lines["A_S1"].replace("A_S1", "A_S2", 1)
+    tampered = Corpus(text.replace(lines["A_S2"], sibling), "tampered")
+    assert tampered["A_S2"] == SchemaEntry.make("A_S2", load_corpus()["A_S1"].body)
 
     report = run_verification(tampered)
     assert not report.ok
