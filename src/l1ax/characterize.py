@@ -13,7 +13,6 @@ counterexample is replayed pointwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .axioms import BASE_AXIOMS
 from .decision import (
@@ -23,7 +22,7 @@ from .decision import (
     is_countermodel,
     is_theorem,
 )
-from .formula import Atom, Formula, NameVar, SchemaEntry
+from .formula import Atom, Formula, NameVar, Record, SchemaEntry
 from .proofs import ProofLine, ProofScript, SchemaRef, TautConseq, derivation_of
 from .semantics import Valuation, entails, full_mask, lowest_set_bit, truth_table
 from .substitution import Substitution
@@ -32,8 +31,7 @@ from .substitution import Substitution
 NAMES = ("a", "b", "c", "d")
 
 
-@dataclass(frozen=True, slots=True)
-class RecoveryOutcome:
+class RecoveryOutcome(Record):
     """Result of recovering one axiom from a schema's instances.
 
     When recovered (always at pool_size 3), witness_maps lists the shrunken
@@ -52,8 +50,7 @@ class RecoveryOutcome:
     counterexample: Valuation | None
 
 
-@dataclass(frozen=True, slots=True)
-class CharacterizationReport:
+class CharacterizationReport(Record):
     subject: SchemaEntry
     validity: TheoremVerdict
     recoveries: tuple[RecoveryOutcome, ...]

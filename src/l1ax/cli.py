@@ -4,8 +4,9 @@ Exit codes: 0 when the requested verdict was computed (whatever it is),
 1 when a proof check or the verification battery reports failures,
 2 for usage problems — parse errors, unknown names, a comparison the
 criteria do not cover, or an input beyond a size limit — and 3 for an
-internal fault, such as a witness that fails its replay or any KeyError
-but an unknown name, reported on one stderr line with nothing on stdout.
+internal fault, such as a witness that fails its replay, any KeyError but
+an unknown name or any ValueError but an InputError, reported on one
+stderr line with nothing on stdout.
 Output is deterministic: two runs of the same command are byte-identical.
 """
 
@@ -23,7 +24,7 @@ from .characterize import characterize
 from .corpus import Corpus, UnknownSchemaName, load_corpus
 from .criteria import qnt_matrix, quasi_triviality, triviality
 from .decision import is_theorem
-from .formula import SchemaEntry
+from .formula import InputError, SchemaEntry
 from .proofs import check_proof, load_proof_file
 from .semantics import is_tautology
 from .syntax import is_valid_schema_name, parse_formula, print_formula
@@ -255,14 +256,15 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             output = text()
-    except (OSError, UnknownSchemaName, ValueError) as exc:
-        # parse errors, inapplicable criteria and budget errors are ValueErrors;
-        # str() of an OSError names the path
+    except (OSError, UnicodeDecodeError, UnknownSchemaName, InputError) as exc:
+        # parse errors, inapplicable criteria and budget errors are InputErrors;
+        # str() of an OSError names the path; a file that is not text cannot
+        # be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, KeyError) as exc:
+    except (RuntimeError, KeyError, ValueError) as exc:
         # a failed replay or a verdict without its witness, RecursionError too,
-        # and any KeyError but an unknown name
+        # and any KeyError but an unknown name or ValueError but an InputError
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     print(output)

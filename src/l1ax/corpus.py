@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from importlib import resources
 from pathlib import Path
 
-from .formula import SchemaEntry
+from .formula import InputError, SchemaEntry
 from .substitution import is_reserved_fresh_name
 from .syntax import ParseError, parse_schema_entry, parse_schema_file, scan_schema_file
 
@@ -65,7 +65,7 @@ def validate_entries(entries: dict[str, SchemaEntry], source: str) -> None:
     for entry in entries.values():
         bad = [v for v in entry.variables if is_reserved_fresh_name(v)]
         if bad:
-            raise ValueError(
+            raise InputError(
                 f"{source}: schema {entry.name!r} uses reserved fresh variable"
                 f" names {bad}; the pools y1.., u1.., v1.. are reserved for"
                 " generated substitutions"
@@ -120,7 +120,7 @@ class Corpus:
             try:
                 entry = parse_schema_entry(*scanned)
                 validate_entries({name: entry}, self._source)
-            except ValueError:
+            except InputError:
                 _parse_whole(self._text, self._source)
                 raise
             self._parsed[name] = entry

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .axioms import A_T
-from .formula import Atom, Formula, SchemaEntry
+from .formula import Atom, Formula, InputError, Record, SchemaEntry
 from .semantics import (
     ATOM_BUDGET,
     BudgetError,
@@ -61,12 +60,11 @@ from .substitution import (
 MAP_BUDGET = math.factorial(8)
 
 
-class CriterionInapplicable(ValueError):
+class CriterionInapplicable(InputError):
     """The compared schemata fall outside the definition's arity bounds."""
 
 
-@dataclass(frozen=True, slots=True)
-class Refutation:
+class Refutation(Record):
     """A candidate map plus a valuation on which the two sides disagree.
 
     substituted_value is the value of the schema the map was applied to;
@@ -80,8 +78,7 @@ class Refutation:
     target_value: bool
 
 
-@dataclass(frozen=True, slots=True)
-class TrivialityReport:
+class TrivialityReport(Record):
     """refutations is empty in decide mode; map_count - (witness is not
     None) candidates were refuted either way."""
 
@@ -93,8 +90,7 @@ class TrivialityReport:
     map_count: int
 
 
-@dataclass(frozen=True, slots=True)
-class QntReport:
+class QntReport(Record):
     """Outcome of the quasi-triviality comparison of left against right.
 
     case_used is 1 when the right schema's variables were mapped onto the
@@ -402,8 +398,7 @@ def is_quasi_trivial(left: SchemaEntry, right: SchemaEntry) -> bool:
     return _sweep(_oriented_kernel(left, right)[1], explain=False)[0] is not None
 
 
-@dataclass(frozen=True, slots=True)
-class InapplicablePair:
+class InapplicablePair(Record):
     """Matrix cell for a pair outside the comparison's arity bounds."""
 
     left: SchemaEntry

@@ -29,11 +29,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .axioms import AX1, AX2, AX3, AX3S, BASE_AXIOMS
-from .formula import Atom, Formula, NameVar, SchemaEntry, atoms, name_variables
+from .formula import Atom, Formula, InputError, NameVar, Record, SchemaEntry, atoms, name_variables
 from .semantics import (
     Valuation,
     atom_tile,
@@ -68,7 +67,7 @@ def instance_tables(entry: SchemaEntry, pool: Sequence[NameVar]) -> Iterator[int
 def _check_pool(pool: Sequence[NameVar]) -> tuple[NameVar, ...]:
     pool = tuple(pool)
     if not 1 <= len(pool) <= POOL_CAP:
-        raise ValueError(f"pool size {len(pool)} outside 1..{POOL_CAP}")
+        raise InputError(f"pool size {len(pool)} outside 1..{POOL_CAP}")
     if len(set(pool)) != len(pool):
         raise ValueError("pool variables must be distinct")
     return pool
@@ -116,10 +115,13 @@ def _admissible(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
                 for picked in itertools.product(*((0, bit) for bit in free)):
                     counters.append(everything ^ (inside + sum(picked)))
     counters.sort()
-    tiles = tuple(
-        sum(1 << r for r, c in enumerate(counters) if not c >> j & 1)
-        for j in range(n * n)
-    )
+    # one transpose: the counters, highest first, as w-digit binary rows;
+    # column w-1-j read down them is counter bit j of every valuation, and
+    # atom j is true exactly where that bit is clear
+    w = n * n
+    rows = "".join(f"{c:0{w}b}" for c in reversed(counters))
+    full = (1 << len(counters)) - 1
+    tiles = tuple(full ^ int(rows[w - 1 - j :: w], 2) for j in range(w))
     return tuple(counters), tiles
 
 
@@ -135,8 +137,7 @@ def admissible_count(pool: Sequence[NameVar]) -> int:
     return len(_admissible(len(_check_pool(pool)))[0])
 
 
-@dataclass(frozen=True, slots=True)
-class TheoremVerdict:
+class TheoremVerdict(Record):
     """Validity over admissible valuations, with the first counter-valuation
     in counter order when the formula fails."""
 

@@ -5,14 +5,16 @@ disjunction as the primitive connectives. Conjunction, implication and
 equivalence are provided as constructor functions that desugar immediately,
 so every formula object consists of Epsilon, Not and Or nodes only. All nodes
 are immutable and hashable; equality is structural.
+
+Record, the immutable-value base of the package, and InputError live here
+because every other module imports this one.
 """
 
 from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Iterator
 
 NameVar = str
 
@@ -22,14 +24,71 @@ VARIABLE_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 RESERVED_WORDS = frozenset({"eps"})
 
 
+class InputError(ValueError):
+    """A request refused because of its input: a parse error, a name or
+    size outside what the program accepts. The command line exits 2 on it,
+    and 3 on any other ValueError, which only a fault of the program raises."""
+
+
+class _RecordType(type):
+    """Makes a class body's annotated fields its __slots__ and compiles its
+    __init__, __eq__ and __hash__ over them in one exec, which costs a
+    fraction of what a generic class decorator spends making each class."""
+
+    def __new__(mcls, name: str, bases: tuple[type, ...], namespace: dict[str, Any]):
+        fields = tuple(namespace.get("__annotations__", ()))
+        cls = super().__new__(mcls, name, bases, {**namespace, "__slots__": fields})
+        mine = "".join(f"self.{f}," for f in fields)
+        theirs = "".join(f"other.{f}," for f in fields)
+        sets = [f"_set_{f}(self, {f})" for f in fields]
+        if hasattr(cls, "__post_init__"):
+            sets.append("self.__post_init__()")
+        body = "\n    ".join(sets) or "pass"
+        source = (
+            f"def __init__(self, {', '.join(fields)}):\n"
+            f"    {body}\n"
+            "def __eq__(self, other):\n"
+            "    if other.__class__ is self.__class__:\n"
+            f"        return ({mine}) == ({theirs})\n"
+            "    return NotImplemented\n"
+            "def __hash__(self):\n"
+            f"    return hash(({mine}))\n"
+        )
+        # a slot's own descriptor sets the field past the frozen __setattr__
+        env = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
+        exec(source, env)
+        for method in ("__init__", "__eq__", "__hash__"):
+            env[method].__qualname__ = f"{cls.__qualname__}.{method}"
+            setattr(cls, method, env[method])
+        return cls
+
+
+class Record(metaclass=_RecordType):
+    """An immutable value: the annotated fields of a subclass body become its
+    slots and its constructor's arguments, in order. Instances are equal
+    when their classes are the same and their field tuples are equal, hash
+    as that tuple, run __post_init__ after construction when the class has
+    one, refuse assignment and deletion, and print as Name(field=value, ...).
+    Fields are not inherited: only leaf classes declare any."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
 # atoms are built by the thousand from a handful of names
 @functools.lru_cache(maxsize=4096)
 def is_valid_variable(name: str) -> bool:
     return bool(VARIABLE_RE.match(name)) and name not in RESERVED_WORDS
 
 
-@dataclass(frozen=True, slots=True)
-class Atom:
+class Atom(Record):
     """An epsilon atom: subject variable and predicate variable."""
 
     subject: NameVar
@@ -44,23 +103,18 @@ class Atom:
         return f"eps({self.subject},{self.predicate})"
 
 
-class Formula:
+class Formula(Record):
     """Base class for formula nodes. Concrete nodes: Epsilon, Not, Or."""
 
-    __slots__ = ()
 
-
-@dataclass(frozen=True, slots=True)
 class Epsilon(Formula):
     atom: Atom
 
 
-@dataclass(frozen=True, slots=True)
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
@@ -128,8 +182,7 @@ def name_variables(formula: Formula) -> tuple[NameVar, ...]:
     return tuple(seen)
 
 
-@dataclass(frozen=True, slots=True)
-class SchemaEntry:
+class SchemaEntry(Record):
     """A named axiom schema with its variable tuple precomputed."""
 
     name: str

@@ -23,14 +23,13 @@ MP(antecedent, implication), SUBST(line, sigma), TAUTCONSEQ(line, ...).
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
 from .axioms import AXIOMS_BY_NAME
-from .formula import Formula, Implies, SchemaEntry
+from .formula import Formula, Implies, Record, SchemaEntry
 from .semantics import entails, is_tautology
 from .substitution import Substitution
 from .syntax import ParseError, SourceSpan, parse_formula, parse_substitution_mapping
@@ -38,14 +37,12 @@ from .syntax import ParseError, SourceSpan, parse_formula, parse_substitution_ma
 DIRECTIVES = ("name", "assume", "meta", "conclude")
 
 
-@dataclass(frozen=True, slots=True)
-class Taut:
+class Taut(Record):
     def describe(self) -> str:
         return "TAUT"
 
 
-@dataclass(frozen=True, slots=True)
-class AxiomRef:
+class AxiomRef(Record):
     axiom: str
     sigma: Substitution
 
@@ -53,8 +50,7 @@ class AxiomRef:
         return f"AXIOM({self.axiom}, {self.sigma})"
 
 
-@dataclass(frozen=True, slots=True)
-class SchemaRef:
+class SchemaRef(Record):
     schema: str
     sigma: Substitution
 
@@ -62,8 +58,7 @@ class SchemaRef:
         return f"SCHEMA({self.schema}, {self.sigma})"
 
 
-@dataclass(frozen=True, slots=True)
-class ModusPonens:
+class ModusPonens(Record):
     antecedent: str
     implication: str
 
@@ -71,8 +66,7 @@ class ModusPonens:
         return f"MP({self.antecedent}, {self.implication})"
 
 
-@dataclass(frozen=True, slots=True)
-class Subst:
+class Subst(Record):
     source: str
     sigma: Substitution
 
@@ -80,8 +74,7 @@ class Subst:
         return f"SUBST({self.source}, {self.sigma})"
 
 
-@dataclass(frozen=True, slots=True)
-class TautConseq:
+class TautConseq(Record):
     sources: tuple[str, ...]
 
     def describe(self) -> str:
@@ -91,32 +84,28 @@ class TautConseq:
 Justification = Taut | AxiomRef | SchemaRef | ModusPonens | Subst | TautConseq
 
 
-@dataclass(frozen=True, slots=True)
-class ProofLine:
+class ProofLine(Record):
     label: str
     formula: Formula
     justification: Justification
 
 
-@dataclass(frozen=True, slots=True)
-class ProofScript:
+class ProofScript(Record):
     name: str
     assumptions: tuple[SchemaEntry, ...]
     lines: tuple[ProofLine, ...]
-    conclusion: Formula | None = None
-    metadata: dict[str, str] = field(default_factory=dict)
+    conclusion: Formula | None
+    metadata: dict[str, str]
 
 
-@dataclass(frozen=True, slots=True)
-class LineResult:
+class LineResult(Record):
     label: str
     rule: str
     ok: bool
     detail: str
 
 
-@dataclass(frozen=True, slots=True)
-class ProofCheckResult:
+class ProofCheckResult(Record):
     name: str
     ok: bool
     lines: tuple[LineResult, ...]

@@ -1,6 +1,6 @@
 """Serialization of report objects to JSON-ready data and terminal text.
 
-jsonable() lowers every report dataclass to a dict of its fields, walking
+jsonable() lowers every report Record to a dict of its fields, walking
 into their values: formulas become their printed form, schema entries
 their name, substitutions source-to-target maps, tuples lists, and
 valuations an atom list plus the true subset. Four reports differ from
@@ -11,13 +11,12 @@ their count; the single-pair commands expose every refutation in full.
 
 from __future__ import annotations
 
-from dataclasses import fields, is_dataclass
 from typing import Any
 
 from .characterize import CharacterizationReport
 from .criteria import InapplicablePair, QntReport, Refutation, TrivialityReport
 from .decision import TheoremVerdict
-from .formula import Formula, SchemaEntry
+from .formula import Formula, Record, SchemaEntry
 from .proofs import ProofCheckResult
 from .semantics import SemanticsVerdict, Valuation
 from .substitution import CandidateMap, Substitution
@@ -26,7 +25,7 @@ from .verify import ConjectureRow, VerificationReport
 
 
 def jsonable(obj: Any) -> Any:
-    """The JSON-ready form of a report: its dataclass fields, lowered in turn."""
+    """The JSON-ready form of a report: its Record fields, lowered in turn."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (tuple, list)):
@@ -59,9 +58,9 @@ def jsonable(obj: Any) -> Any:
                 name: qnt_summary(rep) for name, rep in obj.comparisons.items()
             },
         }
-    if not is_dataclass(obj):
+    if not isinstance(obj, Record):
         raise TypeError(f"no JSON form for {type(obj).__name__}")
-    data = {f.name: jsonable(getattr(obj, f.name)) for f in fields(obj)}
+    data = {name: jsonable(getattr(obj, name)) for name in obj.__slots__}
     if isinstance(obj, Refutation):
         # exception: the candidate's rho and sigma sit at the top level
         data.update(data.pop("candidate"))

@@ -11,20 +11,18 @@ the same witness bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .formula import Atom, Epsilon, Formula, Iff, Not, Or, atoms
+from .formula import Atom, Epsilon, Formula, Iff, InputError, Not, Or, Record, atoms
 
 ATOM_BUDGET = 30
 
 
-class BudgetError(ValueError):
+class BudgetError(InputError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class Valuation:
+class Valuation(Record):
     """A total truth assignment on an ordered atom domain."""
 
     domain: tuple[Atom, ...]
@@ -148,8 +146,7 @@ def lowest_set_bit(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-@dataclass(frozen=True, slots=True)
-class SemanticsVerdict:
+class SemanticsVerdict(Record):
     """Outcome of a semantic check, carrying a replayable counterexample."""
 
     holds: bool

@@ -11,10 +11,9 @@ permutations, and the tests keep the plain enumeration as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .formula import Atom, Epsilon, Formula, NameVar, Not, Or
+from .formula import Atom, Epsilon, Formula, NameVar, Not, Or, Record
 
 # Fresh variables come from reserved pools so reported witnesses are stable:
 # y1,y2,... pad triviality maps, u1,u2,... pad the first quasi-triviality
@@ -34,8 +33,7 @@ def is_reserved_fresh_name(name: str) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class Substitution:
+class Substitution(Record):
     """An immutable variable-to-variable map; unmapped variables stay fixed."""
 
     items: tuple[tuple[NameVar, NameVar], ...]
@@ -99,8 +97,7 @@ def fresh_variables(prefix: str, count: int, avoid: set[NameVar]) -> tuple[NameV
     return tuple(out)
 
 
-@dataclass(frozen=True, slots=True)
-class CandidateMap:
+class CandidateMap(Record):
     """One enumerated map: rho is the 1-based source permutation, sigma the
     substitution sending source variable rho(i) to the i-th target."""
 

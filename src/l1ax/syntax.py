@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterator
 
 from .formula import (
@@ -35,15 +34,16 @@ from .formula import (
     Formula,
     Iff,
     Implies,
+    InputError,
     Not,
     Or,
+    Record,
     SchemaEntry,
     is_valid_variable,
 )
 
 
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
+class SourceSpan(Record):
     line: int
     column: int
 
@@ -51,7 +51,7 @@ class SourceSpan:
         return f"{self.line}:{self.column}"
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     def __init__(self, message: str, span: SourceSpan):
         super().__init__(f"error at {span} ({message})")
         self.message = message

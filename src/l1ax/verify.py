@@ -10,7 +10,6 @@ every cell is populated with machine-checked witnesses instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 from .characterize import CharacterizationReport, characterize, recover_axioms
 from .corpus import Corpus, load_corpus
@@ -24,7 +23,7 @@ from .criteria import (
     triviality,
 )
 from .decision import admissible_mask, is_countermodel, is_theorem
-from .formula import And, Atom, SchemaEntry, conjoin
+from .formula import And, Atom, Record, SchemaEntry, conjoin
 from .proofs import check_bundled_proofs, derivation_of
 from .semantics import Valuation, are_equivalent, evaluate, merged_atom_order
 from .substitution import Substitution
@@ -43,15 +42,13 @@ def check(condition: object, message: object) -> None:
         raise VerificationFailure(message)
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationItem:
+class VerificationItem(Record):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationReport:
+class VerificationReport(Record):
     items: tuple[VerificationItem, ...]
 
     @property
@@ -303,8 +300,7 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
     return VerificationReport(tuple(items))
 
 
-@dataclass(frozen=True, slots=True)
-class ConjectureRow:
+class ConjectureRow(Record):
     """Every computed verdict for one conjectured schema."""
 
     entry: SchemaEntry

@@ -2,11 +2,11 @@
 
 Each one builds what the program only computes implicitly: every instance
 of a schema as a formula, every padded bijection as a Substitution, every
-set bit of a mask. They follow the definitions on formulas, through
-Substitution.apply, pointwise evaluation and are_equivalent, and decide
-the comparison's orientation themselves, so the sweep kernel, the
-instance tabler and the admissible enumeration are each checked against
-a path they do not share.
+set bit of a mask, each admissible atom tile one valuation at a time. They
+follow the definitions on formulas, through Substitution.apply, pointwise
+evaluation and are_equivalent, and decide the comparison's orientation
+themselves, so the sweep kernel, the instance tabler and the admissible
+enumeration are each checked against a path they do not share.
 """
 
 import itertools
@@ -93,3 +93,12 @@ def iter_set_bits(mask):
             low = byte & -byte
             yield byte_index * 8 + low.bit_length() - 1
             byte ^= low
+
+
+def admissible_tiles(counters, atom_count):
+    """Tile j of an admissible enumeration, one valuation at a time: bit r
+    is set iff atom j is true (counter bit j clear) in valuation r."""
+    return tuple(
+        sum(1 << r for r, c in enumerate(counters) if not c >> j & 1)
+        for j in range(atom_count)
+    )

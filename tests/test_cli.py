@@ -663,6 +663,29 @@ def test_a_stray_key_error_is_an_internal_fault(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "internal error: 'A_S1'\n")
 
 
+def test_a_stray_value_error_is_an_internal_fault(capsys, monkeypatch):
+    def faulty_check(formula):
+        raise ValueError("a fault of the program")
+
+    monkeypatch.setattr(cli, "is_theorem", faulty_check)
+    code, out, err = run(capsys, "theorem", "A_t")
+    assert (code, out, err) == (3, "", "internal error: a fault of the program\n")
+
+
+@pytest.mark.parametrize("command", ["theorem", "characteristic"])
+def test_a_schema_beyond_the_pool_cap_is_a_user_error(capsys, command):
+    code, out, err = run(capsys, command, "eps(a,b) & eps(c,d) & eps(e,f)")
+    assert (code, out, err) == (2, "", "error: pool size 6 outside 1..5\n")
+
+
+def test_a_file_that_is_not_text_is_a_user_error(capsys, tmp_path):
+    path = tmp_path / "binary.schemata"
+    path.write_bytes(b"X := eps(a,b)\xff\n")
+    code, out, err = run(capsys, "theorem", "X", "--corpus-file", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: 'utf-8' codec can't decode byte 0xff in position 13: invalid start byte\n"
+
+
 # drawn proof scripts: directives, then steps, some with bad justifications;
 # or junk text
 directives = st.sampled_from(

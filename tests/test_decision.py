@@ -34,7 +34,7 @@ from l1ax.semantics import (
     truth_table,
 )
 from l1ax.syntax import parse_formula
-from oracles import all_instances, iter_set_bits
+from oracles import admissible_tiles, all_instances, iter_set_bits
 
 POOLS = (("a",), ("a", "b"), ("a", "b", "c"), ("a", "b", "c", "d"))
 FIVE = ("a", "b", "c", "d", "e")
@@ -67,6 +67,13 @@ def test_enumeration_matches_brute_force_at_pool_five():
     counters = [v.counter for v in admissible_valuations(FIVE)]
     for symmetry in ("Ax3", "Ax3s"):
         assert counters == list(iter_set_bits(admissible_mask(FIVE, symmetry)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_admissible_tiles_match_the_per_valuation_construction(n):
+    # the counters themselves are checked against the brute-force mask above
+    counters, tiles = decision._admissible(n)
+    assert tiles == admissible_tiles(counters, n * n)
 
 
 def base_instances(pool):

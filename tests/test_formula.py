@@ -1,7 +1,14 @@
-"""Formula constructors, desugaring, and variable bookkeeping."""
+"""Formula constructors, desugaring, variable bookkeeping, and the Record
+base of every immutable value, checked against a frozen, slotted dataclass
+with the same fields."""
+
+import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
+import l1ax
 from l1ax.formula import (
     And,
     Atom,
@@ -10,6 +17,7 @@ from l1ax.formula import (
     Implies,
     Not,
     Or,
+    Record,
     SchemaEntry,
     atoms,
     conjoin,
@@ -17,6 +25,7 @@ from l1ax.formula import (
     name_variables,
     walk_atoms,
 )
+from l1ax.semantics import Valuation
 
 
 def test_eps_builds_an_epsilon_node():
@@ -104,3 +113,72 @@ def test_schema_entry_make_precomputes_variables():
 def test_formula_nodes_are_hashable_values():
     assert eps("a", "b") == eps("a", "b")
     assert len({eps("a", "b"), eps("a", "b"), eps("b", "a")}) == 2
+
+
+def record_classes():
+    modules = [
+        importlib.import_module(f"l1ax.{info.name}")
+        for info in pkgutil.iter_modules(l1ax.__path__)
+    ]
+    return sorted(
+        (
+            cls
+            for module in modules
+            for cls in vars(module).values()
+            if isinstance(cls, type)
+            and issubclass(cls, Record)
+            and cls is not Record
+            and cls.__module__ == module.__name__
+        ),
+        key=lambda cls: (cls.__module__, cls.__name__),
+    )
+
+
+AB = Atom("a", "b")
+# field values that pass __post_init__; every other class takes plain strings
+SAMPLES = {
+    Valuation: (((AB,), frozenset({AB})), ((AB,), frozenset())),
+}
+
+
+def sample_values(cls, fields):
+    return SAMPLES.get(cls) or tuple(
+        tuple(f"{prefix}{i}" for i in range(len(fields))) for prefix in "vw"
+    )
+
+
+def test_every_record_class_is_found():
+    assert len(record_classes()) == 31  # 30 values and the Formula base
+
+
+@pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__name__)
+def test_records_behave_as_frozen_slotted_dataclasses(cls):
+    fields = tuple(cls.__dict__.get("__annotations__", ()))
+    assert cls.__slots__ == fields
+    oracle = dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True, slots=True)
+    values, others = sample_values(cls, fields)
+    record, twin, other = cls(*values), cls(*values), cls(*others)
+    expected = oracle(*values)
+    assert record == twin and not record != twin and expected == oracle(*values)
+    assert (record == other) == (expected == oracle(*others))
+    assert hash(record) == hash(expected) == hash(twin)
+    assert repr(record) == repr(expected)
+    assert record.__eq__(expected) is NotImplemented and record != expected
+    namesake = type(Record)(cls.__name__, (Record,), {"__annotations__": dict.fromkeys(fields)})
+    assert namesake(*values) != record
+    assert cls(**dict(zip(fields, values))) == record
+    for name in (*fields, "stray"):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    if fields:
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+
+
+def test_records_run_their_post_init_checks():
+    with pytest.raises(ValueError, match="invalid variable name: 'eps'"):
+        Atom("eps", "b")
+    with pytest.raises(ValueError, match=r"true atoms outside domain: \['eps\(a,b\)'\]"):
+        Valuation((), frozenset({AB}))

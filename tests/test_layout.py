@@ -12,7 +12,9 @@ so it passes when any attribute of that name is loaded.
 
 It also checks that importing l1ax.cli loads every module the benchmark's
 tracer wraps: the tracer rebinds functions in the namespaces loaded when it
-is installed, so a module imported later would go untraced.
+is installed, so a module imported later would go untraced. The same fresh
+import must load neither dataclasses nor inspect, which every command
+would pay for at start-up.
 """
 
 import ast
@@ -107,3 +109,6 @@ def test_importing_the_cli_loads_every_traced_module():
     )
     loaded = set(proc.stdout.split())
     assert [module for module in traced if module not in loaded] == []
+    # no class decorator machinery at start-up: records compile their own
+    # methods, and inspect alone costs a fresh process several milliseconds
+    assert sorted(loaded & {"dataclasses", "inspect"}) == []
