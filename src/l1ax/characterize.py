@@ -22,7 +22,7 @@ from .decision import (
     is_countermodel,
     is_theorem,
 )
-from .formula import Atom, Formula, NameVar, Record, SchemaEntry
+from .formula import Formula, Record, SchemaEntry
 from .proofs import ProofLine, ProofScript, SchemaRef, TautConseq, derivation_of
 from .semantics import Valuation, entails, full_mask, lowest_set_bit, truth_table
 from .substitution import Substitution
@@ -87,17 +87,39 @@ def _shrink(tables: list[int], axiom_table: int, full: int) -> tuple[int, ...]:
     return tuple(keep)
 
 
-def _tabulate(
-    entry: SchemaEntry, pool: tuple[NameVar, ...]
-) -> tuple[tuple[Atom, ...], list[int], int]:
-    """The pool's atom grid, the tables of entry's instances over it, and
-    their conjunction."""
-    grid = grid_atoms(pool)
-    tables = list(instance_tables(entry, pool))
-    conjunction = full_mask(len(grid))
-    for t in tables:
-        conjunction &= t
-    return grid, tables, conjunction
+def _read(counter: int, pairs: tuple[tuple[int, int], ...]) -> int:
+    """The counter whose bit q is bit s of counter, for each (q, s) of pairs."""
+    return sum(((counter >> s) & 1) << q for q, s in pairs)
+
+
+# (abcd grid position, abc grid position): the abc atoms inside the abcd grid
+_EMBEDDING = tuple((x * 4 + y, x * 3 + y) for x in range(3) for y in range(3))
+# the same pairs over the whole abcd grid, read through each retraction d -> t
+_RETRACTIONS = tuple(
+    tuple(
+        (x * 4 + y, (x if x < 3 else t) * 3 + (y if y < 3 else t))
+        for x in range(4)
+        for y in range(4)
+    )
+    for t in range(3)
+)
+
+
+def _lowest_lift(violations: int) -> int:
+    """The lowest abcd counter lifted from a set bit of violations, a mask of
+    abc counters, through a retraction sending d to a, b or c.
+
+    Every lift of c3 agrees with its embedding on the abc atoms, and the
+    embedding places abc positions in order, so it rises with c3: once it
+    reaches the best lift found, no later violation lifts lower."""
+    best = 1 << 16
+    while violations:
+        c3 = lowest_set_bit(violations)
+        if _read(c3, _EMBEDDING) >= best:
+            break
+        best = min(best, *(_read(c3, pairs) for pairs in _RETRACTIONS))
+        violations &= violations - 1
+    return best
 
 
 def recover_axioms(
@@ -107,27 +129,44 @@ def recover_axioms(
 
     The verdict is exact at three names. A valuation of the abc grid that
     satisfies every instance and falsifies an axiom lifts to any larger pool
-    by sending each extra name to a: every instance over the larger pool
-    then takes the value of an instance over abc, and the axiom keeps its
-    value. So no pool recovers an axiom that abc does not, and a miss proves
-    that the axiom does not follow. Its counterexample is the lowest one on
-    the max_pool grid, tabulated once, at the first miss.
+    by a retraction, reading each extra name as a, b or c: every instance
+    over the larger pool then takes the value of an instance over abc, and
+    the axiom keeps its value. So no pool recovers an axiom that abc does
+    not, and a miss proves that the axiom does not follow. Its
+    counterexample is the lowest one on the max_pool grid. At pool 4 the
+    lowest lift of an abc counterexample bounds it from above, so the abcd
+    instances are tabled once, and only below the highest such bound among
+    the missed axioms; an axiom with no violation there raises RuntimeError.
     """
     if not 3 <= max_pool <= 4:
         raise ValueError("max_pool must be 3 or 4")
     pool = NAMES[:3]
-    grid, tables, conjunction = _tabulate(entry, pool)
+    grid = grid_atoms(pool)
+    tables = list(instance_tables(entry, pool))
     full = full_mask(len(grid))
-    wide_pool = NAMES[:max_pool]
-    wide = None
+    conjunction = full
+    for t in tables:
+        conjunction &= t
+    axiom_tables = [truth_table(axiom.body, grid) for axiom in BASE_AXIOMS]
+    gaps = [conjunction & ~t for t in axiom_tables]
+    wide_pool, wide_grid = pool, grid
+    wide_conjunction = conjunction
+    if max_pool == 4 and any(gaps):
+        wide_pool = NAMES[:4]
+        wide_grid = grid_atoms(wide_pool)
+        below = 1 + max(_lowest_lift(gap) for gap in gaps if gap)
+        wide_conjunction = (1 << below) - 1
+        for t in instance_tables(entry, wide_pool, below=below):
+            wide_conjunction &= t
     result = []
-    for axiom in BASE_AXIOMS:
-        axiom_table = truth_table(axiom.body, grid)
-        if conjunction & ~axiom_table:
-            if wide is None:
-                wide = _tabulate(entry, wide_pool) if max_pool > 3 else (grid, tables, conjunction)
-            wide_grid, _, wide_conjunction = wide
+    for axiom, axiom_table, gap in zip(BASE_AXIOMS, axiom_tables, gaps):
+        if gap:
             violations = wide_conjunction & ~truth_table(axiom.body, wide_grid)
+            if not violations:
+                raise RuntimeError(
+                    f"no counterexample for {axiom.name} from {entry.name} "
+                    "below its lifted bound"
+                )
             counterexample = Valuation.at_counter(wide_grid, lowest_set_bit(violations))
             if not is_countermodel(counterexample, axiom.body, (entry,), wide_pool):
                 raise RuntimeError(

@@ -50,16 +50,23 @@ def grid_atoms(pool: Sequence[NameVar]) -> tuple[Atom, ...]:
     return tuple(Atom(x, y) for x in pool for y in pool)
 
 
-def instance_tables(entry: SchemaEntry, pool: Sequence[NameVar]) -> Iterator[int]:
+def instance_tables(
+    entry: SchemaEntry, pool: Sequence[NameVar], below: int | None = None
+) -> Iterator[int]:
     """Tables over grid_atoms(pool) of every instance of entry over the pool, in
     product order, one at a time: each reindexes the compiled body, eps(x,y)
-    to atom x*n+y, so no instance formula is built."""
+    to atom x*n+y, so no instance formula is built.
+
+    With below, every table is cut to the counters 0 .. below-1: bit c is
+    the instance's value under valuation c for c < below and 0 beyond."""
     n = len(pool)
     body_atoms, table = compile_formula(entry.body)
     var = {v: i for i, v in enumerate(entry.variables)}
     coded = [(var[a.subject], var[a.predicate]) for a in body_atoms]
-    tiles = [atom_tile(n * n, j) for j in range(n * n)]
     full = full_mask(n * n)
+    if below is not None:
+        full &= (1 << below) - 1
+    tiles = [atom_tile(n * n, j) & full for j in range(n * n)]
     for place in itertools.product(range(n), repeat=entry.arity):
         yield table([tiles[place[s] * n + place[p]] for s, p in coded], full)
 
@@ -157,10 +164,12 @@ def is_countermodel(
 
     No instance is built. By the substitution lemma sigma(body) holds at v
     iff body holds at v o sigma, the valuation of the body's own atoms that
-    gives eps(x,y) the value of eps(sigma(x),sigma(y)) under v. The
-    valuation's domain must hold the pool's grid: every image atom is looked
-    up before the body is evaluated, so one outside it raises ValueError
-    even where evaluating the instance would not reach it.
+    gives eps(x,y) the value of eps(sigma(x),sigma(y)) under v. So the
+    body is evaluated once per distinct pattern of its atoms' values, in
+    the order the instances first show it. The valuation's domain must hold
+    the pool's grid: every image atom of an instance is looked up before
+    its pattern is evaluated, so one outside it raises ValueError even
+    where evaluating the instance would not reach it.
     """
     if evaluate(formula, valuation):
         return False
@@ -168,17 +177,22 @@ def is_countermodel(
     for schema in schemata:
         body_atoms = atoms(schema.body)
         var = {v: i for i, v in enumerate(schema.variables)}
-        coded = [(a, var[a.subject], var[a.predicate]) for a in body_atoms]
+        coded = [(var[a.subject], var[a.predicate]) for a in body_atoms]
+        replayed: set[tuple[bool, ...]] = set()
         for targets in itertools.product(pool, repeat=schema.arity):
-            true = []
-            for atom, s, p in coded:
+            pattern = []
+            for s, p in coded:
                 image = targets[s], targets[p]
                 holds = value.get(image)
                 if holds is None:
                     holds = value[image] = valuation.value(Atom(*image))
-                if holds:
-                    true.append(atom)
-            if not evaluate(schema.body, Valuation(body_atoms, frozenset(true))):
+                pattern.append(holds)
+            key = tuple(pattern)
+            if key in replayed:
+                continue
+            replayed.add(key)
+            true = frozenset(atom for atom, holds in zip(body_atoms, key) if holds)
+            if not evaluate(schema.body, Valuation(body_atoms, true)):
                 return False
     return True
 

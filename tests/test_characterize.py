@@ -306,10 +306,61 @@ def test_pool_three_counterexamples_lift_on_random_schemata(entry):
 def test_instance_tables_are_built_once_per_pool(corpus, monkeypatch, name, max_pool, calls):
     pools = []
 
-    def counted(entry, pool):
+    def counted(entry, pool, **bound):
         pools.append(pool)
-        return instance_tables(entry, pool)
+        return instance_tables(entry, pool, **bound)
 
     monkeypatch.setattr(characterize_module, "instance_tables", counted)
     recover_axioms(corpus[name], max_pool=max_pool)
     assert len(pools) == calls
+
+
+@pytest.mark.parametrize("below", [1, 4606, 1 << 16])
+def test_cut_instance_tables_are_prefixes_of_the_whole_tables(corpus, below):
+    pool = ("a", "b", "c", "d")
+    whole = list(instance_tables(corpus["A_S3"], pool))
+    cut = list(instance_tables(corpus["A_S3"], pool, below=below))
+    assert cut == [t & ((1 << below) - 1) for t in whole]
+
+
+@pytest.mark.parametrize(
+    "name, below",
+    # A_S3's lowest lift (4605) is its pool-4 answer; A_ad1's for Ax2
+    # (19892) lies far above the answer, 3245
+    [("A_S3", 4606), ("A_ad1", 19893)],
+)
+def test_pool_four_is_tabled_up_to_the_lowest_lifted_counterexample(
+    corpus, monkeypatch, name, below
+):
+    bounds = []
+
+    def recorded(entry, pool, **bound):
+        bounds.append(bound.get("below"))
+        return instance_tables(entry, pool, **bound)
+
+    monkeypatch.setattr(characterize_module, "instance_tables", recorded)
+    assert_recovery_matches_the_seed_search(corpus[name], 4)
+    assert bounds == [None, below]
+
+
+def test_lowest_lifts_are_pool_four_countermodels(corpus):
+    grid, wide = grid_atoms(("a", "b", "c")), ("a", "b", "c", "d")
+    lifts = 0
+    for entry in corpus:
+        conjunction = full_mask(len(grid))
+        for t in instance_tables(entry, ("a", "b", "c")):
+            conjunction &= t
+        for axiom in (AX1, AX2, AX3):
+            gap = conjunction & ~truth_table(axiom.body, grid)
+            if gap:
+                lift = Valuation.at_counter(grid_atoms(wide), characterize_module._lowest_lift(gap))
+                assert is_countermodel(lift, axiom.body, (entry,), wide), (entry.name, axiom.name)
+                lifts += 1
+    assert lifts == 23
+
+
+def test_a_bound_below_the_pool_four_counterexample_raises(corpus, monkeypatch):
+    lowest_lift = characterize_module._lowest_lift
+    monkeypatch.setattr(characterize_module, "_lowest_lift", lambda gap: lowest_lift(gap) - 1)
+    with pytest.raises(RuntimeError, match="no counterexample for Ax1 from A_S3 below its lifted bound"):
+        recover_axioms(corpus["A_S3"], max_pool=4)

@@ -305,6 +305,30 @@ def test_countermodel_replay_needs_the_pool_grid_in_the_domain():
         is_countermodel(*args)
 
 
+def test_countermodel_replay_evaluates_each_atom_pattern_once(monkeypatch):
+    # five names, four distinct body atoms: 1024 instances over abcd, at most 16 patterns
+    schema = SchemaEntry.make(
+        "sym-pad5",
+        parse_formula("(eps(a,b) -> eps(b,a)) & (eps(c,d) | !eps(c,d)) & (eps(e,e) | !eps(e,e))"),
+    )
+    pool = FIVE[:4]
+    grid = grid_atoms(pool)
+    mask = full_mask(len(grid)) & ~truth_table(AX1.body, grid)
+    for table in instance_tables(schema, pool):
+        mask &= table
+    valuation = Valuation.at_counter(grid, lowest_set_bit(mask))
+    bodies = []
+
+    def counted(formula, valuation):
+        if formula is schema.body:
+            bodies.append(valuation)
+        return evaluate(formula, valuation)
+
+    monkeypatch.setattr(decision, "evaluate", counted)
+    assert is_countermodel(valuation, AX1.body, (schema,), pool)
+    assert 1 < len(bodies) <= 16
+
+
 def test_clear_caches_drops_the_enumeration():
     admissible_count(FIVE)
     assert decision._admissible.cache_info().currsize > 0
