@@ -112,7 +112,7 @@ def _lowest_lift(violations: int) -> int:
     Every lift of c3 agrees with its embedding on the abc atoms, and the
     embedding places abc positions in order, so it rises with c3: once it
     reaches the best lift found, no later violation lifts lower."""
-    best = 1 << 16
+    best = 1 << 16  # above every abcd counter
     while violations:
         c3 = lowest_set_bit(violations)
         if _read(c3, _EMBEDDING) >= best:

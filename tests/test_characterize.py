@@ -344,16 +344,17 @@ def test_pool_four_is_tabled_up_to_the_lowest_lifted_counterexample(
 
 
 def test_lowest_lifts_are_pool_four_countermodels(corpus):
-    grid, wide = grid_atoms(("a", "b", "c")), ("a", "b", "c", "d")
+    pool, wide = ("a", "b", "c"), ("a", "b", "c", "d")
+    grid, wide_grid = grid_atoms(pool), grid_atoms(wide)
     lifts = 0
     for entry in corpus:
         conjunction = full_mask(len(grid))
-        for t in instance_tables(entry, ("a", "b", "c")):
+        for t in instance_tables(entry, pool):
             conjunction &= t
         for axiom in (AX1, AX2, AX3):
             gap = conjunction & ~truth_table(axiom.body, grid)
             if gap:
-                lift = Valuation.at_counter(grid_atoms(wide), characterize_module._lowest_lift(gap))
+                lift = Valuation.at_counter(wide_grid, characterize_module._lowest_lift(gap))
                 assert is_countermodel(lift, axiom.body, (entry,), wide), (entry.name, axiom.name)
                 lifts += 1
     assert lifts == 23
