@@ -8,14 +8,14 @@ valuation, so a negative verdict is as replayable as a positive one.
 Each schema body is compiled once into its atom list and a closure that
 computes its truth table from atom tiles. A candidate renaming then only
 reindexes atoms: the source's atoms come first, then the target's new ones,
-exactly the order of atoms(Iff(sigma(source), target)), so the lowest bit
-where the two tables differ is the counter-valuation are_equivalent would
-report. The comparisons run in two modes. Decide mode (explain=False)
-returns the verdict, the witness and the number of maps examined. Explain
-mode, the default, also builds a Refutation for every candidate before the
-witness and replays each one through Substitution.apply and pointwise
-evaluation; only reports that print refutations ask for it. Both modes
-replay the witness through Substitution.apply and are_equivalent.
+exactly their merged order merged_atom_order([sigma(source), target]), so
+the lowest bit where the two tables differ is the counter-valuation
+are_equivalent would report. The comparisons run in two modes. Decide mode
+(explain=False) returns the verdict, the witness and the number of maps
+examined. Explain mode, the default, also builds a Refutation for every
+candidate before the witness and replays each one through Substitution.apply
+and pointwise evaluation; only reports that print refutations ask for it.
+Both modes replay the witness through Substitution.apply and are_equivalent.
 
 Both modes walk the renamings depth first in lexicographic rho order.
 Equivalent formulas depend on the same atoms, and a renaming maps atoms

@@ -33,17 +33,22 @@ class InputError(ValueError):
 class _RecordType(type):
     """Makes a class body's annotated fields its __slots__ and compiles its
     __init__, __eq__ and __hash__ over them in one exec, which costs a
-    fraction of what a generic class decorator spends making each class."""
+    fraction of what a generic class decorator spends making each class.
+    The root class alone gets the _hash slot, where __hash__ keeps an
+    instance's hash from its first use on."""
 
     def __new__(mcls, name: str, bases: tuple[type, ...], namespace: dict[str, Any]):
         fields = tuple(namespace.get("__annotations__", ()))
-        cls = super().__new__(mcls, name, bases, {**namespace, "__slots__": fields})
+        slots = fields if bases else ("_hash",)
+        cls = super().__new__(mcls, name, bases, {**namespace, "__slots__": slots})
+        if not bases:
+            return cls
         mine = "".join(f"self.{f}," for f in fields)
         theirs = "".join(f"other.{f}," for f in fields)
-        sets = [f"_set_{f}(self, {f})" for f in fields]
+        sets = [*(f"_set_{f}(self, {f})" for f in fields), "_set__hash(self, None)"]
         if hasattr(cls, "__post_init__"):
             sets.append("self.__post_init__()")
-        body = "\n    ".join(sets) or "pass"
+        body = "\n    ".join(sets)
         source = (
             f"def __init__(self, {', '.join(fields)}):\n"
             f"    {body}\n"
@@ -52,10 +57,14 @@ class _RecordType(type):
             f"        return ({mine}) == ({theirs})\n"
             "    return NotImplemented\n"
             "def __hash__(self):\n"
-            f"    return hash(({mine}))\n"
+            "    h = self._hash\n"
+            "    if h is None:\n"
+            f"        h = hash(({mine}))\n"
+            "        _set__hash(self, h)\n"
+            "    return h\n"
         )
         # a slot's own descriptor sets the field past the frozen __setattr__
-        env = {f"_set_{f}": cls.__dict__[f].__set__ for f in fields}
+        env = {f"_set_{f}": getattr(cls, f).__set__ for f in ("_hash", *fields)}
         exec(source, env)
         for method in ("__init__", "__eq__", "__hash__"):
             env[method].__qualname__ = f"{cls.__qualname__}.{method}"
@@ -69,7 +78,13 @@ class Record(metaclass=_RecordType):
     when their classes are the same and their field tuples are equal, hash
     as that tuple, run __post_init__ after construction when the class has
     one, refuse assignment and deletion, and print as Name(field=value, ...).
-    Fields are not inherited: only leaf classes declare any."""
+    Fields are not inherited: only leaf classes declare any.
+
+    The hash is computed on first use and kept, so a record used again as a
+    cache key costs no walk of its fields. Copies and pickles rebuild a
+    record from its field values through __init__, so __post_init__ runs
+    again and no cached hash travels to an interpreter whose string hashes
+    differ."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -80,6 +95,9 @@ class Record(metaclass=_RecordType):
     def __repr__(self) -> str:
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self) -> tuple[type, tuple[object, ...]]:
+        return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
 # atoms are built by the thousand from a handful of names

@@ -7,11 +7,13 @@ follow the definitions on formulas, through Substitution.apply, pointwise
 evaluation and are_equivalent, and decide the comparison's orientation
 themselves, so the sweep kernel, the instance tabler and the admissible
 enumeration are each checked against a path they do not share.
+are_equivalent itself is checked against one table of the desugared Iff.
 """
 
 import itertools
 
-from l1ax.semantics import are_equivalent, evaluate
+from l1ax.formula import Iff
+from l1ax.semantics import are_equivalent, evaluate, is_tautology
 from l1ax.substitution import (
     FRESH_QNT_LEFT,
     FRESH_QNT_RIGHT,
@@ -80,6 +82,12 @@ def certify_refutations(report, source_body, target_body):
         recomputed = are_equivalent(image, target_body)
         assert not recomputed.holds
         assert recomputed.witness.counter == ref.valuation.counter
+
+
+def iff_equivalence(left, right):
+    """Tautological equivalence as one table of Iff(left, right), which
+    holds each side twice; the witness is its lowest falsifying counter."""
+    return is_tautology(Iff(left, right))
 
 
 def iter_set_bits(mask):

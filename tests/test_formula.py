@@ -2,9 +2,15 @@
 base of every immutable value, checked against a frozen, slotted dataclass
 with the same fields."""
 
+import copy
 import dataclasses
+import functools
 import importlib
+import os
+import pickle
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -151,8 +157,12 @@ def test_every_record_class_is_found():
     assert len(record_classes()) == 31  # 30 values and the Formula base
 
 
+def pickle_round_trip(value):
+    return pickle.loads(pickle.dumps(value))
+
+
 @pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__name__)
-def test_records_behave_as_frozen_slotted_dataclasses(cls):
+def test_records_behave_as_frozen_slotted_dataclasses(cls, monkeypatch):
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     assert cls.__slots__ == fields
     oracle = dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True, slots=True)
@@ -175,6 +185,16 @@ def test_records_behave_as_frozen_slotted_dataclasses(cls):
     if fields:
         with pytest.raises(TypeError):
             cls(*values[:-1])
+    # pickle finds the oracle by name in this module, as it finds cls in its own
+    oracle.__module__ = __name__
+    monkeypatch.setattr(sys.modules[__name__], oracle.__qualname__, oracle, raising=False)
+    for round_trip in (copy.copy, copy.deepcopy, pickle_round_trip):
+        duplicate, expected_duplicate = round_trip(record), round_trip(expected)
+        assert type(duplicate) is cls and type(expected_duplicate) is oracle
+        assert (duplicate is record) == (expected_duplicate is expected)
+        assert duplicate == record and expected_duplicate == expected
+        assert hash(duplicate) == hash(expected_duplicate) == hash(record)
+        assert repr(duplicate) == repr(expected_duplicate)
 
 
 def test_records_run_their_post_init_checks():
@@ -182,3 +202,83 @@ def test_records_run_their_post_init_checks():
         Atom("eps", "b")
     with pytest.raises(ValueError, match=r"true atoms outside domain: \['eps\(a,b\)'\]"):
         Valuation((), frozenset({AB}))
+
+
+class CountedHash:
+    """A field value that counts the calls of its own __hash__."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __hash__(self):
+        self.calls += 1
+        return 17
+
+
+def test_a_record_hashes_its_fields_once():
+    assert Record.__slots__ == ("_hash",)
+    namesake = type(Record)("Namesake", (Record,), {"__annotations__": {"value": None}})
+    field = CountedHash()
+    record, twin = namesake(field), namesake(field)
+    lookups = functools.cache(lambda key: object())
+    assert hash(record) == hash(record)
+    assert lookups(record) is lookups(record)
+    assert field.calls == 1
+    # an uncached twin equals the cached record, then hashes alike on its own
+    assert twin == record and record == twin
+    assert field.calls == 1
+    assert hash(twin) == hash(record) and field.calls == 2
+    assert lookups(twin) is lookups(record) and field.calls == 2
+    # a copy starts with no cached hash
+    assert hash(copy.copy(record)) == hash(record) and field.calls == 3
+
+
+def test_copies_rebuild_through_post_init():
+    def post_init(self):
+        checked.append(self.value)
+
+    checked = []
+    namespace = {"__annotations__": {"value": None}, "__post_init__": post_init}
+    record = type(Record)("Checked", (Record,), namespace)(1)
+    copy.copy(record), copy.deepcopy(record)
+    assert checked == [1, 1, 1]
+
+
+PICKLE_HASHED_CORPUS = """
+import pickle
+from l1ax.corpus import load_corpus
+entries = list(load_corpus())
+print(hash(tuple(entries)))
+print(pickle.dumps(entries).hex())
+"""
+
+LOAD_UNDER_ANOTHER_SEED = """
+import pickle, sys
+from l1ax.corpus import load_corpus
+loaded = pickle.loads(bytes.fromhex(sys.stdin.read()))
+fresh = list(load_corpus())
+assert loaded == fresh
+assert [hash(e) for e in loaded] == [hash(e) for e in fresh]
+assert [hash(e.body) for e in loaded] == [hash(e.body) for e in fresh]
+print(hash(tuple(fresh)))
+"""
+
+
+def test_a_pickled_corpus_hashes_afresh_under_another_hash_seed():
+    src = os.path.dirname(os.path.dirname(l1ax.__file__))
+
+    def run(source, seed, stdin=None):
+        return subprocess.run(
+            [sys.executable, "-c", source],
+            input=stdin,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+            check=True,
+        ).stdout.split()
+
+    seeded_hash, dumped = run(PICKLE_HASHED_CORPUS, "1")
+    (other_hash,) = run(LOAD_UNDER_ANOTHER_SEED, "2", dumped)
+    # string hashes differ between the two seeds, so a carried hash would not match
+    assert seeded_hash != other_hash

@@ -14,7 +14,7 @@ It also checks that importing l1ax.cli loads every module the benchmark's
 tracer wraps: the tracer rebinds functions in the namespaces loaded when it
 is installed, so a module imported later would go untraced. The same fresh
 import must load neither dataclasses nor inspect, which every command
-would pay for at start-up.
+would pay for at start-up, nor copy or pickle.
 """
 
 import ast
@@ -110,5 +110,6 @@ def test_importing_the_cli_loads_every_traced_module():
     loaded = set(proc.stdout.split())
     assert [module for module in traced if module not in loaded] == []
     # no class decorator machinery at start-up: records compile their own
-    # methods, and inspect alone costs a fresh process several milliseconds
-    assert sorted(loaded & {"dataclasses", "inspect"}) == []
+    # methods, and inspect alone costs a fresh process several milliseconds;
+    # nor copy or pickle, which records need only when they are copied
+    assert sorted(loaded & {"copy", "dataclasses", "inspect", "pickle"}) == []

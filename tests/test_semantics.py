@@ -28,6 +28,7 @@ from l1ax.semantics import (
     truth_table,
 )
 from l1ax.substitution import Substitution
+from oracles import iff_equivalence
 
 AB, BA, AA = Atom("a", "b"), Atom("b", "a"), Atom("a", "a")
 
@@ -170,6 +171,32 @@ def test_padded_instance_differs_from_reference_at_counter_six(corpus):
         "eps(c,y1)",
         "eps(a,a)",
     }
+
+
+@given(formula_st, formula_st, formula_st)
+def test_equivalence_matches_the_iff_table(f, g, h):
+    # independent sides, sides that share subtrees, and equivalent sides
+    for left, right in ((f, g), (Or(f, h), Not(Or(h, g))), (Or(f, g), Or(g, f)), (f, f)):
+        assert are_equivalent(left, right) == iff_equivalence(left, right)
+
+
+def renamed(entry, shift):
+    """The entry's body under the rotation of its variables by shift places."""
+    rotated = entry.variables[shift:] + entry.variables[:shift]
+    return Substitution.of(dict(zip(entry.variables, rotated))).apply(entry.body)
+
+
+def test_every_corpus_equivalence_matches_the_iff_table(corpus):
+    verdicts = []
+    for entry in corpus:
+        pairs = [(entry.body, A_T.body)]
+        pairs += [(renamed(entry, shift), entry.body) for shift in range(entry.arity)]
+        for left, right in pairs:
+            verdict = are_equivalent(left, right)
+            assert verdict == iff_equivalence(left, right)
+            verdicts.append(verdict.holds)
+    # only A_t against itself and the identity rotations hold
+    assert (len(verdicts), sum(verdicts)) == (138, len(corpus) + 1)
 
 
 def test_merged_atom_order_first_occurrence_across_formulas():
