@@ -13,7 +13,7 @@ from __future__ import annotations
 from . import criteria as _criteria
 from . import decision as _decision
 from . import proofs as _proofs
-from .axioms import A_T, A_T1, AX1, AX2, AX3, AX3S, AXIOMS_BY_NAME, BASE_AXIOMS
+from .axioms import A_T, AX1, AX2, AX3, AX3S, AXIOMS_BY_NAME, BASE_AXIOMS
 from .characterize import (
     CharacterizationReport,
     RecoveryOutcome,
@@ -37,8 +37,6 @@ from .criteria import (
 from .decision import (
     POOL_CAP,
     TheoremVerdict,
-    admissible_count,
-    admissible_valuations,
     holds_in_all_admissible,
     is_theorem,
 )
@@ -89,9 +87,9 @@ __version__ = "0.1.0"
 
 def clear_caches() -> None:
     """Drop every internal memoization (enumerated admissible valuations,
-    compiled schema bodies, hypothesis verdicts, checked bundled
-    derivations, the bundled scripts' directive index); used by the
-    slow-path oracle tests."""
+    compiled schema bodies and their essential atoms, hypothesis verdicts,
+    the bundled scripts' directive index); used by the slow-path oracle
+    tests."""
     _decision.clear_caches()
     _criteria.clear_caches()
     _proofs.clear_caches()

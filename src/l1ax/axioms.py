@@ -23,7 +23,7 @@ BASE_AXIOMS = (AX1, AX2, AX3)
 
 AXIOMS_BY_NAME = {ax.name: ax for ax in (AX1, AX2, AX3, AX3S)}
 
-# the conjunction-of-base equivalent schema and its flattened variant
+# the conjunction-of-base equivalent schema
 A_T = SchemaEntry.make(
     "A_t",
     Implies(
@@ -32,13 +32,5 @@ A_T = SchemaEntry.make(
             eps("a", "a"),
             Implies(eps("b", "c"), And(eps("a", "c"), eps("b", "a"))),
         ),
-    ),
-)
-
-A_T1 = SchemaEntry.make(
-    "A_t-1",
-    Implies(
-        And(eps("a", "b"), eps("b", "c")),
-        And(eps("a", "c"), eps("b", "a")),
     ),
 )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from pathlib import Path
 from typing import Callable
@@ -251,6 +250,8 @@ def main(argv: list[str] | None = None) -> int:
             args, _corpus_loader(args.corpus_file)
         )
         if args.json:
+            import json  # only a --json request pays for loading it
+
             output = json.dumps(
                 {"command": args.command, **payload()}, indent=2, sort_keys=True
             )

@@ -14,7 +14,6 @@ load, so a bad line fails every request.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from importlib import resources
 from pathlib import Path
 
 from .formula import InputError, SchemaEntry
@@ -150,7 +149,7 @@ def load_corpus(path: str | Path | None = None) -> Corpus:
     file in the same format, every entry read before it is returned so that
     a bad file fails whichever entries are used."""
     if path is None:
-        text = resources.files("l1ax").joinpath("data/corpus.schemata").read_text()
+        text = (Path(__file__).with_name("data") / "corpus.schemata").read_text()
         return Corpus(text, "bundled corpus")
     corpus = Corpus(Path(path).read_text(), str(path))
     for _ in corpus:

@@ -132,18 +132,6 @@ def _admissible(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(counters), tiles
 
 
-def admissible_valuations(pool: Sequence[NameVar]) -> Iterator[Valuation]:
-    """Admissible valuations in ascending counter order."""
-    pool = _check_pool(pool)
-    grid = grid_atoms(pool)
-    for counter in _admissible(len(pool))[0]:
-        yield Valuation.at_counter(grid, counter)
-
-
-def admissible_count(pool: Sequence[NameVar]) -> int:
-    return len(_admissible(len(_check_pool(pool)))[0])
-
-
 class TheoremVerdict(Record):
     """Validity over admissible valuations, with the first counter-valuation
     in counter order when the formula fails."""

@@ -23,10 +23,8 @@ MP(antecedent, implication), SUBST(line, sigma), TAUTCONSEQ(line, ...).
 from __future__ import annotations
 
 import functools
-from importlib import resources
 from pathlib import Path
-from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .axioms import AXIOMS_BY_NAME
 from .formula import Formula, Implies, Record, SchemaEntry
@@ -372,12 +370,8 @@ def load_proof_file(path: str | Path) -> ProofScript:
 def _bundled_texts() -> list[tuple[str, str]]:
     """(file stem, text) of every script in the proofs/ data directory, in
     file-name order."""
-    root = resources.files("l1ax").joinpath("proofs")
-    return [
-        (entry.name[: -len(".proof")], entry.read_text())
-        for entry in sorted(root.iterdir(), key=lambda e: e.name)
-        if entry.name.endswith(".proof")
-    ]
+    root = Path(__file__).with_name("proofs")
+    return [(path.stem, path.read_text()) for path in sorted(root.glob("*.proof"))]
 
 
 def bundled_scripts() -> dict[str, ProofScript]:
@@ -393,27 +387,22 @@ def check_bundled_proofs() -> dict[str, ProofCheckResult]:
     return {name: check_proof(s) for name, s in bundled_scripts().items()}
 
 
-def derived_conclusions() -> Mapping[Formula, str]:
+def derived_conclusions() -> dict[Formula, str]:
     """Conclusions of assumption-free bundled scripts that check out, each
     mapped to the first such script in bundled_scripts() order.
 
     The full map parses every bundled script and checks every
-    assumption-free one, once until clear_caches(). Verdicts look a single
-    formula up through derivation_of instead, which gives the same answer;
-    this map stays as the public listing and as its test oracle.
+    assumption-free one on each call. Verdicts look a single formula up
+    through derivation_of instead, which gives the same answer; this map
+    stays as the public listing and as its test oracle.
     """
-    return _derived_conclusions()
-
-
-@functools.cache
-def _derived_conclusions() -> Mapping[Formula, str]:
     out: dict[Formula, str] = {}
     for name, script in bundled_scripts().items():
         if script.assumptions:
             continue
         if check_proof(script).ok and script.lines:
             out.setdefault(script.lines[-1].formula, name)
-    return MappingProxyType(out)
+    return out
 
 
 @functools.cache
@@ -464,5 +453,4 @@ def derivation_of(formula: Formula) -> str | None:
 
 
 def clear_caches() -> None:
-    _derived_conclusions.cache_clear()
     _directive_index.cache_clear()

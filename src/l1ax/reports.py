@@ -91,15 +91,11 @@ def qnt_summary(cell: QntReport | InapplicablePair | TrivialityReport) -> dict:
 
 
 def valuation_text(v: Valuation) -> str:
-    """The shorter of the false-side and true-side descriptions."""
-    false = [a for a in v.domain if a not in v.true_atoms]
+    """The shorter of the false-side and true-side descriptions; on a tie,
+    the false side, which is str(v)."""
     true = [a for a in v.domain if a in v.true_atoms]
-    if not false:
-        return "all atoms true"
-    if not true:
-        return "all atoms false"
-    if len(false) <= len(true):
-        return "false: " + ", ".join(map(str, false)) + "; all other atoms true"
+    if not true or len(true) * 2 >= len(v.domain):
+        return str(v)
     return "true: " + ", ".join(map(str, true)) + "; all other atoms false"
 
 

@@ -171,12 +171,12 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
         applicable = 0
         for a in entries:
             for b in entries:
+                if not verdict[(a.name, b.name)]:
+                    continue
                 for d in entries:
                     increasing = a.arity <= b.arity <= d.arity
                     decreasing = a.arity >= b.arity >= d.arity
-                    if not (increasing or decreasing):
-                        continue
-                    if verdict[(a.name, b.name)] and verdict[(b.name, d.name)]:
+                    if (increasing or decreasing) and verdict[(b.name, d.name)]:
                         applicable += 1
                         check(verdict[(a.name, d.name)], (a.name, b.name, d.name))
         return f"holds on all {applicable} monotone-arity triples with both premises"

@@ -11,7 +11,7 @@ import random
 import time
 
 from l1ax import clear_caches, cli
-from l1ax.axioms import A_T, A_T1
+from l1ax.axioms import A_T
 from l1ax.characterize import characterize, recover_axioms
 from l1ax.corpus import load_corpus
 from l1ax.criteria import (
@@ -120,10 +120,10 @@ def test_criterion_4_nested_variant_end_to_end():
         scripts = bundled_scripts()
         for name in ("s3_from_base", "at1_from_s3"):
             assert check_proof(scripts[name]).ok, name
-        report = triviality(CORPUS["A_S3"], A_T1)
+        report = triviality(CORPUS["A_S3"], CORPUS["A_t-1"])
         assert report.verdict == "nontrivial"
         assert len(report.refutations) == 24
-        certify_refutations(report, CORPUS["A_S3"].body, A_T1.body)
+        certify_refutations(report, CORPUS["A_S3"].body, CORPUS["A_t-1"].body)
         recs = {r.axiom.name: r for r in recover_axioms(CORPUS["A_S3"], max_pool=4)}
         assert recs["Ax2"].recovered
         assert recs["Ax3"].recovered

@@ -9,9 +9,9 @@ that clear_caches() empties each one.
 
 import importlib
 import pkgutil
+from pathlib import Path
 
 import l1ax
-from l1ax import proofs
 from l1ax.cli import main
 
 # built once per process and the same for every request
@@ -24,7 +24,7 @@ ARGVS = [
     ["qnt", "A_S1", "A_S2"],
     ["matrix"],
     ["characteristic", "A_S3", "--max-pool", "3"],
-    ["check-proof", str(proofs.resources.files("l1ax").joinpath("proofs/s3_from_base.proof"))],
+    ["check-proof", str(Path(l1ax.__file__).with_name("proofs") / "s3_from_base.proof")],
 ]
 
 

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 import l1ax
 from l1ax import cli, reports
 from l1ax.cli import main
+from l1ax.formula import Atom
+from l1ax.semantics import Valuation
 from l1ax.syntax import (
     MAX_DEPTH,
     MAX_PARENS,
@@ -194,13 +196,7 @@ def test_characteristic_rejects_bad_pool(capsys):
 
 
 def test_check_proof_accepts_bundled_scripts(capsys, tmp_path):
-    from l1ax import proofs
-
-    src = (
-        proofs.resources.files("l1ax")
-        .joinpath("proofs/s3_from_base.proof")
-        .read_text()
-    )
+    src = Path(_bundled_script("s3_from_base")).read_text()
     path = tmp_path / "ok.proof"
     path.write_text(src)
     code, out, _ = run(capsys, "check-proof", str(path))
@@ -209,13 +205,7 @@ def test_check_proof_accepts_bundled_scripts(capsys, tmp_path):
 
 
 def test_check_proof_rejects_a_tampered_script(capsys, tmp_path):
-    from l1ax import proofs
-
-    src = (
-        proofs.resources.files("l1ax")
-        .joinpath("proofs/s3_from_base.proof")
-        .read_text()
-    )
+    src = Path(_bundled_script("s3_from_base")).read_text()
     path = tmp_path / "bad.proof"
     path.write_text(src.replace("eps(b,b) ; AXIOM(Ax1", "eps(b,a) ; AXIOM(Ax1"))
     code, out, _ = run(capsys, "check-proof", str(path))
@@ -378,6 +368,20 @@ def test_jsonable_rejects_objects_without_a_json_form():
         reports.jsonable(object())
 
 
+def test_valuation_text_names_the_shorter_side():
+    domain = tuple(Atom(x, y) for x in "ab" for y in "ab")
+
+    def text(counter):
+        return reports.valuation_text(Valuation.at_counter(domain, counter))
+
+    assert text(0b0000) == "all atoms true"
+    assert text(0b1111) == "all atoms false"
+    assert text(0b0100) == "false: eps(b,a); all other atoms true"
+    assert text(0b1011) == "true: eps(b,a); all other atoms false"
+    # a tie names the false side
+    assert text(0b0110) == "false: eps(a,b), eps(b,a); all other atoms true"
+
+
 # a request reads the bundled corpus only to resolve a name-shaped argument,
 # or for verify, conjectures and matrix without --corpus
 
@@ -397,7 +401,7 @@ def loads(monkeypatch):
 
 
 def _bundled_script(name):
-    return str(l1ax.proofs.resources.files("l1ax").joinpath(f"proofs/{name}.proof"))
+    return str(Path(l1ax.__file__).with_name("proofs") / f"{name}.proof")
 
 
 SYMMETRY = "eps(a,b) -> eps(b,a)"

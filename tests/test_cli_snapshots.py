@@ -127,15 +127,15 @@ json.dump(results, sys.stdout)
 """
 
 
-def _floor_python() -> str | None:
-    """A python3.10 that starts, if there is one: pyproject declares >=3.10."""
-    if sys.version_info[:2] == (3, 10):
+def working_python(minor: int) -> str | None:
+    """A python3.<minor> that starts, if there is one."""
+    if sys.version_info[:2] == (3, minor):
         return sys.executable
-    found = shutil.which("python3.10")
+    found = shutil.which(f"python3.{minor}")
     if found is None:
         return None
     probe = subprocess.run(
-        [found, "-c", "import sys; print(sys.version_info[:2] == (3, 10))"],
+        [found, "-c", f"import sys; print(sys.version_info[:2] == (3, {minor}))"],
         capture_output=True,
         text=True,
         timeout=60,
@@ -144,7 +144,7 @@ def _floor_python() -> str | None:
 
 
 def test_every_case_matches_the_snapshot_on_python_3_10(files):
-    python = _floor_python()
+    python = working_python(10)  # pyproject declares >=3.10
     if python is None:
         pytest.skip("no working python3.10 on PATH")
     argvs = _argvs()

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from l1ax import syntax
-from l1ax.axioms import A_T, A_T1, AX1, AX2, AX3, AX3S
+from l1ax.axioms import A_T, AX1, AX2, AX3, AX3S
 from l1ax.cli import main
 from l1ax.corpus import Corpus, load_corpus, validate_entries
 from l1ax.formula import And, Implies, conjoin, eps
@@ -68,7 +68,7 @@ def test_conjecture_entries(corpus):
 
 
 def test_axiom_constants_match_the_corpus(corpus):
-    for constant in (AX1, AX2, AX3, AX3S, A_T, A_T1):
+    for constant in (AX1, AX2, AX3, AX3S, A_T):
         assert corpus[constant.name] == constant
 
 

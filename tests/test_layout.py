@@ -13,8 +13,9 @@ so it passes when any attribute of that name is loaded.
 It also checks that importing l1ax.cli loads every module the benchmark's
 tracer wraps: the tracer rebinds functions in the namespaces loaded when it
 is installed, so a module imported later would go untraced. The same fresh
-import must load neither dataclasses nor inspect, which every command
-would pay for at start-up, nor copy or pickle.
+import must add none of the standard modules in SLOW_AT_START_UP, which
+every command would pay for, on this interpreter and on each of Python
+3.10, 3.12 and 3.13 that starts here.
 """
 
 import ast
@@ -23,7 +24,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import l1ax
+from test_cli_snapshots import working_python
 
 PACKAGE = Path(l1ax.__file__).resolve().parent
 
@@ -32,11 +36,6 @@ ALLOWED = {
     "proofs.derived_conclusions": "perfbench/tracer.py wraps it by name, "
     "and it is the oracle of derivation_of",
     "corpus.ESTABLISHED": "perfbench/test_perfbench.py imports it",
-    "axioms.A_T1": "the tests' constant for A_t-1, pinned to the corpus entry",
-    "decision.admissible_valuations": "the enumerated admissible valuations, "
-    "the tests' view of admissible_mask",
-    "decision.admissible_count": "the size of admissible_valuations, the "
-    "tests' check of the mask's population",
     "characterize.recovery_script": "the proof script of a recovery; ROADMAP "
     "item 1 generalises it for derives",
 }
@@ -90,6 +89,30 @@ def test_every_public_name_is_loaded_in_the_package():
     assert orphans == sorted(ALLOWED)
 
 
+# not needed to answer a command: records compile their own methods and so
+# need neither dataclasses nor inspect, nor copy or pickle unless they are
+# copied; only --json needs json; the bundled data are read as plain files
+SLOW_AT_START_UP = {"copy", "dataclasses", "importlib.resources", "inspect", "json", "pickle"}
+
+
+def added_by_importing_the_cli(python):
+    """The modules that a fresh `import l1ax.cli` adds to sys.modules."""
+    proc = subprocess.run(
+        [
+            python,
+            "-c",
+            "import sys; before = set(sys.modules); import l1ax.cli;"
+            " print(*sorted(set(sys.modules) - before))",
+        ],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
 def test_importing_the_cli_loads_every_traced_module():
     tracer = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
     layers = next(
@@ -99,17 +122,14 @@ def test_importing_the_cli_loads_every_traced_module():
         and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
     )
     traced = sorted({module for module, _ in layers.values()})
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, l1ax.cli; print(*sorted(sys.modules))"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
-        check=True,
-    )
-    loaded = set(proc.stdout.split())
-    assert [module for module in traced if module not in loaded] == []
-    # no class decorator machinery at start-up: records compile their own
-    # methods, and inspect alone costs a fresh process several milliseconds;
-    # nor copy or pickle, which records need only when they are copied
-    assert sorted(loaded & {"copy", "dataclasses", "inspect", "pickle"}) == []
+    added = added_by_importing_the_cli(sys.executable)
+    assert [module for module in traced if module not in added] == []
+    assert sorted(added & SLOW_AT_START_UP) == []
+
+
+@pytest.mark.parametrize("minor", [10, 12, 13])
+def test_importing_the_cli_adds_no_slow_module_on_other_interpreters(minor):
+    python = working_python(minor)
+    if python is None:
+        pytest.skip(f"no working python3.{minor} on PATH")
+    assert sorted(added_by_importing_the_cli(python) & SLOW_AT_START_UP) == []

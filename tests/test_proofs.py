@@ -269,26 +269,6 @@ s2: eps(b,a) ; TAUTCONSEQ(s1)
     assert result.failures == ("s2",)
 
 
-def test_derived_conclusions_check_the_scripts_once(monkeypatch):
-    checked = []
-    check = proofs.check_proof
-
-    def counted(script):
-        checked.append(script.name)
-        return check(script)
-
-    monkeypatch.setattr(proofs, "check_proof", counted)
-    l1ax.clear_caches()
-    first = derived_conclusions()
-    assert checked
-    once = list(checked)
-    assert derived_conclusions() == first
-    assert checked == once  # the second call checks nothing
-    l1ax.clear_caches()
-    assert derived_conclusions() == first
-    assert checked == once + once
-
-
 # derivation_of looks one formula up; derived_conclusions is its oracle
 
 
