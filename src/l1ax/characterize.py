@@ -211,18 +211,14 @@ def characterize(entry: SchemaEntry, max_pool: int = 4) -> CharacterizationRepor
     )
 
 
-def recovery_script(
-    entry: SchemaEntry, recoveries: tuple[RecoveryOutcome, ...] | None = None
-) -> ProofScript:
+def recovery_script(entry: SchemaEntry) -> ProofScript:
     """A kernel-checkable derivation of the recovered axioms from entry.
 
     Instance lines come straight from the recovery witnesses; each axiom
     then follows as a tautological consequence. Raises if nothing was
     recovered.
     """
-    if recoveries is None:
-        recoveries = recover_axioms(entry)
-    recovered = [r for r in recoveries if r.recovered]
+    recovered = [r for r in recover_axioms(entry) if r.recovered]
     if not recovered:
         raise ValueError(f"no axiom is recovered from {entry.name}")
     sigma_lines: dict[Substitution, str] = {}

@@ -4,9 +4,9 @@ Exit codes: 0 when the requested verdict was computed (whatever it is),
 1 when a proof check or the verification battery reports failures,
 2 for usage problems — parse errors, unknown names, a comparison the
 criteria do not cover, or an input beyond a size limit — and 3 for an
-internal fault, such as a witness that fails its replay, any KeyError but
-an unknown name or any ValueError but an InputError, reported on one
-stderr line with nothing on stdout.
+internal fault: any other exception, such as a witness that fails its
+replay, a KeyError but an unknown name or a ValueError but an InputError,
+reported on one stderr line with nothing on stdout.
 Output is deterministic: two runs of the same command are byte-identical.
 """
 
@@ -15,8 +15,8 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from collections.abc import Callable
 from pathlib import Path
-from typing import Callable
 
 from . import reports
 from .characterize import characterize
@@ -263,9 +263,10 @@ def main(argv: list[str] | None = None) -> int:
         # be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, KeyError, ValueError) as exc:
-        # a failed replay or a verdict without its witness, RecursionError too,
-        # and any KeyError but an unknown name or ValueError but an InputError
+    except Exception as exc:
+        # a fault of the program: a failed replay or a verdict without its
+        # witness, RecursionError, any KeyError but an unknown name or
+        # ValueError but an InputError, and every other exception
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     print(output)

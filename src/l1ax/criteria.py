@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 from .axioms import A_T
 from .formula import Atom, Formula, InputError, Record, SchemaEntry

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator, Sequence
+from collections.abc import Iterator, Sequence
 
 from .axioms import AX1, AX2, AX3, AX3S, BASE_AXIOMS
 from .formula import Atom, Formula, InputError, NameVar, Record, SchemaEntry, atoms, name_variables

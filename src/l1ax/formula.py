@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import re
-from typing import Any, Iterator
+from collections.abc import Iterator
 
 NameVar = str
 
@@ -37,7 +37,7 @@ class _RecordType(type):
     The root class alone gets the _hash slot, where __hash__ keeps an
     instance's hash from its first use on."""
 
-    def __new__(mcls, name: str, bases: tuple[type, ...], namespace: dict[str, Any]):
+    def __new__(mcls, name: str, bases: tuple[type, ...], namespace: dict[str, object]):
         fields = tuple(namespace.get("__annotations__", ()))
         slots = fields if bases else ("_hash",)
         cls = super().__new__(mcls, name, bases, {**namespace, "__slots__": slots})

@@ -23,8 +23,8 @@ MP(antecedent, implication), SUBST(line, sigma), TAUTCONSEQ(line, ...).
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from pathlib import Path
-from typing import Iterator
 
 from .axioms import AXIOMS_BY_NAME
 from .formula import Formula, Implies, Record, SchemaEntry

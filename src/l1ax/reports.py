@@ -11,8 +11,6 @@ their count; the single-pair commands expose every refutation in full.
 
 from __future__ import annotations
 
-from typing import Any
-
 from .characterize import CharacterizationReport
 from .criteria import InapplicablePair, QntReport, Refutation, TrivialityReport
 from .decision import TheoremVerdict
@@ -24,7 +22,7 @@ from .syntax import print_formula
 from .verify import ConjectureRow, VerificationReport
 
 
-def jsonable(obj: Any) -> Any:
+def jsonable(obj: object) -> object:
     """The JSON-ready form of a report: its Record fields, lowered in turn."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj

@@ -11,7 +11,7 @@ the same witness bit for bit.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 from .formula import Atom, Epsilon, Formula, InputError, Not, Or, Record, atoms
 

@@ -11,7 +11,7 @@ permutations, and the tests keep the plain enumeration as an oracle.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .formula import Atom, Epsilon, Formula, NameVar, Not, Or, Record
 

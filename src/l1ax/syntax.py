@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from typing import Iterator
+from collections.abc import Iterator
 
 from .formula import (
     And,

@@ -62,7 +62,6 @@ def _all_true_except(domain: tuple[Atom, ...], false: set[Atom]) -> Valuation:
 
 def run_verification(corpus: Corpus | None = None) -> VerificationReport:
     c = corpus if corpus is not None else load_corpus()
-    checks: list[tuple[str, object]] = []
 
     def base_conjunction():
         return conjoin(c["Ax1"].body, c["Ax2"].body, c["Ax3"].body)

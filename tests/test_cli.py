@@ -667,9 +667,10 @@ def test_a_stray_key_error_is_an_internal_fault(capsys, monkeypatch):
     assert (code, out, err) == (3, "", "internal error: 'A_S1'\n")
 
 
-def test_a_stray_value_error_is_an_internal_fault(capsys, monkeypatch):
+@pytest.mark.parametrize("error", [ValueError, TypeError])
+def test_a_stray_exception_is_an_internal_fault(capsys, monkeypatch, error):
     def faulty_check(formula):
-        raise ValueError("a fault of the program")
+        raise error("a fault of the program")
 
     monkeypatch.setattr(cli, "is_theorem", faulty_check)
     code, out, err = run(capsys, "theorem", "A_t")

@@ -16,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import l1ax
-from l1ax import criteria
+from l1ax import criteria, syntax
 from l1ax.cli import main
 from l1ax.criteria import is_quasi_trivial, qnt_matrix, quasi_triviality, triviality
 from l1ax.formula import And, Implies, Not, Or, SchemaEntry, eps
@@ -209,7 +209,7 @@ GRID36 = " | ".join(f"eps({x},{y})" for x in "abcdef" for y in "abcdef")
 
 
 def test_thirty_six_atoms_exceed_the_budget(capsys):
-    entry = SchemaEntry.make("grid", l1ax.parse_formula(GRID36))
+    entry = SchemaEntry.make("grid", syntax.parse_formula(GRID36))
     for explain in (True, False):
         with pytest.raises(BudgetError) as exc:
             quasi_triviality(entry, entry, explain=explain)
@@ -228,8 +228,8 @@ PADDED_DEF = f"(eps(a,b) | !eps(a,b)) & (eps(c,c) | !eps(c,c)) & ({ROWS_DEF})"
 
 
 def test_a_pair_over_the_budget_raises_alike_in_both_modes():
-    source = SchemaEntry.make("abc", l1ax.parse_formula(ROWS_ABC))
-    target = SchemaEntry.make("def", l1ax.parse_formula(PADDED_DEF))
+    source = SchemaEntry.make("abc", syntax.parse_formula(ROWS_ABC))
+    target = SchemaEntry.make("def", syntax.parse_formula(PADDED_DEF))
     messages = []
     for explain in (True, False):
         for run in (triviality, quasi_triviality):
@@ -245,7 +245,7 @@ def test_a_pair_over_the_budget_raises_alike_in_both_modes():
 def chain(k):
     """eps(x0,x1) & ... & eps(x(k-2),x(k-1)) -> eps(x0,x0), on k variables."""
     links = " & ".join(f"eps(x{i},x{i + 1})" for i in range(k - 1))
-    return SchemaEntry.make(f"chain{k}", l1ax.parse_formula(f"{links} -> eps(x0,x0)"))
+    return SchemaEntry.make(f"chain{k}", syntax.parse_formula(f"{links} -> eps(x0,x0)"))
 
 
 def test_nine_variables_exceed_the_map_budget_before_any_table(
@@ -271,9 +271,9 @@ def test_nine_variables_exceed_the_map_budget_before_any_table(
     for run in (lambda *pair: qnt_matrix(pair), is_quasi_trivial, criteria.is_trivial):
         with pytest.raises(BudgetError, match=f"^{message}$"):
             run(entry, m8)
-    text = l1ax.print_formula(entry.body)
+    text = syntax.print_formula(entry.body)
     path = tmp_path / "chain.schemata"
-    path.write_text(f"Chain := {text}\nM := {l1ax.print_formula(m8.body)}\n")
+    path.write_text(f"Chain := {text}\nM := {syntax.print_formula(m8.body)}\n")
     for argv in (["nontrivial", text], ["qnt", "A_M8", text], ["matrix", "--corpus", str(path)]):
         assert main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")

@@ -5,10 +5,11 @@ what the program already computes; the project keeps such slow paths in
 tests/oracles.py. This parses every module of l1ax and requires each
 public module-level function, class and constant, and each public method
 or property of a module-level class, to be loaded somewhere in the
-package: read as a name or an attribute, or imported by a module other
-than l1ax/__init__, whose re-exports load nothing (its attribute loads
-count). Dunder methods are exempt. A method is matched by its name alone,
-so it passes when any attribute of that name is loaded.
+package: read as a name or an attribute, or imported by another module.
+Dunder methods are exempt. A method is matched by its name alone, so it
+passes when any attribute of that name is loaded. The package itself
+re-exports nothing: a fresh `import l1ax` binds no public name but
+clear_caches and loads none of its modules.
 
 It also checks that importing l1ax.cli loads every module the benchmark's
 tracer wraps: the tracer rebinds functions in the namespaces loaded when it
@@ -63,23 +64,21 @@ def definitions(tree):
         yield from (name for name in names if not name.startswith("_"))
 
 
-def loads(tree, imports=True):
-    """Names the module loads, as names or attributes, and, if imports,
-    names it imports."""
+def loads(tree):
+    """Names the module loads, as names or attributes, and names it
+    imports."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             yield node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             yield node.attr
-        elif imports and isinstance(node, ast.ImportFrom):
+        elif isinstance(node, ast.ImportFrom):
             yield from (alias.name for alias in node.names)
 
 
 def test_every_public_name_is_loaded_in_the_package():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    loaded = {
-        name for module, tree in trees.items() for name in loads(tree, module != "__init__")
-    }
+    loaded = {name for tree in trees.values() for name in loads(tree)}
     orphans = sorted(
         f"{module}.{name}"
         for module, tree in trees.items()
@@ -91,26 +90,52 @@ def test_every_public_name_is_loaded_in_the_package():
 
 # not needed to answer a command: records compile their own methods and so
 # need neither dataclasses nor inspect, nor copy or pickle unless they are
-# copied; only --json needs json; the bundled data are read as plain files
-SLOW_AT_START_UP = {"copy", "dataclasses", "importlib.resources", "inspect", "json", "pickle"}
+# copied; only --json needs json; the bundled data are read as plain files;
+# annotations are never evaluated and collections.abc names the few
+# aliases, so typing is not needed either
+SLOW_AT_START_UP = {
+    "copy",
+    "dataclasses",
+    "importlib.resources",
+    "inspect",
+    "json",
+    "pickle",
+    "typing",
+}
 
 
-def added_by_importing_the_cli(python):
-    """The modules that a fresh `import l1ax.cli` adds to sys.modules."""
-    proc = subprocess.run(
-        [
-            python,
-            "-c",
-            "import sys; before = set(sys.modules); import l1ax.cli;"
-            " print(*sorted(set(sys.modules) - before))",
-        ],
+def printed_by(python, code):
+    """The stdout of code run by python in a fresh interpreter."""
+    return subprocess.run(
+        [python, "-c", code],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
         check=True,
+    ).stdout
+
+
+def added_by_importing_the_cli(python):
+    """The modules that a fresh `import l1ax.cli` adds to sys.modules."""
+    return set(
+        printed_by(
+            python,
+            "import sys; before = set(sys.modules); import l1ax.cli;"
+            " print(*sorted(set(sys.modules) - before))",
+        ).split()
     )
-    return set(proc.stdout.split())
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    printed = printed_by(
+        sys.executable,
+        "import sys; import l1ax;"
+        " print(*sorted(m for m in sys.modules if m.startswith('l1ax.')));"
+        " print(*sorted(n for n in vars(l1ax) if not n.startswith('_')));"
+        " l1ax.clear_caches()",
+    )
+    assert printed == "\nclear_caches\n"
 
 
 def test_importing_the_cli_loads_every_traced_module():
