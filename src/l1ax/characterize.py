@@ -23,7 +23,7 @@ from .decision import (
     is_theorem,
 )
 from .formula import Formula, Record, SchemaEntry
-from .proofs import ProofLine, ProofScript, SchemaRef, TautConseq, derivation_of
+from .proofs import Justification, ProofLine, ProofScript, derivation_of
 from .semantics import Valuation, entails, full_mask, lowest_set_bit, truth_table
 from .substitution import Substitution
 
@@ -228,15 +228,15 @@ def recovery_script(entry: SchemaEntry) -> ProofScript:
             if sigma not in sigma_lines:
                 label = f"g{len(sigma_lines) + 1}"
                 sigma_lines[sigma] = label
-                lines.append(ProofLine(label, sigma.apply(entry.body), SchemaRef(entry.name, sigma)))
+                schema = Justification("SCHEMA", (entry.name,), sigma)
+                lines.append(ProofLine(label, sigma.apply(entry.body), schema))
     for outcome in recovered:
         cited = tuple(sigma_lines[s] for s in outcome.witness_maps)
         label = outcome.axiom.name.lower().replace("-", "_")
-        lines.append(ProofLine(label, outcome.axiom.body, TautConseq(cited)))
+        lines.append(ProofLine(label, outcome.axiom.body, Justification("TAUTCONSEQ", cited, None)))
     return ProofScript(
         name=f"axioms_from_{entry.name.lower().replace('-', '_')}",
         assumptions=(entry,),
         lines=tuple(lines),
         conclusion=lines[-1].formula,
-        metadata={"generated": "true"},
     )

@@ -7,7 +7,8 @@ so a corrupted line is isolated rather than cascading. Substitution steps
 are sound here because assumptions are always taken as schemata (closed
 under uniform substitution), as are the base axioms.
 
-Script text format, one directive or step per line ('#' starts a comment):
+Script text format, one directive or step per line, read by
+syntax.split_lines ('#' starts a comment, blank lines are skipped):
 
     name: base_from_m8
     assume: A_M8 := eps(a,b) & eps(c,d) -> ...
@@ -18,68 +19,43 @@ Script text format, one directive or step per line ('#' starts a comment):
 
 Justifications: TAUT, AXIOM(name[, sigma]), SCHEMA(name[, sigma]),
 MP(antecedent, implication), SUBST(line, sigma), TAUTCONSEQ(line, ...).
+Each is one Justification record: the rule name, what it cites and its
+substitution, printed back in this syntax by describe(). meta: lines must
+read 'key = value' and are otherwise ignored.
 """
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 from pathlib import Path
 
 from .axioms import AXIOMS_BY_NAME
 from .formula import Formula, Implies, Record, SchemaEntry
 from .semantics import entails, is_tautology
 from .substitution import Substitution
-from .syntax import ParseError, SourceSpan, parse_formula, parse_substitution_mapping
+from .syntax import (
+    ParseError,
+    SourceSpan,
+    parse_formula,
+    parse_substitution_mapping,
+    split_lines,
+)
 
 DIRECTIVES = ("name", "assume", "meta", "conclude")
 
 
-class Taut(Record):
-    def describe(self) -> str:
-        return "TAUT"
+class Justification(Record):
+    """The rule of one line as the script writes it (TAUT, AXIOM, SCHEMA,
+    MP, SUBST or TAUTCONSEQ), the axiom, schema or line labels it cites,
+    and its substitution: None for TAUT, MP and TAUTCONSEQ."""
 
-
-class AxiomRef(Record):
-    axiom: str
-    sigma: Substitution
-
-    def describe(self) -> str:
-        return f"AXIOM({self.axiom}, {self.sigma})"
-
-
-class SchemaRef(Record):
-    schema: str
-    sigma: Substitution
+    rule: str
+    cited: tuple[str, ...]
+    sigma: Substitution | None
 
     def describe(self) -> str:
-        return f"SCHEMA({self.schema}, {self.sigma})"
-
-
-class ModusPonens(Record):
-    antecedent: str
-    implication: str
-
-    def describe(self) -> str:
-        return f"MP({self.antecedent}, {self.implication})"
-
-
-class Subst(Record):
-    source: str
-    sigma: Substitution
-
-    def describe(self) -> str:
-        return f"SUBST({self.source}, {self.sigma})"
-
-
-class TautConseq(Record):
-    sources: tuple[str, ...]
-
-    def describe(self) -> str:
-        return f"TAUTCONSEQ({', '.join(self.sources)})"
-
-
-Justification = Taut | AxiomRef | SchemaRef | ModusPonens | Subst | TautConseq
+        args = self.cited if self.sigma is None else (*self.cited, str(self.sigma))
+        return f"{self.rule}({', '.join(args)})" if args else self.rule
 
 
 class ProofLine(Record):
@@ -93,7 +69,6 @@ class ProofScript(Record):
     assumptions: tuple[SchemaEntry, ...]
     lines: tuple[ProofLine, ...]
     conclusion: Formula | None
-    metadata: dict[str, str]
 
 
 class LineResult(Record):
@@ -125,60 +100,47 @@ def _check_line(
     def ok(detail: str = "") -> LineResult:
         return LineResult(line.label, rule, True, detail)
 
-    if isinstance(j, Taut):
+    if j.rule == "TAUT":
         verdict = is_tautology(line.formula)
         if verdict.holds:
             return ok("tautology confirmed")
         return fail(f"not a tautology; counterexample {verdict.witness}")
 
-    if isinstance(j, AxiomRef):
-        schema = AXIOMS_BY_NAME.get(j.axiom)
+    if j.rule in ("AXIOM", "SCHEMA"):
+        (name,) = j.cited
+        axiom = j.rule == "AXIOM"
+        schema = (AXIOMS_BY_NAME if axiom else assumptions).get(name)
         if schema is None:
-            return fail(f"unknown axiom {j.axiom!r}")
+            return fail(
+                f"unknown axiom {name!r}" if axiom else f"{name!r} is not an assumed schema"
+            )
         if j.sigma.apply(schema.body) == line.formula:
-            return ok(f"instance of {j.axiom}")
-        return fail(f"stated formula is not {j.axiom} under {j.sigma}")
+            return ok(f"instance of {name}" if axiom else f"instance of assumed {name}")
+        return fail(f"stated formula is not {name} under {j.sigma}")
 
-    if isinstance(j, SchemaRef):
-        schema = assumptions.get(j.schema)
-        if schema is None:
-            return fail(f"{j.schema!r} is not an assumed schema")
-        if j.sigma.apply(schema.body) == line.formula:
-            return ok(f"instance of assumed {j.schema}")
-        return fail(f"stated formula is not {j.schema} under {j.sigma}")
+    if j.rule not in ("MP", "SUBST", "TAUTCONSEQ"):
+        return fail(f"unknown justification {j!r}")
+    missing = [ref for ref in j.cited if ref not in earlier]
+    if missing:
+        where = f" {missing[0]!r}" if j.rule == "TAUTCONSEQ" else ""
+        return fail(f"cited line{where} does not precede this one")
+    premises = [earlier[ref] for ref in j.cited]
 
-    if isinstance(j, ModusPonens):
-        ante = earlier.get(j.antecedent)
-        impl = earlier.get(j.implication)
-        if ante is None or impl is None:
-            return fail("cited line does not precede this one")
-        if impl == Implies(ante, line.formula):
+    if j.rule == "MP":
+        antecedent, implication = j.cited
+        if premises[1] == Implies(premises[0], line.formula):
             return ok("modus ponens")
-        return fail(
-            f"line {j.implication} is not ({j.antecedent} -> this line)"
-        )
+        return fail(f"line {implication} is not ({antecedent} -> this line)")
 
-    if isinstance(j, Subst):
-        src = earlier.get(j.source)
-        if src is None:
-            return fail("cited line does not precede this one")
-        if j.sigma.apply(src) == line.formula:
-            return ok(f"substitution instance of {j.source}")
-        return fail(f"stated formula is not {j.source} under {j.sigma}")
+    if j.rule == "SUBST":
+        if j.sigma.apply(premises[0]) == line.formula:
+            return ok(f"substitution instance of {j.cited[0]}")
+        return fail(f"stated formula is not {j.cited[0]} under {j.sigma}")
 
-    if isinstance(j, TautConseq):
-        premises = []
-        for ref in j.sources:
-            f = earlier.get(ref)
-            if f is None:
-                return fail(f"cited line {ref!r} does not precede this one")
-            premises.append(f)
-        verdict = entails(premises, line.formula)
-        if verdict.holds:
-            return ok("tautological consequence")
-        return fail(f"does not follow; counterexample {verdict.witness}")
-
-    return fail(f"unknown justification {j!r}")
+    verdict = entails(premises, line.formula)
+    if verdict.holds:
+        return ok("tautological consequence")
+    return fail(f"does not follow; counterexample {verdict.witness}")
 
 
 def check_proof(script: ProofScript) -> ProofCheckResult:
@@ -252,72 +214,46 @@ def _parse_justification(text: str, lineno: int, column: int) -> Justification:
     span = SourceSpan(lineno, 1)
     text, column = _strip_at(text, column)
     if text == "TAUT":
-        return Taut()
+        return Justification("TAUT", (), None)
     if "(" not in text or not text.endswith(")"):
         raise ParseError(f"malformed justification {text!r}", span)
     head, _, inner = text.partition("(")
     pieces = _split_args(inner[:-1], column + len(head) + 1, span)
-    args = [arg for arg, _ in pieces]
-    head = head.strip()
-
-    def sigma() -> Substitution:
-        arg, at = pieces[1]
-        return Substitution.of(parse_substitution_mapping(arg, line=lineno, column=at))
-
-    if head == "AXIOM":
-        if len(args) == 1:
-            return AxiomRef(args[0], Substitution.identity())
-        if len(args) == 2:
-            return AxiomRef(args[0], sigma())
-        raise ParseError("AXIOM takes a name and an optional substitution", span)
-    if head == "SCHEMA":
-        if len(args) == 1:
-            return SchemaRef(args[0], Substitution.identity())
-        if len(args) == 2:
-            return SchemaRef(args[0], sigma())
-        raise ParseError("SCHEMA takes a name and an optional substitution", span)
-    if head == "MP":
+    rule = head.strip()
+    args = tuple(arg for arg, _ in pieces)
+    if rule == "MP":
         if len(args) != 2:
             raise ParseError("MP takes two line labels", span)
-        return ModusPonens(args[0], args[1])
-    if head == "SUBST":
-        if len(args) != 2:
-            raise ParseError("SUBST takes a line label and a substitution", span)
-        return Subst(args[0], sigma())
-    if head == "TAUTCONSEQ":
+        return Justification(rule, args, None)
+    if rule == "TAUTCONSEQ":
         if not args:
             raise ParseError("TAUTCONSEQ needs at least one line label", span)
-        return TautConseq(tuple(args))
-    raise ParseError(f"unknown justification {head!r}", span)
+        return Justification(rule, args, None)
+    if rule == "SUBST" and len(args) != 2:
+        raise ParseError("SUBST takes a line label and a substitution", span)
+    if rule in ("AXIOM", "SCHEMA") and len(args) not in (1, 2):
+        raise ParseError(f"{rule} takes a name and an optional substitution", span)
+    if rule not in ("AXIOM", "SCHEMA", "SUBST"):
+        raise ParseError(f"unknown justification {rule!r}", span)
+    sigma = Substitution.identity()
+    if len(pieces) == 2:
+        arg, at = pieces[1]
+        sigma = Substitution.of(parse_substitution_mapping(arg, line=lineno, column=at))
+    return Justification(rule, args[:1], sigma)
 
 
-def _script_lines(text: str) -> Iterator[tuple[int, str, str, int]]:
-    """Each line of a script that is not blank once its '#' comment is cut,
-    as (line number, head, rest, column of rest): head is the text before
-    the first ':', rest the text after it, both stripped. Columns count
-    from 1 at the line's start, so errors point into it."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped, column = _strip_at(raw.split("#", 1)[0], 1)
-        if not stripped:
-            continue
-        if ":" not in stripped:
-            raise ParseError(
-                "expected 'label: formula ; JUSTIFICATION'", SourceSpan(lineno, 1)
-            )
-        head, _, rest = stripped.partition(":")
-        rest, column = _strip_at(rest, column + len(head) + 1)
-        yield lineno, head.strip(), rest, column
+# the form split_lines names when a script line has no ':'
+_LINE_FORM = "label: formula ; JUSTIFICATION"
 
 
 def parse_proof_script(text: str, default_name: str = "script") -> ProofScript:
     name = default_name
     assumptions: list[SchemaEntry] = []
-    metadata: dict[str, str] = {}
     conclusion: Formula | None = None
     lines: list[ProofLine] = []
     seen_labels: set[str] = set()
 
-    for lineno, head, rest, column in _script_lines(text):
+    for lineno, head, rest, column in split_lines(text, ":", _LINE_FORM):
         span = SourceSpan(lineno, 1)
         if head == "name":
             name = rest
@@ -331,8 +267,6 @@ def parse_proof_script(text: str, default_name: str = "script") -> ProofScript:
         elif head == "meta":
             if "=" not in rest:
                 raise ParseError("meta needs 'key = value'", span)
-            key, _, value = rest.partition("=")
-            metadata[key.strip()] = value.strip()
         elif head == "conclude":
             conclusion = parse_formula(rest, line=lineno, column=column)
         else:
@@ -358,7 +292,6 @@ def parse_proof_script(text: str, default_name: str = "script") -> ProofScript:
         assumptions=tuple(assumptions),
         lines=tuple(lines),
         conclusion=conclusion,
-        metadata=metadata,
     )
 
 
@@ -417,7 +350,7 @@ def _directive_index() -> tuple[tuple[Formula | None, str, str], ...]:
     by_name: dict[str, tuple[bool, Formula | None, str, str]] = {}
     for stem, text in _bundled_texts():
         name, assumes, conclusion = stem, False, None
-        for lineno, head, rest, column in _script_lines(text):
+        for lineno, head, rest, column in split_lines(text, ":", _LINE_FORM):
             if head == "name":
                 name = rest
             elif head == "assume":

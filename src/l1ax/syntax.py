@@ -327,30 +327,41 @@ def is_valid_schema_name(name: str) -> bool:
     )
 
 
+def split_lines(text: str, sep: str, expected: str) -> Iterator[tuple[int, str, str, int]]:
+    """Each line of text that is not blank once its '#' comment is cut, as
+    (line number, head, rest, column of rest): head is the text before the
+    first sep, rest the text after it, both stripped. Columns count from 1
+    at the line's start, so errors point into the line; a blank rest is at
+    the column just past sep. A line without sep is refused with a
+    ParseError at its column 1 naming the expected form. Schema files and
+    proof scripts are both read through this."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].rstrip()
+        if not line:
+            continue
+        head, found, rest = line.partition(sep)
+        if not found:
+            raise ParseError(f"expected '{expected}'", SourceSpan(lineno, 1))
+        rest = rest.lstrip()
+        yield lineno, head.strip(), rest, len(line) - len(rest) + 1
+
+
 def scan_schema_file(text: str) -> Iterator[tuple[str, str, int, int]]:
     """Yield (name, formula text, line, column) for each 'Name := formula'
     line, parsing no formula; line and column locate the formula text.
 
-    Blank lines are skipped and '#' starts a comment. A line without ':=',
-    an invalid name and a duplicate name (at its second definition) are
-    refused with a ParseError at column 1 of their line.
+    Lines are read by split_lines. An invalid name and a duplicate name (at
+    its second definition) are refused with a ParseError at column 1 of
+    their line.
     """
     seen: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
-        if not line.strip():
-            continue
-        if ":=" not in line:
-            raise ParseError("expected 'name := formula'", SourceSpan(lineno, 1))
-        name_part, formula_part = line.split(":=", 1)
-        name = name_part.strip()
+    for lineno, name, formula_text, column in split_lines(text, ":=", "name := formula"):
         if not is_valid_schema_name(name):
             raise ParseError(f"invalid schema name {name!r}", SourceSpan(lineno, 1))
         if name in seen:
             raise ParseError(f"duplicate schema name {name!r}", SourceSpan(lineno, 1))
         seen.add(name)
-        column = len(name_part) + 2 + (len(formula_part) - len(formula_part.lstrip())) + 1
-        yield name, formula_part.strip(), lineno, column
+        yield name, formula_text, lineno, column
 
 
 def parse_schema_entry(name: str, text: str, line: int, column: int) -> SchemaEntry:

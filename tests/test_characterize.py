@@ -127,7 +127,6 @@ def test_recovery_script_is_kernel_checkable(corpus):
     script = recovery_script(corpus["A_M8"])
     assert script.name == "axioms_from_a_m8"
     assert script.assumptions == (corpus["A_M8"],)
-    assert script.metadata.get("generated") == "true"
     result = check_proof(script)
     assert result.ok
     assert [line.label for line in script.lines][-3:] == ["ax1", "ax2", "ax3"]

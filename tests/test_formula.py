@@ -154,7 +154,7 @@ def sample_values(cls, fields):
 
 
 def test_every_record_class_is_found():
-    assert len(record_classes()) == 31  # 30 values and the Formula base
+    assert len(record_classes()) == 26  # 25 values and the Formula base
 
 
 def pickle_round_trip(value):

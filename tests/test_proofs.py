@@ -9,6 +9,10 @@ from l1ax import proofs
 from l1ax.decision import grid_atoms, is_theorem
 from l1ax.formula import Implies, Not, Or, eps
 from l1ax.proofs import (
+    Justification,
+    LineResult,
+    ProofLine,
+    ProofScript,
     bundled_scripts,
     check_bundled_proofs,
     check_proof,
@@ -17,7 +21,7 @@ from l1ax.proofs import (
     parse_proof_script,
 )
 from l1ax.semantics import full_mask, truth_table
-from l1ax.syntax import ParseError, parse_formula
+from l1ax.syntax import ParseError, parse_formula, print_formula
 from oracles import all_instances
 
 EXPECTED_SCRIPTS = (
@@ -267,6 +271,39 @@ s2: eps(b,a) ; TAUTCONSEQ(s1)
     )
     assert not result.ok
     assert result.failures == ("s2",)
+
+
+def script_text(script):
+    """script in the script syntax, printed from its parsed lines."""
+    directives = [f"name: {script.name}"]
+    directives += [f"assume: {s.name} := {print_formula(s.body)}" for s in script.assumptions]
+    if script.conclusion is not None:
+        directives.append(f"conclude: {print_formula(script.conclusion)}")
+    steps = [
+        f"{line.label}: {print_formula(line.formula)} ; {line.justification.describe()}"
+        for line in script.lines
+    ]
+    return "\n".join(directives + steps) + "\n"
+
+
+def test_bundled_scripts_print_back_to_their_lines():
+    rules = set()
+    for name, script in bundled_scripts().items():
+        assert parse_proof_script(script_text(script)) == script, name
+        rules.update(line.justification.rule for line in script.lines)
+    assert rules == {"TAUT", "AXIOM", "SCHEMA", "MP", "SUBST", "TAUTCONSEQ"}
+
+
+def test_a_built_script_fails_a_duplicate_label_and_an_unknown_rule():
+    taut = parse_formula("eps(a,a) | !eps(a,a)")
+    line = ProofLine("t", taut, Justification("TAUT", (), None))
+    result = check_proof(ProofScript("built", (), (line, line), None))
+    assert result.lines[1] == LineResult("t", "", False, "duplicate label")
+    assert result.failures == ("t",)
+    foo = Justification("FOO", (), None)
+    result = check_proof(ProofScript("built", (), (ProofLine("f", taut, foo),), None))
+    assert result.lines == (LineResult("f", "FOO", False, f"unknown justification {foo!r}"),)
+    assert not result.ok
 
 
 # derivation_of looks one formula up; derived_conclusions is its oracle

@@ -456,6 +456,16 @@ def test_bundled_sources_parse_as_the_reference_parses_them():
         )
 
 
+def test_a_blank_formula_is_located_just_past_its_separator():
+    for text in ("X :=   ", "X :=\t\t# note"):
+        with pytest.raises(ParseError) as exc:
+            parse_schema_file(text)
+        assert (exc.value.message, exc.value.span) == ("empty input", SourceSpan(1, 5))
+    with pytest.raises(ParseError) as exc:
+        proofs.parse_proof_script("conclude:   \nt: eps(a,a) | !eps(a,a) ; TAUT\n")
+    assert (exc.value.message, exc.value.span) == ("empty input", SourceSpan(1, 10))
+
+
 def test_an_error_at_the_end_counts_the_trailing_blanks():
     tail = " \t\r\n" * 2000
     assert parse_formula("eps(a,b)" + tail) == eps("a", "b")
