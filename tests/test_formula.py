@@ -31,7 +31,9 @@ from l1ax.formula import (
     name_variables,
     walk_atoms,
 )
+from l1ax.proofs import Justification
 from l1ax.semantics import Valuation
+from l1ax.substitution import Substitution
 
 
 def test_eps_builds_an_epsilon_node():
@@ -147,6 +149,25 @@ SAMPLES = {
 }
 
 
+SIGMA = Substitution.of({"a": "b"})
+# one well-formed Justification of each rule, beside the plain-string case
+RULE_SAMPLES = {
+    "Taut": (("TAUT", (), None), ("TAUTCONSEQ", ("1",), None)),
+    "AxiomRef": (("AXIOM", ("Ax1",), Substitution.identity()), ("AXIOM", ("Ax2",), SIGMA)),
+    "SchemaRef": (("SCHEMA", ("X",), SIGMA), ("SCHEMA", ("X",), Substitution.identity())),
+    "ModusPonens": (("MP", ("1", "2"), None), ("MP", ("2", "1"), None)),
+    "Subst": (("SUBST", ("1",), SIGMA), ("SUBST", ("2",), SIGMA)),
+    "TautConseq": (("TAUTCONSEQ", ("1", "2"), None), ("TAUTCONSEQ", ("1",), None)),
+}
+
+
+def record_cases():
+    for cls in record_classes():
+        yield pytest.param(cls, None, id=cls.__name__)
+    for name, samples in RULE_SAMPLES.items():
+        yield pytest.param(Justification, samples, id=name)
+
+
 def sample_values(cls, fields):
     return SAMPLES.get(cls) or tuple(
         tuple(f"{prefix}{i}" for i in range(len(fields))) for prefix in "vw"
@@ -161,12 +182,12 @@ def pickle_round_trip(value):
     return pickle.loads(pickle.dumps(value))
 
 
-@pytest.mark.parametrize("cls", record_classes(), ids=lambda cls: cls.__name__)
-def test_records_behave_as_frozen_slotted_dataclasses(cls, monkeypatch):
+@pytest.mark.parametrize(("cls", "samples"), record_cases())
+def test_records_behave_as_frozen_slotted_dataclasses(cls, samples, monkeypatch):
     fields = tuple(cls.__dict__.get("__annotations__", ()))
     assert cls.__slots__ == fields
     oracle = dataclasses.make_dataclass(cls.__qualname__, fields, frozen=True, slots=True)
-    values, others = sample_values(cls, fields)
+    values, others = samples or sample_values(cls, fields)
     record, twin, other = cls(*values), cls(*values), cls(*others)
     expected = oracle(*values)
     assert record == twin and not record != twin and expected == oracle(*values)
