@@ -13,9 +13,12 @@ the lowest bit where the two tables differ is the counter-valuation
 are_equivalent would report. The comparisons run in two modes. Decide mode
 (explain=False) returns the verdict, the witness and the number of maps
 examined. Explain mode, the default, also builds a Refutation for every
-candidate before the witness and replays each one through Substitution.apply
-and pointwise evaluation; only reports that print refutations ask for it.
-Both modes replay the witness through Substitution.apply and are_equivalent.
+candidate before the witness and replays each one by pointwise evaluation
+through the substitution lemma: sigma(source) holds at a valuation exactly
+when the source holds at its pullback through sigma, so no substituted
+formula is built. Only reports that print refutations ask for explain mode.
+Both modes replay the witness through Substitution.apply and are_equivalent;
+the tests keep Substitution.apply as the oracle of the refutation replay.
 
 Both modes walk the renamings depth first in lexicographic rho order.
 Equivalent formulas depend on the same atoms, and a renaming maps atoms
@@ -68,8 +71,10 @@ class Refutation(Record):
     """A candidate map plus a valuation on which the two sides disagree.
 
     substituted_value is the value of the schema the map was applied to;
-    target_value is the value of the schema it was compared against. Both
-    replay through pointwise evaluation of the stored valuation.
+    target_value is the value of the schema it was compared against. The
+    target replays by pointwise evaluation of the stored valuation, the
+    substituted schema by evaluating the unsubstituted one at the
+    valuation's pullback through the map's sigma (the substitution lemma).
     """
 
     candidate: CandidateMap
@@ -200,16 +205,27 @@ class _Kernel:
     def refutation(
         self, perm: tuple[int, ...], source_bits: int, diff: int, index: dict[int, int]
     ) -> Refutation:
-        """The refutation at the lowest differing bit, replayed through the
-        substituted formula and pointwise evaluation."""
+        """The refutation at the lowest differing bit, replayed by pointwise
+        evaluation. By the substitution lemma sigma(source) holds at the
+        valuation exactly when the source holds at its pullback through the
+        reported sigma, which gives eps(x,y) the value of eps(sigma(x),
+        sigma(y)); so no substituted formula is built, and the images come
+        from sigma alone, never from place or index."""
         domain = tuple(self.grid[c] for c in index)
         counter = lowest_set_bit(diff)
         valuation = Valuation.at_counter(domain, counter)
         substituted_value = bool(source_bits >> counter & 1)
         cand = self.candidate(perm)
-        substituted = cand.sigma.apply(self.source.body)
+        m = cand.sigma.mapping
+        source_atoms = _compile(self.source.body)[0]
+        pullback = Valuation(
+            source_atoms,
+            frozenset(
+                a for a in source_atoms if valuation.value(Atom(m[a.subject], m[a.predicate]))
+            ),
+        )
         if (
-            evaluate(substituted, valuation) != substituted_value
+            evaluate(self.source.body, pullback) != substituted_value
             or evaluate(self.target.body, valuation) == substituted_value
         ):
             raise RuntimeError(f"refutation of {cand.sigma} fails its replay")
@@ -231,27 +247,32 @@ def _renamings(
     over target slots, a branch is cut as soon as a pair of assigned
     slots holds an essential atom on one side only.
     """
-    perm: list[int] = []
-    place = [0] * n
+    return _extend(0, n, [], [0] * n, essential)
 
-    def extend(i: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-        if i == n:
-            yield tuple(perm), tuple(place)
-            return
-        for s in range(n):
-            if s in perm:
-                continue
-            perm.append(s)
-            place[s] = i
-            if essential is None or all(
-                (perm[a] * n + perm[b] in essential[0]) == (a * n + b in essential[1])
-                for j in range(i + 1)
-                for a, b in ((j, i), (i, j))
-            ):
-                yield from extend(i + 1)
-            perm.pop()
 
-    return extend(0)
+def _extend(
+    i: int,
+    n: int,
+    perm: list[int],
+    place: list[int],
+    essential: tuple[frozenset[int], frozenset[int]] | None,
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """_renamings below the first i slots, which perm and place assign."""
+    if i == n:
+        yield tuple(perm), tuple(place)
+        return
+    for s in range(n):
+        if s in perm:
+            continue
+        perm.append(s)
+        place[s] = i
+        if essential is None or all(
+            (perm[a] * n + perm[b] in essential[0]) == (a * n + b in essential[1])
+            for j in range(i + 1)
+            for a, b in ((j, i), (i, j))
+        ):
+            yield from _extend(i + 1, n, perm, place, essential)
+        perm.pop()
 
 
 def _position(perm: tuple[int, ...]) -> int:

@@ -30,7 +30,7 @@ import functools
 from pathlib import Path
 
 from .axioms import AXIOMS_BY_NAME
-from .formula import Formula, Implies, Record, SchemaEntry
+from .formula import Formula, Implies, InputError, Record, SchemaEntry
 from .semantics import entails, is_tautology
 from .substitution import Substitution
 from .syntax import (
@@ -44,14 +44,34 @@ from .syntax import (
 DIRECTIVES = ("name", "assume", "meta", "conclude")
 
 
+RULES = ("TAUT", "AXIOM", "SCHEMA", "MP", "SUBST", "TAUTCONSEQ")
+
+
 class Justification(Record):
-    """The rule of one line as the script writes it (TAUT, AXIOM, SCHEMA,
-    MP, SUBST or TAUTCONSEQ), the axiom, schema or line labels it cites,
-    and its substitution: None for TAUT, MP and TAUTCONSEQ."""
+    """The rule of one line as the script writes it (one of RULES), the
+    axiom, schema or line labels it cites, and its substitution: None for
+    TAUT, MP and TAUTCONSEQ.
+
+    A known rule checks its shape when the record is built and raises
+    InputError if it is broken. An unknown rule name is left to check_proof,
+    which fails its line."""
 
     rule: str
     cited: tuple[str, ...]
     sigma: Substitution | None
+
+    def __post_init__(self) -> None:
+        rule, count, substituted = self.rule, len(self.cited), self.sigma is not None
+        if rule == "TAUT" and (count or substituted):
+            raise InputError("TAUT cites nothing and takes no substitution")
+        if rule == "MP" and (count != 2 or substituted):
+            raise InputError("MP takes two line labels")
+        if rule == "TAUTCONSEQ" and (not count or substituted):
+            raise InputError("TAUTCONSEQ needs at least one line label")
+        if rule == "SUBST" and (count != 1 or not substituted):
+            raise InputError("SUBST takes a line label and a substitution")
+        if rule in ("AXIOM", "SCHEMA") and (count != 1 or not substituted):
+            raise InputError(f"{rule} takes a name and an optional substitution")
 
     def describe(self) -> str:
         args = self.cited if self.sigma is None else (*self.cited, str(self.sigma))
@@ -220,26 +240,21 @@ def _parse_justification(text: str, lineno: int, column: int) -> Justification:
     head, _, inner = text.partition("(")
     pieces = _split_args(inner[:-1], column + len(head) + 1, span)
     rule = head.strip()
-    args = tuple(arg for arg, _ in pieces)
-    if rule == "MP":
-        if len(args) != 2:
-            raise ParseError("MP takes two line labels", span)
-        return Justification(rule, args, None)
-    if rule == "TAUTCONSEQ":
-        if not args:
-            raise ParseError("TAUTCONSEQ needs at least one line label", span)
-        return Justification(rule, args, None)
-    if rule == "SUBST" and len(args) != 2:
-        raise ParseError("SUBST takes a line label and a substitution", span)
-    if rule in ("AXIOM", "SCHEMA") and len(args) not in (1, 2):
-        raise ParseError(f"{rule} takes a name and an optional substitution", span)
-    if rule not in ("AXIOM", "SCHEMA", "SUBST"):
+    # TAUT is written bare, never with parentheses
+    if rule not in RULES or rule == "TAUT":
         raise ParseError(f"unknown justification {rule!r}", span)
-    sigma = Substitution.identity()
-    if len(pieces) == 2:
+    cited = tuple(arg for arg, _ in pieces)
+    sigma = None
+    if rule in ("AXIOM", "SCHEMA", "SUBST") and len(pieces) == 2:
         arg, at = pieces[1]
         sigma = Substitution.of(parse_substitution_mapping(arg, line=lineno, column=at))
-    return Justification(rule, args[:1], sigma)
+        cited = cited[:1]
+    elif rule in ("AXIOM", "SCHEMA") and len(pieces) == 1:
+        sigma = Substitution.identity()
+    try:
+        return Justification(rule, cited, sigma)
+    except InputError as exc:
+        raise ParseError(str(exc), span) from None
 
 
 # the form split_lines names when a script line has no ':'

@@ -51,26 +51,8 @@ class Substitution(Record):
         return dict(self.items)
 
     def apply(self, formula: Formula) -> Formula:
-        m = self.mapping
-        images: dict[Atom, Epsilon] = {}  # each distinct atom is renamed once
-
-        def rec(f: Formula) -> Formula:
-            node = type(f)
-            if node is Epsilon:
-                a = f.atom
-                image = images.get(a)
-                if image is None:
-                    image = images[a] = Epsilon(
-                        Atom(m.get(a.subject, a.subject), m.get(a.predicate, a.predicate))
-                    )
-                return image
-            if node is Not:
-                return Not(rec(f.operand))
-            if node is Or:
-                return Or(rec(f.left), rec(f.right))
-            raise TypeError(f"not a formula node: {f!r}")
-
-        return rec(formula)
+        # each distinct atom is renamed once
+        return _rename(formula, self.mapping, {})
 
     def is_injective(self) -> bool:
         targets = [t for _, t in self.items]
@@ -83,6 +65,25 @@ class Substitution(Record):
 
     def __str__(self) -> str:
         return "{" + ", ".join(f"{s}->{t}" for s, t in self.items) + "}"
+
+
+def _rename(f: Formula, m: Mapping[NameVar, NameVar], images: dict[Atom, Epsilon]) -> Formula:
+    """f with every variable x renamed to m.get(x, x); images holds the
+    renamed atoms met so far."""
+    node = type(f)
+    if node is Epsilon:
+        a = f.atom
+        image = images.get(a)
+        if image is None:
+            image = images[a] = Epsilon(
+                Atom(m.get(a.subject, a.subject), m.get(a.predicate, a.predicate))
+            )
+        return image
+    if node is Not:
+        return Not(_rename(f.operand, m, images))
+    if node is Or:
+        return Or(_rename(f.left, m, images), _rename(f.right, m, images))
+    raise TypeError(f"not a formula node: {f!r}")
 
 
 def fresh_variables(prefix: str, count: int, avoid: set[NameVar]) -> tuple[NameVar, ...]:

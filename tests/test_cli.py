@@ -1,6 +1,7 @@
 """Command line behaviour: exit codes, output shapes, determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -640,6 +641,40 @@ def test_an_oversize_formula_fails_fast_at_its_operator(capsys, tmp_path, argv, 
     code, out, err = run(capsys, *(a.format(file=path) for a in argv))
     assert time.perf_counter() - start < 0.1
     assert (code, out, err) == (2, "", f"error: error at {where} ({PAST_THE_SIZE})\n")
+
+
+# Every text command frees what it builds by reference counting alone, so a
+# request leaves the cycle collector nothing to find. --json is left out:
+# the standard library's JSON encoder makes reference cycles of its own.
+ACYCLIC_ARGVS = [
+    ["taut", "eps(a,b) -> eps(b,a)"],
+    ["theorem", "A_M8"],
+    ["theorem", "eps(a,b) -> eps(b,a)"],
+    ["qnt", "A_S1", "A_S2"],
+    ["qnt", "Star", "A_M8"],
+    ["nontrivial", "A_M8"],
+    ["characteristic", "A_S3", "--max-pool", "3"],
+    ["check-proof", _bundled_script("s3_from_base")],
+    ["matrix"],
+    ["verify"],
+    ["conjectures"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", ACYCLIC_ARGVS, ids=lambda argv: " ".join(a for a in argv[:2] if not a.endswith(".proof"))
+)
+def test_a_command_leaves_no_reference_cycles(capsys, argv):
+    main(argv)  # warm up: the parser and other program constants
+    l1ax.clear_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        main(argv)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    capsys.readouterr()
 
 
 def test_an_internal_fault_exits_3_on_one_line(capsys, monkeypatch):

@@ -18,11 +18,17 @@ from hypothesis import strategies as st
 import l1ax
 from l1ax import criteria, syntax
 from l1ax.cli import main
-from l1ax.criteria import is_quasi_trivial, qnt_matrix, quasi_triviality, triviality
+from l1ax.criteria import (
+    CriterionInapplicable,
+    is_quasi_trivial,
+    qnt_matrix,
+    quasi_triviality,
+    triviality,
+)
 from l1ax.formula import And, Implies, Not, Or, SchemaEntry, eps
 from l1ax.semantics import BudgetError, are_equivalent
 from l1ax.substitution import FRESH_QNT_RIGHT, FRESH_TRIVIALITY, Substitution
-from oracles import comparison_maps, padded_bijections
+from oracles import certify_refutations, comparison_maps, padded_bijections, qnt_bodies
 
 SRC = str(Path(l1ax.__file__).resolve().parents[1])
 
@@ -425,6 +431,52 @@ def test_a_refutation_that_fails_its_replay_raises_under_dash_o():
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == "refutation of {a->a, b->b, c->c, d->y1} fails its replay\n"
+
+
+def test_a_refutation_at_a_counter_where_the_tables_agree_fails_its_replay(corpus):
+    kernel = criteria._Kernel(corpus["A_M8"], corpus["A_t"], FRESH_TRIVIALITY)
+    perm = (1, 0, 3, 2)  # its own inverse, so also its place
+    source_bits, diff, index = kernel.compare(perm)
+    kernel.refutation(perm, source_bits, diff, index)  # the true diff replays
+    agree = next(c for c in range(1 << len(index)) if not diff >> c & 1)
+    with pytest.raises(
+        RuntimeError, match=r"^refutation of \{a->b, b->a, c->y1, d->c\} fails its replay$"
+    ):
+        kernel.refutation(perm, source_bits, 1 << agree, index)
+
+
+def test_a_refutation_looks_every_image_up_in_the_valuation_domain(corpus):
+    kernel = criteria._Kernel(corpus["A_M8"], corpus["A_t"], FRESH_TRIVIALITY)
+    perm = (0, 1, 2, 3)
+    source_bits, diff, index = kernel.compare(perm)
+    first = next(iter(index))
+    del index[first]
+    with pytest.raises(ValueError, match=r"outside valuation domain"):
+        kernel.refutation(perm, source_bits, diff, index)
+
+
+# the substitution-lemma replay against Substitution.apply, every
+# refutation of every ordered pair of these schemata in explain mode
+LEMMA_PAIRS = (
+    "A_M8", "A_S1", "A_S2", "A_S3N", "A_S3Nd", "Star", "DoubleStar", "A_t", "A_t-1", "A_S3"
+)
+
+
+def test_every_refutation_replays_through_substitution_apply(corpus):
+    checked = 0
+    for a in LEMMA_PAIRS:
+        for b in LEMMA_PAIRS:
+            left, right = corpus[a], corpus[b]
+            report = quasi_triviality(left, right)
+            certify_refutations(report, *qnt_bodies(report))
+            checked += len(report.refutations)
+            try:
+                report = triviality(left, right)
+            except CriterionInapplicable:
+                continue
+            certify_refutations(report, left.body, right.body)
+            checked += len(report.refutations)
+    assert checked == 3324 + 2148
 
 
 def test_a_witness_that_fails_its_replay_raises(corpus, monkeypatch):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import l1ax
 from l1ax import proofs
 from l1ax.decision import grid_atoms, is_theorem
-from l1ax.formula import Implies, Not, Or, eps
+from l1ax.formula import Implies, InputError, Not, Or, eps
 from l1ax.proofs import (
     Justification,
     LineResult,
@@ -292,6 +292,45 @@ def test_bundled_scripts_print_back_to_their_lines():
         assert parse_proof_script(script_text(script)) == script, name
         rules.update(line.justification.rule for line in script.lines)
     assert rules == {"TAUT", "AXIOM", "SCHEMA", "MP", "SUBST", "TAUTCONSEQ"}
+
+
+@pytest.mark.parametrize(
+    "rule, cited, message",
+    [
+        ("AXIOM", ("Ax1", "Ax2"), "AXIOM takes a name and an optional substitution"),
+        ("AXIOM", ("Ax1",), "AXIOM takes a name and an optional substitution"),
+        ("MP", ("l1",), "MP takes two line labels"),
+    ],
+)
+def test_a_built_justification_of_the_wrong_shape_is_refused(rule, cited, message):
+    with pytest.raises(InputError) as exc:
+        Justification(rule, cited, None)
+    assert str(exc.value) == message
+
+
+# the record checks each known rule's shape; the parser reports it at the line
+@pytest.mark.parametrize(
+    "justification, where, message",
+    [
+        ("TAUT(s1)", "2:1", "unknown justification 'TAUT'"),
+        ("FOO(s1)", "2:1", "unknown justification 'FOO'"),
+        ("MP(s1)", "2:1", "MP takes two line labels"),
+        ("MP(s1, s1, s1)", "2:1", "MP takes two line labels"),
+        ("TAUTCONSEQ()", "2:1", "TAUTCONSEQ needs at least one line label"),
+        ("SUBST(s1)", "2:1", "SUBST takes a line label and a substitution"),
+        ("SUBST(s1, {a->b}, x)", "2:1", "SUBST takes a line label and a substitution"),
+        ("SUBST(s1, {a->})", "2:42", "expected a variable"),
+        ("AXIOM()", "2:1", "AXIOM takes a name and an optional substitution"),
+        ("AXIOM(Ax1, Ax2)", "2:39", "unknown token 'A'"),
+        ("SCHEMA(A, {a->b}, x)", "2:1", "SCHEMA takes a name and an optional substitution"),
+        ("AXIOM(Ax1, {a->b)", "2:1", "unbalanced braces in justification"),
+    ],
+)
+def test_a_malformed_justification_is_reported_at_its_line(justification, where, message):
+    text = f"s1: eps(a,a) | !eps(a,a) ; TAUT\ns2: eps(a,a) | !eps(a,a) ; {justification}\n"
+    with pytest.raises(ParseError) as exc:
+        parse_proof_script(text)
+    assert str(exc.value) == f"error at {where} ({message})"
 
 
 def test_a_built_script_fails_a_duplicate_label_and_an_unknown_rule():
