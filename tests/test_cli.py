@@ -661,9 +661,7 @@ ACYCLIC_ARGVS = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv", ACYCLIC_ARGVS, ids=lambda argv: " ".join(a for a in argv[:2] if not a.endswith(".proof"))
-)
+@pytest.mark.parametrize("argv", ACYCLIC_ARGVS, ids=lambda argv: argv[0])
 def test_a_command_leaves_no_reference_cycles(capsys, argv):
     main(argv)  # warm up: the parser and other program constants
     l1ax.clear_caches()

@@ -439,33 +439,35 @@ def test_a_refutation_at_a_counter_where_the_tables_agree_fails_its_replay(corpu
     source_bits, diff, index = kernel.compare(perm)
     kernel.refutation(perm, source_bits, diff, index)  # the true diff replays
     agree = next(c for c in range(1 << len(index)) if not diff >> c & 1)
-    with pytest.raises(
-        RuntimeError, match=r"^refutation of \{a->b, b->a, c->y1, d->c\} fails its replay$"
-    ):
+    message = r"^refutation of \{a->b, b->a, c->y1, d->c\} fails its replay$"
+    with pytest.raises(RuntimeError, match=message):
         kernel.refutation(perm, source_bits, 1 << agree, index)
+    # a source table wrong at that counter fakes a disagreement that the
+    # target confirms; only the substitution-lemma replay of the source sees it
+    with pytest.raises(RuntimeError, match=message):
+        kernel.refutation(perm, source_bits ^ 1 << agree, 1 << agree, index)
 
 
 def test_a_refutation_looks_every_image_up_in_the_valuation_domain(corpus):
     kernel = criteria._Kernel(corpus["A_M8"], corpus["A_t"], FRESH_TRIVIALITY)
     perm = (0, 1, 2, 3)
     source_bits, diff, index = kernel.compare(perm)
-    first = next(iter(index))
-    del index[first]
+    del index[next(iter(index))]  # the first source atom leaves the domain
     with pytest.raises(ValueError, match=r"outside valuation domain"):
         kernel.refutation(perm, source_bits, diff, index)
 
 
 # the substitution-lemma replay against Substitution.apply, every
 # refutation of every ordered pair of these schemata in explain mode
-LEMMA_PAIRS = (
+LEMMA_SCHEMATA = (
     "A_M8", "A_S1", "A_S2", "A_S3N", "A_S3Nd", "Star", "DoubleStar", "A_t", "A_t-1", "A_S3"
 )
 
 
 def test_every_refutation_replays_through_substitution_apply(corpus):
     checked = 0
-    for a in LEMMA_PAIRS:
-        for b in LEMMA_PAIRS:
+    for a in LEMMA_SCHEMATA:
+        for b in LEMMA_SCHEMATA:
             left, right = corpus[a], corpus[b]
             report = quasi_triviality(left, right)
             certify_refutations(report, *qnt_bodies(report))
