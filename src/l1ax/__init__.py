@@ -18,8 +18,9 @@ def clear_caches() -> None:
     compiled schema bodies and their essential atoms, hypothesis verdicts,
     the bundled scripts' directive index); used by the slow-path oracle
     tests."""
-    from . import criteria, decision, proofs
+    from . import criteria, decision, proofs, semantics
 
+    semantics.compile_schema.cache_clear()
     decision.clear_caches()
     criteria.clear_caches()
     proofs.clear_caches()

@@ -5,9 +5,10 @@ other and testing tautological equivalence. A successful candidate is the
 witness; when none succeeds, every candidate is refuted by a distinguishing
 valuation, so a negative verdict is as replayable as a positive one.
 
-Each schema body is compiled once into its atom list and a closure that
-computes its truth table from atom tiles. A candidate renaming then only
-reindexes atoms: the source's atoms come first, then the target's new ones,
+Each schema body is compiled once, by semantics.compile_schema, into its
+atoms coded over its variables and a closure that computes its truth table
+from atom tiles. A candidate renaming then only reindexes the coded atoms:
+the source's atoms come first, then the target's new ones,
 exactly their merged order merged_atom_order([sigma(source), target]), so
 the lowest bit where the two tables differ is the counter-valuation
 are_equivalent would report. The comparisons run in two modes. Decide mode
@@ -35,14 +36,15 @@ import math
 from collections.abc import Iterable, Iterator, Sequence
 
 from .axioms import A_T
-from .formula import Atom, Formula, InputError, Record, SchemaEntry
+from .decision import grid_atoms
+from .formula import Atom, InputError, Record, SchemaEntry
 from .semantics import (
     ATOM_BUDGET,
     BudgetError,
     Valuation,
     are_equivalent,
     atom_tile,
-    compile_formula,
+    compile_schema,
     essential_atoms,
     evaluate,
     full_mask,
@@ -122,18 +124,17 @@ class QntReport(Record):
     cross_check: str | None
 
 
-# a schema body is tabled under many renamings, so it is compiled only once
-_compile = functools.cache(compile_formula)
-
-
 @functools.cache
-def _essential(body: Formula) -> frozenset[Atom]:
-    return essential_atoms(*_compile(body))
+def _essential(entry: SchemaEntry) -> frozenset[tuple[int, int]]:
+    """compile_schema's codes of the essential atoms of entry's body."""
+    body_atoms, coded, table = compile_schema(entry)
+    essential = essential_atoms(body_atoms, table)
+    return frozenset(c for atom, c in zip(body_atoms, coded) if atom in essential)
 
 
 class _Kernel:
-    """The source body compiled against the target body, for renamings of
-    the source's variables onto targets: the target's variables followed by
+    """The two bodies as compile_schema gives them, for renamings of the
+    source's variables onto targets: the target's variables followed by
     fresh padding.
 
     A renaming is given by place, place[s] being the index in targets of
@@ -160,31 +161,27 @@ class _Kernel:
         self.source, self.target = source, target
         self.targets = padded_targets(source.variables, target.variables, fresh_prefix)
         n = len(self.targets)
-        source_atoms, self.source_table = _compile(source.body)
-        target_atoms, self.target_table = _compile(target.body)
-        var = {v: i for i, v in enumerate(source.variables)}
-        slot = {v: i for i, v in enumerate(self.targets)}
-        self.source_atoms = [(var[a.subject], var[a.predicate]) for a in source_atoms]
-        self.target_codes = [slot[a.subject] * n + slot[a.predicate] for a in target_atoms]
+        self.source_atoms, self.source_pairs, self.source_table = compile_schema(source)
+        _, target_pairs, self.target_table = compile_schema(target)
+        self.target_codes = [s * n + p for s, p in target_pairs]
         self.essential = None
-        if len(source_atoms) + len(target_atoms) <= ATOM_BUDGET:
-            self.essential = (
-                frozenset(var[a.subject] * n + var[a.predicate] for a in _essential(source.body)),
-                frozenset(slot[a.subject] * n + slot[a.predicate] for a in _essential(target.body)),
+        if len(self.source_pairs) + len(target_pairs) <= ATOM_BUDGET:
+            self.essential = tuple(
+                frozenset(s * n + p for s, p in _essential(e)) for e in (source, target)
             )
         # atom count k -> (atom tiles, full mask, source table)
         self.spaces: dict[int, tuple[list[int], int, int]] = {}
 
     @functools.cached_property
-    def grid(self) -> list[Atom]:
+    def grid(self) -> tuple[Atom, ...]:
         """The atom of every code."""
-        return [Atom(s, p) for s in self.targets for p in self.targets]
+        return grid_atoms(self.targets)
 
     def compare(self, place: Sequence[int]) -> tuple[int, int, dict[int, int]]:
         """The source's table, the bits where the two tables differ, and
         the pair's atoms (code -> index) under one renaming."""
         n = len(place)
-        index = {place[s] * n + place[p]: i for i, (s, p) in enumerate(self.source_atoms)}
+        index = {place[s] * n + place[p]: i for i, (s, p) in enumerate(self.source_pairs)}
         for code in self.target_codes:
             index.setdefault(code, len(index))
         k = len(index)
@@ -217,11 +214,10 @@ class _Kernel:
         substituted_value = bool(source_bits >> counter & 1)
         cand = self.candidate(perm)
         m = cand.sigma.mapping
-        source_atoms = _compile(self.source.body)[0]
         pullback = Valuation(
-            source_atoms,
+            self.source_atoms,
             frozenset(
-                a for a in source_atoms if valuation.value(Atom(m[a.subject], m[a.predicate]))
+                a for a in self.source_atoms if valuation.value(Atom(m[a.subject], m[a.predicate]))
             ),
         )
         if (
@@ -450,5 +446,4 @@ def qnt_matrix(entries: Iterable[SchemaEntry]) -> dict[tuple[str, str], MatrixCe
 
 def clear_caches() -> None:
     is_nontrivial_standard.cache_clear()
-    _compile.cache_clear()
     _essential.cache_clear()

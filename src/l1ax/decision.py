@@ -32,11 +32,12 @@ import itertools
 from collections.abc import Iterator, Sequence
 
 from .axioms import AX1, AX2, AX3, AX3S, BASE_AXIOMS
-from .formula import Atom, Formula, InputError, NameVar, Record, SchemaEntry, atoms, name_variables
+from .formula import Atom, Formula, InputError, NameVar, Record, SchemaEntry, name_variables
 from .semantics import (
     Valuation,
     atom_tile,
     compile_formula,
+    compile_schema,
     evaluate,
     full_mask,
     lowest_set_bit,
@@ -54,15 +55,13 @@ def instance_tables(
     entry: SchemaEntry, pool: Sequence[NameVar], below: int | None = None
 ) -> Iterator[int]:
     """Tables over grid_atoms(pool) of every instance of entry over the pool, in
-    product order, one at a time: each reindexes the compiled body, eps(x,y)
-    to atom x*n+y, so no instance formula is built.
+    product order, one at a time: each reindexes the body compile_schema
+    coded, eps(x,y) to atom x*n+y, so no instance formula is built.
 
     With below, every table is cut to the counters 0 .. below-1: bit c is
     the instance's value under valuation c for c < below and 0 beyond."""
     n = len(pool)
-    body_atoms, table = compile_formula(entry.body)
-    var = {v: i for i, v in enumerate(entry.variables)}
-    coded = [(var[a.subject], var[a.predicate]) for a in body_atoms]
+    _, coded, table = compile_schema(entry)
     full = full_mask(n * n)
     if below is not None:
         full &= (1 << below) - 1
@@ -152,34 +151,26 @@ def is_countermodel(
 
     No instance is built. By the substitution lemma sigma(body) holds at v
     iff body holds at v o sigma, the valuation of the body's own atoms that
-    gives eps(x,y) the value of eps(sigma(x),sigma(y)) under v. So the
-    body is evaluated once per distinct pattern of its atoms' values, in
-    the order the instances first show it. The valuation's domain must hold
-    the pool's grid: every image atom of an instance is looked up before
-    its pattern is evaluated, so one outside it raises ValueError even
-    where evaluating the instance would not reach it.
+    gives eps(x,y) the value of eps(sigma(x),sigma(y)) under v. So the body
+    is evaluated once per distinct pattern of its atoms' values over the
+    instances. The valuation is read on the pool's grid up front, so a
+    domain without the whole grid raises ValueError at its first missing
+    atom in grid order, whether or not an instance reaches it.
     """
     if evaluate(formula, valuation):
         return False
-    value: dict[tuple[NameVar, NameVar], bool] = {}
+    n = len(pool)
+    grid = [valuation.value(atom) for atom in grid_atoms(pool)]
     for schema in schemata:
-        body_atoms = atoms(schema.body)
-        var = {v: i for i, v in enumerate(schema.variables)}
-        coded = [(var[a.subject], var[a.predicate]) for a in body_atoms]
-        replayed: set[tuple[bool, ...]] = set()
-        for targets in itertools.product(pool, repeat=schema.arity):
+        body_atoms, coded, _ = compile_schema(schema)
+        patterns: set[tuple[bool, ...]] = set()
+        for place in itertools.product(range(n), repeat=schema.arity):
             pattern = []
             for s, p in coded:
-                image = targets[s], targets[p]
-                holds = value.get(image)
-                if holds is None:
-                    holds = value[image] = valuation.value(Atom(*image))
-                pattern.append(holds)
-            key = tuple(pattern)
-            if key in replayed:
-                continue
-            replayed.add(key)
-            true = frozenset(atom for atom, holds in zip(body_atoms, key) if holds)
+                pattern.append(grid[place[s] * n + place[p]])
+            patterns.add(tuple(pattern))
+        for pattern in patterns:
+            true = frozenset(atom for atom, holds in zip(body_atoms, pattern) if holds)
             if not evaluate(schema.body, Valuation(body_atoms, true)):
                 return False
     return True

@@ -52,9 +52,9 @@ class Justification(Record):
     axiom, schema or line labels it cites, and its substitution: None for
     TAUT, MP and TAUTCONSEQ.
 
-    A known rule checks its shape when the record is built and raises
-    InputError if it is broken. An unknown rule name is left to check_proof,
-    which fails its line."""
+    A known rule checks its shape when the record is built, and no rule
+    cites an empty name or label; a broken record raises InputError. An
+    unknown rule name is left to check_proof, which fails its line."""
 
     rule: str
     cited: tuple[str, ...]
@@ -72,6 +72,8 @@ class Justification(Record):
             raise InputError("SUBST takes a line label and a substitution")
         if rule in ("AXIOM", "SCHEMA") and (count != 1 or not substituted):
             raise InputError(f"{rule} takes a name and an optional substitution")
+        if not all(self.cited):
+            raise InputError(f"{rule} cites an empty name or label")
 
     def describe(self) -> str:
         args = self.cited if self.sigma is None else (*self.cited, str(self.sigma))

@@ -11,9 +11,10 @@ the same witness bit for bit.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Iterable, Sequence
 
-from .formula import Atom, Epsilon, Formula, InputError, Not, Or, Record, atoms
+from .formula import Atom, Epsilon, Formula, InputError, Not, Or, Record, SchemaEntry, atoms
 
 ATOM_BUDGET = 30
 
@@ -117,6 +118,15 @@ def compile_formula(formula: Formula) -> tuple[tuple[Atom, ...], Table]:
     order: dict[Atom, int] = {}
     table = _closure(formula, order)
     return tuple(order), table
+
+
+@functools.cache
+def compile_schema(entry: SchemaEntry) -> tuple[tuple[Atom, ...], tuple[tuple[int, int], ...], Table]:
+    """The body's atoms in first-occurrence order, each coded (subject index,
+    predicate index) in entry.variables, and its Table; compiled once."""
+    body_atoms, table = compile_formula(entry.body)
+    var = {v: i for i, v in enumerate(entry.variables)}
+    return body_atoms, tuple((var[a.subject], var[a.predicate]) for a in body_atoms), table
 
 
 def essential_atoms(atoms: Sequence[Atom], table: Table) -> frozenset[Atom]:

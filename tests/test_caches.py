@@ -67,7 +67,7 @@ def test_clear_caches_empties_every_memo_but_the_program_constants(capsys):
         if is_cache_wrapper(value) or (key in containers and (named_cache or grown)):
             caches[", ".join(sorted(names))] = value
     populated = {names for names, value in caches.items() if size(value)}
-    for expected in ("proofs._directive_index", "criteria._compile"):
+    for expected in ("proofs._directive_index", "semantics.compile_schema"):
         assert any(expected in names.split(", ") for names in populated), expected
 
     l1ax.clear_caches()

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import l1ax
@@ -23,6 +23,7 @@ from l1ax.semantics import Valuation
 from l1ax.syntax import (
     MAX_DEPTH,
     MAX_PARENS,
+    MAX_SIZE,
     ParseError,
     SourceSpan,
     parse_formula,
@@ -212,6 +213,21 @@ def test_check_proof_rejects_a_tampered_script(capsys, tmp_path):
     code, out, _ = run(capsys, "check-proof", str(path))
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize(
+    "justification, message",
+    [
+        ("AXIOM(,)", "AXIOM cites an empty name or label"),
+        ("TAUTCONSEQ(,)", "TAUTCONSEQ cites an empty name or label"),
+        ("MP(,a)", "MP cites an empty name or label"),
+        ("TAUTCONSEQ(s1,,s2)", "TAUTCONSEQ cites an empty name or label"),
+    ],
+)
+def test_check_proof_refuses_an_empty_argument_at_its_line(capsys, tmp_path, justification, message):
+    path = tmp_path / "empty.proof"
+    path.write_text(f"s1: eps(a,a) | !eps(a,a) ; TAUT\ns2: eps(a,a) | !eps(a,a) ; {justification}\n")
+    assert run(capsys, "check-proof", str(path)) == (2, "", f"error: error at 2:1 ({message})\n")
 
 
 def test_check_proof_missing_file_exits_two(capsys, tmp_path):
@@ -786,3 +802,137 @@ def test_main_ends_in_an_exit_code_on_drawn_files(drawn_dir, text, name, script)
             assert out.getvalue() == "" and re.fullmatch(r"error: [^\n]*\n", err.getvalue()), argv
         else:
             assert code in (0, 1) and err.getvalue() == "", (argv, code, err.getvalue())
+
+
+# the parsers at their limits: formula text nested just under and just over
+# MAX_DEPTH and MAX_PARENS, '<->' chains of atoms around MAX_SIZE, the
+# reserved names as variables, junk characters, and proof scripts whose
+# justifications have empty, extra or unbalanced arguments. Every example
+# stays cheap: the sweeps see at most four variables, or nine, which exceed
+# MAP_BUDGET before any table; a proof line at most nine atoms; `theorem` is
+# bounded by the five-name pool cap; `taut` is left out, as ATOM_BUDGET
+# admits tables of gigabytes.
+JUNK = "#$%^~`@?;:=.\t\n\x00\u00e9"
+
+
+def iff_operands():
+    """The most atoms a '<->' chain holds within MAX_SIZE nodes."""
+    operands, size = 1, 1
+    while 8 + 2 * size + 2 <= MAX_SIZE:
+        operands, size = operands + 1, 8 + 2 * size + 2
+    return operands
+
+
+def mutated(text, kind, at, junk):
+    """text, with eps for its first variable or a junk character inserted
+    after its first, as kind says, or as it is."""
+    if kind == "eps":
+        return text.replace("eps(", "eps(eps,", 1)
+    if kind == "junk":
+        return text[:at] + junk + text[at:]
+    return text
+
+
+def formula_shapes(variables):
+    """Formula text over variables: small, then just under or just over
+    MAX_SIZE, MAX_DEPTH and MAX_PARENS; now and then with the reserved
+    word eps for a variable or with a junk character."""
+    atom = st.builds("eps({},{})".format, st.sampled_from(variables), st.sampled_from(variables))
+    small = st.one_of(
+        st.lists(atom, min_size=2, max_size=4).map(lambda a: " & ".join(a[:-1]) + " -> " + a[-1]),
+        st.recursive(
+            atom,
+            lambda f: st.builds("({} -> {})".format, f, f) | st.builds("!{}".format, f),
+            max_leaves=4,
+        ),
+    )
+    k = iff_operands()
+    shapes = (
+        small,
+        st.integers(k - 1, k + 1).flatmap(
+            lambda n: st.lists(atom, min_size=n, max_size=n).map(" <-> ".join)
+        ),
+        st.builds(lambda d, f: "!" * d + f, st.integers(MAX_DEPTH - 2, MAX_DEPTH + 1), atom),
+        st.builds(
+            lambda p, f: "(" * p + f + ")" * p, st.integers(MAX_PARENS - 1, MAX_PARENS + 1), atom
+        ),
+    )
+    return [
+        st.builds(
+            mutated,
+            shape,
+            st.sampled_from(["eps", "junk", "", "", "", ""]),
+            st.integers(1, 30),
+            st.sampled_from(JUNK),
+        )
+        for shape in shapes
+    ]
+
+
+# nine variables: 9! renamings exceed MAP_BUDGET before anything is tabled
+WIDE = " & ".join(f"eps(x{i},x{i + 1})" for i in range(8)) + " -> eps(x0,x0)"
+# small ones, '<->' chains, or WIDE; the deep shapes name too few variables
+sweep_formulas = st.sampled_from(["wide", "", "", ""]).flatmap(
+    lambda kind: st.just(WIDE) if kind else st.one_of(formula_shapes(("a", "b", "c", "y1"))[:2])
+)
+justifications = st.builds(
+    lambda rule, args, shape: shape.format(rule, ",".join(args)),
+    st.sampled_from(["TAUT", "AXIOM", "SCHEMA", "MP", "SUBST", "TAUTCONSEQ", "FOO"]),
+    st.lists(
+        st.sampled_from(["", " ", "s1", "s2", "Ax1", "Ax2", "A", "{a->b}", "{a->u1", "b->a}"]),
+        max_size=4,
+    ),
+    st.sampled_from(["{}({})", "{}({}", "{}(({})", "{}({}))", "{}"]),
+)
+script_formulas = st.one_of(formula_shapes(("a", "b", "v1")))
+limit_scripts = st.builds(
+    lambda assumed, lines: f"assume: A := {assumed}\n"
+    + "".join(f"s{i}: {f} ; {j}\n" for i, (f, j) in enumerate(lines, 1)),
+    script_formulas,
+    st.lists(
+        st.tuples(script_formulas, justifications)
+        | st.sampled_from(
+            [
+                ("eps(a,a) | !eps(a,a)", "TAUT"),
+                ("eps(a,b)", "TAUT"),
+                ("eps(a,b) -> eps(a,a)", "AXIOM(Ax1)"),
+            ]
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+)
+
+
+def main_ends_cleanly(argv):
+    """main(argv) exits 0 or 1 with nothing on stderr, or 2 with one error line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == "" and re.fullmatch(r"error: [^\n]*\n", err.getvalue()), argv
+    else:
+        assert code in (0, 1) and err.getvalue() == "", (argv, code, err.getvalue())
+
+
+@settings(deadline=2000)
+@given(
+    st.tuples(*formula_shapes(("a", "b", "c", "d", "e", "f", "y1", "u1", "v1"))),
+    sweep_formulas,
+    sweep_formulas,
+    limit_scripts,
+    st.sampled_from([[], ["--json"]]),
+)
+def test_main_ends_in_an_exit_code_at_the_parsers_limits(
+    drawn_dir, texts, left, right, script, flags
+):
+    proof = drawn_dir / "limits.proof"
+    proof.write_text(script)
+    for argv in (
+        *(["theorem", text] for text in texts),
+        ["qnt", left, right],
+        ["nontrivial", left],
+        ["nontrivial", right, "--ref", left],
+        ["check-proof", str(proof)],
+    ):
+        main_ends_cleanly(argv + flags)

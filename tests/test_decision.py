@@ -12,8 +12,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import l1ax
-from l1ax import decision
+from l1ax import decision, semantics
 from l1ax.axioms import AX1, AX2, AX3, AX3S, BASE_AXIOMS
+from l1ax.characterize import recover_axioms
 from l1ax.decision import (
     POOL_CAP,
     admissible_mask,
@@ -335,3 +336,35 @@ def test_clear_caches_drops_the_enumeration():
     assert decision._admissible.cache_info().currsize > 0
     l1ax.clear_caches()
     assert decision._admissible.cache_info().currsize == 0
+
+
+
+def count_compiles(monkeypatch):
+    """The formulas compiled from now on, counted in both namespaces that
+    hold compile_formula."""
+    compiled, compile_formula = [], semantics.compile_formula
+
+    def counted(formula):
+        compiled.append(formula)
+        return compile_formula(formula)
+
+    for module in (semantics, decision):
+        monkeypatch.setattr(module, "compile_formula", counted)
+    return compiled
+
+
+def test_recovery_compiles_the_body_once(corpus, monkeypatch):
+    entry = corpus["A_S3"]
+    l1ax.clear_caches()
+    compiled = count_compiles(monkeypatch)
+    recover_axioms(entry, max_pool=4)
+    assert compiled.count(entry.body) == 1
+
+
+def test_the_admissibility_filter_compiles_each_schema_once(monkeypatch):
+    l1ax.clear_caches()
+    compiled = count_compiles(monkeypatch)
+    for n in range(1, 5):
+        for symmetry in ("Ax3", "Ax3s"):
+            admissible_mask(FIVE[:n], symmetry)
+    assert len(compiled) == 4

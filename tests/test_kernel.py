@@ -257,10 +257,10 @@ def chain(k):
 def test_nine_variables_exceed_the_map_budget_before_any_table(
     capsys, corpus, monkeypatch, tmp_path
 ):
-    def no_tables(body):
+    def no_tables(entry):
         raise AssertionError("a table was compiled")
 
-    monkeypatch.setattr(criteria, "_compile", no_tables)
+    monkeypatch.setattr(criteria, "compile_schema", no_tables)
     entry, m8 = chain(9), corpus["A_M8"]
     message = "9 variables make 362880 renamings, beyond the budget of 40320"
     runs = [
@@ -490,6 +490,6 @@ def test_a_witness_that_fails_its_replay_raises(corpus, monkeypatch):
 
 def test_clear_caches_drops_the_compiled_bodies(corpus):
     triviality(corpus["A_M8"], corpus["A_t"], explain=False)
-    assert criteria._compile.cache_info().currsize > 0
+    assert criteria.compile_schema.cache_info().currsize > 0
     l1ax.clear_caches()
-    assert criteria._compile.cache_info().currsize == 0
+    assert criteria.compile_schema.cache_info().currsize == 0

@@ -14,13 +14,17 @@ clear_caches and loads none of its modules.
 
 It also checks that importing l1ax.cli loads every module the benchmark's
 tracer wraps: the tracer rebinds functions in the namespaces loaded when it
-is installed, so a module imported later would go untraced. The same fresh
+is installed, so a module imported later would go untraced. Each traced
+attribute must exist too, as must the cache statistics the tracer reads
+after each op, so renaming a traced function fails here first. The same fresh
 import must add none of the standard modules in SLOW_AT_START_UP, which
 every command would pay for, on this interpreter and on each of Python
 3.10, 3.12 and 3.13 that starts here.
 """
 
 import ast
+import functools
+import importlib
 import os
 import subprocess
 import sys
@@ -153,6 +157,32 @@ def test_importing_the_cli_loads_every_traced_module():
     added = added_by_importing_the_cli(sys.executable)
     assert [module for module in traced if module not in added] == []
     assert sorted(added & SLOW_AT_START_UP) == []
+
+
+def tracer_layers():
+    """perfbench/tracer.py's LAYERS: layer name -> (module, attribute)."""
+    tracer = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
+    return next(
+        ast.literal_eval(node.value)
+        for node in tracer.body
+        if isinstance(node, ast.Assign)
+        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
+    )
+
+
+def test_every_traced_layer_resolves_to_an_attribute():
+    resolved = {}
+    for layer, (module_name, attr) in tracer_layers().items():
+        module = importlib.import_module(module_name)
+        if attr == "*_text":
+            resolved[layer] = [getattr(module, n) for n in dir(module) if n.endswith("_text")]
+        else:
+            resolved[layer] = [functools.reduce(getattr, attr.split("."), module)]
+    assert [layer for layer, found in resolved.items() if not found] == []
+    assert all(callable(fn) for found in resolved.values() for fn in found)
+    assert resolved["substitution.Substitution.apply"] and resolved["reports.render"]
+    criteria = importlib.import_module("l1ax.criteria")
+    assert callable(criteria.is_nontrivial_standard.cache_info)
 
 
 @pytest.mark.parametrize("minor", [10, 12, 13])

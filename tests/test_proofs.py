@@ -21,6 +21,7 @@ from l1ax.proofs import (
     parse_proof_script,
 )
 from l1ax.semantics import full_mask, truth_table
+from l1ax.substitution import Substitution
 from l1ax.syntax import ParseError, parse_formula, print_formula
 from oracles import all_instances
 
@@ -306,6 +307,11 @@ def test_a_built_justification_of_the_wrong_shape_is_refused(rule, cited, messag
     with pytest.raises(InputError) as exc:
         Justification(rule, cited, None)
     assert str(exc.value) == message
+
+
+def test_a_built_justification_citing_an_empty_name_is_refused():
+    with pytest.raises(InputError, match="^AXIOM cites an empty name or label$"):
+        Justification("AXIOM", ("",), Substitution.identity())
 
 
 # the record checks each known rule's shape; the parser reports it at the line
