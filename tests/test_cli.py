@@ -224,9 +224,13 @@ def test_check_proof_rejects_a_tampered_script(capsys, tmp_path):
         ("TAUTCONSEQ(s1,,s2)", "TAUTCONSEQ cites an empty name or label"),
     ],
 )
-def test_check_proof_refuses_an_empty_argument_at_its_line(capsys, tmp_path, justification, message):
+def test_check_proof_refuses_an_empty_argument_at_its_line(
+    capsys, tmp_path, justification, message
+):
     path = tmp_path / "empty.proof"
-    path.write_text(f"s1: eps(a,a) | !eps(a,a) ; TAUT\ns2: eps(a,a) | !eps(a,a) ; {justification}\n")
+    path.write_text(
+        f"s1: eps(a,a) | !eps(a,a) ; TAUT\ns2: eps(a,a) | !eps(a,a) ; {justification}\n"
+    )
     assert run(capsys, "check-proof", str(path)) == (2, "", f"error: error at 2:1 ({message})\n")
 
 

@@ -338,7 +338,6 @@ def test_clear_caches_drops_the_enumeration():
     assert decision._admissible.cache_info().currsize == 0
 
 
-
 def count_compiles(monkeypatch):
     """The formulas compiled from now on, counted in both namespaces that
     hold compile_formula."""

@@ -171,16 +171,13 @@ def tracer_layers():
 
 
 def test_every_traced_layer_resolves_to_an_attribute():
-    resolved = {}
-    for layer, (module_name, attr) in tracer_layers().items():
+    for module_name, attr in tracer_layers().values():
         module = importlib.import_module(module_name)
         if attr == "*_text":
-            resolved[layer] = [getattr(module, n) for n in dir(module) if n.endswith("_text")]
+            found = [getattr(module, n) for n in dir(module) if n.endswith("_text")]
         else:
-            resolved[layer] = [functools.reduce(getattr, attr.split("."), module)]
-    assert [layer for layer, found in resolved.items() if not found] == []
-    assert all(callable(fn) for found in resolved.values() for fn in found)
-    assert resolved["substitution.Substitution.apply"] and resolved["reports.render"]
+            found = [functools.reduce(getattr, attr.split("."), module)]
+        assert found and all(map(callable, found)), (module_name, attr)
     criteria = importlib.import_module("l1ax.criteria")
     assert callable(criteria.is_nontrivial_standard.cache_info)
 
