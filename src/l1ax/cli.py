@@ -250,11 +250,7 @@ def main(argv: list[str] | None = None) -> int:
             args, _corpus_loader(args.corpus_file)
         )
         if args.json:
-            import json  # only a --json request pays for loading it
-
-            output = json.dumps(
-                {"command": args.command, **payload()}, indent=2, sort_keys=True
-            )
+            output = reports.json_document({"command": args.command, **payload()})
         else:
             output = text()
     except (OSError, UnicodeDecodeError, UnknownSchemaName, InputError) as exc:

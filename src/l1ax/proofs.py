@@ -360,11 +360,12 @@ def _directive_index() -> tuple[tuple[Formula | None, str, str], ...]:
     """(stated conclusion or None, file stem, text) of every
     assumption-free bundled script, in bundled_scripts() order.
 
-    Only the directive lines are read; of the formulas, only conclude: is
-    parsed. Like bundled_scripts(), a later file with the same name:
-    replaces an earlier one in the earlier one's place.
+    Only the directive lines are read, and of the formulas only the
+    conclude: of an assumption-free script is parsed, once the scan has
+    kept its text and position. Like bundled_scripts(), a later file with
+    the same name: replaces an earlier one in the earlier one's place.
     """
-    by_name: dict[str, tuple[bool, Formula | None, str, str]] = {}
+    by_name: dict[str, tuple[bool, tuple[str, int, int] | None, str, str]] = {}
     for stem, text in _bundled_texts():
         name, assumes, conclusion = stem, False, None
         for lineno, head, rest, column in split_lines(text, ":", _LINE_FORM):
@@ -373,10 +374,16 @@ def _directive_index() -> tuple[tuple[Formula | None, str, str], ...]:
             elif head == "assume":
                 assumes = True
             elif head == "conclude":
-                conclusion = parse_formula(rest, line=lineno, column=column)
+                conclusion = (rest, lineno, column)
         by_name[name] = (assumes, conclusion, stem, text)
     return tuple(
-        (conclusion, stem, text)
+        (
+            None if conclusion is None else parse_formula(
+                conclusion[0], line=conclusion[1], column=conclusion[2]
+            ),
+            stem,
+            text,
+        )
         for assumes, conclusion, stem, text in by_name.values()
         if not assumes
     )

@@ -1,15 +1,19 @@
-"""Serialization of report objects to JSON-ready data and terminal text.
+"""Serialization of report objects to JSON text and terminal text.
 
-jsonable() lowers every report Record to a dict of its fields, walking
-into their values: formulas become their printed form, schema entries
-their name, substitutions source-to-target maps, tuples lists, and
-valuations an atom list plus the true subset. Four reports differ from
-their fields; each is marked below. Aggregate reports (matrix cells,
-conjecture rows) carry witness data but compress refutation sweeps to
-their count; the single-pair commands expose every refutation in full.
+jsonable() is the one lowering: it turns every report Record into a dict
+of its fields, walking into their values: formulas become their printed
+form, schema entries their name, substitutions source-to-target maps,
+tuples lists, and valuations an atom list plus the true subset. Four
+reports differ from their fields; each is marked below. Aggregate reports
+(matrix cells, conjecture rows) carry witness data but compress refutation
+sweeps to their count; the single-pair commands expose every refutation in
+full. json_document() is the one writer of what jsonable() makes as JSON
+text.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
 
 from .characterize import CharacterizationReport
 from .criteria import InapplicablePair, QntReport, Refutation, TrivialityReport
@@ -37,9 +41,10 @@ def jsonable(obj: object) -> object:
     if isinstance(obj, Substitution):
         return dict(obj.items)
     if isinstance(obj, Valuation):
+        names = [str(a) for a in obj.domain]
         return {
-            "atoms": [str(a) for a in obj.domain],
-            "true": [str(a) for a in obj.domain if a in obj.true_atoms],
+            "atoms": names,
+            "true": [s for a, s in zip(obj.domain, names) if a in obj.true_atoms],
         }
     if isinstance(obj, ConjectureRow):
         # exception: the whole schema entry, and both sweeps compressed
@@ -83,6 +88,61 @@ def qnt_summary(cell: QntReport | InapplicablePair | TrivialityReport) -> dict:
     del data["refutations"]
     data["refutation_count"] = cell.map_count - (cell.witness is not None)
     return data
+
+
+def json_document(value: object) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for the values jsonable
+    makes: dicts with str keys, lists, str, int, bool and None; any other
+    type raises TypeError. The standard library encodes an indented document
+    in pure Python, through closures that leave reference cycles behind;
+    here only the strings go through its C escaper."""
+    from json.encoder import encode_basestring_ascii  # only --json loads json
+
+    out: list[str] = []
+    _write_json(value, "\n", out, encode_basestring_ascii)
+    return "".join(out)
+
+
+def _write_json(
+    value: object, indent: str, out: list[str], quote: Callable[[str], str]
+) -> None:
+    """Append value's JSON text to out, its lines indented after indent."""
+    if isinstance(value, str):
+        out.append(quote(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep)
+            out.append(quote(key))  # TypeError unless key is a str
+            out.append(": ")
+            _write_json(value[key], inner, out, quote)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_json(item, inner, out, quote)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"no JSON text for {type(value).__name__}")
 
 
 # terminal text

@@ -37,7 +37,7 @@ class Valuation(Record):
     @classmethod
     def at_counter(cls, domain: Sequence[Atom], counter: int) -> "Valuation":
         true = frozenset(
-            atom for j, atom in enumerate(domain) if not (counter >> j) & 1
+            [atom for j, atom in enumerate(domain) if not (counter >> j) & 1]
         )
         return cls(domain=tuple(domain), true_atoms=true)
 

@@ -389,6 +389,34 @@ def test_jsonable_rejects_objects_without_a_json_form():
         reports.jsonable(object())
 
 
+# the values jsonable makes, with text that needs escaping and ints of any size
+json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(json_values)
+def test_json_document_is_the_canonical_json_dump(value):
+    assert reports.json_document(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_document_covers_escapes_and_empty_containers():
+    value = {"é\"\\\n\x00": ["☃", "\x7f", "", {}, [], True, False, None, -(2**70)], "": {}}
+    assert reports.json_document(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, (1,), {1}, {"a": [0.0]}, {1: 2}])
+def test_json_document_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        reports.json_document(value)
+
+
 def test_valuation_text_names_the_shorter_side():
     domain = tuple(Atom(x, y) for x in "ab" for y in "ab")
 
@@ -663,9 +691,10 @@ def test_an_oversize_formula_fails_fast_at_its_operator(capsys, tmp_path, argv, 
     assert (code, out, err) == (2, "", f"error: error at {where} ({PAST_THE_SIZE})\n")
 
 
-# Every text command frees what it builds by reference counting alone, so a
-# request leaves the cycle collector nothing to find. --json is left out:
-# the standard library's JSON encoder makes reference cycles of its own.
+# Every command frees what it builds by reference counting alone, so a
+# request leaves the cycle collector nothing to find; --json too, since
+# reports.json_document writes the JSON text without the standard library's
+# indenting encoder, whose closures refer to themselves.
 ACYCLIC_ARGVS = [
     ["taut", "eps(a,b) -> eps(b,a)"],
     ["theorem", "A_M8"],
@@ -679,9 +708,12 @@ ACYCLIC_ARGVS = [
     ["verify"],
     ["conjectures"],
 ]
+ACYCLIC_ARGVS += [[*argv, "--json"] for argv in ACYCLIC_ARGVS]
 
 
-@pytest.mark.parametrize("argv", ACYCLIC_ARGVS, ids=lambda argv: argv[0])
+@pytest.mark.parametrize(
+    "argv", ACYCLIC_ARGVS, ids=lambda argv: argv[0] + " --json" * (argv[-1] == "--json")
+)
 def test_a_command_leaves_no_reference_cycles(capsys, argv):
     main(argv)  # warm up: the parser and other program constants
     l1ax.clear_caches()

@@ -27,7 +27,7 @@ from l1ax.criteria import (
 )
 from l1ax.formula import And, Implies, Not, Or, SchemaEntry, eps
 from l1ax.semantics import BudgetError, are_equivalent
-from l1ax.substitution import FRESH_QNT_RIGHT, FRESH_TRIVIALITY, Substitution
+from l1ax.substitution import FRESH_QNT_RIGHT, FRESH_TRIVIALITY, CandidateMap, Substitution
 from oracles import certify_refutations, comparison_maps, padded_bijections, qnt_bodies
 
 SRC = str(Path(l1ax.__file__).resolve().parents[1])
@@ -454,6 +454,25 @@ def test_a_refutation_looks_every_image_up_in_the_valuation_domain(corpus):
     source_bits, diff, index = kernel.compare(perm)
     del index[next(iter(index))]  # the first source atom leaves the domain
     with pytest.raises(ValueError, match=r"outside valuation domain"):
+        kernel.refutation(perm, source_bits, diff, index)
+
+
+def test_a_refutation_image_outside_the_grid_is_refused(corpus, monkeypatch):
+    """The images come from sigma alone: one that names no grid atom is
+    looked up as itself and refused by the valuation."""
+    candidate = criteria._Kernel.candidate
+
+    def stray(kernel, perm):
+        cand = candidate(kernel, perm)
+        mapping = {**cand.sigma.mapping, kernel.source.variables[0]: "zz"}
+        return CandidateMap(cand.rho, Substitution.of(mapping))
+
+    monkeypatch.setattr(criteria._Kernel, "candidate", stray)
+    kernel = criteria._Kernel(corpus["A_M8"], corpus["A_t"], FRESH_TRIVIALITY)
+    assert "zz" not in kernel.targets
+    perm = (0, 1, 2, 3)
+    source_bits, diff, index = kernel.compare(perm)
+    with pytest.raises(ValueError, match=r"^atom eps\(zz,[a-z0-9]+\) outside valuation domain$"):
         kernel.refutation(perm, source_bits, diff, index)
 
 

@@ -457,3 +457,39 @@ def test_a_later_file_of_the_same_name_replaces_the_earlier(corpus, tamper):
     broken = bundled_text("s3_from_base").replace(*BROKEN_S3)
     tamper(lambda texts: [*texts, ("zz_s3", broken)])
     assert proofs.derivation_of(corpus["A_S3"].body) is None
+
+
+def test_the_directive_index_parses_only_the_conclusions_it_keeps(monkeypatch):
+    parsed = []
+
+    def counted(text, **kwargs):
+        parsed.append(text)
+        return parse_formula(text, **kwargs)
+
+    monkeypatch.setattr(proofs, "parse_formula", counted)
+    l1ax.clear_caches()
+    try:
+        index = proofs._directive_index()
+    finally:
+        l1ax.clear_caches()
+    # 12 bundled scripts, 6 of them with assume: lines and left unparsed
+    assert len(parsed) == 6 == sum(conclusion is not None for conclusion, _, _ in index)
+
+
+def test_a_malformed_conclusion_behind_assume_lines_fails_only_the_full_map(
+    monkeypatch, corpus
+):
+    """derivation_of never reads a script with assumptions; the full map
+    still parses every bundled script."""
+    texts = [
+        (stem, text.replace("conclude:", "conclude: )", 1) if stem == "base_from_m8" else text)
+        for stem, text in proofs._bundled_texts()
+    ]
+    monkeypatch.setattr(proofs, "_bundled_texts", lambda: texts)
+    l1ax.clear_caches()
+    try:
+        assert proofs.derivation_of(corpus["A_S1"].body) == "s1_from_base"
+        with pytest.raises(ParseError):
+            derived_conclusions()
+    finally:
+        l1ax.clear_caches()
