@@ -367,26 +367,24 @@ def _directive_index() -> tuple[tuple[Formula | None, str, str], ...]:
     """
     by_name: dict[str, tuple[bool, tuple[str, int, int] | None, str, str]] = {}
     for stem, text in _bundled_texts():
-        name, assumes, conclusion = stem, False, None
+        name, assumes, stated = stem, False, None
         for lineno, head, rest, column in split_lines(text, ":", _LINE_FORM):
             if head == "name":
                 name = rest
             elif head == "assume":
                 assumes = True
             elif head == "conclude":
-                conclusion = (rest, lineno, column)
-        by_name[name] = (assumes, conclusion, stem, text)
-    return tuple(
-        (
-            None if conclusion is None else parse_formula(
-                conclusion[0], line=conclusion[1], column=conclusion[2]
-            ),
-            stem,
-            text,
-        )
-        for assumes, conclusion, stem, text in by_name.values()
-        if not assumes
-    )
+                stated = (rest, lineno, column)
+        by_name[name] = (assumes, stated, stem, text)
+    index = []
+    for assumes, stated, stem, text in by_name.values():
+        if not assumes:
+            conclusion = None
+            if stated is not None:
+                rest, lineno, column = stated
+                conclusion = parse_formula(rest, line=lineno, column=column)
+            index.append((conclusion, stem, text))
+    return tuple(index)
 
 
 def derivation_of(formula: Formula) -> str | None:
@@ -398,7 +396,8 @@ def derivation_of(formula: Formula) -> str | None:
     the answer. Those alone are parsed and checked, in bundled_scripts()
     order, and the first that checks and ends in formula is returned. A
     script that does not parse fails derived_conclusions() outright, but
-    fails here only when its directives or the script itself are read.
+    fails here only when this lookup parses the broken part: the conclude:
+    of an assumption-free script, or a script it checks.
     """
     for conclusion, stem, text in _directive_index():
         if conclusion is not None and conclusion != formula:
