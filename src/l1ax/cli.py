@@ -3,7 +3,8 @@
 Exit codes: 0 when the requested verdict was computed (whatever it is),
 1 when a proof check or the verification battery reports failures,
 2 for usage problems — parse errors, unknown names, a comparison the
-criteria do not cover, or an input beyond a size limit — and 3 for an
+criteria do not cover, an input beyond a size limit — or a standard
+output that cannot be written (a closed pipe, a full disk), and 3 for an
 internal fault: any other exception, such as a witness that fails its
 replay, a KeyError but an unknown name or a ValueError but an InputError,
 reported on one stderr line with nothing on stdout.
@@ -46,9 +47,9 @@ def _resolve(text: str, corpus: Loader) -> SchemaEntry:
 
 
 # name -> (help, arguments as (name or flag, add_argument options), run);
-# run returns the JSON payload without "command" and the text, each unrendered
-# until main prints it, and the exit code
-Outcome = tuple[Callable[[], dict], Callable[[], str], int]
+# run returns only the output asked for (under --json the JSON payload
+# without "command", else the text) and the exit code
+Outcome = tuple[dict | str, int]
 Run = Callable[[argparse.Namespace, Loader], Outcome]
 COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...], Run]] = {}
 
@@ -69,22 +70,18 @@ _SCHEMA = ("schema", dict(help="schema name or formula text"))
 def _taut(args: argparse.Namespace, corpus: Loader) -> Outcome:
     body = _resolve(args.formula, corpus).body
     verdict = is_tautology(body)
-    return (
-        lambda: {"formula": print_formula(body), **reports.jsonable(verdict)},
-        lambda: reports.taut_text(verdict),
-        0,
-    )
+    if args.json:
+        return {"formula": print_formula(body), **reports.jsonable(verdict)}, 0
+    return reports.taut_text(verdict), 0
 
 
 @_command("theorem", "validity over all admissible valuations", _FORMULA)
 def _theorem(args: argparse.Namespace, corpus: Loader) -> Outcome:
     body = _resolve(args.formula, corpus).body
     verdict = is_theorem(body)
-    return (
-        lambda: {"formula": print_formula(body), **reports.jsonable(verdict)},
-        lambda: reports.theorem_text(verdict),
-        0,
-    )
+    if args.json:
+        return {"formula": print_formula(body), **reports.jsonable(verdict)}, 0
+    return reports.theorem_text(verdict), 0
 
 
 @_command(
@@ -100,7 +97,7 @@ def _nontrivial(args: argparse.Namespace, corpus: Loader) -> Outcome:
     subject = _resolve(args.schema, corpus)
     reference = _resolve(args.ref, corpus)
     report = triviality(subject, reference)
-    return lambda: reports.jsonable(report), lambda: reports.triviality_text(report), 0
+    return reports.jsonable(report) if args.json else reports.triviality_text(report), 0
 
 
 @_command(
@@ -113,7 +110,7 @@ def _qnt(args: argparse.Namespace, corpus: Loader) -> Outcome:
     left = _resolve(args.left, corpus)
     right = _resolve(args.right, corpus)
     report = quasi_triviality(left, right)
-    return lambda: reports.jsonable(report), lambda: reports.qnt_text(report), 0
+    return reports.jsonable(report) if args.json else reports.qnt_text(report), 0
 
 
 @_command(
@@ -130,17 +127,10 @@ def _matrix(args: argparse.Namespace, corpus: Loader) -> Outcome:
     else:
         entries = corpus().established_five()
     cells = qnt_matrix(entries)
-    return (
-        lambda: {
-            "entries": [e.name for e in entries],
-            "cells": {
-                f"{a}|{b}": reports.qnt_summary(cell)
-                for (a, b), cell in cells.items()
-            },
-        },
-        lambda: reports.matrix_text(cells),
-        0,
-    )
+    if args.json:
+        summaries = {f"{a}|{b}": reports.qnt_summary(c) for (a, b), c in cells.items()}
+        return {"entries": [e.name for e in entries], "cells": summaries}, 0
+    return reports.matrix_text(cells), 0
 
 
 @_command(
@@ -160,11 +150,7 @@ def _matrix(args: argparse.Namespace, corpus: Loader) -> Outcome:
 def _characteristic(args: argparse.Namespace, corpus: Loader) -> Outcome:
     entry = _resolve(args.schema, corpus)
     report = characterize(entry, max_pool=args.max_pool)
-    return (
-        lambda: reports.jsonable(report),
-        lambda: reports.characterization_text(report),
-        0,
-    )
+    return reports.jsonable(report) if args.json else reports.characterization_text(report), 0
 
 
 @_command(
@@ -174,31 +160,21 @@ def _characteristic(args: argparse.Namespace, corpus: Loader) -> Outcome:
 )
 def _check_proof(args: argparse.Namespace, corpus: Loader) -> Outcome:
     result = check_proof(load_proof_file(args.file))
-    return (
-        lambda: reports.jsonable(result),
-        lambda: reports.proof_check_text(result),
-        0 if result.ok else 1,
-    )
+    output = reports.jsonable(result) if args.json else reports.proof_check_text(result)
+    return output, 0 if result.ok else 1
 
 
 @_command("verify", "re-derive every established claim against the corpus")
 def _verify(args: argparse.Namespace, corpus: Loader) -> Outcome:
     report = run_verification(corpus())
-    return (
-        lambda: reports.jsonable(report),
-        lambda: reports.verification_text(report),
-        0 if report.ok else 1,
-    )
+    output = reports.jsonable(report) if args.json else reports.verification_text(report)
+    return output, 0 if report.ok else 1
 
 
 @_command("conjectures", "full verdict sweep over the conjectured schemata")
 def _conjectures(args: argparse.Namespace, corpus: Loader) -> Outcome:
     rows = conjecture_report(corpus())
-    return (
-        lambda: {"rows": reports.jsonable(rows)},
-        lambda: reports.conjecture_text(rows),
-        0,
-    )
+    return {"rows": reports.jsonable(rows)} if args.json else reports.conjecture_text(rows), 0
 
 
 @functools.cache
@@ -246,13 +222,16 @@ def _corpus_loader(path: str | None) -> Loader:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        payload, text, code = COMMANDS[args.command][2](
-            args, _corpus_loader(args.corpus_file)
-        )
+        output, code = COMMANDS[args.command][2](args, _corpus_loader(args.corpus_file))
         if args.json:
-            output = reports.json_document({"command": args.command, **payload()})
-        else:
-            output = text()
+            output = reports.json_document({"command": args.command, **output})
+        try:
+            print(output, flush=True)
+        except OSError:
+            # a closed pipe or a full disk: at exit the interpreter would fail
+            # again on the text still buffered, and exit 120
+            sys.stdout = None
+            raise
     except (OSError, UnicodeDecodeError, UnknownSchemaName, InputError) as exc:
         # parse errors, inapplicable criteria and budget errors are InputErrors;
         # str() of an OSError names the path; a file that is not text cannot
@@ -265,7 +244,6 @@ def main(argv: list[str] | None = None) -> int:
         # ValueError but an InputError, and every other exception
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
-    print(output)
     return code
 
 

@@ -255,19 +255,6 @@ class _Kernel:
             raise RuntimeError(f"witness {witness.sigma} fails its replay")
 
 
-def _renamings(
-    n: int, essential: tuple[frozenset[int], frozenset[int]] | None
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every permutation perm of range(n) in lexicographic order, with its
-    inverse place: perm sends source variable perm[i] to target slot i.
-
-    Given essential, the essential atoms coded over source variables and
-    over target slots, a branch is cut as soon as a pair of assigned
-    slots holds an essential atom on one side only.
-    """
-    return _extend(0, n, [], [0] * n, essential)
-
-
 def _extend(
     i: int,
     n: int,
@@ -275,7 +262,12 @@ def _extend(
     place: list[int],
     essential: tuple[frozenset[int], frozenset[int]] | None,
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """_renamings below the first i slots, which perm and place assign."""
+    """Every permutation perm of range(n), in lexicographic order, that
+    extends the first i slots perm and place assign, with its inverse
+    place: perm sends source variable perm[k] to target slot k. Given
+    essential, the essential atoms coded over source variables and over
+    target slots, a branch is cut as soon as a pair of assigned slots
+    holds an essential atom on one side only."""
     if i == n:
         yield tuple(perm), tuple(place)
         return
@@ -317,7 +309,7 @@ def _sweep(
     if essential is not None and len(essential[0]) != len(essential[1]):
         return None, (), math.factorial(n)
     refutations: list[Refutation] = []
-    for perm, place in _renamings(n, essential):
+    for perm, place in _extend(0, n, [], [0] * n, essential):
         source_bits, diff, index = kernel.compare(place)
         if not diff:
             witness = kernel.candidate(perm)

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import re
-from collections.abc import Iterator
 
 NameVar = str
 
@@ -162,13 +161,15 @@ def conjoin(first: Formula, *rest: Formula) -> Formula:
     return out
 
 
-def walk_atoms(formula: Formula) -> Iterator[Atom]:
-    """Yield atoms depth-first, left to right, with repetitions."""
+def atoms(formula: Formula) -> tuple[Atom, ...]:
+    """Distinct atoms in order of first occurrence, depth-first and left
+    to right: the order of the printed formula."""
+    seen: dict[Atom, None] = {}
     stack = [formula]
     while stack:
         node = stack.pop()
         if isinstance(node, Epsilon):
-            yield node.atom
+            seen.setdefault(node.atom)
         elif isinstance(node, Not):
             stack.append(node.operand)
         elif isinstance(node, Or):
@@ -176,25 +177,15 @@ def walk_atoms(formula: Formula) -> Iterator[Atom]:
             stack.append(node.left)
         else:
             raise TypeError(f"not a formula node: {node!r}")
-
-
-def atoms(formula: Formula) -> tuple[Atom, ...]:
-    """Distinct atoms in order of first occurrence."""
-    seen: dict[Atom, None] = {}
-    for at in walk_atoms(formula):
-        seen.setdefault(at)
     return tuple(seen)
 
 
 def name_variables(formula: Formula) -> tuple[NameVar, ...]:
-    """Distinct variables in order of first occurrence.
-
-    The walk is depth-first with the subject of each atom before its
-    predicate, which coincides with left-to-right reading order of the
-    printed formula.
-    """
+    """Distinct variables in order of first occurrence, subject before
+    predicate: every variable first occurs in the first occurrence of some
+    atom, so the distinct atoms, in order, give them in reading order."""
     seen: dict[NameVar, None] = {}
-    for at in walk_atoms(formula):
+    for at in atoms(formula):
         seen.setdefault(at.subject)
         seen.setdefault(at.predicate)
     return tuple(seen)

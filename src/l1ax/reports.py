@@ -32,8 +32,6 @@ def jsonable(obj: object) -> object:
         return obj
     if isinstance(obj, (tuple, list)):
         return [jsonable(x) for x in obj]
-    if isinstance(obj, dict):
-        return {key: jsonable(value) for key, value in obj.items()}
     if isinstance(obj, Formula):
         return print_formula(obj)
     if isinstance(obj, SchemaEntry):

@@ -5,7 +5,7 @@ atom at once, so swaps like {a->b, b->a} behave correctly. The triviality
 and quasi-triviality criteria quantify over bijections of one schema's
 variables onto another's, padded with canonically chosen fresh variables
 when the arities differ. This module fixes the padded targets and builds
-the CandidateMap of one permutation; criteria._renamings walks the
+the CandidateMap of one permutation; criteria._extend walks the
 permutations, and the tests keep the plain enumeration as an oracle.
 """
 

@@ -385,8 +385,9 @@ def test_readme_usage_lists_exactly_the_commands():
 
 
 def test_jsonable_rejects_objects_without_a_json_form():
-    with pytest.raises(TypeError, match="no JSON form for object"):
-        reports.jsonable(object())
+    for value in (object(), {}):
+        with pytest.raises(TypeError, match=f"no JSON form for {type(value).__name__}"):
+            reports.jsonable(value)
 
 
 # the values jsonable makes, with text that needs escaping and ints of any size
@@ -563,6 +564,48 @@ def test_only_the_requested_format_is_rendered(capsys, renders, tmp_path, argv):
     renders.clear()
     assert run(capsys, *argv, "--json")[0] == code
     assert renders and not any(name.endswith("_text") for name in renders)
+
+
+# a standard output that cannot be written is a user error
+
+class _ClosedPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_an_unwritable_stdout_exits_two_with_one_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    code = main(["taut", SYMMETRY])
+    assert (code, capsys.readouterr().err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("sink", ["closed pipe", "/dev/full"])
+@pytest.mark.parametrize("argv", [("taut", SYMMETRY), ("conjectures", "--json")], ids=" ".join)
+def test_an_unwritable_stdout_exits_two_in_a_fresh_process(sink, argv):
+    if sink == "/dev/full":
+        if not os.path.exists(sink):
+            pytest.skip("no /dev/full")
+        stdout = os.open(sink, os.O_WRONLY)
+    else:
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    # buffered, as a plain run is: a short answer then sits in the buffer the
+    # interpreter flushes again at exit
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(l1ax.__file__).resolve().parents[1])
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "l1ax.cli", *argv],
+            stdout=stdout,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+            env=env,
+        )
+    finally:
+        os.close(stdout)
+    assert proc.returncode == 2, proc.stderr
+    assert re.fullmatch(r"error: \[Errno \d+\] [^\n]*\n", proc.stderr)
 
 
 def test_the_parser_is_built_once_and_survives_clear_caches():

@@ -29,7 +29,6 @@ from l1ax.formula import (
     conjoin,
     eps,
     name_variables,
-    walk_atoms,
 )
 from l1ax.proofs import Justification
 from l1ax.semantics import Valuation
@@ -85,11 +84,6 @@ def test_conjoin_folds_left():
     assert conjoin(p) == p
     assert conjoin(p, q) == And(p, q)
     assert conjoin(p, q, r) == And(And(p, q), r)
-
-
-def test_walk_atoms_keeps_repetitions_in_order():
-    f = And(eps("a", "b"), Or(eps("a", "b"), eps("b", "a")))
-    assert list(walk_atoms(f)) == [Atom("a", "b"), Atom("a", "b"), Atom("b", "a")]
 
 
 def test_atoms_dedup_by_first_occurrence():

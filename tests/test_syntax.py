@@ -24,8 +24,10 @@ from l1ax.formula import (
     Implies,
     Not,
     Or,
+    atoms,
     eps,
     is_valid_variable,
+    name_variables,
 )
 from l1ax.substitution import Substitution
 from l1ax.syntax import (
@@ -128,6 +130,14 @@ formulas = st.recursive(
 @given(formulas)
 def test_print_parse_round_trip(f):
     assert parse_formula(print_formula(f)) == f
+
+
+@given(formulas)
+def test_atoms_and_variables_follow_the_printed_text(f):
+    # the printed text is read left to right, independently of the tree walk
+    found = re.findall(r"eps\((\w+),(\w+)\)", print_formula(f))
+    assert atoms(f) == tuple(Atom(x, y) for x, y in dict.fromkeys(found))
+    assert name_variables(f) == tuple(dict.fromkeys(v for pair in found for v in pair))
 
 
 def test_substitution_mapping_round_trip():
