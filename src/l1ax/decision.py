@@ -15,7 +15,9 @@ names Ax3 makes eps symmetric and Ax2 transitive, so they split into blocks:
 eps holds inside each block and nowhere else between singular names. What
 is left is one free bit per (block, non-singular name z) pair: eps(x,z)
 holds for every x of the block or for none of them (Ax2). Pools of 1 to 5
-names have 2, 7, 36, 256 and 2483 admissible valuations.
+names have 2, 7, 36, 256 and 2483 admissible valuations. The counters of
+one choice of singular names and blocks start as one list, and each free
+bit doubles it with a copy that has the bit flipped.
 
 The brute-force filter `admissible_mask` is kept as the enumeration's
 oracle: it ANDs the tables of every axiom instance over all 2^(n*n) grid
@@ -118,16 +120,19 @@ def _admissible(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
             for blocks in _partitions(singular):
                 inside = sum(1 << x * n + y for b in blocks for x in b for y in b)
                 free = [sum(1 << x * n + z for x in b) for b in blocks for z in rest]
-                for picked in itertools.product(*((0, bit) for bit in free)):
-                    counters.append(everything ^ (inside + sum(picked)))
+                block = [everything ^ inside]
+                for bit in free:
+                    block += [c ^ bit for c in block]
+                counters += block
     counters.sort()
-    # one transpose: the counters, highest first, as w-digit binary rows;
-    # column w-1-j read down them is counter bit j of every valuation, and
-    # atom j is true exactly where that bit is clear
+    # one transpose: the counters, highest first, as binary rows of w digits
+    # behind a marker bit; column w-1-j read down them is counter bit j of
+    # every valuation, and atom j is true exactly where that bit is clear
     w = n * n
-    rows = "".join(f"{c:0{w}b}" for c in reversed(counters))
+    top = 1 << w
+    rows = "".join([bin(top | c) for c in reversed(counters)])
     full = (1 << len(counters)) - 1
-    tiles = tuple(full ^ int(rows[w - 1 - j :: w], 2) for j in range(w))
+    tiles = tuple(full ^ int(rows[w + 2 - j :: w + 3], 2) for j in range(w))
     return tuple(counters), tiles
 
 

@@ -7,6 +7,15 @@ Counter 0 is therefore the all-true valuation, and every witness reported by
 the checks below is the falsifying valuation with the lowest counter. The
 numbering is part of the external contract: rerunning any check reproduces
 the same witness bit for bit.
+
+compile_formula turns a formula into a tree of closures, one per connective
+as the formula module desugars it, each doing one big-integer operation on
+its operands' tables: Not(Not x) is x, Not(eps) is full ^ t[i],
+Not(Or(Not a, Not b)) (And) is a & b, Not(Or(Not a, b)) is a & ~b,
+Or(Not a, Not b) is full ^ (a & b), Or(Not a, b) (Implies) is
+(full ^ a) | b, and any other Not or Or is full ^ x or a | b. entails and
+are_equivalent compile each formula once and read their merged atom order
+off the compiled atom lists.
 """
 
 from __future__ import annotations
@@ -100,16 +109,41 @@ Table = Callable[[Sequence[int], int], int]
 
 
 def _closure(f: Formula, order: dict[Atom, int]) -> Table:
-    if isinstance(f, Epsilon):
+    """f's Table, one closure and one big-integer operation per desugared
+    connective pattern; operands compile left first, so atoms are numbered
+    in order of first occurrence."""
+    node = type(f)
+    if node is Epsilon:
         i = order.setdefault(f.atom, len(order))
         return lambda t, full: t[i]
-    if isinstance(f, Not):
-        operand = _closure(f.operand, order)
+    if node is Or:
+        if type(f.left) is Not:
+            a = _closure(f.left.operand, order)
+            if type(f.right) is Not:  # Or(Not a, Not b): a nand b
+                b = _closure(f.right.operand, order)
+                return lambda t, full: full ^ (a(t, full) & b(t, full))
+            b = _closure(f.right, order)  # Implies(a, b)
+            return lambda t, full: (full ^ a(t, full)) | b(t, full)
+        a = _closure(f.left, order)
+        b = _closure(f.right, order)
+        return lambda t, full: a(t, full) | b(t, full)
+    if node is Not:
+        g = f.operand
+        inner = type(g)
+        if inner is Epsilon:
+            i = order.setdefault(g.atom, len(order))
+            return lambda t, full: full ^ t[i]
+        if inner is Not:
+            return _closure(g.operand, order)
+        if inner is Or and type(g.left) is Not:
+            a = _closure(g.left.operand, order)
+            if type(g.right) is Not:  # And(a, b)
+                b = _closure(g.right.operand, order)
+                return lambda t, full: a(t, full) & b(t, full)
+            b = _closure(g.right, order)  # Not(Implies(a, b))
+            return lambda t, full: a(t, full) & ~b(t, full)
+        operand = _closure(g, order)
         return lambda t, full: full ^ operand(t, full)
-    if isinstance(f, Or):
-        left = _closure(f.left, order)
-        right = _closure(f.right, order)
-        return lambda t, full: left(t, full) | right(t, full)
     raise TypeError(f"not a formula node: {f!r}")
 
 
@@ -142,14 +176,38 @@ def essential_atoms(atoms: Sequence[Atom], table: Table) -> frozenset[Atom]:
     )
 
 
+def _check_budget(k: int) -> None:
+    if k > ATOM_BUDGET:
+        raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
+
+
 def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:
     """Big-integer truth table of formula over the given atom ordering."""
     k = len(atom_order)
-    if k > ATOM_BUDGET:
-        raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
+    _check_budget(k)
     index = {atom: j for j, atom in enumerate(atom_order)}
     formula_atoms, table = compile_formula(formula)
     return table([atom_tile(k, index[atom]) for atom in formula_atoms], full_mask(k))
+
+
+def _merged_tables(formulas: Sequence[Formula]) -> tuple[tuple[Atom, ...], int, list[int]]:
+    """The formulas' merged atom order, which is merged_atom_order(formulas),
+    its full mask, and each formula's table over it: one compile per formula
+    and one tile per atom."""
+    compiled = [compile_formula(f) for f in formulas]
+    index: dict[Atom, int] = {}
+    for formula_atoms, _ in compiled:
+        for atom in formula_atoms:
+            index.setdefault(atom, len(index))
+    k = len(index)
+    _check_budget(k)
+    tiles = [atom_tile(k, j) for j in range(k)]
+    full = full_mask(k)
+    tables = [
+        table([tiles[index[atom]] for atom in formula_atoms], full)
+        for formula_atoms, table in compiled
+    ]
+    return tuple(index), full, tables
 
 
 def lowest_set_bit(mask: int) -> int:
@@ -178,13 +236,13 @@ def is_tautology(formula: Formula) -> SemanticsVerdict:
 def are_equivalent(left: Formula, right: Formula) -> SemanticsVerdict:
     """Tautological equivalence; the witness domain covers both formulas.
 
-    Each side is tabled once over their merged atom order, the order of
-    atoms(Iff(left, right)), and the witness is the lowest counter where
-    the tables differ: the valuation is_tautology(Iff(left, right))
-    reports, at the cost of one table per side instead of a table of the
-    Iff, which holds each side twice."""
-    order = merged_atom_order([left, right])
-    diff = truth_table(left, order) ^ truth_table(right, order)
+    Each side is compiled and tabled once over their merged atom order,
+    the order of atoms(Iff(left, right)), and the witness is the lowest
+    counter where the tables differ: the valuation
+    is_tautology(Iff(left, right)) reports, at the cost of one table per
+    side instead of a table of the Iff, which holds each side twice."""
+    order, _, (left_table, right_table) = _merged_tables([left, right])
+    diff = left_table ^ right_table
     if diff == 0:
         return SemanticsVerdict(True, None)
     return SemanticsVerdict(False, Valuation.at_counter(order, lowest_set_bit(diff)))
@@ -192,12 +250,11 @@ def are_equivalent(left: Formula, right: Formula) -> SemanticsVerdict:
 
 def entails(premises: Sequence[Formula], conclusion: Formula) -> SemanticsVerdict:
     """Tautological consequence: no valuation satisfies premises but not conclusion."""
-    order = merged_atom_order([*premises, conclusion])
-    full = full_mask(len(order))
+    order, full, tables = _merged_tables([*premises, conclusion])
     satisfied = full
-    for p in premises:
-        satisfied &= truth_table(p, order)
-    violations = satisfied & ~truth_table(conclusion, order) & full
+    for table in tables[:-1]:
+        satisfied &= table
+    violations = satisfied & ~tables[-1]
     if violations == 0:
         return SemanticsVerdict(True, None)
     counter = lowest_set_bit(violations)

@@ -8,12 +8,24 @@ evaluation and are_equivalent, and decide the comparison's orientation
 themselves, so the sweep kernel, the instance tabler and the admissible
 enumeration are each checked against a path they do not share.
 are_equivalent itself is checked against one table of the desugared Iff.
+The fused table compiler is checked against one closure per formula node,
+and the one-compile entailment against an atom walk and a table per formula.
 """
 
 import itertools
 
-from l1ax.formula import Iff
-from l1ax.semantics import are_equivalent, evaluate, is_tautology
+from l1ax.formula import Epsilon, Iff, Not, Or
+from l1ax.semantics import (
+    SemanticsVerdict,
+    Valuation,
+    are_equivalent,
+    evaluate,
+    full_mask,
+    is_tautology,
+    lowest_set_bit,
+    merged_atom_order,
+    truth_table,
+)
 from l1ax.substitution import (
     FRESH_QNT_LEFT,
     FRESH_QNT_RIGHT,
@@ -110,3 +122,50 @@ def admissible_tiles(counters, atom_count):
         sum(1 << r for r, c in enumerate(counters) if not c >> j & 1)
         for j in range(atom_count)
     )
+
+
+def _node_closure(f, order):
+    if isinstance(f, Epsilon):
+        i = order.setdefault(f.atom, len(order))
+        return lambda t, full: t[i]
+    if isinstance(f, Not):
+        operand = _node_closure(f.operand, order)
+        return lambda t, full: full ^ operand(t, full)
+    if isinstance(f, Or):
+        left = _node_closure(f.left, order)
+        right = _node_closure(f.right, order)
+        return lambda t, full: left(t, full) | right(t, full)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+def node_compile(formula):
+    """compile_formula with one closure and one big-integer operation per
+    Not and Or node: the formula's atoms in first-occurrence order and its
+    Table."""
+    order = {}
+    table = _node_closure(formula, order)
+    return tuple(order), table
+
+
+def walked_entails(premises, conclusion):
+    """entails as an atom walk of every formula for the merged order, then
+    one truth_table per formula, each compiling its formula again."""
+    order = merged_atom_order([*premises, conclusion])
+    *premise_tables, conclusion_table = [truth_table(f, order) for f in (*premises, conclusion)]
+    full = full_mask(len(order))
+    satisfied = full
+    for table in premise_tables:
+        satisfied &= table
+    violations = satisfied & ~conclusion_table & full
+    if violations == 0:
+        return SemanticsVerdict(True, None)
+    return SemanticsVerdict(False, Valuation.at_counter(order, lowest_set_bit(violations)))
+
+
+def walked_equivalence(left, right):
+    """are_equivalent as an atom walk of both sides, then a truth_table of each."""
+    order = merged_atom_order([left, right])
+    diff = truth_table(left, order) ^ truth_table(right, order)
+    if diff == 0:
+        return SemanticsVerdict(True, None)
+    return SemanticsVerdict(False, Valuation.at_counter(order, lowest_set_bit(diff)))

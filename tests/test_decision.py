@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import l1ax
-from l1ax import decision, semantics
+from l1ax import decision, formula, semantics
 from l1ax.axioms import AX1, AX2, AX3, AX3S, BASE_AXIOMS
 from l1ax.characterize import recover_axioms
 from l1ax.decision import (
@@ -358,6 +358,20 @@ def test_recovery_compiles_the_body_once(corpus, monkeypatch):
     compiled = count_compiles(monkeypatch)
     recover_axioms(entry, max_pool=4)
     assert compiled.count(entry.body) == 1
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_entailment_and_equivalence_compile_each_formula_once(corpus, monkeypatch, m):
+    bodies = [corpus[name].body for name in ("A_S1", "A_S2", "A_M8", "A_t")]
+    walks, walk = [], formula.atoms
+    for module in (formula, semantics):
+        monkeypatch.setattr(module, "atoms", lambda f: walks.append(f) or walk(f))
+    compiled = count_compiles(monkeypatch)
+    semantics.entails(bodies[:m], bodies[m])
+    assert (len(compiled), walks) == (m + 1, [])
+    compiled.clear()
+    semantics.are_equivalent(bodies[0], bodies[m])
+    assert (len(compiled), walks) == (2, [])
 
 
 def test_the_admissibility_filter_compiles_each_schema_once(monkeypatch):

@@ -7,16 +7,18 @@ the canonical witness.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import l1ax
+from l1ax import semantics
 from l1ax.axioms import A_T
-from l1ax.formula import And, Atom, Implies, Not, Or, conjoin, eps
+from l1ax.formula import And, Atom, Implies, Not, Or, atoms, conjoin, eps
 from l1ax.semantics import (
     BudgetError,
     Valuation,
     are_equivalent,
+    atom_tile,
     compile_formula,
     entails,
     essential_atoms,
@@ -28,7 +30,8 @@ from l1ax.semantics import (
     truth_table,
 )
 from l1ax.substitution import Substitution
-from oracles import iff_equivalence
+from oracles import iff_equivalence, node_compile, walked_entails, walked_equivalence
+from test_syntax import formulas
 
 AB, BA, AA = Atom("a", "b"), Atom("b", "a"), Atom("a", "a")
 
@@ -197,6 +200,67 @@ def test_every_corpus_equivalence_matches_the_iff_table(corpus):
             verdicts.append(verdict.holds)
     # only A_t against itself and the identity rotations hold
     assert (len(verdicts), sum(verdicts)) == (138, len(corpus) + 1)
+
+
+# the desugared And, Implies and Iff, with double negations at any depth:
+# every pattern the compiler fuses, which formula_st's Not and Or rarely build
+fused_st = st.recursive(
+    formulas,
+    lambda sub: st.one_of(
+        sub.map(lambda f: Not(Not(f))),
+        st.builds(Or, sub, sub),
+        st.builds(And, sub, sub),
+        st.builds(Implies, sub, sub.map(Not)),
+    ),
+    max_leaves=3,
+)
+
+
+@given(fused_st, st.integers(min_value=0))
+@example(Not(Not(eps("a", "b"))), 1)
+@example(Not(Not(Not(eps("a", "b")))), 1)
+@example(Not(Not(Not(Not(And(eps("a", "b"), eps("b", "a")))))), 3)
+@example(Or(Not(Not(eps("a", "b"))), Not(Not(Not(eps("b", "a"))))), 2)
+@example(And(Not(Not(eps("a", "b"))), Not(Implies(eps("b", "a"), Not(Not(eps("a", "a")))))), 5)
+def test_fused_tables_match_one_closure_per_node(f, seed):
+    fused_atoms, fused = compile_formula(f)
+    node_atoms, node = node_compile(f)
+    assert fused_atoms == node_atoms == atoms(f)
+    k = len(fused_atoms)
+    below = seed % (2**k + 1)
+    for full in (full_mask(k), full_mask(k) & ((1 << below) - 1)):
+        tiles = [atom_tile(k, j) & full for j in range(k)]
+        assert fused(tiles, full) == node(tiles, full)
+
+
+@given(st.lists(fused_st, max_size=3), fused_st, fused_st)
+def test_one_compile_per_formula_matches_the_walked_tables(premises, conclusion, other):
+    # equal verdicts, witness domains and counters; premises and conclusion
+    # share atoms, and a conclusion its premises entail is tried as well
+    assert entails(premises, conclusion) == walked_entails(premises, conclusion)
+    assert entails([*premises, conclusion], conclusion) == walked_entails(
+        [*premises, conclusion], conclusion
+    )
+    for left, right in ((conclusion, other), (conclusion, Not(Not(conclusion)))):
+        assert are_equivalent(left, right) == walked_equivalence(left, right)
+
+
+def test_an_input_over_the_budget_is_refused_before_any_table(monkeypatch):
+    # with the walked tables' text; a mask over 31 atoms alone takes 256 MiB
+    def refused(*args):
+        raise AssertionError(f"table work on a refused input: {args}")
+
+    for name in ("full_mask", "atom_tile"):
+        monkeypatch.setattr(semantics, name, refused)
+    wide = [eps(f"x{i}", f"x{i}") for i in range(31)]
+    for check, oracle, args in (
+        (entails, walked_entails, ([], Or(wide[0], conjoin(*wide[1:])))),
+        (entails, walked_entails, (wide[:16], conjoin(*wide[16:]))),
+        (are_equivalent, walked_equivalence, (conjoin(*wide[:15]), conjoin(*wide[15:]))),
+    ):
+        for decide in (check, oracle):
+            with pytest.raises(BudgetError, match="^31 atoms exceed the budget of 30$"):
+                decide(*args)
 
 
 def test_merged_atom_order_first_occurrence_across_formulas():
