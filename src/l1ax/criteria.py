@@ -17,8 +17,8 @@ examined. Explain mode, the default, also builds a Refutation for every
 candidate before the witness and replays each one by pointwise evaluation
 through the substitution lemma: sigma(source) holds at a valuation exactly
 when the source holds at its pullback through sigma, so no substituted
-formula is built; each image eps(sigma(x), sigma(y)) is looked up by name
-in the kernel's grid of atoms, which shares the target body's own atoms.
+formula is built; each image eps(sigma(x), sigma(y)) is the interned atom
+of its names, so the valuation over the kernel's grid finds it by identity.
 Only reports that print refutations ask for explain mode.
 Both modes replay the witness through Substitution.apply and are_equivalent;
 the tests keep Substitution.apply as the oracle of the refutation replay.
@@ -164,7 +164,7 @@ class _Kernel:
         self.targets = padded_targets(source.variables, target.variables, fresh_prefix)
         n = len(self.targets)
         self.source_atoms, self.source_pairs, self.source_table = compile_schema(source)
-        self.target_atoms, target_pairs, self.target_table = compile_schema(target)
+        _, target_pairs, self.target_table = compile_schema(target)
         self.target_codes = [s * n + p for s, p in target_pairs]
         self.essential = None
         if len(self.source_pairs) + len(target_pairs) <= ATOM_BUDGET:
@@ -175,18 +175,9 @@ class _Kernel:
         self.spaces: dict[int, tuple[list[int], int, int]] = {}
 
     @functools.cached_property
-    def grid(self) -> list[Atom]:
-        """The atom of every code; the target body's own atoms at its codes,
-        so a valuation finds them by identity."""
-        grid = list(grid_atoms(self.targets))
-        for atom, code in zip(self.target_atoms, self.target_codes):
-            grid[code] = atom
-        return grid
-
-    @functools.cached_property
-    def named(self) -> dict[tuple[str, str], Atom]:
-        """The grid's atoms by (subject, predicate)."""
-        return {(a.subject, a.predicate): a for a in self.grid}
+    def grid(self) -> tuple[Atom, ...]:
+        """The atom of every code."""
+        return grid_atoms(self.targets)
 
     def compare(self, place: Sequence[int]) -> tuple[int, int, dict[int, int]]:
         """The source's table, the bits where the two tables differ, and
@@ -218,9 +209,9 @@ class _Kernel:
         valuation exactly when the source holds at its pullback through the
         reported sigma, which gives eps(x,y) the value of eps(sigma(x),
         sigma(y)); so no substituted formula is built, and the images come
-        from sigma alone, never from place or index. Each image is looked up
-        by name in the grid, and one outside it is built afresh, so that
-        Valuation.value refuses it."""
+        from sigma alone, never from place or index. Atoms are interned, so
+        an image in the grid is the grid's own atom, and one outside it is
+        another atom, which Valuation.value refuses."""
         grid = self.grid
         domain = tuple([grid[c] for c in index])
         counter = lowest_set_bit(diff)
@@ -228,17 +219,13 @@ class _Kernel:
         substituted_value = bool(source_bits >> counter & 1)
         cand = self.candidate(perm)
         m = cand.sigma.mapping
-        named = self.named
         pullback = Valuation(
             self.source_atoms,
             frozenset(
                 [
                     a
                     for a in self.source_atoms
-                    if valuation.value(
-                        named.get((m[a.subject], m[a.predicate]))
-                        or Atom(m[a.subject], m[a.predicate])
-                    )
+                    if valuation.value(Atom(m[a.subject], m[a.predicate]))
                 ]
             ),
         )

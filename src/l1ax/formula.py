@@ -4,7 +4,8 @@ Formulas are built from epsilon atoms over name variables with negation and
 disjunction as the primitive connectives. Conjunction, implication and
 equivalence are provided as constructor functions that desugar immediately,
 so every formula object consists of Epsilon, Not and Or nodes only. All nodes
-are immutable and hashable; equality is structural.
+are immutable and hashable. Atoms are interned, one object per name pair, so
+they compare and hash by identity; nodes compare structurally.
 
 Record, the immutable-value base of the package, and InputError live here
 because every other module imports this one.
@@ -33,8 +34,9 @@ class _RecordType(type):
     """Makes a class body's annotated fields its __slots__ and compiles its
     __init__, __eq__ and __hash__ over them in one exec, which costs a
     fraction of what a generic class decorator spends making each class.
-    The root class alone gets the _hash slot, where __hash__ keeps an
-    instance's hash from its first use on."""
+    A method the class body defines itself is kept. The root class alone
+    gets the _hash slot, where __hash__ keeps an instance's hash from its
+    first use on."""
 
     def __new__(mcls, name: str, bases: tuple[type, ...], namespace: dict[str, object]):
         fields = tuple(namespace.get("__annotations__", ()))
@@ -66,8 +68,9 @@ class _RecordType(type):
         env = {f"_set_{f}": getattr(cls, f).__set__ for f in ("_hash", *fields)}
         exec(source, env)
         for method in ("__init__", "__eq__", "__hash__"):
-            env[method].__qualname__ = f"{cls.__qualname__}.{method}"
-            setattr(cls, method, env[method])
+            if method not in namespace:
+                env[method].__qualname__ = f"{cls.__qualname__}.{method}"
+                setattr(cls, method, env[method])
         return cls
 
 
@@ -77,13 +80,15 @@ class Record(metaclass=_RecordType):
     when their classes are the same and their field tuples are equal, hash
     as that tuple, run __post_init__ after construction when the class has
     one, refuse assignment and deletion, and print as Name(field=value, ...).
-    Fields are not inherited: only leaf classes declare any.
+    Fields are not inherited: only leaf classes declare any. Atom alone
+    replaces these __init__, __eq__ and __hash__: it is interned, so equal
+    atoms are one object and compare and hash by identity.
 
     The hash is computed on first use and kept, so a record used again as a
     cache key costs no walk of its fields. Copies and pickles rebuild a
-    record from its field values through __init__, so __post_init__ runs
-    again and no cached hash travels to an interpreter whose string hashes
-    differ."""
+    record from its field values through the constructor, so __post_init__
+    runs again, an atom comes back as the interned one, and no cached hash
+    travels to an interpreter whose string hashes differ."""
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -105,16 +110,39 @@ def is_valid_variable(name: str) -> bool:
     return bool(VARIABLE_RE.match(name)) and name not in RESERVED_WORDS
 
 
+# (subject, predicate) -> its one Atom. Never cleared, not even by
+# clear_caches(): an atom built after a clearing would be a second object,
+# unequal to an equal one still alive. It grows by one entry per distinct
+# name pair the process has seen, and only after both names are checked.
+_ATOMS: dict[tuple[NameVar, NameVar], Atom] = {}
+
+
 class Atom(Record):
-    """An epsilon atom: subject variable and predicate variable."""
+    """An epsilon atom: subject variable and predicate variable.
+
+    Atom(x, y) returns the one atom of the pair, made on the first call
+    whose names pass is_valid_variable; a refused name raises on every
+    call. Equal atoms are thus the same object, so object's __eq__ and
+    __hash__, by identity and in C, are the structural ones."""
 
     subject: NameVar
     predicate: NameVar
 
-    def __post_init__(self) -> None:
-        for v in (self.subject, self.predicate):
-            if not is_valid_variable(v):
-                raise ValueError(f"invalid variable name: {v!r}")
+    __init__ = object.__init__  # __new__ sets the fields
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, subject: NameVar, predicate: NameVar) -> Atom:
+        atom = _ATOMS.get((subject, predicate))
+        if atom is None:
+            for v in (subject, predicate):
+                if not is_valid_variable(v):
+                    raise ValueError(f"invalid variable name: {v!r}")
+            atom = object.__new__(cls)
+            object.__setattr__(atom, "subject", subject)
+            object.__setattr__(atom, "predicate", predicate)
+            _ATOMS[subject, predicate] = atom
+        return atom
 
     def __str__(self) -> str:
         return f"eps({self.subject},{self.predicate})"

@@ -15,6 +15,7 @@ import sys
 import pytest
 
 import l1ax
+from l1ax import formula
 from l1ax.formula import (
     And,
     Atom,
@@ -186,7 +187,11 @@ def test_records_behave_as_frozen_slotted_dataclasses(cls, samples, monkeypatch)
     expected = oracle(*values)
     assert record == twin and not record != twin and expected == oracle(*values)
     assert (record == other) == (expected == oracle(*others))
-    assert hash(record) == hash(expected) == hash(twin)
+    # an atom is interned, so its twin is itself and it hashes by identity;
+    # every other record hashes as its field tuple
+    interned = cls is Atom
+    assert (record is twin) == interned and hash(record) == hash(twin)
+    assert interned or hash(record) == hash(expected)
     assert repr(record) == repr(expected)
     assert record.__eq__(expected) is NotImplemented and record != expected
     namesake = type(Record)(cls.__name__, (Record,), {"__annotations__": dict.fromkeys(fields)})
@@ -206,10 +211,28 @@ def test_records_behave_as_frozen_slotted_dataclasses(cls, samples, monkeypatch)
     for round_trip in (copy.copy, copy.deepcopy, pickle_round_trip):
         duplicate, expected_duplicate = round_trip(record), round_trip(expected)
         assert type(duplicate) is cls and type(expected_duplicate) is oracle
-        assert (duplicate is record) == (expected_duplicate is expected)
+        assert (duplicate is record) == interned
+        assert expected_duplicate is not expected
         assert duplicate == record and expected_duplicate == expected
-        assert hash(duplicate) == hash(expected_duplicate) == hash(record)
+        assert hash(duplicate) == hash(record)
+        assert interned or hash(duplicate) == hash(expected_duplicate)
         assert repr(duplicate) == repr(expected_duplicate)
+
+
+def test_a_refused_atom_leaves_no_table_entry():
+    table = formula._ATOMS
+    size = len(table)
+    for _ in range(2):
+        for pair in (("a", "eps"), ("eps", "a"), ("zq", "Zq"), ("", "zq")):
+            with pytest.raises(ValueError, match=r"^invalid variable name: '(eps|Zq|)'$"):
+                Atom(*pair)
+            assert pair not in table
+    assert len(table) == size
+    pair = ("zq", "zq_1")
+    grows = pair not in table
+    atom = Atom(*pair)
+    assert table[pair] is atom is Atom(*pair)
+    assert len(table) == size + grows
 
 
 def test_records_run_their_post_init_checks():
