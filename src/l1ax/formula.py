@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Callable
 
 NameVar = str
 
@@ -30,10 +31,51 @@ class InputError(ValueError):
     and 3 on any other ValueError, which only a fault of the program raises."""
 
 
+# (field count, has __post_init__) -> make(set__hash, *field setters), which
+# returns __init__, __eq__ and __hash__ over the placeholder fields _0, _1, ...
+# One compile per shape: the 26 record classes of the package come in 10.
+_MAKERS: dict[tuple[int, bool], Callable[..., tuple[Callable[..., object], ...]]] = {}
+
+
+def _maker(count: int, post_init: bool) -> Callable[..., tuple[Callable[..., object], ...]]:
+    make = _MAKERS.get((count, post_init))
+    if make is None:
+        params = "".join(f"_{i}, " for i in range(count))
+        mine = "".join(f"self._{i}, " for i in range(count))
+        theirs = "".join(f"other._{i}, " for i in range(count))
+        sets = [*(f"_set{i}(self, _{i})" for i in range(count)), "_set__hash(self, None)"]
+        if post_init:
+            sets.append("self.__post_init__()")
+        body = "\n        ".join(sets)
+        source = (
+            f"def make(_set__hash, {''.join(f'_set{i}, ' for i in range(count))}):\n"
+            f"    def __init__(self, {params}):\n"
+            f"        {body}\n"
+            "    def __eq__(self, other):\n"
+            "        if other.__class__ is self.__class__:\n"
+            f"            return ({mine}) == ({theirs})\n"
+            "        return NotImplemented\n"
+            "    def __hash__(self):\n"
+            "        h = self._hash\n"
+            "        if h is None:\n"
+            f"            h = hash(({mine}))\n"
+            "            _set__hash(self, h)\n"
+            "        return h\n"
+            "    return __init__, __eq__, __hash__\n"
+        )
+        namespace: dict[str, object] = {}
+        exec(source, namespace)
+        make = _MAKERS[count, post_init] = namespace["make"]
+    return make
+
+
 class _RecordType(type):
-    """Makes a class body's annotated fields its __slots__ and compiles its
-    __init__, __eq__ and __hash__ over them in one exec, which costs a
-    fraction of what a generic class decorator spends making each class.
+    """Makes a class body's annotated fields its __slots__ and gives it an
+    __init__, __eq__ and __hash__ over them without compiling anything per
+    class: they are copies of the methods compiled once for the class's
+    shape, with the placeholder parameter and attribute names of their code
+    renamed to the class's fields. So keyword construction, the TypeError on
+    a missing argument and the bytecode read as for hand-written methods.
     A method the class body defines itself is kept. The root class alone
     gets the _hash slot, where __hash__ keeps an instance's hash from its
     first use on."""
@@ -44,33 +86,20 @@ class _RecordType(type):
         cls = super().__new__(mcls, name, bases, {**namespace, "__slots__": slots})
         if not bases:
             return cls
-        mine = "".join(f"self.{f}," for f in fields)
-        theirs = "".join(f"other.{f}," for f in fields)
-        sets = [*(f"_set_{f}(self, {f})" for f in fields), "_set__hash(self, None)"]
-        if hasattr(cls, "__post_init__"):
-            sets.append("self.__post_init__()")
-        body = "\n    ".join(sets)
-        source = (
-            f"def __init__(self, {', '.join(fields)}):\n"
-            f"    {body}\n"
-            "def __eq__(self, other):\n"
-            "    if other.__class__ is self.__class__:\n"
-            f"        return ({mine}) == ({theirs})\n"
-            "    return NotImplemented\n"
-            "def __hash__(self):\n"
-            "    h = self._hash\n"
-            "    if h is None:\n"
-            f"        h = hash(({mine}))\n"
-            "        _set__hash(self, h)\n"
-            "    return h\n"
-        )
         # a slot's own descriptor sets the field past the frozen __setattr__
-        env = {f"_set_{f}": getattr(cls, f).__set__ for f in ("_hash", *fields)}
-        exec(source, env)
-        for method in ("__init__", "__eq__", "__hash__"):
+        setters = [getattr(cls, f).__set__ for f in ("_hash", *fields)]
+        methods = _maker(len(fields), hasattr(cls, "__post_init__"))(*setters)
+        names = {f"_{i}": f for i, f in enumerate(fields)}
+        for function in methods:
+            method = function.__name__
             if method not in namespace:
-                env[method].__qualname__ = f"{cls.__qualname__}.{method}"
-                setattr(cls, method, env[method])
+                code = function.__code__
+                function.__code__ = code.replace(
+                    co_varnames=tuple(names.get(n, n) for n in code.co_varnames),
+                    co_names=tuple(names.get(n, n) for n in code.co_names),
+                )
+                function.__qualname__ = f"{cls.__qualname__}.{method}"
+                setattr(cls, method, function)
         return cls
 
 

@@ -45,6 +45,11 @@ class Valuation(Record):
 
     @classmethod
     def at_counter(cls, domain: Sequence[Atom], counter: int) -> "Valuation":
+        if counter < 0 or counter >> len(domain):
+            raise ValueError(
+                f"counter {counter} outside 0..{(1 << len(domain)) - 1} "
+                f"for {len(domain)} atoms"
+            )
         true = frozenset(
             [atom for j, atom in enumerate(domain) if not (counter >> j) & 1]
         )

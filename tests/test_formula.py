@@ -2,6 +2,7 @@
 base of every immutable value, checked against a frozen, slotted dataclass
 with the same fields."""
 
+import builtins
 import copy
 import dataclasses
 import functools
@@ -280,6 +281,67 @@ def test_copies_rebuild_through_post_init():
     record = type(Record)("Checked", (Record,), namespace)(1)
     copy.copy(record), copy.deepcopy(record)
     assert checked == [1, 1, 1]
+
+
+def record_shape(cls):
+    return len(cls.__slots__), hasattr(cls, "__post_init__")
+
+
+def test_a_record_class_of_a_known_shape_compiles_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("compiled while defining a record class")
+
+    assert (2, False) in formula._MAKERS
+    with monkeypatch.context() as patched:
+        patched.setattr(builtins, "compile", refuse)
+        patched.setattr(builtins, "exec", refuse)
+        pair = type(Record)("Pair", (Record,), {"__annotations__": {"first": None, "second": None}})
+    assert record_shape(pair) == (2, False)
+    record = pair(1, second=2)
+    assert record == pair(first=1, second=2) and record != pair(2, 1)
+    assert hash(record) == hash((1, 2)) and repr(record) == "Pair(first=1, second=2)"
+    with pytest.raises(TypeError, match=r"missing 1 required positional argument: 'second'"):
+        pair(1)
+
+
+COUNT_RECORD_COMPILES = """
+import builtins, importlib, pkgutil, sys
+
+compiled = []
+
+
+def spy(real):
+    def call(*args, **kwargs):
+        if sys._getframe(1).f_globals.get("__name__") == "l1ax.formula":
+            compiled.append(real.__name__)
+        return real(*args, **kwargs)
+
+    return call
+
+
+builtins.compile, builtins.exec = spy(compile), spy(exec)
+import l1ax
+from l1ax import formula
+
+for info in pkgutil.iter_modules(l1ax.__path__):
+    importlib.import_module(f"l1ax.{info.name}")
+print(len(compiled), sorted(formula._MAKERS))
+"""
+
+
+def test_each_record_shape_is_compiled_once():
+    shapes = sorted({record_shape(cls) for cls in record_classes()})
+    assert len(shapes) == 10
+    src = os.path.dirname(os.path.dirname(l1ax.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", COUNT_RECORD_COMPILES],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": src},
+        check=True,
+    ).stdout
+    assert out == f"{len(shapes)} {shapes}\n"
 
 
 PICKLE_HASHED_CORPUS = """

@@ -211,6 +211,24 @@ def test_unequal_essential_atom_counts_compare_no_map(corpus, monkeypatch):
     assert calls == []
 
 
+def test_explain_mode_computes_no_essential_atoms(corpus, monkeypatch):
+    found = []
+    essential = criteria._essential
+
+    def spy(entry):
+        found.append(entry.name)
+        return essential(entry)
+
+    monkeypatch.setattr(criteria, "_essential", spy)
+    s1, s2 = corpus["A_S1"], corpus["A_S2"]
+    explained = triviality(s1, s2)
+    assert (explained.verdict, len(explained.refutations)) == ("nontrivial", 24)
+    assert found == []
+    # decide mode reads them, once for each side
+    triviality(s1, s2, explain=False)
+    assert found == ["A_S1", "A_S2"]
+
+
 GRID36 = " | ".join(f"eps({x},{y})" for x in "abcdef" for y in "abcdef")
 
 

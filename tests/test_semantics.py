@@ -56,6 +56,21 @@ def test_counter_round_trips():
         assert Valuation.at_counter(domain, k).counter == k
 
 
+def test_a_counter_outside_the_domain_is_refused():
+    domain = (AB, BA)
+    assert Valuation.at_counter(domain, 0).counter == 0
+    assert Valuation.at_counter(domain, 3).counter == 3
+    # 4 and 9 would wrap onto counters 0 and 1, -1 (lowest_set_bit(0)) onto 3
+    for counter in (4, 9, -1):
+        with pytest.raises(ValueError, match=rf"^counter {counter} outside 0\.\.3 for 2 atoms$"):
+            Valuation.at_counter(domain, counter)
+    with pytest.raises(ValueError, match=r"^counter -1 outside 0\.\.3 for 2 atoms$"):
+        Valuation.at_counter(domain, lowest_set_bit(0))
+    assert Valuation.at_counter((), 0).counter == 0
+    with pytest.raises(ValueError, match=r"^counter 1 outside 0\.\.0 for 0 atoms$"):
+        Valuation.at_counter((), 1)
+
+
 def test_all_false_rendering():
     assert str(Valuation.at_counter((AB, BA), 0b11)) == "all atoms false"
 
