@@ -34,12 +34,13 @@ class InputError(ValueError):
 # (field count, has __post_init__) -> make(set__hash, *field setters), which
 # returns __init__, __eq__ and __hash__ over the placeholder fields _0, _1, ...
 # One compile per shape: the 26 record classes of the package come in 10.
-_MAKERS: dict[tuple[int, bool], Callable[..., tuple[Callable[..., object], ...]]] = {}
+_MAKERS: dict[tuple[int, bool], Callable[..., tuple]] = {}
 
 
-def _maker(count: int, post_init: bool) -> Callable[..., tuple[Callable[..., object], ...]]:
+def _maker(count: int, post_init: bool) -> Callable[..., tuple]:
     make = _MAKERS.get((count, post_init))
     if make is None:
+        setters = "".join(f"_set{i}, " for i in range(count))
         params = "".join(f"_{i}, " for i in range(count))
         mine = "".join(f"self._{i}, " for i in range(count))
         theirs = "".join(f"other._{i}, " for i in range(count))
@@ -48,7 +49,7 @@ def _maker(count: int, post_init: bool) -> Callable[..., tuple[Callable[..., obj
             sets.append("self.__post_init__()")
         body = "\n        ".join(sets)
         source = (
-            f"def make(_set__hash, {''.join(f'_set{i}, ' for i in range(count))}):\n"
+            f"def make(_set__hash, {setters}):\n"
             f"    def __init__(self, {params}):\n"
             f"        {body}\n"
             "    def __eq__(self, other):\n"
@@ -74,8 +75,9 @@ class _RecordType(type):
     __init__, __eq__ and __hash__ over them without compiling anything per
     class: they are copies of the methods compiled once for the class's
     shape, with the placeholder parameter and attribute names of their code
-    renamed to the class's fields. So keyword construction, the TypeError on
-    a missing argument and the bytecode read as for hand-written methods.
+    renamed to the class's fields. So keyword construction and the TypeError
+    on a missing argument read as for hand-written methods, and __eq__ and
+    __hash__ read each field by its own attribute lookup.
     A method the class body defines itself is kept. The root class alone
     gets the _hash slot, where __hash__ keeps an instance's hash from its
     first use on."""
