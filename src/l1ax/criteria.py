@@ -46,6 +46,7 @@ from .semantics import (
     Valuation,
     are_equivalent,
     atom_tile,
+    check_atom_budget,
     compile_schema,
     essential_atoms,
     evaluate,
@@ -193,8 +194,7 @@ class _Kernel:
         for code in self.target_codes:
             index.setdefault(code, len(index))
         k = len(index)
-        if k > ATOM_BUDGET:
-            raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
+        check_atom_budget(k)
         space = self.spaces.get(k)
         if space is None:
             tiles = [atom_tile(k, j) for j in range(k)]

@@ -4,9 +4,17 @@ A valuation over the full atom grid of a finite variable pool is admissible
 when it satisfies every instance of the base axiom schemata whose variables
 are drawn from the pool, repeated variables included. A formula is an L1
 theorem over its own variables exactly when every admissible valuation
-satisfies it; pools of up to five variables are supported. The criterion's
-adequacy for formulas of at most five variables is a known completeness
-result; this module contributes the machine check.
+satisfies it; pools of up to five variables are supported. The verdict is
+the same over every pool that holds the formula's names. A countermodel
+over a larger pool restricts to the grid of the formula's own pool: each
+instance over the smaller pool is one over the larger, and the formula
+reads only that grid. A countermodel over the formula's own pool lifts to
+any larger pool by reading each extra name as one of the formula's names,
+as characterize.recover_axioms argues for recovery: every instance over the
+larger pool then takes the value of an instance over the own pool, and the
+formula keeps its value. The criterion's adequacy for formulas of at most
+five variables is a known completeness result; this module contributes the
+machine check.
 
 The admissible valuations are built from their structure instead of being
 filtered out of the 2^(n*n) grid. Call x singular when eps(x,x) holds. By

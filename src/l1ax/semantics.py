@@ -181,7 +181,8 @@ def essential_atoms(atoms: Sequence[Atom], table: Table) -> frozenset[Atom]:
     )
 
 
-def _check_budget(k: int) -> None:
+def check_atom_budget(k: int) -> None:
+    """Raise BudgetError for a table over more than ATOM_BUDGET atoms."""
     if k > ATOM_BUDGET:
         raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
 
@@ -189,7 +190,7 @@ def _check_budget(k: int) -> None:
 def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:
     """Big-integer truth table of formula over the given atom ordering."""
     k = len(atom_order)
-    _check_budget(k)
+    check_atom_budget(k)
     index = {atom: j for j, atom in enumerate(atom_order)}
     formula_atoms, table = compile_formula(formula)
     return table([atom_tile(k, index[atom]) for atom in formula_atoms], full_mask(k))
@@ -205,7 +206,7 @@ def _merged_tables(formulas: Sequence[Formula]) -> tuple[tuple[Atom, ...], int, 
         for atom in formula_atoms:
             index.setdefault(atom, len(index))
     k = len(index)
-    _check_budget(k)
+    check_atom_budget(k)
     tiles = [atom_tile(k, j) for j in range(k)]
     full = full_mask(k)
     tables = [

@@ -615,13 +615,13 @@ def test_the_parser_is_built_once_and_survives_clear_caches():
 
 
 def test_reusing_the_parser_leaks_no_state_between_requests(tmp_path):
-    from test_cli_snapshots import DATA, _argvs, _snapshot, _write_files
+    from test_output_identity import DATA, _argvs, _record, _write_files
 
     files = _write_files(tmp_path)
     expected = json.loads(DATA.read_text())
     argvs = _argvs()
     for argv in argvs + argvs[::-1]:
-        assert _snapshot(argv, files) == expected[" ".join(argv)], argv
+        assert _record(argv, files) == expected[" ".join(argv)], argv
 
 
 def test_proof_script_errors_point_at_their_column():

@@ -214,6 +214,34 @@ def test_enumeration_agrees_with_the_mask_reference(formula):
         assert (verdict.valid, verdict.counter_valuation) == _reference(formula, pool)
 
 
+
+# names no formula of formula_st uses
+FRESH = ("v", "w", "x", "y", "z")
+
+
+@given(formula_st)
+def test_the_verdict_does_not_depend_on_the_pool(formula):
+    # a countermodel restricts to the formula's own grid, and lifts from it
+    # by reading each extra name as one of the formula's names
+    own = name_variables(formula)
+    valid = holds_in_all_admissible(formula, own).valid
+    for extra in range(1, POOL_CAP - len(own) + 1):
+        for pool in ((*own, *FRESH[:extra]), (*FRESH[:extra], *own)):
+            assert holds_in_all_admissible(formula, pool).valid == valid, pool
+
+
+def test_corpus_verdicts_do_not_depend_on_the_pool(corpus):
+    padded = 0
+    for entry in corpus:
+        own = name_variables(entry.body)
+        if len(own) < POOL_CAP:
+            fresh = next(name for name in FRESH if name not in own)
+            valid = holds_in_all_admissible(entry.body, own).valid
+            assert holds_in_all_admissible(entry.body, (*own, fresh)).valid == valid
+            padded += 1
+    assert padded == 29
+
+
 # pool-5 verdicts and witnesses, formulas copied as text
 DOUBLE_STAR = (
     "eps(a,b) & eps(d,e) -> eps(d,d) & eps(a,a)"

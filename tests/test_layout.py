@@ -33,7 +33,7 @@ from pathlib import Path
 import pytest
 
 import l1ax
-from test_cli_snapshots import working_python
+from test_output_identity import working_python
 
 PACKAGE = Path(l1ax.__file__).resolve().parent
 
@@ -145,20 +145,6 @@ def test_importing_the_package_loads_none_of_its_modules():
     assert printed == "\nclear_caches\n"
 
 
-def test_importing_the_cli_loads_every_traced_module():
-    tracer = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
-    layers = next(
-        ast.literal_eval(node.value)
-        for node in tracer.body
-        if isinstance(node, ast.Assign)
-        and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
-    )
-    traced = sorted({module for module, _ in layers.values()})
-    added = added_by_importing_the_cli(sys.executable)
-    assert [module for module in traced if module not in added] == []
-    assert sorted(added & SLOW_AT_START_UP) == []
-
-
 def tracer_layers():
     """perfbench/tracer.py's LAYERS: layer name -> (module, attribute)."""
     tracer = ast.parse((Path(__file__).parents[1] / "perfbench" / "tracer.py").read_text())
@@ -168,6 +154,13 @@ def tracer_layers():
         if isinstance(node, ast.Assign)
         and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["LAYERS"]
     )
+
+
+def test_importing_the_cli_loads_every_traced_module():
+    traced = sorted({module for module, _ in tracer_layers().values()})
+    added = added_by_importing_the_cli(sys.executable)
+    assert [module for module in traced if module not in added] == []
+    assert sorted(added & SLOW_AT_START_UP) == []
 
 
 def test_every_traced_layer_resolves_to_an_attribute():

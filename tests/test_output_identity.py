@@ -1,27 +1,40 @@
 """Byte-identity table: exit code, stdout digest and stderr digest per argv.
 
 tests/output_identity.json maps each argv below (joined by spaces, with the
-placeholders unexpanded) to [exit code, sha256 of stdout, sha256 of stderr].
-It covers every corpus name under the single-schema commands, 14 x 14 qnt
-pairs, the bundled proof scripts, the corpus-wide commands and a few
-refused inputs, each as text and with --json: a wider net than
-tests/cli_snapshots.json for output that depends on set or dict order, such
-as an order that follows string hashes or object addresses. Run it again
-under another PYTHONHASHSEED to check that. Regenerate the table only for an
-intended output change:
+placeholders unexpanded) to [exit code, sha256 of stdout, sha256 of stderr];
+a path that a message prints reads as its placeholder. It is the one byte
+gate on the command line. It covers every corpus name under the
+single-schema commands, 14 x 14 qnt pairs, the bundled proof scripts, the
+corpus-wide commands, formula text, default flags, a schema file, a
+tampered script and refused inputs, each as text and with --json. Every
+command and every option it declares is in some argv both ways. Output
+that depends on set or dict order, such as an order that follows string
+hashes or object addresses, shows as a changed row: run the table again
+under another PYTHONHASHSEED to check that.
+
+The table is replayed in this process, and once more in one process of
+each of Python 3.10, the floor pyproject declares, and 3.13 that starts
+(under pyenv, list them in PYENV_VERSION after the main version). Those
+interpreters need no pytest: the recorder here imports only the standard
+library and l1ax. Regenerate the table only for an intended output change:
 
     PYTHONPATH=src python tests/test_output_identity.py
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from importlib import resources
 from pathlib import Path
 
-from l1ax.cli import main
+from l1ax.cli import COMMANDS, build_parser, main
 from l1ax.corpus import load_corpus
 
 DATA = Path(__file__).with_name("output_identity.json")
@@ -39,6 +52,21 @@ SCRIPTS = sorted(
     if p.name.endswith(".proof")
 )
 
+INVALID = "eps(a,b) -> eps(b,a)"
+
+# INVALID padded with tautologies on three fresh names: a pool-5 refutation
+SYM_PAD5 = "(eps(a,b) -> eps(b,a)) & (eps(c,d) | !eps(c,d)) & (eps(e,e) | !eps(e,e))"
+
+# a schema file; Ax1 has two variables, so its matrix row and column are
+# inapplicable cells
+CORPUS = (
+    "M := eps(a,b) & eps(c,d) -> eps(a,a) & eps(c,c)"
+    " & (eps(b,c) -> eps(a,d) & eps(b,a))\n"
+    "N := eps(a,b) & eps(c,d) -> eps(a,a) & (eps(b,c) -> eps(a,d) & eps(b,a))\n"
+    "Ax1 := eps(a,b) -> eps(a,a)\n"
+    "Mine := " + INVALID + "\n"
+)
+
 # 31 distinct atoms over six names, one beyond the atom budget
 OVER_BUDGET = " | ".join([f"eps({x},{y})" for x in "abcdef" for y in "abcdef"][:31])
 
@@ -46,9 +74,12 @@ MALFORMED = "s1: eps(a,b) -> eps(a,a) ; AXIOM(Ax1, {)\n"
 
 ERRORS = [
     ("check-proof", "{malformed}"),
+    ("taut", "eps(a,"),
     ("taut", OVER_BUDGET),
+    ("theorem", "A_M9"),
     ("theorem", "NoSuch"),
     ("qnt", "A_t", "NoSuch"),
+    ("nontrivial", "Ax1"),
 ]
 
 CASES = [
@@ -68,6 +99,19 @@ CASES = [
     ("verify",),
     ("conjectures",),
     ("matrix",),
+    ("taut", "eps(a,b) | !eps(a,b)"),
+    ("taut", INVALID),
+    ("theorem", INVALID),
+    ("theorem", SYM_PAD5),
+    ("characteristic", INVALID, "--max-pool", "3"),
+    ("nontrivial", "A_M8"),
+    ("nontrivial", "A_t"),
+    ("nontrivial", "A_S3", "--ref", "A_t-1"),
+    ("characteristic", "DoubleStar"),
+    ("characteristic", "A_ad1"),
+    ("theorem", "Mine", "--corpus-file", "{corpus}"),
+    ("matrix", "--corpus", "{corpus}"),
+    ("check-proof", "{tampered}"),
     *ERRORS,
 ]
 
@@ -77,10 +121,19 @@ def _argvs() -> list[tuple[str, ...]]:
 
 
 def _write_files(root: Path) -> dict[str, str]:
-    malformed = root / "malformed.proof"
-    malformed.write_text(MALFORMED)
     proofs = resources.files("l1ax").joinpath("proofs")
-    return {"malformed": str(malformed), "proofs": str(proofs)}
+    tampered = proofs.joinpath("s3_from_base.proof").read_text().replace(
+        "eps(b,b) ; AXIOM(Ax1", "eps(b,a) ; AXIOM(Ax1"
+    )
+    files = {"proofs": str(proofs)}
+    for key, name, text in (
+        ("malformed", "malformed.proof", MALFORMED),
+        ("tampered", "bad.proof", tampered),
+        ("corpus", "mixed.schemata", CORPUS),
+    ):
+        (root / name).write_text(text)
+        files[key] = str(root / name)
+    return files
 
 
 def _digest(text: str, files: dict[str, str]) -> str:
@@ -102,24 +155,109 @@ def _table(files: dict[str, str]) -> dict[str, list]:
     return {" ".join(argv): _record(argv, files) for argv in _argvs()}
 
 
+def _changed(table: dict[str, list]) -> list[str]:
+    """The argvs whose row differs from the committed table's."""
+    expected = json.loads(DATA.read_text())
+    return sorted(key for key in expected if table.get(key) != expected[key])
+
+
+def working_python(minor: int) -> str | None:
+    """A python3.<minor> that starts, if there is one."""
+    if sys.version_info[:2] == (3, minor):
+        return sys.executable
+    found = shutil.which(f"python3.{minor}")
+    if found is None:
+        return None
+    probe = subprocess.run(
+        [found, "-c", f"import sys; print(sys.version_info[:2] == (3, {minor}))"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    return found if probe.stdout.strip() == "True" else None
+
+
 def test_the_table_covers_every_case():
     assert len(NAMES) == 30 and len(SCRIPTS) == 12
-    assert len(_argvs()) == 722 + 2 * len(ERRORS)
+    assert len(_argvs()) == 748 + 2 * len(ERRORS)
     assert len(OVER_BUDGET.split(" | ")) == 31
     assert sorted(json.loads(DATA.read_text())) == sorted(map(" ".join, _argvs()))
 
 
+def test_every_command_and_option_is_replayed_as_text_and_with_json():
+    commands = next(
+        action.choices
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert sorted(commands) == sorted(COMMANDS)
+    # a command's own options and the common ones, but --help
+    declared = {
+        name: {o for a in parser._actions for o in a.option_strings if o.startswith("--")}
+        - {"--help"}
+        for name, parser in commands.items()
+    }
+    wanted = {
+        (word, as_json)
+        for name, options in declared.items()
+        for word in (name, *options)
+        for as_json in (False, True)
+    } - {("--json", False)}
+    found = {
+        (word, "--json" in argv)
+        for argv in _argvs()
+        for word in argv
+        if word == argv[0] or word in declared[argv[0]]
+    }
+    assert sorted(wanted - found) == []
+
+
 def test_every_argv_replays_byte_identically(tmp_path):
-    expected = json.loads(DATA.read_text())
-    actual = _table(_write_files(tmp_path))
-    changed = sorted(key for key in expected if actual[key] != expected[key])
+    changed = _changed(_table(_write_files(tmp_path)))
     assert not changed, changed
     # the refused inputs fail as intended, with nothing on stdout
+    expected = json.loads(DATA.read_text())
     empty = hashlib.sha256(b"").hexdigest()
     for case in ERRORS:
         for argv in (case, case + ("--json",)):
             code, out, err = expected[" ".join(argv)]
             assert code == 2 and out == empty != err, argv
+
+
+def pytest_generate_tests(metafunc):
+    if "minor" in metafunc.fixturenames:
+        # the floor pyproject declares, and the newest release
+        metafunc.parametrize("minor", [10, 13])
+
+
+def test_every_argv_replays_byte_identically_on_another_interpreter(minor, tmp_path):
+    python = working_python(minor)
+    if python is None:
+        # imported here only: the replay imports this module without pytest
+        import pytest
+
+        pytest.skip(f"no working python3.{minor} on PATH")
+    tests = Path(__file__).resolve().parent
+    proc = subprocess.run(
+        [
+            python,
+            "-c",
+            "import json, pathlib, sys, test_output_identity as t;"
+            " json.dump(t._table(t._write_files(pathlib.Path(sys.argv[1]))), sys.stdout)",
+            str(tmp_path),
+        ],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env={
+            **os.environ,
+            "PYTHONPATH": os.pathsep.join([str(tests.parent / "src"), str(tests)]),
+            "PYTHONDONTWRITEBYTECODE": "1",
+        },
+    )
+    assert proc.returncode == 0, proc.stderr
+    changed = _changed(json.loads(proc.stdout))
+    assert not changed, changed
 
 
 if __name__ == "__main__":
