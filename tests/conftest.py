@@ -12,3 +12,11 @@ settings.load_profile("suite")
 @pytest.fixture(scope="session")
 def corpus():
     return load_corpus()
+
+
+@pytest.fixture(scope="session")
+def replayed_table(tmp_path_factory):
+    """The byte-identity table, replayed once in this process."""
+    from test_output_identity import _table, _write_files
+
+    return _table(_write_files(tmp_path_factory.mktemp("identity")))

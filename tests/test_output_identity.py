@@ -12,11 +12,13 @@ that depends on set or dict order, such as an order that follows string
 hashes or object addresses, shows as a changed row: run the table again
 under another PYTHONHASHSEED to check that.
 
-The table is replayed in this process, and once more in one process of
-each of Python 3.10, the floor pyproject declares, and 3.13 that starts
-(under pyenv, list them in PYENV_VERSION after the main version). Those
-interpreters need no pytest: the recorder here imports only the standard
-library and l1ax. Regenerate the table only for an intended output change:
+The table is replayed once in this process; tests/test_cli_snapshots.py
+checks that replay row by row, so a changed row fails under its argv's
+name. It is replayed once more in one process of each of Python 3.10,
+the floor pyproject declares, and 3.13 that starts (under pyenv, list them
+in PYENV_VERSION after the main version). Those interpreters need no
+pytest: the recorder here imports only the standard library and l1ax.
+Regenerate the table only for an intended output change:
 
     PYTHONPATH=src python tests/test_output_identity.py
 """
@@ -212,8 +214,8 @@ def test_every_command_and_option_is_replayed_as_text_and_with_json():
     assert sorted(wanted - found) == []
 
 
-def test_every_argv_replays_byte_identically(tmp_path):
-    changed = _changed(_table(_write_files(tmp_path)))
+def test_every_argv_replays_byte_identically(replayed_table):
+    changed = _changed(replayed_table)
     assert not changed, changed
     # the refused inputs fail as intended, with nothing on stdout
     expected = json.loads(DATA.read_text())
