@@ -8,8 +8,8 @@ valuation, so a negative verdict is as replayable as a positive one.
 Each schema body is compiled once, by semantics.compile_schema, into its
 atoms coded over its variables and a closure that computes its truth table
 from atom tiles. A candidate renaming then only reindexes the coded atoms:
-the source's atoms come first, then the target's new ones,
-exactly their merged order merged_atom_order([sigma(source), target]), so
+the source's atoms come first, then the target's new ones, exactly
+their first-occurrence order in atoms(Or(sigma(source), target)), so
 the lowest bit where the two tables differ is the counter-valuation
 are_equivalent would report. The comparisons run in two modes. Decide mode
 (explain=False) returns the verdict, the witness and the number of maps
@@ -41,17 +41,15 @@ from .axioms import A_T
 from .decision import grid_atoms
 from .formula import Atom, InputError, Record, SchemaEntry
 from .semantics import (
-    ATOM_BUDGET,
     BudgetError,
     Valuation,
     are_equivalent,
-    atom_tile,
-    check_atom_budget,
     compile_schema,
     essential_atoms,
     evaluate,
-    full_mask,
     lowest_set_bit,
+    tile_space,
+    within_atom_budget,
 )
 from .substitution import (
     FRESH_QNT_LEFT,
@@ -171,10 +169,10 @@ class _Kernel:
     def essential(self) -> tuple[frozenset[int], frozenset[int]] | None:
         """The essential atoms of the source, coded over its own variables,
         and of the target, coded over targets; only decide mode reads them.
-        None when the two bodies have more than ATOM_BUDGET atoms between
-        them: then some renaming may exceed the budget, and no map may be
-        skipped before it."""
-        if len(self.source_pairs) + len(self.target_codes) > ATOM_BUDGET:
+        None when the two bodies have more atoms between them than the
+        atom budget admits: then some renaming may exceed the budget, and
+        no map may be skipped before it."""
+        if not within_atom_budget(len(self.source_pairs) + len(self.target_codes)):
             return None
         n = len(self.targets)
         return tuple(
@@ -194,11 +192,9 @@ class _Kernel:
         for code in self.target_codes:
             index.setdefault(code, len(index))
         k = len(index)
-        check_atom_budget(k)
         space = self.spaces.get(k)
         if space is None:
-            tiles = [atom_tile(k, j) for j in range(k)]
-            full = full_mask(k)
+            tiles, full = tile_space(k)
             space = self.spaces[k] = (tiles, full, self.source_table(tiles, full))
         tiles, full, source_bits = space
         target_bits = self.target_table([tiles[index[c]] for c in self.target_codes], full)

@@ -45,12 +45,12 @@ from .axioms import AX1, AX2, AX3, AX3S, BASE_AXIOMS
 from .formula import Atom, Formula, InputError, NameVar, Record, SchemaEntry, name_variables
 from .semantics import (
     Valuation,
-    atom_tile,
     compile_formula,
     compile_schema,
     evaluate,
     full_mask,
     lowest_set_bit,
+    tile_space,
 )
 
 POOL_CAP = 5
@@ -72,10 +72,7 @@ def instance_tables(
     the instance's value under valuation c for c < below and 0 beyond."""
     n = len(pool)
     _, coded, table = compile_schema(entry)
-    full = full_mask(n * n)
-    if below is not None:
-        full &= (1 << below) - 1
-    tiles = [atom_tile(n * n, j) & full for j in range(n * n)]
+    tiles, full = tile_space(n * n, below)
     for place in itertools.product(range(n), repeat=entry.arity):
         yield table([tiles[place[s] * n + place[p]] for s, p in coded], full)
 

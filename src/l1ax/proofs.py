@@ -21,7 +21,8 @@ Justifications: TAUT, AXIOM(name[, sigma]), SCHEMA(name[, sigma]),
 MP(antecedent, implication), SUBST(line, sigma), TAUTCONSEQ(line, ...).
 Each is one Justification record: the rule name, what it cites and its
 substitution, printed back in this syntax by describe(). meta: lines must
-read 'key = value' and are otherwise ignored.
+read 'key = value' and are otherwise ignored. A second conclude: or a
+repeated assume: name is a parse error, as a repeated step label is.
 """
 
 from __future__ import annotations
@@ -278,13 +279,18 @@ def parse_proof_script(text: str, default_name: str = "script") -> ProofScript:
             if ":=" not in rest:
                 raise ParseError("assume needs 'Name := formula'", span)
             schema_name, _, formula_text = rest.partition(":=")
+            assumed = schema_name.strip()
+            if any(a.name == assumed for a in assumptions):
+                raise ParseError(f"duplicate assumption {assumed!r}", span)
             formula_text, column = _strip_at(formula_text, column + len(schema_name) + 2)
             body = parse_formula(formula_text, line=lineno, column=column)
-            assumptions.append(SchemaEntry.make(schema_name.strip(), body))
+            assumptions.append(SchemaEntry.make(assumed, body))
         elif head == "meta":
             if "=" not in rest:
                 raise ParseError("meta needs 'key = value'", span)
         elif head == "conclude":
+            if conclusion is not None:
+                raise ParseError("duplicate conclude", span)
             conclusion = parse_formula(rest, line=lineno, column=column)
         else:
             if head in DIRECTIVES or not head or not head.replace("_", "").isalnum():

@@ -6,7 +6,9 @@ first-occurrence order, where bit j of the counter set means atom j is FALSE.
 Counter 0 is therefore the all-true valuation, and every witness reported by
 the checks below is the falsifying valuation with the lowest counter. The
 numbering is part of the external contract: rerunning any check reproduces
-the same witness bit for bit.
+the same witness bit for bit. Every table over all valuations of its
+atoms, or over a prefix of them, takes its atom tiles, full mask and atom
+budget check from tile_space.
 
 compile_formula turns a formula into a tree of closures, one per connective
 as the formula module desugars it, each doing one big-integer operation on
@@ -23,7 +25,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable, Iterable, Sequence
 
-from .formula import Atom, Epsilon, Formula, InputError, Not, Or, Record, SchemaEntry, atoms
+from .formula import Atom, Epsilon, Formula, InputError, Not, Or, Record, SchemaEntry
 
 ATOM_BUDGET = 30
 
@@ -108,6 +110,24 @@ def atom_tile(n_atoms: int, j: int) -> int:
     return pattern
 
 
+def within_atom_budget(k: int) -> bool:
+    return k <= ATOM_BUDGET
+
+
+def tile_space(
+    k: int, below: int | None = None, positions: Iterable[int] | None = None
+) -> tuple[list[int], int]:
+    """The atom tiles and the full mask of the valuations over k atoms.
+
+    Raises BudgetError for more than ATOM_BUDGET atoms before anything is
+    built. With below, both are cut to the counters 0 .. below-1; with
+    positions, only the tiles of those atoms are built, in that order."""
+    if not within_atom_budget(k):
+        raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
+    full = full_mask(k) if below is None else full_mask(k) & (1 << below) - 1
+    return [atom_tile(k, j) & full for j in (range(k) if positions is None else positions)], full
+
+
 # table(tiles, full): a formula's truth table over any space of valuations,
 # tiles[i] being the tile of its i-th atom and full the mask of every one
 Table = Callable[[Sequence[int], int], int]
@@ -171,9 +191,8 @@ def compile_schema(entry: SchemaEntry) -> tuple[tuple[Atom, ...], tuple[tuple[in
 def essential_atoms(atoms: Sequence[Atom], table: Table) -> frozenset[Atom]:
     """The atoms a compiled formula's truth function depends on: atom j
     is essential iff flipping it changes the table somewhere."""
-    k = len(atoms)
-    tiles = [atom_tile(k, j) for j in range(k)]
-    t = table(tiles, full_mask(k))
+    tiles, full = tile_space(len(atoms))
+    t = table(tiles, full)
     return frozenset(
         atom
         for j, (atom, tile) in enumerate(zip(atoms, tiles))
@@ -181,34 +200,23 @@ def essential_atoms(atoms: Sequence[Atom], table: Table) -> frozenset[Atom]:
     )
 
 
-def check_atom_budget(k: int) -> None:
-    """Raise BudgetError for a table over more than ATOM_BUDGET atoms."""
-    if k > ATOM_BUDGET:
-        raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
-
-
 def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:
     """Big-integer truth table of formula over the given atom ordering."""
-    k = len(atom_order)
-    check_atom_budget(k)
     index = {atom: j for j, atom in enumerate(atom_order)}
     formula_atoms, table = compile_formula(formula)
-    return table([atom_tile(k, index[atom]) for atom in formula_atoms], full_mask(k))
+    tiles, full = tile_space(len(atom_order), positions=(index[a] for a in formula_atoms))
+    return table(tiles, full)
 
 
 def _merged_tables(formulas: Sequence[Formula]) -> tuple[tuple[Atom, ...], int, list[int]]:
-    """The formulas' merged atom order, which is merged_atom_order(formulas),
-    its full mask, and each formula's table over it: one compile per formula
-    and one tile per atom."""
+    """The formulas' atoms in first-occurrence order, the full mask, and
+    each formula's table over them: one compile per formula, one tile per atom."""
     compiled = [compile_formula(f) for f in formulas]
     index: dict[Atom, int] = {}
     for formula_atoms, _ in compiled:
         for atom in formula_atoms:
             index.setdefault(atom, len(index))
-    k = len(index)
-    check_atom_budget(k)
-    tiles = [atom_tile(k, j) for j in range(k)]
-    full = full_mask(k)
+    tiles, full = tile_space(len(index))
     tables = [
         table([tiles[index[atom]] for atom in formula_atoms], full)
         for formula_atoms, table in compiled
@@ -225,14 +233,6 @@ class SemanticsVerdict(Record):
 
     holds: bool
     witness: Valuation | None
-
-
-def merged_atom_order(formulas: Iterable[Formula]) -> tuple[Atom, ...]:
-    order: dict[Atom, None] = {}
-    for f in formulas:
-        for atom in atoms(f):
-            order.setdefault(atom)
-    return tuple(order)
 
 
 def is_tautology(formula: Formula) -> SemanticsVerdict:

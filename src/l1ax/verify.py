@@ -23,9 +23,9 @@ from .criteria import (
     triviality,
 )
 from .decision import admissible_mask, is_countermodel, is_theorem
-from .formula import And, Atom, Record, SchemaEntry, conjoin
+from .formula import And, Atom, Or, Record, SchemaEntry, atoms, conjoin
 from .proofs import check_bundled_proofs, derivation_of
-from .semantics import Valuation, are_equivalent, evaluate, merged_atom_order
+from .semantics import Valuation, are_equivalent, evaluate
 from .substitution import Substitution
 
 QUARTET = ("A_S1", "A_S2", "A_S3N", "A_S3Nd")
@@ -96,7 +96,7 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
             f"no refutation of {sigma_cc}",
         )
         substituted = sigma_cc.apply(c["A_M8"].body)
-        domain = merged_atom_order([substituted, c["A_t"].body])
+        domain = atoms(Or(substituted, c["A_t"].body))
         val = _all_true_except(domain, {Atom("c", "c")})
         check(evaluate(substituted, val) is False, "the c->c image holds at v(eps(c,c))=f")
         check(evaluate(c["A_t"].body, val) is True, "A_t fails at v(eps(c,c))=f")

@@ -1,0 +1,174 @@
+"""Named mutants of the program, each of which the tests must kill.
+
+A mutant is one exact edit of a file under src/ (old text -> new text) and
+the test files that must each fail under it. For every mutant the script
+copies src/ into a temporary directory, applies the edit there and runs
+pytest on each of those files against the copy, stopping at the first
+failing test. The listed files are first run once against an unedited
+copy, where they must pass, so no kill comes from a test that fails anyway.
+
+The script exits 1 if a mutant survives, if its old text does not occur
+exactly once in its file, or if the unedited copy fails. Each pytest run
+may map at most MEMORY_LIMIT bytes, so a mutant that builds a table past
+the atom budget fails with MemoryError instead of filling the machine.
+
+It imports only the standard library, and pytest does not collect it.
+From the repository root, with pytest and hypothesis installed:
+
+    python tests/mutants.py [NAME ...]
+"""
+
+from __future__ import annotations
+
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MEMORY_LIMIT = 2 << 30
+
+# (name, file under src/l1ax, old text, new text, test files that must fail)
+MUTANTS = [
+    (
+        "tile_space without the cut",
+        "semantics.py",
+        "full_mask(k) & (1 << below) - 1\n",
+        "full_mask(k)\n",
+        ["test_semantics.py", "test_characterize.py"],
+    ),
+    (
+        "budget checked after the tiles are built",
+        "semantics.py",
+        """\
+    if not within_atom_budget(k):
+        raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
+    full = full_mask(k) if below is None else full_mask(k) & (1 << below) - 1
+    return [atom_tile(k, j) & full for j in (range(k) if positions is None else positions)], full
+""",
+        """\
+    full = full_mask(k) if below is None else full_mask(k) & (1 << below) - 1
+    tiles = [atom_tile(k, j) & full for j in (range(k) if positions is None else positions)]
+    if not within_atom_budget(k):
+        raise BudgetError(f"{k} atoms exceed the budget of {ATOM_BUDGET}")
+    return tiles, full
+""",
+        ["test_semantics.py"],
+    ),
+    (
+        "a repeated conclude accepted",
+        "proofs.py",
+        """\
+            if conclusion is not None:
+                raise ParseError("duplicate conclude", span)
+""",
+        "",
+        ["test_proofs.py", "test_output_identity.py"],
+    ),
+    (
+        "a repeated assumption accepted",
+        "proofs.py",
+        """\
+            if any(a.name == assumed for a in assumptions):
+                raise ParseError(f"duplicate assumption {assumed!r}", span)
+""",
+        "",
+        ["test_proofs.py", "test_output_identity.py"],
+    ),
+    (
+        "swapped a & ~b operands",
+        "semantics.py",
+        "            return lambda t, full: a(t, full) & ~b(t, full)\n",
+        "            return lambda t, full: b(t, full) & ~a(t, full)\n",
+        ["test_semantics.py"],
+    ),
+    (
+        "a dropped free bit in _admissible",
+        "decision.py",
+        "                for bit in free:\n",
+        "                for bit in free[1:]:\n",
+        ["test_decision.py"],
+    ),
+    (
+        "the atom intern table cleared by clear_caches()",
+        "__init__.py",
+        "    semantics.compile_schema.cache_clear()\n",
+        "    semantics.compile_schema.cache_clear()\n"
+        "    from .formula import _ATOMS\n"
+        "\n"
+        "    _ATOMS.clear()\n",
+        ["test_caches.py"],
+    ),
+]
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def run_pytest(src: Path, test_files: list[str]) -> int:
+    """pytest's exit code on the test files, run against the package in src."""
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *(str(ROOT / "tests" / name) for name in test_files)],
+        cwd=src.parent,  # hypothesis keeps its example database here
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+        preexec_fn=_limit_memory,
+    ).returncode
+
+
+def copy_of_src(tmp: str) -> Path:
+    src = Path(tmp) / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    return src
+
+
+def run(mutants) -> list[str]:
+    """The problems found: survivors, stale edits and a failing baseline."""
+    problems = []
+    test_files = sorted({name for *_, files in mutants for name in files})
+    with tempfile.TemporaryDirectory() as tmp:
+        if run_pytest(copy_of_src(tmp), test_files) != 0:
+            return [f"the unedited copy fails {', '.join(test_files)}"]
+    for name, file, old, new, files in mutants:
+        start = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = copy_of_src(tmp) / "l1ax" / file
+            text = path.read_text()
+            if text.count(old) != 1:
+                problems.append(f"{name}: its old text occurs {text.count(old)} times in {file}")
+                print(f"stale     {name}")
+                continue
+            path.write_text(text.replace(old, new))
+            # exit code 1: some test failed; anything else is a survival or an error
+            survived = [f for f in files if run_pytest(path.parents[1], [f]) != 1]
+        verdict = "SURVIVED" if survived else "killed"
+        print(f"{verdict:<9} {name} ({time.perf_counter() - start:.1f} s)")
+        problems += [f"{name}: not killed by {f}" for f in survived]
+    return problems
+
+
+def main(argv: list[str]) -> int:
+    known = {m[0]: m for m in MUTANTS}
+    unknown = [name for name in argv if name not in known]
+    if unknown:
+        print(f"unknown mutants: {unknown}; known: {sorted(known)}", file=sys.stderr)
+        return 2
+    chosen = [known[name] for name in argv] or MUTANTS
+    start = time.perf_counter()
+    problems = run(chosen)
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    print(f"{len(chosen)} mutants, {len(problems)} problems, {time.perf_counter() - start:.1f} s")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -14,7 +14,7 @@ and the one-compile entailment against an atom walk and a table per formula.
 
 import itertools
 
-from l1ax.formula import Epsilon, Iff, Not, Or
+from l1ax.formula import Epsilon, Iff, Not, Or, atoms
 from l1ax.semantics import (
     SemanticsVerdict,
     Valuation,
@@ -23,7 +23,6 @@ from l1ax.semantics import (
     full_mask,
     is_tautology,
     lowest_set_bit,
-    merged_atom_order,
     truth_table,
 )
 from l1ax.substitution import (
@@ -145,6 +144,17 @@ def node_compile(formula):
     order = {}
     table = _node_closure(formula, order)
     return tuple(order), table
+
+
+def merged_atom_order(formulas):
+    """The formulas' atoms in first-occurrence order across them, by one
+    atom walk each: the order entails and are_equivalent read off their
+    compiled atom lists."""
+    order = {}
+    for f in formulas:
+        for atom in atoms(f):
+            order.setdefault(atom)
+    return tuple(order)
 
 
 def walked_entails(premises, conclusion):

@@ -10,7 +10,9 @@ than l1ax/__init__, whose imports load nothing (its attribute loads
 count). Dunder methods are exempt. A method is matched by its name alone,
 so it passes when any attribute of that name is loaded. The package itself
 re-exports nothing: a fresh `import l1ax` binds no public name but
-clear_caches and loads none of its modules.
+clear_caches and loads none of its modules. Only semantics loads atom_tile
+or ATOM_BUDGET: every table takes its valuation space from
+semantics.tile_space.
 
 It also checks that importing l1ax.cli loads every module the benchmark's
 tracer wraps: the tracer rebinds functions in the namespaces loaded when it
@@ -81,8 +83,13 @@ def loads(tree, imports=True):
             yield from (alias.name for alias in node.names)
 
 
+def module_trees():
+    """module name -> parsed source, for every module of the package."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
 def test_every_public_name_is_loaded_in_the_package():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = module_trees()
     loaded = {
         name for module, tree in trees.items() for name in loads(tree, module != "__init__")
     }
@@ -93,6 +100,19 @@ def test_every_public_name_is_loaded_in_the_package():
         if name.rsplit(".", 1)[-1] not in loaded
     )
     assert orphans == sorted(ALLOWED)
+
+
+def test_only_semantics_lays_out_a_valuation_space():
+    # every table takes its tiles, mask, cut and atom budget from
+    # semantics.tile_space, so no other module builds a tile or reads the budget
+    laid_out = {"atom_tile", "ATOM_BUDGET"}
+    users = sorted(
+        f"{module}.{name}"
+        for module, tree in module_trees().items()
+        if module != "semantics"
+        for name in laid_out.intersection(loads(tree))
+    )
+    assert users == []
 
 
 # not needed to answer a command: records compile their own methods and so

@@ -74,8 +74,23 @@ OVER_BUDGET = " | ".join([f"eps({x},{y})" for x in "abcdef" for y in "abcdef"][:
 
 MALFORMED = "s1: eps(a,b) -> eps(a,a) ; AXIOM(Ax1, {)\n"
 
+# a repeated directive, refused at its second line; if the last one won,
+# each script would check
+CONCLUDE_TWICE = (
+    "conclude: eps(a,b) -> eps(a,a)\n"
+    "conclude: eps(a,b) -> eps(a,b)\n"
+    "s1: eps(a,b) -> eps(a,b) ; TAUT\n"
+)
+ASSUME_TWICE = (
+    "assume: X := eps(a,b) -> eps(a,a)\n"
+    "assume: X := eps(a,b) -> eps(b,a)\n"
+    "s1: eps(a,b) -> eps(b,a) ; SCHEMA(X)\n"
+)
+
 ERRORS = [
     ("check-proof", "{malformed}"),
+    ("check-proof", "{conclude_twice}"),
+    ("check-proof", "{assume_twice}"),
     ("taut", "eps(a,"),
     ("taut", OVER_BUDGET),
     ("theorem", "A_M9"),
@@ -130,6 +145,8 @@ def _write_files(root: Path) -> dict[str, str]:
     files = {"proofs": str(proofs)}
     for key, name, text in (
         ("malformed", "malformed.proof", MALFORMED),
+        ("conclude_twice", "conclude_twice.proof", CONCLUDE_TWICE),
+        ("assume_twice", "assume_twice.proof", ASSUME_TWICE),
         ("tampered", "bad.proof", tampered),
         ("corpus", "mixed.schemata", CORPUS),
     ):

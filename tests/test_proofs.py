@@ -22,7 +22,7 @@ from l1ax.proofs import (
 )
 from l1ax.semantics import full_mask, truth_table
 from l1ax.substitution import Substitution
-from l1ax.syntax import ParseError, parse_formula, print_formula
+from l1ax.syntax import ParseError, SourceSpan, parse_formula, print_formula
 from oracles import all_instances
 
 EXPECTED_SCRIPTS = (
@@ -233,6 +233,35 @@ def test_duplicate_labels_rejected_at_parse():
             "t1: eps(b,b) | !eps(b,b) ; TAUT\n"
         )
     assert "duplicate" in str(exc.value)
+
+
+def test_a_repeated_conclude_is_refused_at_its_second_line():
+    # the last conclude winning would let an invalid first one check
+    text = (
+        "conclude: eps(a,b) -> eps(a,a)\n"
+        "conclude: eps(a,b) -> eps(a,b)\n"
+        "s1: eps(a,b) -> eps(a,b) ; TAUT\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_proof_script(text)
+    assert (exc.value.message, exc.value.span) == ("duplicate conclude", SourceSpan(2, 1))
+    assert check_text(text.split("\n", 1)[1]).ok
+
+
+@pytest.mark.parametrize("second_body", ["eps(a,b) -> eps(b,a)", "eps(a,b) -> eps(a,a)"])
+def test_a_repeated_assumption_is_refused_at_its_second_line(second_body):
+    # whether or not the bodies differ; with the second renamed, X is the
+    # first body, of which s1 is no instance
+    text = (
+        "name: twice\n"
+        "assume: X := eps(a,b) -> eps(a,a)\n"
+        f"assume:  X  := {second_body}\n"
+        "s1: eps(a,b) -> eps(b,a) ; SCHEMA(X)\n"
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_proof_script(text)
+    assert (exc.value.message, exc.value.span) == ("duplicate assumption 'X'", SourceSpan(3, 1))
+    assert not check_text(text.replace("assume:  X  := ", "assume: Y := ")).ok
 
 
 def test_malformed_lines_rejected_at_parse():

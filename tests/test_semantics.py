@@ -26,11 +26,17 @@ from l1ax.semantics import (
     full_mask,
     is_tautology,
     lowest_set_bit,
-    merged_atom_order,
+    tile_space,
     truth_table,
 )
 from l1ax.substitution import Substitution
-from oracles import iff_equivalence, node_compile, walked_entails, walked_equivalence
+from oracles import (
+    iff_equivalence,
+    merged_atom_order,
+    node_compile,
+    walked_entails,
+    walked_equivalence,
+)
 from test_syntax import formulas
 
 AB, BA, AA = Atom("a", "b"), Atom("b", "a"), Atom("a", "a")
@@ -276,6 +282,26 @@ def test_an_input_over_the_budget_is_refused_before_any_table(monkeypatch):
         for decide in (check, oracle):
             with pytest.raises(BudgetError, match="^31 atoms exceed the budget of 30$"):
                 decide(*args)
+
+
+def test_tile_space_is_the_atom_tiles_cut_below():
+    for k in range(7):
+        for below in (None, *range((1 << k) + 2)):
+            cut = full_mask(k) if below is None else full_mask(k) & ((1 << below) - 1)
+            tiles = [atom_tile(k, j) & cut for j in range(k)]
+            assert tile_space(k, below) == (tiles, cut), (k, below)
+            assert tile_space(k, below, positions=reversed(range(k))) == (tiles[::-1], cut)
+
+
+def test_tile_space_refuses_an_atom_over_the_budget_before_any_table(monkeypatch):
+    def refused(*args):
+        raise AssertionError(f"table work on a refused input: {args}")
+
+    for name in ("full_mask", "atom_tile"):
+        monkeypatch.setattr(semantics, name, refused)
+    for below in (None, 1):
+        with pytest.raises(BudgetError, match="^31 atoms exceed the budget of 30$"):
+            tile_space(semantics.ATOM_BUDGET + 1, below)
 
 
 def test_merged_atom_order_first_occurrence_across_formulas():
