@@ -87,6 +87,18 @@ ASSUME_TWICE = (
     "s1: eps(a,b) -> eps(b,a) ; SCHEMA(X)\n"
 )
 
+# a step whose substitution is followed by stray text
+SUBST_TRAILING = (
+    "s1: eps(a,b) -> eps(a,a) ; AXIOM(Ax1)\n"
+    "s2: eps(b,a) -> eps(b,b) ; SUBST(s1, {a->b, b->a} x)\n"
+)
+
+# a schema file whose entry uses a name of the fresh-variable pools
+RESERVED = "Mine := eps(a,u1) -> eps(a,a)\n"
+
+# nine variables make 9! renamings, beyond the sweep budget
+CHAIN9 = " & ".join(f"eps({x},{y})" for x, y in zip("abcdefgh", "bcdefghi"))
+
 ERRORS = [
     ("check-proof", "{malformed}"),
     ("check-proof", "{conclude_twice}"),
@@ -97,6 +109,11 @@ ERRORS = [
     ("theorem", "NoSuch"),
     ("qnt", "A_t", "NoSuch"),
     ("nontrivial", "Ax1"),
+    ("check-proof", "{subst_trailing}"),
+    ("theorem", "eps(a,b) & eps(c,d) & eps(e,f)"),
+    ("nontrivial", CHAIN9),
+    ("qnt", "A_M8", "Ax1"),
+    ("theorem", "Mine", "--corpus-file", "{reserved}"),
 ]
 
 CASES = [
@@ -147,6 +164,8 @@ def _write_files(root: Path) -> dict[str, str]:
         ("malformed", "malformed.proof", MALFORMED),
         ("conclude_twice", "conclude_twice.proof", CONCLUDE_TWICE),
         ("assume_twice", "assume_twice.proof", ASSUME_TWICE),
+        ("subst_trailing", "subst_trailing.proof", SUBST_TRAILING),
+        ("reserved", "reserved.schemata", RESERVED),
         ("tampered", "bad.proof", tampered),
         ("corpus", "mixed.schemata", CORPUS),
     ):
@@ -198,7 +217,8 @@ def working_python(minor: int) -> str | None:
 
 def test_the_table_covers_every_case():
     assert len(NAMES) == 30 and len(SCRIPTS) == 12
-    assert len(_argvs()) == 748 + 2 * len(ERRORS)
+    assert len(_argvs()) == 748 + 2 * len(ERRORS) == 776
+    assert len(CHAIN9.split(" & ")) == 8
     assert len(OVER_BUDGET.split(" | ")) == 31
     assert sorted(json.loads(DATA.read_text())) == sorted(map(" ".join, _argvs()))
 

@@ -330,6 +330,9 @@ def test_bundled_scripts_print_back_to_their_lines():
         ("AXIOM", ("Ax1", "Ax2"), "AXIOM takes a name and an optional substitution"),
         ("AXIOM", ("Ax1",), "AXIOM takes a name and an optional substitution"),
         ("MP", ("l1",), "MP takes two line labels"),
+        # script text never builds this one: the parser reads TAUT bare and
+        # refuses TAUT(...) as an unknown justification
+        ("TAUT", ("s1",), "TAUT cites nothing and takes no substitution"),
     ],
 )
 def test_a_built_justification_of_the_wrong_shape_is_refused(rule, cited, message):

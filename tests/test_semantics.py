@@ -28,6 +28,7 @@ from l1ax.semantics import (
     lowest_set_bit,
     tile_space,
     truth_table,
+    within_atom_budget,
 )
 from l1ax.substitution import Substitution
 from oracles import (
@@ -302,6 +303,11 @@ def test_tile_space_refuses_an_atom_over_the_budget_before_any_table(monkeypatch
     for below in (None, 1):
         with pytest.raises(BudgetError, match="^31 atoms exceed the budget of 30$"):
             tile_space(semantics.ATOM_BUDGET + 1, below)
+
+
+def test_the_atom_budget_admits_exactly_its_own_count():
+    assert within_atom_budget(semantics.ATOM_BUDGET)
+    assert not within_atom_budget(semantics.ATOM_BUDGET + 1)
 
 
 def test_merged_atom_order_first_occurrence_across_formulas():
