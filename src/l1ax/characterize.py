@@ -34,29 +34,36 @@ NAMES = ("a", "b", "c", "d")
 class RecoveryOutcome(Record):
     """Result of recovering one axiom from a schema's instances.
 
-    When recovered (always at pool_size 3), witness_maps lists the shrunken
-    instance set over a, b, c: the conjunction of the corresponding
-    instances tautologically implies the axiom, re-certified through
-    entails. Otherwise the axiom does not follow from the schema's instances
-    over any pool, and counterexample is the lowest valuation of the
-    pool_size grid satisfying every instance there but falsifying the axiom.
+    The axiom is recovered exactly when there is no counterexample. Then
+    (always at pool_size 3) witness_maps lists the shrunken instance set
+    over a, b, c: the conjunction of the corresponding instances
+    tautologically implies the axiom, re-certified through entails.
+    Otherwise the axiom does not follow from the schema's instances over
+    any pool, and counterexample is the lowest valuation of the pool_size
+    grid satisfying every instance there but falsifying the axiom.
     """
 
     axiom: SchemaEntry
-    recovered: bool
     pool_size: int
     witness_maps: tuple[Substitution, ...]
     witness_instances: tuple[Formula, ...]
     counterexample: Valuation | None
+
+    @property
+    def recovered(self) -> bool:
+        return self.counterexample is None
 
 
 class CharacterizationReport(Record):
     subject: SchemaEntry
     validity: TheoremVerdict
     recoveries: tuple[RecoveryOutcome, ...]
-    characteristic: bool
     max_pool: int
     derivation_script: str | None
+
+    @property
+    def characteristic(self) -> bool:
+        return self.validity.valid and all(r.recovered for r in self.recoveries)
 
 
 def _shrink(tables: list[int], axiom_table: int, full: int) -> tuple[int, ...]:
@@ -172,7 +179,7 @@ def recover_axioms(
                 raise RuntimeError(
                     f"counterexample for {axiom.name} from {entry.name} fails its replay"
                 )
-            result.append(RecoveryOutcome(axiom, False, max_pool, (), (), counterexample))
+            result.append(RecoveryOutcome(axiom, max_pool, (), (), counterexample))
             continue
         targets = list(itertools.product(pool, repeat=entry.arity))
         witness_maps = tuple(
@@ -185,7 +192,7 @@ def recover_axioms(
                 f"witness {'; '.join(map(str, witness_maps))} for {axiom.name} "
                 "fails its replay"
             )
-        result.append(RecoveryOutcome(axiom, True, 3, witness_maps, witness_instances, None))
+        result.append(RecoveryOutcome(axiom, 3, witness_maps, witness_instances, None))
     return tuple(result)
 
 
@@ -198,14 +205,10 @@ def characterize(entry: SchemaEntry, max_pool: int = 4) -> CharacterizationRepor
     conclusion (proofs.derivation_of), so only a script that concludes the
     body, or states no conclusion, is parsed and checked.
     """
-    validity = is_theorem(entry.body)
-    recoveries = recover_axioms(entry, max_pool=max_pool)
-    characteristic = validity.valid and all(r.recovered for r in recoveries)
     return CharacterizationReport(
         subject=entry,
-        validity=validity,
-        recoveries=recoveries,
-        characteristic=characteristic,
+        validity=is_theorem(entry.body),
+        recoveries=recover_axioms(entry, max_pool=max_pool),
         max_pool=max_pool,
         derivation_script=derivation_of(entry.body),
     )

@@ -239,9 +239,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:
-        # a fault of the program: a failed replay or a verdict without its
-        # witness, RecursionError, any KeyError but an unknown name or
-        # ValueError but an InputError, and every other exception
+        # a fault of the program: a failed replay, RecursionError, any
+        # KeyError but an unknown name or ValueError but an InputError, and
+        # every other exception
         print(f"internal error: {exc}", file=sys.stderr)
         return 3
     return code

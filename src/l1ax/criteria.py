@@ -2,8 +2,9 @@
 
 Two schemata are compared by sweeping candidate renamings of one onto the
 other and testing tautological equivalence. A successful candidate is the
-witness; when none succeeds, every candidate is refuted by a distinguishing
-valuation, so a negative verdict is as replayable as a positive one.
+witness, and a report's verdict is a property read off it; when none
+succeeds, every candidate is refuted by a distinguishing valuation, so a
+negative verdict is as replayable as a positive one.
 
 Each schema body is compiled once, by semantics.compile_schema, into its
 atoms coded over its variables and a closure that computes its truth table
@@ -75,16 +76,20 @@ class Refutation(Record):
     """A candidate map plus a valuation on which the two sides disagree.
 
     substituted_value is the value of the schema the map was applied to;
-    target_value is the value of the schema it was compared against. The
-    target replays by pointwise evaluation of the stored valuation, the
-    substituted schema by evaluating the unsubstituted one at the
-    valuation's pullback through the map's sigma (the substitution lemma).
+    target_value, its negation, is the value of the schema it was compared
+    against. The target replays by pointwise evaluation of the stored
+    valuation, the substituted schema by evaluating the unsubstituted one
+    at the valuation's pullback through the map's sigma (the substitution
+    lemma).
     """
 
     candidate: CandidateMap
     valuation: Valuation
     substituted_value: bool
-    target_value: bool
+
+    @property
+    def target_value(self) -> bool:
+        return not self.substituted_value
 
 
 class TrivialityReport(Record):
@@ -93,37 +98,55 @@ class TrivialityReport(Record):
 
     subject: SchemaEntry
     reference: SchemaEntry
-    verdict: str
     witness: CandidateMap | None
     refutations: tuple[Refutation, ...]
     map_count: int
+
+    @property
+    def verdict(self) -> str:
+        return "nontrivial" if self.witness is None else "trivial"
 
 
 class QntReport(Record):
     """Outcome of the quasi-triviality comparison of left against right.
 
-    case_used is 1 when the right schema's variables were mapped onto the
-    left's (left arity <= right arity) and 2 for the reverse.
-    witness_left_oriented re-expresses a successful map as a substitution
-    applied to the left schema whenever that is meaningful: the inverse of
-    a fresh-free case-1 map, or the case-2 map itself. hypothesis_met
-    records whether each side is nontrivial with respect to the reference
-    packaging of the axioms, the standing hypothesis of the comparison;
-    it is bookkeeping, never a gate. cross_check is set for equal-arity
-    pairs: the mirrored sweep (left's variables onto right's) must reach
-    the same verdict. refutations is empty in decide mode.
+    hypothesis_met records whether each side is nontrivial with respect to
+    the reference packaging of the axioms, the standing hypothesis of the
+    comparison; it is bookkeeping, never a gate. cross_check is set for
+    equal-arity pairs: the mirrored sweep (left's variables onto right's)
+    must reach the same verdict. refutations is empty in decide mode.
     """
 
     left: SchemaEntry
     right: SchemaEntry
-    case_used: int
-    verdict: str
     witness: CandidateMap | None
-    witness_left_oriented: Substitution | None
     refutations: tuple[Refutation, ...]
     map_count: int
     hypothesis_met: tuple[bool, bool]
     cross_check: str | None
+
+    @property
+    def case_used(self) -> int:
+        """1 when the right schema's variables were mapped onto the left's
+        (left arity <= right arity), 2 for the reverse."""
+        return 1 if self.left.arity <= self.right.arity else 2
+
+    @property
+    def verdict(self) -> str:
+        return "quasi-nontrivial" if self.witness is None else "quasi-trivial"
+
+    @property
+    def witness_left_oriented(self) -> Substitution | None:
+        """The witness as a substitution applied to the left schema, where
+        that is meaningful: the case-2 map itself, or the inverse of a
+        fresh-free case-1 map, which is a bijection."""
+        if self.witness is None:
+            return None
+        if self.case_used == 2:
+            return self.witness.sigma
+        if self.left.arity == self.right.arity:
+            return self.witness.sigma.invert()
+        return None
 
 
 @functools.cache
@@ -236,7 +259,7 @@ class _Kernel:
             or evaluate(self.target.body, valuation) == substituted_value
         ):
             raise RuntimeError(f"refutation of {cand.sigma} fails its replay")
-        return Refutation(cand, valuation, substituted_value, not substituted_value)
+        return Refutation(cand, valuation, substituted_value)
 
     def replay_witness(self, witness: CandidateMap) -> None:
         substituted = witness.sigma.apply(self.source.body)
@@ -327,33 +350,13 @@ def triviality(
     witness, refutations, count = _sweep(
         _Kernel(subject, reference, FRESH_TRIVIALITY), explain
     )
-    return TrivialityReport(
-        subject=subject,
-        reference=reference,
-        verdict="trivial" if witness else "nontrivial",
-        witness=witness,
-        refutations=refutations,
-        map_count=count,
-    )
+    return TrivialityReport(subject, reference, witness, refutations, count)
 
 
 @functools.lru_cache(maxsize=None)
 def is_nontrivial_standard(entry: SchemaEntry) -> bool:
     """The standing hypothesis: nontrivial w.r.t. the packaged axioms."""
     return triviality(entry, A_T, explain=False).verdict == "nontrivial"
-
-
-def _left_oriented(
-    left: SchemaEntry, right: SchemaEntry, case_used: int, witness: CandidateMap | None
-) -> Substitution | None:
-    if witness is None:
-        return None
-    if case_used == 2:
-        return witness.sigma
-    if left.arity == right.arity:
-        # fresh-free case-1 maps are bijections, so the inverse exists
-        return witness.sigma.invert()
-    return None
 
 
 def _mirror_cross_check(left: SchemaEntry, right: SchemaEntry, found: bool) -> str:
@@ -363,9 +366,9 @@ def _mirror_cross_check(left: SchemaEntry, right: SchemaEntry, found: bool) -> s
     return "agree" if (mirrored is not None) == found else "disagree"
 
 
-def _oriented_kernel(left: SchemaEntry, right: SchemaEntry) -> tuple[int, _Kernel]:
-    """The case and the kernel of the primary sweep of left against right,
-    as quasi_triviality's docstring sets them out."""
+def _oriented_kernel(left: SchemaEntry, right: SchemaEntry) -> _Kernel:
+    """The kernel of the primary sweep of left against right, as
+    quasi_triviality's docstring sets it out."""
     for entry in (left, right):
         if entry.arity < 3:
             raise CriterionInapplicable(
@@ -373,8 +376,8 @@ def _oriented_kernel(left: SchemaEntry, right: SchemaEntry) -> tuple[int, _Kerne
                 "the quasi-triviality comparison needs at least 3 on each side"
             )
     if left.arity <= right.arity:
-        return 1, _Kernel(right, left, FRESH_QNT_LEFT)
-    return 2, _Kernel(left, right, FRESH_QNT_RIGHT)
+        return _Kernel(right, left, FRESH_QNT_LEFT)
+    return _Kernel(left, right, FRESH_QNT_RIGHT)
 
 
 def quasi_triviality(
@@ -388,19 +391,14 @@ def quasi_triviality(
     with fresh v-variables. Equal-arity pairs also run the mirrored sweep
     as a cross-check; the definition's branch stays authoritative.
     """
-    case_used, kernel = _oriented_kernel(left, right)
-    witness, refutations, count = _sweep(kernel, explain)
-    left_oriented = _left_oriented(left, right, case_used, witness)
+    witness, refutations, count = _sweep(_oriented_kernel(left, right), explain)
     cross_check = None
     if left.arity == right.arity:
         cross_check = _mirror_cross_check(left, right, witness is not None)
     return QntReport(
         left=left,
         right=right,
-        case_used=case_used,
-        verdict="quasi-trivial" if witness else "quasi-nontrivial",
         witness=witness,
-        witness_left_oriented=left_oriented,
         refutations=refutations,
         map_count=count,
         hypothesis_met=(is_nontrivial_standard(left), is_nontrivial_standard(right)),
@@ -415,7 +413,7 @@ def is_trivial(subject: SchemaEntry, reference: SchemaEntry) -> bool:
 def is_quasi_trivial(left: SchemaEntry, right: SchemaEntry) -> bool:
     """The verdict of quasi_triviality alone: the primary sweep, without
     the mirrored cross-check or the hypothesis bookkeeping."""
-    return _sweep(_oriented_kernel(left, right)[1], explain=False)[0] is not None
+    return _sweep(_oriented_kernel(left, right), explain=False)[0] is not None
 
 
 class InapplicablePair(Record):
@@ -424,6 +422,10 @@ class InapplicablePair(Record):
     left: SchemaEntry
     right: SchemaEntry
     reason: str
+
+    @property
+    def verdict(self) -> str:
+        return "inapplicable"
 
 
 MatrixCell = QntReport | InapplicablePair

@@ -142,12 +142,15 @@ def _admissible(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 class TheoremVerdict(Record):
-    """Validity over admissible valuations, with the first counter-valuation
-    in counter order when the formula fails."""
+    """Validity over admissible valuations: the formula is valid exactly
+    when there is no counter-valuation, the first one in counter order."""
 
-    valid: bool
     pool: tuple[NameVar, ...]
     counter_valuation: Valuation | None
+
+    @property
+    def valid(self) -> bool:
+        return self.counter_valuation is None
 
 
 def is_countermodel(
@@ -197,11 +200,11 @@ def holds_in_all_admissible(formula: Formula, pool: Sequence[NameVar]) -> Theore
     formula_atoms, table = compile_formula(formula)
     violations = full & ~table([tiles[grid.index(a)] for a in formula_atoms], full)
     if violations == 0:
-        return TheoremVerdict(True, pool, None)
+        return TheoremVerdict(pool, None)
     witness = Valuation.at_counter(grid, counters[lowest_set_bit(violations)])
     if not is_countermodel(witness, formula, BASE_AXIOMS, pool):
         raise RuntimeError(f"counter-valuation {witness.counter} fails its replay")
-    return TheoremVerdict(False, pool, witness)
+    return TheoremVerdict(pool, witness)
 
 
 def is_theorem(formula: Formula) -> TheoremVerdict:

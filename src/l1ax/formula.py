@@ -33,7 +33,7 @@ class InputError(ValueError):
 
 # (field count, has __post_init__) -> make(set__hash, *field setters), which
 # returns __init__, __eq__ and __hash__ over the placeholder fields _0, _1, ...
-# One compile per shape: the 26 record classes of the package come in 10.
+# One compile per shape: the 26 record classes of the package come in 9.
 _MAKERS: dict[tuple[int, bool], Callable[..., tuple]] = {}
 
 
@@ -86,6 +86,7 @@ class _RecordType(type):
         fields = tuple(namespace.get("__annotations__", ()))
         slots = fields if bases else ("_hash",)
         cls = super().__new__(mcls, name, bases, {**namespace, "__slots__": slots})
+        cls.attributes = fields + tuple(k for k, v in namespace.items() if isinstance(v, property))
         if not bases:
             return cls
         # a slot's own descriptor sets the field past the frozen __setattr__
@@ -111,9 +112,10 @@ class Record(metaclass=_RecordType):
     when their classes are the same and their field tuples are equal, hash
     as that tuple, run __post_init__ after construction when the class has
     one, refuse assignment and deletion, and print as Name(field=value, ...).
-    Fields are not inherited: only leaf classes declare any. Atom alone
-    replaces these __init__, __eq__ and __hash__: it is interned, so equal
-    atoms are one object and compare and hash by identity.
+    Fields are not inherited: only leaf classes declare any. A class's
+    attributes are its fields, then the properties its body defines. Atom
+    alone replaces these __init__, __eq__ and __hash__: it is interned, so
+    equal atoms are one object and compare and hash by identity.
 
     The hash is computed on first use and kept, so a record used again as a
     cache key costs no walk of its fields. Copies and pickles rebuild a

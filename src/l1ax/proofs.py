@@ -102,11 +102,20 @@ class LineResult(Record):
 
 
 class ProofCheckResult(Record):
+    """failures holds the label of each failed line, then "(conclusion)",
+    which no parsed label reads, when no last line states the conclusion."""
+
     name: str
-    ok: bool
     lines: tuple[LineResult, ...]
-    conclusion_ok: bool
     failures: tuple[str, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.failures
+
+    @property
+    def conclusion_ok(self) -> bool:
+        return "(conclusion)" not in self.failures
 
 
 def _check_line(
@@ -186,20 +195,11 @@ def check_proof(script: ProofScript) -> ProofCheckResult:
         # later lines may cite this one by its stated formula either way;
         # that is what isolates a single corrupted line
         earlier[line.label] = line.formula
-    conclusion_ok = True
-    if script.conclusion is not None:
-        conclusion_ok = bool(script.lines) and (
-            script.lines[-1].formula == script.conclusion
-        )
-        if not conclusion_ok:
-            failures.append("(conclusion)")
-    return ProofCheckResult(
-        name=script.name,
-        ok=not failures,
-        lines=tuple(results),
-        conclusion_ok=conclusion_ok,
-        failures=tuple(failures),
-    )
+    if script.conclusion is not None and not (
+        script.lines and script.lines[-1].formula == script.conclusion
+    ):
+        failures.append("(conclusion)")
+    return ProofCheckResult(script.name, tuple(results), tuple(failures))
 
 
 # script text parsing

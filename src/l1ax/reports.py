@@ -1,14 +1,14 @@
 """Serialization of report objects to JSON text and terminal text.
 
-jsonable() is the one lowering: it turns every report Record into a dict
-of its fields, walking into their values: formulas become their printed
-form, schema entries their name, substitutions source-to-target maps,
-tuples lists, and valuations an atom list plus the true subset. Four
-reports differ from their fields; each is marked below. Aggregate reports
-(matrix cells, conjecture rows) carry witness data but compress refutation
-sweeps to their count; the single-pair commands expose every refutation in
-full. json_document() is the one writer of what jsonable() makes as JSON
-text.
+jsonable() is the one lowering: a report Record becomes a dict of its
+fields and its properties, the flags and verdicts it derives from its
+witnesses, each value lowered in turn: formulas become their printed form,
+schema entries their name, substitutions source-to-target maps, tuples
+lists, and valuations an atom list plus the true subset. Two reports
+differ from that rule; each is marked below. Aggregate reports (matrix
+cells, conjecture rows) carry witness data but compress refutation sweeps
+to their count; the single-pair commands expose every refutation in full.
+json_document() is the one writer of what jsonable() makes as JSON text.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from .verify import ConjectureRow, VerificationReport
 
 
 def jsonable(obj: object) -> object:
-    """The JSON-ready form of a report: its Record fields, lowered in turn."""
+    """The JSON-ready form of a report: its Record fields and properties,
+    lowered in turn."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (tuple, list)):
@@ -61,16 +62,10 @@ def jsonable(obj: object) -> object:
         }
     if not isinstance(obj, Record):
         raise TypeError(f"no JSON form for {type(obj).__name__}")
-    data = {name: jsonable(getattr(obj, name)) for name in obj.__slots__}
+    data = {name: jsonable(getattr(obj, name)) for name in obj.attributes}
     if isinstance(obj, Refutation):
         # exception: the candidate's rho and sigma sit at the top level
         data.update(data.pop("candidate"))
-    elif isinstance(obj, InapplicablePair):
-        # exception: a verdict, so every matrix cell has one
-        data["verdict"] = "inapplicable"
-    elif isinstance(obj, VerificationReport):
-        # exception: the derived overall result
-        data["ok"] = obj.ok
     return data
 
 
@@ -260,8 +255,6 @@ def theorem_text(verdict: TheoremVerdict) -> str:
     pool = ",".join(verdict.pool)
     if verdict.valid:
         return f"valid\npool: {pool}"
-    if verdict.counter_valuation is None:
-        raise RuntimeError("an invalid verdict carries no counter-valuation")
     return (
         "not valid\n"
         f"pool: {pool}\n"
@@ -272,8 +265,6 @@ def theorem_text(verdict: TheoremVerdict) -> str:
 def taut_text(verdict: SemanticsVerdict) -> str:
     if verdict.holds:
         return "tautology"
-    if verdict.witness is None:
-        raise RuntimeError("a refuted tautology check carries no counterexample")
     return f"not a tautology\ncounterexample: {valuation_text(verdict.witness)}"
 
 
@@ -283,8 +274,6 @@ def characterization_text(report: CharacterizationReport) -> str:
         lines.append(f"valid: yes (pool {','.join(report.validity.pool)})")
     else:
         lines.append("valid: no")
-        if report.validity.counter_valuation is None:
-            raise RuntimeError("an invalid verdict carries no counter-valuation")
         lines.append(
             f"counter-valuation: {valuation_text(report.validity.counter_valuation)}"
         )
@@ -301,10 +290,7 @@ def characterization_text(report: CharacterizationReport) -> str:
             lines.append(
                 f"  {rec.axiom.name}: not recovered (pools <= {rec.pool_size})"
             )
-            if rec.counterexample is not None:
-                lines.append(
-                    f"    counterexample: {valuation_text(rec.counterexample)}"
-                )
+            lines.append(f"    counterexample: {valuation_text(rec.counterexample)}")
     lines.append(f"characteristic: {_bool_text(report.characteristic)}")
     return "\n".join(lines)
 

@@ -229,10 +229,14 @@ def lowest_set_bit(mask: int) -> int:
 
 
 class SemanticsVerdict(Record):
-    """Outcome of a semantic check, carrying a replayable counterexample."""
+    """Outcome of a semantic check: it holds exactly when it carries no
+    witness, a replayable counterexample."""
 
-    holds: bool
     witness: Valuation | None
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 def is_tautology(formula: Formula) -> SemanticsVerdict:
@@ -250,8 +254,8 @@ def are_equivalent(left: Formula, right: Formula) -> SemanticsVerdict:
     order, _, (left_table, right_table) = _merged_tables([left, right])
     diff = left_table ^ right_table
     if diff == 0:
-        return SemanticsVerdict(True, None)
-    return SemanticsVerdict(False, Valuation.at_counter(order, lowest_set_bit(diff)))
+        return SemanticsVerdict(None)
+    return SemanticsVerdict(Valuation.at_counter(order, lowest_set_bit(diff)))
 
 
 def entails(premises: Sequence[Formula], conclusion: Formula) -> SemanticsVerdict:
@@ -262,6 +266,5 @@ def entails(premises: Sequence[Formula], conclusion: Formula) -> SemanticsVerdic
         satisfied &= table
     violations = satisfied & ~tables[-1]
     if violations == 0:
-        return SemanticsVerdict(True, None)
-    counter = lowest_set_bit(violations)
-    return SemanticsVerdict(False, Valuation.at_counter(order, counter))
+        return SemanticsVerdict(None)
+    return SemanticsVerdict(Valuation.at_counter(order, lowest_set_bit(violations)))

@@ -104,6 +104,34 @@ MUTANTS = [
         "    _ATOMS.clear()\n",
         ["test_caches.py"],
     ),
+    (
+        "the atom budget refusing its own count",
+        "semantics.py",
+        "    return k <= ATOM_BUDGET\n",
+        "    return k < ATOM_BUDGET\n",
+        ["test_semantics.py"],
+    ),
+    (
+        "TheoremVerdict.valid negated",
+        "decision.py",
+        "        return self.counter_valuation is None\n",
+        "        return self.counter_valuation is not None\n",
+        ["test_decision.py", "test_cli.py", "test_output_identity.py"],
+    ),
+    (
+        "QntReport.case_used 2 for equal arities",
+        "criteria.py",
+        "        return 1 if self.left.arity <= self.right.arity else 2\n",
+        "        return 1 if self.left.arity < self.right.arity else 2\n",
+        ["test_criteria.py", "test_cli.py", "test_output_identity.py"],
+    ),
+    (
+        "ProofCheckResult.conclusion_ok always true",
+        "proofs.py",
+        '        return "(conclusion)" not in self.failures\n',
+        "        return True\n",
+        ["test_proofs.py", "test_cli.py"],
+    ),
 ]
 
 

@@ -168,8 +168,8 @@ def walked_entails(premises, conclusion):
         satisfied &= table
     violations = satisfied & ~conclusion_table & full
     if violations == 0:
-        return SemanticsVerdict(True, None)
-    return SemanticsVerdict(False, Valuation.at_counter(order, lowest_set_bit(violations)))
+        return SemanticsVerdict(None)
+    return SemanticsVerdict(Valuation.at_counter(order, lowest_set_bit(violations)))
 
 
 def walked_equivalence(left, right):
@@ -177,5 +177,5 @@ def walked_equivalence(left, right):
     order = merged_atom_order([left, right])
     diff = truth_table(left, order) ^ truth_table(right, order)
     if diff == 0:
-        return SemanticsVerdict(True, None)
-    return SemanticsVerdict(False, Valuation.at_counter(order, lowest_set_bit(diff)))
+        return SemanticsVerdict(None)
+    return SemanticsVerdict(Valuation.at_counter(order, lowest_set_bit(diff)))

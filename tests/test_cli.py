@@ -17,9 +17,23 @@ from hypothesis import strategies as st
 
 import l1ax
 from l1ax import cli, reports
+from l1ax.characterize import CharacterizationReport, RecoveryOutcome, characterize
 from l1ax.cli import main
-from l1ax.formula import Atom
-from l1ax.semantics import Valuation
+from l1ax.corpus import load_corpus
+from l1ax.criteria import (
+    InapplicablePair,
+    QntReport,
+    Refutation,
+    TrivialityReport,
+    qnt_matrix,
+    quasi_triviality,
+    triviality,
+)
+from l1ax.decision import TheoremVerdict, is_theorem
+from l1ax.formula import Atom, Formula, Record, SchemaEntry
+from l1ax.proofs import ProofCheckResult, check_proof, load_proof_file
+from l1ax.semantics import SemanticsVerdict, Valuation, is_tautology
+from l1ax.substitution import CandidateMap, Substitution
 from l1ax.syntax import (
     MAX_DEPTH,
     MAX_PARENS,
@@ -29,6 +43,7 @@ from l1ax.syntax import (
     parse_formula,
     print_formula,
 )
+from l1ax.verify import ConjectureRow, VerificationItem, VerificationReport, conjecture_report
 from test_corpus import schema_files
 
 
@@ -388,6 +403,112 @@ def test_jsonable_rejects_objects_without_a_json_form():
     for value in (object(), {}):
         with pytest.raises(TypeError, match=f"no JSON form for {type(value).__name__}"):
             reports.jsonable(value)
+
+
+def test_each_derived_flag_follows_its_witness_both_ways():
+    derived = {
+        SemanticsVerdict: "holds", TheoremVerdict: "valid", RecoveryOutcome: "recovered",
+        CharacterizationReport: "characteristic", TrivialityReport: "verdict",
+        QntReport: "case_used verdict witness_left_oriented", Refutation: "target_value",
+        InapplicablePair: "verdict", ProofCheckResult: "ok conclusion_ok",
+    }
+    for cls, names in derived.items():
+        for name in names.split():
+            assert isinstance(vars(cls)[name], property) and name not in cls.__slots__
+    corpus = load_corpus()
+    three, four = corpus["A_t"], corpus["A_S1"]
+    v = Valuation((), frozenset())
+    pool = ("a", "b", "c")
+    cand = CandidateMap((2, 1, 3), Substitution.of({"a": "b", "b": "a", "c": "c"}))
+    assert SemanticsVerdict(None).holds and not SemanticsVerdict(v).holds
+    assert TheoremVerdict(pool, None).valid and not TheoremVerdict(pool, v).valid
+    found = RecoveryOutcome(three, 3, (), (), None)
+    missed = RecoveryOutcome(three, 4, (), (), v)
+    assert found.recovered and not missed.recovered
+    valid, invalid = TheoremVerdict(pool, None), TheoremVerdict(pool, v)
+    assert CharacterizationReport(three, valid, (found,) * 3, 4, None).characteristic
+    assert not CharacterizationReport(three, invalid, (found,) * 3, 4, None).characteristic
+    assert not CharacterizationReport(three, valid, (found, missed, found), 4, None).characteristic
+    assert TrivialityReport(three, three, cand, (), 3).verdict == "trivial"
+    assert TrivialityReport(three, three, None, (), 6).verdict == "nontrivial"
+    assert Refutation(cand, v, True).target_value is False
+    assert Refutation(cand, v, False).target_value is True
+    hit = QntReport(three, three, cand, (), 3, (True, True), "agree")
+    miss = QntReport(three, three, None, (), 6, (True, True), "agree")
+    assert (hit.verdict, miss.verdict) == ("quasi-trivial", "quasi-nontrivial")
+    assert hit.witness_left_oriented == cand.sigma.invert()
+    assert miss.witness_left_oriented is None
+    # case 1 maps the right side onto the left unless the left has more variables
+    assert [QntReport(a, b, None, (), 0, (True, True), None).case_used
+            for a, b in ((three, four), (four, four), (four, three))] == [1, 1, 2]
+    assert QntReport(four, three, cand, (), 1, (True, True), None).witness_left_oriented == cand.sigma
+    assert QntReport(three, four, cand, (), 1, (True, True), None).witness_left_oriented is None
+    assert InapplicablePair(three, four, "why").verdict == "inapplicable"
+    for failures, ok, conclusion_ok in (
+        ((), True, True),
+        (("s1",), False, True),
+        (("s1", "(conclusion)"), False, False),
+    ):
+        result = ProofCheckResult("p", (), failures)
+        assert (result.ok, result.conclusion_ok) == (ok, conclusion_ok), failures
+
+
+def records_within(value):
+    """Every record jsonable lowers by its one rule, value included, found
+    through fields, tuples and dict values."""
+    if isinstance(value, (tuple, list)):
+        return [r for item in value for r in records_within(item)]
+    if isinstance(value, dict):
+        return records_within(list(value.values()))
+    if isinstance(value, Record) and not isinstance(
+        value, (Formula, SchemaEntry, Substitution, Valuation)
+    ):
+        found = [value]
+        for name in type(value).__slots__:
+            found += records_within(getattr(value, name))
+        return found
+    return []
+
+
+def test_jsonable_lowers_a_record_to_its_fields_and_properties():
+    corpus = load_corpus()
+    proof = Path(l1ax.__file__).with_name("proofs") / "s3_from_base.proof"
+    top = [
+        is_tautology(parse_formula("eps(a,b) -> eps(b,a)")),
+        is_tautology(parse_formula("eps(a,b) | !eps(a,b)")),
+        is_theorem(corpus["A_M8"].body),
+        is_theorem(parse_formula("eps(a,b) -> eps(b,a)")),
+        characterize(corpus["A_M8"]),
+        characterize(corpus["A_S3"]),
+        triviality(corpus["A_M8"], corpus["A_t"]),
+        quasi_triviality(corpus["A_S1"], corpus["A_S2"]),
+        *qnt_matrix([corpus["A_t"], corpus["Ax1"]]).values(),
+        check_proof(load_proof_file(proof)),
+        VerificationReport((VerificationItem("item", True, "detail"),)),
+        *conjecture_report(corpus)[:1],
+    ]
+    seen = set()
+    for record in records_within(top):
+        cls = type(record)
+        seen.add(cls)
+        data = reports.jsonable(record)
+        if isinstance(record, ConjectureRow):
+            # the exception: a whole schema entry and compressed sweeps
+            assert sorted(data) == [
+                "characterization", "comparisons", "nontriviality", "schema"
+            ]
+            continue
+        keys = set(cls.__slots__) | {n for n, v in vars(cls).items() if isinstance(v, property)}
+        if isinstance(record, Refutation):
+            # the exception: the candidate's rho and sigma at the top level
+            keys = keys - {"candidate"} | {"rho", "sigma"}
+        assert set(data) == keys, cls.__name__
+    derived = {
+        SemanticsVerdict, TheoremVerdict, RecoveryOutcome, CharacterizationReport,
+        TrivialityReport, QntReport, Refutation, InapplicablePair, ProofCheckResult,
+        VerificationReport,
+    }
+    assert derived <= seen
 
 
 # the values jsonable makes, with text that needs escaping and ints of any size
@@ -779,7 +900,8 @@ def test_an_internal_fault_exits_3_on_one_line(capsys, monkeypatch):
 
 
 def test_a_witness_that_fails_its_replay_in_decide_mode_exits_3(capsys, monkeypatch):
-    never = l1ax.semantics.SemanticsVerdict(False, None)
+    # a verdict that carries a counterexample never holds
+    never = l1ax.semantics.SemanticsVerdict(l1ax.semantics.Valuation((), frozenset()))
     monkeypatch.setattr(l1ax.criteria, "are_equivalent", lambda a, b: never)
     code, out, err = run(capsys, "matrix")
     assert (code, out) == (3, "")

@@ -331,7 +331,7 @@ print(len(compiled), sorted(formula._MAKERS))
 
 def test_each_record_shape_is_compiled_once():
     shapes = sorted({record_shape(cls) for cls in record_classes()})
-    assert len(shapes) == 10
+    assert len(shapes) == 9
     src = os.path.dirname(os.path.dirname(l1ax.__file__))
     out = subprocess.run(
         [sys.executable, "-c", COUNT_RECORD_COMPILES],
