@@ -99,6 +99,18 @@ RESERVED = "Mine := eps(a,u1) -> eps(a,a)\n"
 # nine variables make 9! renamings, beyond the sweep budget
 CHAIN9 = " & ".join(f"eps({x},{y})" for x, y in zip("abcdefgh", "bcdefghi"))
 
+# one level past each of the parser's depth and parenthesis bounds, and an
+# iff chain that expands past its size bound
+DEEP_NOT = "!" * 201 + "eps(a,b)"
+DEEP_PARENS = "(" * 101 + "eps(a,b)" + ")" * 101
+IFF_CHAIN = " <-> ".join(["eps(a,b)"] * 19)
+
+# a substitution whose source is an atom, not a variable
+SUBST_ATOM = (
+    "s1: eps(a,b) -> eps(a,a) ; AXIOM(Ax1)\n"
+    "s2: eps(c,b) -> eps(c,c) ; SUBST(s1, {eps(a,b)->c})\n"
+)
+
 ERRORS = [
     ("check-proof", "{malformed}"),
     ("check-proof", "{conclude_twice}"),
@@ -114,6 +126,15 @@ ERRORS = [
     ("nontrivial", CHAIN9),
     ("qnt", "A_M8", "Ax1"),
     ("theorem", "Mine", "--corpus-file", "{reserved}"),
+    ("taut", "eps(a,b) eps(c,d)"),
+    ("taut", "eps(eps,a)"),
+    ("taut", "eps(a b)"),
+    ("taut", "epsx(a,b)"),
+    ("taut", "eps(a,b) $"),
+    ("taut", DEEP_NOT),
+    ("taut", DEEP_PARENS),
+    ("taut", IFF_CHAIN),
+    ("check-proof", "{subst_atom}"),
 ]
 
 CASES = [
@@ -165,6 +186,7 @@ def _write_files(root: Path) -> dict[str, str]:
         ("conclude_twice", "conclude_twice.proof", CONCLUDE_TWICE),
         ("assume_twice", "assume_twice.proof", ASSUME_TWICE),
         ("subst_trailing", "subst_trailing.proof", SUBST_TRAILING),
+        ("subst_atom", "subst_atom.proof", SUBST_ATOM),
         ("reserved", "reserved.schemata", RESERVED),
         ("tampered", "bad.proof", tampered),
         ("corpus", "mixed.schemata", CORPUS),
@@ -217,7 +239,7 @@ def working_python(minor: int) -> str | None:
 
 def test_the_table_covers_every_case():
     assert len(NAMES) == 30 and len(SCRIPTS) == 12
-    assert len(_argvs()) == 748 + 2 * len(ERRORS) == 776
+    assert len(_argvs()) == 748 + 2 * len(ERRORS) == 794
     assert len(CHAIN9.split(" & ")) == 8
     assert len(OVER_BUDGET.split(" | ")) == 31
     assert sorted(json.loads(DATA.read_text())) == sorted(map(" ".join, _argvs()))
