@@ -28,10 +28,11 @@ repeated assume: name is a parse error, as a repeated step label is.
 from __future__ import annotations
 
 import functools
+import os
 from pathlib import Path
 
 from .axioms import AXIOMS_BY_NAME
-from .formula import Formula, Implies, InputError, Record, SchemaEntry
+from .formula import Atom, Formula, Implies, InputError, Record, SchemaEntry, atoms
 from .semantics import entails, is_tautology
 from .substitution import Substitution
 from .syntax import (
@@ -39,6 +40,7 @@ from .syntax import (
     SourceSpan,
     parse_formula,
     parse_substitution_mapping,
+    scanned_atoms,
     split_lines,
 )
 
@@ -326,8 +328,13 @@ def load_proof_file(path: str | Path) -> ProofScript:
 def _bundled_texts() -> list[tuple[str, str]]:
     """(file stem, text) of every script in the proofs/ data directory, in
     file-name order."""
-    root = Path(__file__).with_name("proofs")
-    return [(path.stem, path.read_text()) for path in sorted(root.glob("*.proof"))]
+    root = os.path.join(os.path.dirname(__file__), "proofs")
+    texts = []
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".proof"):
+            with open(os.path.join(root, name)) as f:
+                texts.append((name[: -len(".proof")], f.read()))
+    return texts
 
 
 def bundled_scripts() -> dict[str, ProofScript]:
@@ -361,17 +368,22 @@ def derived_conclusions() -> dict[Formula, str]:
     return out
 
 
+# a stated conclusion, unparsed: its atoms, text, line and column
+_Stated = tuple[frozenset[Atom], str, int, int]
+
+
 @functools.cache
-def _directive_index() -> tuple[tuple[Formula | None, str, str], ...]:
+def _directive_index() -> tuple[tuple[_Stated | None, str, str], ...]:
     """(stated conclusion or None, file stem, text) of every
     assumption-free bundled script, in bundled_scripts() order.
 
-    Only the directive lines are read, and of the formulas only the
-    conclude: of an assumption-free script is parsed, once the scan has
-    kept its text and position. Like bundled_scripts(), a later file with
-    the same name: replaces an earlier one in the earlier one's place.
+    Only the directive lines are read, and no formula is parsed: the
+    conclude: of an assumption-free script is kept as its text and
+    position, keyed by the atoms its tokens scan to. Like
+    bundled_scripts(), a later file with the same name: replaces an earlier
+    one in the earlier one's place.
     """
-    by_name: dict[str, tuple[bool, tuple[str, int, int] | None, str, str]] = {}
+    by_name: dict[str, tuple[bool, _Stated | None, str, str]] = {}
     for stem, text in _bundled_texts():
         name, assumes, stated = stem, False, None
         for lineno, head, rest, column in split_lines(text, ":", _LINE_FORM):
@@ -380,17 +392,13 @@ def _directive_index() -> tuple[tuple[Formula | None, str, str], ...]:
             elif head == "assume":
                 assumes = True
             elif head == "conclude":
-                stated = (rest, lineno, column)
+                stated = (scanned_atoms(rest), rest, lineno, column)
         by_name[name] = (assumes, stated, stem, text)
-    index = []
-    for assumes, stated, stem, text in by_name.values():
-        if not assumes:
-            conclusion = None
-            if stated is not None:
-                rest, lineno, column = stated
-                conclusion = parse_formula(rest, line=lineno, column=column)
-            index.append((conclusion, stem, text))
-    return tuple(index)
+    return tuple(
+        (stated, stem, text)
+        for assumes, stated, stem, text in by_name.values()
+        if not assumes
+    )
 
 
 def derivation_of(formula: Formula) -> str | None:
@@ -399,15 +407,21 @@ def derivation_of(formula: Formula) -> str | None:
 
     A script that states a conclusion checks only if its last line is that
     conclusion, so only scripts stating formula, or stating none, can be
-    the answer. Those alone are parsed and checked, in bundled_scripts()
-    order, and the first that checks and ends in formula is returned. A
-    script that does not parse fails derived_conclusions() outright, but
-    fails here only when this lookup parses the broken part: the conclude:
-    of an assumption-free script, or a script it checks.
+    the answer. A stated conclusion is parsed only if its atoms are those
+    of formula, as they are whenever it is formula. The scripts that state
+    formula, or none, are parsed and checked in bundled_scripts() order,
+    and the first that checks and ends in formula is returned. A script
+    that does not parse fails derived_conclusions() outright, but fails
+    here only when this lookup parses the broken part: the conclude: of an
+    assumption-free script whose atoms are formula's, or a script it
+    checks.
     """
-    for conclusion, stem, text in _directive_index():
-        if conclusion is not None and conclusion != formula:
-            continue
+    wanted = frozenset(atoms(formula))
+    for stated, stem, text in _directive_index():
+        if stated is not None:
+            scanned, rest, lineno, column = stated
+            if scanned != wanted or parse_formula(rest, line=lineno, column=column) != formula:
+                continue
         script = parse_proof_script(text, default_name=stem)
         if script.lines[-1].formula == formula and check_proof(script).ok:
             return script.name

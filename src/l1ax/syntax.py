@@ -11,8 +11,13 @@ Grammar (binding from loosest to tightest):
     var     := [a-z][a-z0-9_]*           'eps' is reserved
 
 One compiled regex splits the input into token strings; the parser reads
-them by index. Positions are not tracked per token: a ParseError's span is
-worked out from the offset of the offending token when it is raised. A
+them by index. A well-formed atom, 'eps(' var ',' var ')' with blanks
+allowed between its parts, is one token, which the parser turns straight
+into an Epsilon; any other text scans into operators, words and single
+characters, and fails as it would if atoms were scanned part by part. An
+error message quotes an atom token as 'eps', its first part. Positions are
+not tracked per token: a ParseError's span is worked out from the offset
+of the offending token when it is raised. A
 formula deeper than MAX_DEPTH, one that desugars to more than MAX_SIZE nodes,
 or parentheses nested deeper than MAX_PARENS, are refused with a ParseError.
 
@@ -72,11 +77,24 @@ MAX_PARENS = 100
 # 35 nodes and proof-script formulas to 46.
 MAX_SIZE = 4096
 
-# one token after optional blanks: an operator, a word (\w is exactly
-# str.isalnum() or "_"), or any other single character, refused below.
-# The scan ends at the last token, so blanks are always followed by one.
-_TOKEN = re.compile(r"[ \t\r\n]*(<->|->|[(),!&|{}]|\w+|.)")
+# one token after optional blanks: a whole atom (two valid variable names,
+# neither 'eps'), an operator, a word (\w is exactly str.isalnum() or "_"),
+# or any other single character, refused below. The scan ends at the last
+# token, so blanks are always followed by one.
+_VAR = r"[ \t\r\n]*(?!eps\b)[a-z][a-z0-9_]*[ \t\r\n]*"
+_TOKEN = re.compile(rf"[ \t\r\n]*(eps[ \t\r\n]*\({_VAR},{_VAR}\)|<->|->|[(),!&|{{}}]|\w+|.)")
 _PUNCT = frozenset(("<->", "->", "(", ")", ",", "!", "&", "|", "{", "}"))
+_NAME = re.compile(r"[a-z][a-z0-9_]*")
+
+
+def _is_atom(tok: str) -> bool:
+    # no other token is longer than one character and ends in ')'
+    return tok[-1:] == ")" and len(tok) > 1
+
+
+def _quoted(tok: str) -> str:
+    """tok as a message quotes it: an atom token by its first part."""
+    return repr("eps" if _is_atom(tok) else tok)
 
 
 class _Parser:
@@ -178,6 +196,9 @@ class _Parser:
         op = self.pos
         self.bound(nest, op)
         tok = self.tokens[op]
+        if _is_atom(tok):
+            self.pos += 1
+            return Epsilon(Atom(*_NAME.findall(tok, 3))), 1, 1
         if tok == "!":
             self.pos += 1
             operand, depth, size = self.parse_not(nest + 1)
@@ -192,6 +213,7 @@ class _Parser:
             self.parens -= 1
             return inner
         if tok == "eps":
+            # not scanned as an atom, so malformed: find its first error
             self.pos += 1
             self.expect("(", "'(' after eps")
             subject = self.parse_variable()
@@ -206,7 +228,7 @@ class _Parser:
         if not tok or tok in _PUNCT:
             raise self.error("expected a variable", self.pos)
         if not is_valid_variable(tok):
-            raise self.error(f"invalid variable name {tok!r}", self.pos)
+            raise self.error(f"invalid variable name {_quoted(tok)}", self.pos)
         self.pos += 1
         return tok
 
@@ -239,8 +261,15 @@ def parse_formula(text: str, line: int = 1, column: int = 1) -> Formula:
     formula = parser.parse_formula(0)[0]
     tok = parser.tokens[parser.pos]
     if tok:
-        raise parser.error(f"unexpected {tok!r} after formula", parser.pos)
+        raise parser.error(f"unexpected {_quoted(tok)} after formula", parser.pos)
     return formula
+
+
+def scanned_atoms(text: str) -> frozenset[Atom]:
+    """The atoms of text's atom tokens, parsing nothing: if text parses as
+    a formula, exactly that formula's atoms."""
+    tokens = _TOKEN.findall(text, 0, len(text.rstrip(" \t\r\n")))
+    return frozenset(Atom(*_NAME.findall(tok, 3)) for tok in tokens if _is_atom(tok))
 
 
 def parse_substitution_mapping(text: str, line: int = 1, column: int = 1) -> dict[str, str]:
@@ -249,7 +278,7 @@ def parse_substitution_mapping(text: str, line: int = 1, column: int = 1) -> dic
     mapping = parser.parse_substitution_body()
     tok = parser.tokens[parser.pos]
     if tok:
-        raise parser.error(f"unexpected {tok!r} after substitution", parser.pos)
+        raise parser.error(f"unexpected {_quoted(tok)} after substitution", parser.pos)
     return mapping
 
 

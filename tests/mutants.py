@@ -132,6 +132,37 @@ MUTANTS = [
         "        return True\n",
         ["test_proofs.py", "test_cli.py"],
     ),
+    (
+        "the atom token admits eps as a name",
+        "syntax.py",
+        '_VAR = r"[ \\t\\r\\n]*(?!eps\\b)[a-z][a-z0-9_]*[ \\t\\r\\n]*"\n',
+        '_VAR = r"[ \\t\\r\\n]*[a-z][a-z0-9_]*[ \\t\\r\\n]*"\n',
+        ["test_syntax.py", "test_output_identity.py"],
+    ),
+    (
+        "the lookup key built from subjects only",
+        "proofs.py",
+        """\
+    wanted = frozenset(atoms(formula))
+    for stated, stem, text in _directive_index():
+        if stated is not None:
+            scanned, rest, lineno, column = stated
+            if scanned != wanted or""",
+        """\
+    wanted = {atom.subject for atom in atoms(formula)}
+    for stated, stem, text in _directive_index():
+        if stated is not None:
+            scanned, rest, lineno, column = stated
+            if {atom.subject for atom in scanned} != wanted or""",
+        ["test_proofs.py"],
+    ),
+    (
+        "the bundled scripts read in directory order",
+        "proofs.py",
+        "    for name in sorted(os.listdir(root)):\n",
+        "    for name in os.listdir(root):\n",
+        ["test_proofs.py"],
+    ),
 ]
 
 

@@ -1,5 +1,7 @@
 """The derivation kernel: script parsing, line checking, fault isolation."""
 
+import os
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +26,7 @@ from l1ax.semantics import full_mask, truth_table
 from l1ax.substitution import Substitution
 from l1ax.syntax import ParseError, SourceSpan, parse_formula, print_formula
 from oracles import all_instances
+from test_cli import RENAMED_A_M8
 
 EXPECTED_SCRIPTS = (
     "at1_from_s3",
@@ -491,21 +494,79 @@ def test_a_later_file_of_the_same_name_replaces_the_earlier(corpus, tamper):
     assert proofs.derivation_of(corpus["A_S3"].body) is None
 
 
-def test_the_directive_index_parses_only_the_conclusions_it_keeps(monkeypatch):
-    parsed = []
+@pytest.fixture
+def conclusion_parses(monkeypatch):
+    """The formula texts proofs parses outside parse_proof_script: the
+    stated conclusions a lookup parses. The caches are dropped before and
+    after."""
+    parsed, scripts = [], []
 
-    def counted(text, **kwargs):
-        parsed.append(text)
+    def counted_formula(text, **kwargs):
+        if not scripts:
+            parsed.append(text)
         return parse_formula(text, **kwargs)
 
-    monkeypatch.setattr(proofs, "parse_formula", counted)
+    def counted_script(text, **kwargs):
+        scripts.append(text)
+        try:
+            return parse_proof_script(text, **kwargs)
+        finally:
+            scripts.pop()
+
+    monkeypatch.setattr(proofs, "parse_formula", counted_formula)
+    monkeypatch.setattr(proofs, "parse_proof_script", counted_script)
+    l1ax.clear_caches()
+    yield parsed
+    l1ax.clear_caches()
+
+
+def test_the_directive_index_parses_nothing(conclusion_parses):
+    index = proofs._directive_index()
+    # 12 bundled scripts, 6 of them with assume: lines
+    assert sum(stated is not None for stated, _, _ in index) == 6
+    assert conclusion_parses == []
+
+
+@pytest.mark.parametrize(
+    "schema, script, parsed",
+    [
+        ("A_M8", "m8_from_base", ["m8_from_base"]),
+        # s1's conclusion has the atoms of A_S3Nd's
+        ("A_S3Nd", "s3nd_from_base", ["s1_from_base", "s3nd_from_base"]),
+        (RENAMED_A_M8, None, []),
+        ("A_t", None, []),
+    ],
+    ids=["A_M8", "A_S3Nd", "renamed-A_M8", "A_t"],
+)
+def test_a_lookup_parses_only_the_conclusions_with_its_atoms(
+    conclusion_parses, corpus, schema, script, parsed
+):
+    body = corpus[schema].body if schema in corpus else parse_formula(schema)
+    assert proofs.derivation_of(body) == script
+    conclusions = [bundled_scripts()[name].conclusion for name in parsed]
+    assert [parse_formula(text) for text in conclusion_parses] == conclusions
+
+
+def test_a_malformed_conclusion_fails_only_a_lookup_with_its_atoms(monkeypatch, corpus):
+    texts = [
+        (stem, text.replace("conclude:", "conclude: eps(a,b) ) #", 1) if stem == "m8_from_base" else text)
+        for stem, text in proofs._bundled_texts()
+    ]
+    monkeypatch.setattr(proofs, "_bundled_texts", lambda: texts)
     l1ax.clear_caches()
     try:
-        index = proofs._directive_index()
+        assert proofs.derivation_of(corpus["A_S1"].body) == "s1_from_base"
+        with pytest.raises(ParseError):
+            proofs.derivation_of(eps("a", "b"))
     finally:
         l1ax.clear_caches()
-    # 12 bundled scripts, 6 of them with assume: lines and left unparsed
-    assert len(parsed) == 6 == sum(conclusion is not None for conclusion, _, _ in index)
+
+
+def test_the_bundled_texts_come_in_file_name_order(monkeypatch):
+    listdir = os.listdir
+    monkeypatch.setattr(os, "listdir", lambda path: listdir(path)[::-1])
+    stems = [stem for stem, _ in proofs._bundled_texts()]
+    assert stems == list(EXPECTED_SCRIPTS)
 
 
 def test_a_malformed_conclusion_behind_assume_lines_fails_only_the_full_map(

@@ -40,6 +40,7 @@ from l1ax.syntax import (
     parse_schema_file,
     parse_substitution_mapping,
     print_formula,
+    scanned_atoms,
 )
 
 ab, ba, cd, aa = eps("a", "b"), eps("b", "a"), eps("c", "d"), eps("a", "a")
@@ -432,6 +433,45 @@ def test_parse_substitution_mapping_matches_the_reference(text, line, column):
     assert outcome(parse_substitution_mapping, text, line, column) == outcome(
         reference_parse_substitution_mapping, text, line, column
     )
+
+
+# atoms side by side, in a substitution, spread over lines, with 'eps' as a
+# name, misspelt, followed by a word, with an uppercase name and unclosed:
+# the junk above seldom draws these next to a well-formed atom token
+ATOM_SHAPED = [
+    "eps(a,b) eps(c,d)",
+    "{eps(a,b)->c}",
+    "{a->eps(b,c)}",
+    "{} eps(a,b)",
+    "eps ( a ,\n b )",
+    "eps(eps,a)",
+    "eps(a,eps)",
+    "eps(eps(a,b),c)",
+    "epsx(a,b)",
+    "eps(a,b)c",
+    "eps(A,b)",
+    "eps(a,b",
+]
+
+
+@pytest.mark.parametrize("text", ATOM_SHAPED)
+@pytest.mark.parametrize(
+    "parse, reference",
+    [
+        (parse_formula, reference_parse_formula),
+        (parse_substitution_mapping, reference_parse_substitution_mapping),
+    ],
+    ids=["formula", "substitution"],
+)
+def test_atom_shaped_input_parses_as_the_reference_parses_it(parse, reference, text):
+    assert outcome(parse, text, 2, 7) == outcome(reference, text, 2, 7)
+
+
+@given(st.one_of(texts, st.sampled_from(ATOM_SHAPED)))
+def test_scanned_atoms_are_the_atoms_of_what_parses(text):
+    parsed = outcome(parse_formula, text)
+    if not isinstance(parsed, tuple):
+        assert scanned_atoms(text) == frozenset(atoms(parsed))
 
 
 # "X1" twice, so that duplicate definitions are drawn often
