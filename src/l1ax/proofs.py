@@ -327,13 +327,13 @@ def load_proof_file(path: str | Path) -> ProofScript:
 
 def _bundled_texts() -> list[tuple[str, str]]:
     """(file stem, text) of every script in the proofs/ data directory, in
-    file-name order."""
+    file-name order, decoded as UTF-8."""
     root = os.path.join(os.path.dirname(__file__), "proofs")
     texts = []
     for name in sorted(os.listdir(root)):
         if name.endswith(".proof"):
-            with open(os.path.join(root, name)) as f:
-                texts.append((name[: -len(".proof")], f.read()))
+            with open(os.path.join(root, name), "rb") as f:
+                texts.append((name[: -len(".proof")], f.read().decode()))
     return texts
 
 
@@ -383,7 +383,7 @@ def _directive_index() -> tuple[tuple[_Stated | None, str, str], ...]:
     bundled_scripts(), a later file with the same name: replaces an earlier
     one in the earlier one's place.
     """
-    by_name: dict[str, tuple[bool, _Stated | None, str, str]] = {}
+    by_name: dict[str, tuple[bool, tuple[str, int, int] | None, str, str]] = {}
     for stem, text in _bundled_texts():
         name, assumes, stated = stem, False, None
         for lineno, head, rest, column in split_lines(text, ":", _LINE_FORM):
@@ -392,10 +392,10 @@ def _directive_index() -> tuple[tuple[_Stated | None, str, str], ...]:
             elif head == "assume":
                 assumes = True
             elif head == "conclude":
-                stated = (scanned_atoms(rest), rest, lineno, column)
+                stated = (rest, lineno, column)
         by_name[name] = (assumes, stated, stem, text)
     return tuple(
-        (stated, stem, text)
+        (None if stated is None else (scanned_atoms(stated[0]), *stated), stem, text)
         for assumes, stated, stem, text in by_name.values()
         if not assumes
     )

@@ -269,7 +269,9 @@ def scanned_atoms(text: str) -> frozenset[Atom]:
     """The atoms of text's atom tokens, parsing nothing: if text parses as
     a formula, exactly that formula's atoms."""
     tokens = _TOKEN.findall(text, 0, len(text.rstrip(" \t\r\n")))
-    return frozenset(Atom(*_NAME.findall(tok, 3)) for tok in tokens if _is_atom(tok))
+    # past its 'eps', an atom token holds only its two names as words
+    names = _NAME.findall("".join([tok[3:] for tok in tokens if _is_atom(tok)]))
+    return frozenset(map(Atom, names[::2], names[1::2]))
 
 
 def parse_substitution_mapping(text: str, line: int = 1, column: int = 1) -> dict[str, str]:

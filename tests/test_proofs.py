@@ -548,10 +548,9 @@ def test_a_lookup_parses_only_the_conclusions_with_its_atoms(
 
 
 def test_a_malformed_conclusion_fails_only_a_lookup_with_its_atoms(monkeypatch, corpus):
-    texts = [
-        (stem, text.replace("conclude:", "conclude: eps(a,b) ) #", 1) if stem == "m8_from_base" else text)
-        for stem, text in proofs._bundled_texts()
-    ]
+    """m8_from_base's conclude: reads 'eps(a,b) )', the rest of it a comment."""
+    broken = bundled_text("m8_from_base").replace("conclude:", "conclude: eps(a,b) ) #", 1)
+    texts = replacing("m8_from_base", broken)(proofs._bundled_texts())
     monkeypatch.setattr(proofs, "_bundled_texts", lambda: texts)
     l1ax.clear_caches()
     try:
