@@ -6,7 +6,8 @@ a path that a message prints reads as its placeholder. It is the one byte
 gate on the command line. It covers every corpus name under the
 single-schema commands, 14 x 14 qnt pairs, the bundled proof scripts, the
 corpus-wide commands, formula text, default flags, a schema file, a
-tampered script and refused inputs, each as text and with --json. Every
+tampered script, a script whose every step fails and refused inputs, each
+as text and with --json. Every
 command and every option it declares is in some argv both ways. Output
 that depends on set or dict order, such as an order that follows string
 hashes or object addresses, shows as a changed row: run the table again
@@ -111,6 +112,47 @@ SUBST_ATOM = (
     "s2: eps(c,b) -> eps(c,c) ; SUBST(s1, {eps(a,b)->c})\n"
 )
 
+# one script per refusal of the proof parser: a line without ':', a
+# malformed directive, a bad step, no steps, a malformed justification of
+# each kind, and a substitution that maps one variable twice
+AX1 = "eps(a,b) -> eps(a,a)"
+REFUSED_SCRIPTS = {
+    "no_colon": f"s1 {AX1} ; AXIOM(Ax1)\n",
+    "assume_without_def": f"assume: X = {AX1}\ns1: {AX1} ; SCHEMA(X)\n",
+    "meta_without_eq": f"meta: reconstructed\ns1: {AX1} ; AXIOM(Ax1)\n",
+    "bad_label": f"s-1: {AX1} ; AXIOM(Ax1)\n",
+    "label_twice": f"s1: {AX1} ; AXIOM(Ax1)\ns1: {AX1} ; AXIOM(Ax1)\n",
+    "no_semicolon": f"s1: {AX1} AXIOM(Ax1)\n",
+    "no_steps": f"conclude: {AX1}\n",
+    "bare_axiom": f"s1: {AX1} ; AXIOM Ax1\n",
+    "unknown_rule": f"s1: {AX1} ; AXIOM(Ax1)\ns2: {AX1} ; FOO(s1)\n",
+    "taut_parens": "s1: eps(a,b) | !eps(a,b) ; TAUT()\n",
+    "mp_one_label": f"s1: {AX1} ; AXIOM(Ax1)\ns2: {AX1} ; MP(s1)\n",
+    "tautconseq_empty": f"s1: {AX1} ; TAUTCONSEQ()\n",
+    "subst_without_sigma": f"s1: {AX1} ; AXIOM(Ax1)\ns2: {AX1} ; SUBST(s1)\n",
+    "axiom_three_args": "s1: eps(b,a) -> eps(b,b) ; AXIOM(Ax1, {a->b}, x)\n",
+    "mp_empty_label": f"s1: {AX1} ; AXIOM(Ax1)\ns2: {AX1} ; MP(, s1)\n",
+    "source_twice": (
+        f"s1: {AX1} ; AXIOM(Ax1)\n"
+        "s2: eps(b,a) -> eps(b,b) ; SUBST(s1, {a->b, a->c})\n"
+    ),
+}
+
+# a script that parses and whose every step fails a different rule: TAUT,
+# an unknown axiom, a schema not assumed, a later line cited, MP, SUBST and
+# TAUTCONSEQ; the last line does not state the conclusion either
+FAILING_STEPS = """\
+assume: X := eps(a,b) -> eps(b,a)
+conclude: eps(a,b) -> eps(b,a)
+t1: eps(a,b) ; TAUT
+t2: eps(a,b) -> eps(a,a) ; AXIOM(Ax9)
+t3: eps(a,b) -> eps(a,a) ; SCHEMA(Y)
+t4: eps(a,b) -> eps(a,a) ; TAUTCONSEQ(t5)
+t5: eps(b,b) ; MP(t1, t2)
+t6: eps(c,d) -> eps(c,c) ; SUBST(t2, {a->b})
+t7: eps(b,a) ; TAUTCONSEQ(t1)
+"""
+
 ERRORS = [
     ("check-proof", "{malformed}"),
     ("check-proof", "{conclude_twice}"),
@@ -135,6 +177,7 @@ ERRORS = [
     ("taut", DEEP_PARENS),
     ("taut", IFF_CHAIN),
     ("check-proof", "{subst_atom}"),
+    *(("check-proof", "{" + key + "}") for key in REFUSED_SCRIPTS),
 ]
 
 CASES = [
@@ -167,6 +210,7 @@ CASES = [
     ("theorem", "Mine", "--corpus-file", "{corpus}"),
     ("matrix", "--corpus", "{corpus}"),
     ("check-proof", "{tampered}"),
+    ("check-proof", "{failing_steps}"),
     *ERRORS,
 ]
 
@@ -190,6 +234,8 @@ def _write_files(root: Path) -> dict[str, str]:
         ("reserved", "reserved.schemata", RESERVED),
         ("tampered", "bad.proof", tampered),
         ("corpus", "mixed.schemata", CORPUS),
+        ("failing_steps", "failing_steps.proof", FAILING_STEPS),
+        *((key, key + ".proof", text) for key, text in REFUSED_SCRIPTS.items()),
     ):
         (root / name).write_text(text)
         files[key] = str(root / name)
@@ -239,7 +285,7 @@ def working_python(minor: int) -> str | None:
 
 def test_the_table_covers_every_case():
     assert len(NAMES) == 30 and len(SCRIPTS) == 12
-    assert len(_argvs()) == 748 + 2 * len(ERRORS) == 794
+    assert len(_argvs()) == 750 + 2 * len(ERRORS) == 828
     assert len(CHAIN9.split(" & ")) == 8
     assert len(OVER_BUDGET.split(" | ")) == 31
     assert sorted(json.loads(DATA.read_text())) == sorted(map(" ".join, _argvs()))
