@@ -3,8 +3,9 @@
 Exit codes: 0 when the requested verdict was computed (whatever it is),
 1 when a proof check or the verification battery reports failures,
 2 for usage problems — parse errors, unknown names, a comparison the
-criteria do not cover, an input beyond a size limit — or a standard
-output that cannot be written (a closed pipe, a full disk), and 3 for an
+criteria do not cover, an input beyond a size limit, a file that is not
+UTF-8 text — or a standard output that cannot be written (a closed pipe, a
+full disk, an encoding that lacks a character of the answer), and 3 for an
 internal fault: any other exception, such as a witness that fails its
 replay, a KeyError but an unknown name or a ValueError but an InputError,
 reported on one stderr line with nothing on stdout.
@@ -232,9 +233,14 @@ def main(argv: list[str] | None = None) -> int:
             # again on the text still buffered, and exit 120
             sys.stdout = None
             raise
+        except UnicodeEncodeError as exc:
+            # a character that the encoding of stdout lacks: the answer is
+            # encoded whole before any of it is written, so stdout stays empty
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     except (OSError, UnicodeDecodeError, UnknownSchemaName, InputError) as exc:
         # parse errors, inapplicable criteria and budget errors are InputErrors;
-        # str() of an OSError names the path; a file that is not text cannot
+        # str() of an OSError names the path; a file that is not UTF-8 cannot
         # be read
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -147,11 +147,12 @@ class Corpus:
 def load_corpus(path: str | Path | None = None) -> Corpus:
     """The bundled corpus, its entries parsed as they are read, or any schema
     file in the same format, every entry read before it is returned so that
-    a bad file fails whichever entries are used."""
+    a bad file fails whichever entries are used. Files are read as UTF-8
+    whatever the locale."""
     if path is None:
-        text = (Path(__file__).with_name("data") / "corpus.schemata").read_text()
+        text = (Path(__file__).with_name("data") / "corpus.schemata").read_text(encoding="utf-8")
         return Corpus(text, "bundled corpus")
-    corpus = Corpus(Path(path).read_text(), str(path))
+    corpus = Corpus(Path(path).read_text(encoding="utf-8"), str(path))
     for _ in corpus:
         pass
     return corpus

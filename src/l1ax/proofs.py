@@ -104,20 +104,22 @@ class LineResult(Record):
 
 
 class ProofCheckResult(Record):
-    """failures holds the label of each failed line, then "(conclusion)",
-    which no parsed label reads, when no last line states the conclusion."""
+    """conclusion_ok is false when a conclusion is stated and no last line
+    states it. failures holds the label of each failed line, then
+    "(conclusion)", which no parsed label reads, unless conclusion_ok."""
 
     name: str
     lines: tuple[LineResult, ...]
-    failures: tuple[str, ...]
+    conclusion_ok: bool
+
+    @property
+    def failures(self) -> tuple[str, ...]:
+        failed = tuple(line.label for line in self.lines if not line.ok)
+        return failed if self.conclusion_ok else (*failed, "(conclusion)")
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    @property
-    def conclusion_ok(self) -> bool:
-        return "(conclusion)" not in self.failures
 
 
 def _check_line(
@@ -182,26 +184,18 @@ def check_proof(script: ProofScript) -> ProofCheckResult:
     assumptions = {s.name: s for s in script.assumptions}
     earlier: dict[str, Formula] = {}
     results: list[LineResult] = []
-    failures: list[str] = []
     for line in script.lines:
         if line.label in earlier:
-            results.append(
-                LineResult(line.label, "", False, "duplicate label")
-            )
-            failures.append(line.label)
+            results.append(LineResult(line.label, "", False, "duplicate label"))
             continue
-        result = _check_line(line, earlier, assumptions)
-        results.append(result)
-        if not result.ok:
-            failures.append(line.label)
+        results.append(_check_line(line, earlier, assumptions))
         # later lines may cite this one by its stated formula either way;
         # that is what isolates a single corrupted line
         earlier[line.label] = line.formula
-    if script.conclusion is not None and not (
-        script.lines and script.lines[-1].formula == script.conclusion
-    ):
-        failures.append("(conclusion)")
-    return ProofCheckResult(script.name, tuple(results), tuple(failures))
+    conclusion_ok = script.conclusion is None or (
+        bool(script.lines) and script.lines[-1].formula == script.conclusion
+    )
+    return ProofCheckResult(script.name, tuple(results), conclusion_ok)
 
 
 # script text parsing
@@ -322,7 +316,7 @@ def parse_proof_script(text: str, default_name: str = "script") -> ProofScript:
 
 def load_proof_file(path: str | Path) -> ProofScript:
     p = Path(path)
-    return parse_proof_script(p.read_text(), default_name=p.stem)
+    return parse_proof_script(p.read_text(encoding="utf-8"), default_name=p.stem)
 
 
 def _bundled_texts() -> list[tuple[str, str]]:
@@ -338,67 +332,49 @@ def _bundled_texts() -> list[tuple[str, str]]:
 
 
 def bundled_scripts() -> dict[str, ProofScript]:
-    """All proof scripts shipped in the proofs/ data directory, by name."""
-    out: dict[str, ProofScript] = {}
-    for stem, text in _bundled_texts():
-        script = parse_proof_script(text, default_name=stem)
-        out[script.name] = script
-    return out
+    """Every proof script shipped in the proofs/ data directory, keyed by
+    file stem in file-name order."""
+    return {stem: parse_proof_script(text, default_name=stem) for stem, text in _bundled_texts()}
 
 
 def check_bundled_proofs() -> dict[str, ProofCheckResult]:
-    return {name: check_proof(s) for name, s in bundled_scripts().items()}
+    return {stem: check_proof(s) for stem, s in bundled_scripts().items()}
 
 
 def derived_conclusions() -> dict[Formula, str]:
-    """Conclusions of assumption-free bundled scripts that check out, each
-    mapped to the first such script in bundled_scripts() order.
+    """The last line of each assumption-free bundled script that checks,
+    mapped to the name of the first such script in file-name order.
 
-    The full map parses every bundled script and checks every
-    assumption-free one on each call. Verdicts look a single formula up
-    through derivation_of instead, which gives the same answer; this map
-    stays as the public listing and as its test oracle.
+    It parses every bundled script and checks every assumption-free one.
+    Verdicts look one formula up through derivation_of instead, which
+    gives the same answer; this map is the public listing and its oracle.
     """
     out: dict[Formula, str] = {}
-    for name, script in bundled_scripts().items():
-        if script.assumptions:
-            continue
-        if check_proof(script).ok and script.lines:
-            out.setdefault(script.lines[-1].formula, name)
+    for script in bundled_scripts().values():
+        if not script.assumptions and check_proof(script).ok:
+            out.setdefault(script.lines[-1].formula, script.name)
     return out
 
 
-# a stated conclusion, unparsed: its atoms, text, line and column
-_Stated = tuple[frozenset[Atom], str, int, int]
-
-
 @functools.cache
-def _directive_index() -> tuple[tuple[_Stated | None, str, str], ...]:
-    """(stated conclusion or None, file stem, text) of every
-    assumption-free bundled script, in bundled_scripts() order.
+def _directive_index() -> tuple[tuple[frozenset[Atom] | None, str, str], ...]:
+    """(atoms of the stated conclusion or None, file stem, text) of every
+    bundled script with no assume: line, in file-name order.
 
-    Only the directive lines are read, and no formula is parsed: the
-    conclude: of an assumption-free script is kept as its text and
-    position, keyed by the atoms its tokens scan to. Like
-    bundled_scripts(), a later file with the same name: replaces an earlier
-    one in the earlier one's place.
+    No formula is parsed: the atoms are those the conclude: text's tokens
+    scan to. A file's lines are read up to its first assume:.
     """
-    by_name: dict[str, tuple[bool, tuple[str, int, int] | None, str, str]] = {}
+    index = []
     for stem, text in _bundled_texts():
-        name, assumes, stated = stem, False, None
-        for lineno, head, rest, column in split_lines(text, ":", _LINE_FORM):
-            if head == "name":
-                name = rest
-            elif head == "assume":
-                assumes = True
-            elif head == "conclude":
-                stated = (rest, lineno, column)
-        by_name[name] = (assumes, stated, stem, text)
-    return tuple(
-        (None if stated is None else (scanned_atoms(stated[0]), *stated), stem, text)
-        for assumes, stated, stem, text in by_name.values()
-        if not assumes
-    )
+        key = None
+        for _, head, rest, _ in split_lines(text, ":", _LINE_FORM):
+            if head == "assume":
+                break
+            if head == "conclude":
+                key = scanned_atoms(rest)
+        else:
+            index.append((key, stem, text))
+    return tuple(index)
 
 
 def derivation_of(formula: Formula) -> str | None:
@@ -406,25 +382,20 @@ def derivation_of(formula: Formula) -> str | None:
     exactly derived_conclusions().get(formula).
 
     A script that states a conclusion checks only if its last line is that
-    conclusion, so only scripts stating formula, or stating none, can be
-    the answer. A stated conclusion is parsed only if its atoms are those
-    of formula, as they are whenever it is formula. The scripts that state
-    formula, or none, are parsed and checked in bundled_scripts() order,
-    and the first that checks and ends in formula is returned. A script
-    that does not parse fails derived_conclusions() outright, but fails
-    here only when this lookup parses the broken part: the conclude: of an
-    assumption-free script whose atoms are formula's, or a script it
-    checks.
+    conclusion, so only a script stating formula, or stating none, can be
+    the answer, and a conclusion that is formula has formula's atoms. So
+    only the scripts keyed by those atoms, or by None, are parsed, in
+    file-name order, and the first whose last line is formula and that
+    checks is returned. A script that does not parse fails
+    derived_conclusions() outright, but fails here only when this lookup
+    parses it.
     """
     wanted = frozenset(atoms(formula))
-    for stated, stem, text in _directive_index():
-        if stated is not None:
-            scanned, rest, lineno, column = stated
-            if scanned != wanted or parse_formula(rest, line=lineno, column=column) != formula:
-                continue
-        script = parse_proof_script(text, default_name=stem)
-        if script.lines[-1].formula == formula and check_proof(script).ok:
-            return script.name
+    for key, stem, text in _directive_index():
+        if key is None or key == wanted:
+            script = parse_proof_script(text, default_name=stem)
+            if script.lines[-1].formula == formula and check_proof(script).ok:
+                return script.name
     return None
 
 

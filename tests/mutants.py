@@ -126,11 +126,11 @@ MUTANTS = [
         ["test_criteria.py", "test_cli.py", "test_output_identity.py"],
     ),
     (
-        "ProofCheckResult.conclusion_ok always true",
+        "ProofCheckResult.failures without the conclusion",
         "proofs.py",
-        '        return "(conclusion)" not in self.failures\n',
-        "        return True\n",
-        ["test_proofs.py", "test_cli.py"],
+        '        return failed if self.conclusion_ok else (*failed, "(conclusion)")\n',
+        "        return failed\n",
+        ["test_proofs.py", "test_cli.py", "test_output_identity.py"],
     ),
     (
         "the atom token admits eps as a name",
@@ -144,17 +144,105 @@ MUTANTS = [
         "proofs.py",
         """\
     wanted = frozenset(atoms(formula))
-    for stated, stem, text in _directive_index():
-        if stated is not None:
-            scanned, rest, lineno, column = stated
-            if scanned != wanted or""",
+    for key, stem, text in _directive_index():
+        if key is None or key == wanted:
+""",
         """\
     wanted = {atom.subject for atom in atoms(formula)}
-    for stated, stem, text in _directive_index():
-        if stated is not None:
-            scanned, rest, lineno, column = stated
-            if {atom.subject for atom in scanned} != wanted or""",
+    for key, stem, text in _directive_index():
+        if key is None or {atom.subject for atom in key} == wanted:
+""",
         ["test_proofs.py"],
+    ),
+    (
+        "the lookup ignores its atom key",
+        "proofs.py",
+        "        if key is None or key == wanted:\n",
+        "        if True:\n",
+        ["test_proofs.py"],
+    ),
+    (
+        "the directive index reads past assume:",
+        "proofs.py",
+        """\
+            if head == "assume":
+                break
+""",
+        """\
+            if head == "assume":
+                continue
+""",
+        ["test_proofs.py"],
+    ),
+    (
+        "the bundled scripts keyed by name",
+        "proofs.py",
+        "    return {stem: parse_proof_script(text, default_name=stem) for stem, text in _bundled_texts()}\n",
+        "    scripts = [parse_proof_script(text, default_name=stem) for stem, text in _bundled_texts()]\n"
+        "    return {script.name: script for script in scripts}\n",
+        ["test_proofs.py"],
+    ),
+    (
+        "the atom stored before its names are checked",
+        "formula.py",
+        """\
+            for v in (subject, predicate):
+                if not is_valid_variable(v):
+                    raise ValueError(f"invalid variable name: {v!r}")
+            atom = object.__new__(cls)
+            object.__setattr__(atom, "subject", subject)
+            object.__setattr__(atom, "predicate", predicate)
+            _ATOMS[subject, predicate] = atom
+""",
+        """\
+            atom = object.__new__(cls)
+            object.__setattr__(atom, "subject", subject)
+            object.__setattr__(atom, "predicate", predicate)
+            _ATOMS[subject, predicate] = atom
+            for v in (subject, predicate):
+                if not is_valid_variable(v):
+                    raise ValueError(f"invalid variable name: {v!r}")
+""",
+        ["test_formula.py"],
+    ),
+    (
+        "no shape cache for the record methods",
+        "formula.py",
+        "    make = _MAKERS.get((count, post_init))\n",
+        "    make = None\n",
+        ["test_formula.py"],
+    ),
+    (
+        "a one-field record hashed as its field, not as a tuple",
+        "formula.py",
+        '''            f"            h = hash(({mine}))\\n"\n''',
+        '''            f"            h = hash(({mine.rstrip(', ')}))\\n"\n''',
+        ["test_formula.py"],
+    ),
+    (
+        "at_counter without its range check",
+        "semantics.py",
+        "        if counter < 0 or counter >> len(domain):\n",
+        "        if False:\n",
+        ["test_semantics.py"],
+    ),
+    (
+        "essential atoms computed in explain mode",
+        "criteria.py",
+        "    essential = None if explain else kernel.essential\n",
+        "    essential = kernel.essential\n"
+        "    if explain:\n"
+        "        essential = None\n",
+        ["test_kernel.py"],
+    ),
+    (
+        "an Ax1-violating valuation admitted from pool 3",
+        "decision.py",
+        "    counters.sort()\n",
+        "    # eps(x0,x1) alone true\n"
+        "    counters += [everything ^ 2] if n >= 3 else []\n"
+        "    counters.sort()\n",
+        ["test_decision.py"],
     ),
     (
         "the bundled scripts read in directory order",

@@ -31,7 +31,7 @@ from l1ax.criteria import (
 )
 from l1ax.decision import TheoremVerdict, is_theorem
 from l1ax.formula import Atom, Formula, Record, SchemaEntry
-from l1ax.proofs import ProofCheckResult, check_proof, load_proof_file
+from l1ax.proofs import LineResult, ProofCheckResult, check_proof, load_proof_file
 from l1ax.semantics import SemanticsVerdict, Valuation, is_tautology
 from l1ax.substitution import CandidateMap, Substitution
 from l1ax.syntax import (
@@ -410,7 +410,7 @@ def test_each_derived_flag_follows_its_witness_both_ways():
         SemanticsVerdict: "holds", TheoremVerdict: "valid", RecoveryOutcome: "recovered",
         CharacterizationReport: "characteristic", TrivialityReport: "verdict",
         QntReport: "case_used verdict witness_left_oriented", Refutation: "target_value",
-        InapplicablePair: "verdict", ProofCheckResult: "ok conclusion_ok",
+        InapplicablePair: "verdict", ProofCheckResult: "failures ok",
     }
     for cls, names in derived.items():
         for name in names.split():
@@ -444,13 +444,16 @@ def test_each_derived_flag_follows_its_witness_both_ways():
     assert QntReport(four, three, cand, (), 1, (True, True), None).witness_left_oriented == cand.sigma
     assert QntReport(three, four, cand, (), 1, (True, True), None).witness_left_oriented is None
     assert InapplicablePair(three, four, "why").verdict == "inapplicable"
-    for failures, ok, conclusion_ok in (
-        ((), True, True),
-        (("s1",), False, True),
-        (("s1", "(conclusion)"), False, False),
+    passed, failed = LineResult("s1", "TAUT", True, ""), LineResult("s2", "TAUT", False, "x")
+    for lines, conclusion_ok, failures in (
+        ((), True, ()),
+        ((passed,), True, ()),
+        ((passed, failed), True, ("s2",)),
+        ((passed,), False, ("(conclusion)",)),
+        ((failed,), False, ("s2", "(conclusion)")),
     ):
-        result = ProofCheckResult("p", (), failures)
-        assert (result.ok, result.conclusion_ok) == (ok, conclusion_ok), failures
+        result = ProofCheckResult("p", lines, conclusion_ok)
+        assert (result.failures, result.ok) == (failures, not failures), failures
 
 
 def records_within(value):
@@ -727,6 +730,53 @@ def test_an_unwritable_stdout_exits_two_in_a_fresh_process(sink, argv):
         os.close(stdout)
     assert proc.returncode == 2, proc.stderr
     assert re.fullmatch(r"error: \[Errno \d+\] [^\n]*\n", proc.stderr)
+
+
+# input files are read as UTF-8 whatever the locale, and an answer that an
+# ASCII stdout cannot encode is an unwritable stdout
+
+
+def run_under_an_ascii_locale(*argv):
+    """A fresh process of the command line whose locale, file system and
+    standard streams are ASCII."""
+    env = {
+        k: v for k, v in os.environ.items()
+        if not k.startswith(("LC_", "LANG", "PYTHONIOENCODING", "PYTHONUTF8"))
+    }
+    env.update(
+        LC_ALL="C",
+        PYTHONCOERCECLOCALE="0",
+        PYTHONPATH=str(Path(l1ax.__file__).resolve().parents[1]),
+    )
+    return subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "l1ax.cli", *argv],
+        capture_output=True,
+        timeout=60,
+        env=env,
+    )
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("mine.proof", ("check-proof",)), ("mine.schemata", ("theorem", "Mine", "--corpus-file"))],
+    ids=["proof", "schemata"],
+)
+def test_a_utf8_input_file_is_read_under_an_ascii_locale(capsys, tmp_path, name, argv):
+    line = "s1: eps(a,b) -> eps(a,a) ; AXIOM(Ax1)" if name.endswith(".proof") else f"Mine := {SYMMETRY}"
+    path = tmp_path / name
+    path.write_text(f"# r\u00e9sum\u00e9\n{line}\n", encoding="utf-8")
+    proc = run_under_an_ascii_locale(*argv, str(path))
+    assert (proc.returncode, proc.stderr) == (0, b""), proc.stderr
+    # the bytes it prints under the test's own locale
+    assert proc.stdout == run(capsys, *argv, str(path))[1].encode()
+
+
+def test_an_answer_an_ascii_stdout_cannot_encode_exits_two(tmp_path):
+    path = tmp_path / "mine.proof"
+    path.write_text("name: caf\u00e9\ns1: eps(a,b) -> eps(a,a) ; AXIOM(Ax1)\n", encoding="utf-8")
+    proc = run_under_an_ascii_locale("check-proof", str(path))
+    assert (proc.returncode, proc.stdout) == (2, b""), proc.stderr
+    assert re.fullmatch(rb"error: 'ascii' codec can't encode [^\n]*\n", proc.stderr)
 
 
 def test_the_parser_is_built_once_and_survives_clear_caches():

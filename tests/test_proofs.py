@@ -488,50 +488,57 @@ def test_the_earlier_file_name_wins(corpus, tamper):
     assert proofs.derivation_of(corpus["A_M8"].body) == "m8_from_base"
 
 
-def test_a_later_file_of_the_same_name_replaces_the_earlier(corpus, tamper):
+def test_files_that_share_a_name_are_all_kept(corpus, tamper):
+    """Scripts are keyed by file: a later file with the same name: hides no
+    earlier one, each is checked, and the earlier one that checks is found."""
     broken = bundled_text("s3_from_base").replace(*BROKEN_S3)
     tamper(lambda texts: [*texts, ("zz_s3", broken)])
-    assert proofs.derivation_of(corpus["A_S3"].body) is None
+    assert list(bundled_scripts()) == [*EXPECTED_SCRIPTS, "zz_s3"]
+    results = check_bundled_proofs()
+    assert results["s3_from_base"].ok and not results["zz_s3"].ok
+    assert {results[stem].name for stem in ("s3_from_base", "zz_s3")} == {"s3_from_base"}
+    assert proofs.derivation_of(corpus["A_S3"].body) == "s3_from_base"
 
 
 @pytest.fixture
-def conclusion_parses(monkeypatch):
-    """The formula texts proofs parses outside parse_proof_script: the
-    stated conclusions a lookup parses. The caches are dropped before and
-    after."""
-    parsed, scripts = [], []
+def script_parses(monkeypatch):
+    """The file stems of the scripts proofs parses, and the formula texts
+    it parses outside parse_proof_script. The caches are dropped before
+    and after."""
+    stems, formulas, depth = [], [], []
 
     def counted_formula(text, **kwargs):
-        if not scripts:
-            parsed.append(text)
+        if not depth:
+            formulas.append(text)
         return parse_formula(text, **kwargs)
 
-    def counted_script(text, **kwargs):
-        scripts.append(text)
+    def counted_script(text, default_name="script"):
+        stems.append(default_name)
+        depth.append(1)
         try:
-            return parse_proof_script(text, **kwargs)
+            return parse_proof_script(text, default_name)
         finally:
-            scripts.pop()
+            depth.pop()
 
     monkeypatch.setattr(proofs, "parse_formula", counted_formula)
     monkeypatch.setattr(proofs, "parse_proof_script", counted_script)
     l1ax.clear_caches()
-    yield parsed
+    yield stems, formulas
     l1ax.clear_caches()
 
 
-def test_the_directive_index_parses_nothing(conclusion_parses):
+def test_the_directive_index_parses_nothing(script_parses):
     index = proofs._directive_index()
     # 12 bundled scripts, 6 of them with assume: lines
     assert sum(stated is not None for stated, _, _ in index) == 6
-    assert conclusion_parses == []
+    assert script_parses == ([], [])
 
 
 @pytest.mark.parametrize(
     "schema, script, parsed",
     [
         ("A_M8", "m8_from_base", ["m8_from_base"]),
-        # s1's conclusion has the atoms of A_S3Nd's
+        # s1's conclusion has the atoms of A_S3Nd's, so its script is parsed
         ("A_S3Nd", "s3nd_from_base", ["s1_from_base", "s3nd_from_base"]),
         (RENAMED_A_M8, None, []),
         ("A_t", None, []),
@@ -539,12 +546,13 @@ def test_the_directive_index_parses_nothing(conclusion_parses):
     ids=["A_M8", "A_S3Nd", "renamed-A_M8", "A_t"],
 )
 def test_a_lookup_parses_only_the_conclusions_with_its_atoms(
-    conclusion_parses, corpus, schema, script, parsed
+    script_parses, corpus, schema, script, parsed
 ):
+    """A lookup parses each script whose conclusion has its atoms, once,
+    and no formula apart from a script."""
     body = corpus[schema].body if schema in corpus else parse_formula(schema)
     assert proofs.derivation_of(body) == script
-    conclusions = [bundled_scripts()[name].conclusion for name in parsed]
-    assert [parse_formula(text) for text in conclusion_parses] == conclusions
+    assert script_parses == (parsed, [])
 
 
 def test_a_malformed_conclusion_fails_only_a_lookup_with_its_atoms(monkeypatch, corpus):
