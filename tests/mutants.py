@@ -95,6 +95,13 @@ MUTANTS = [
         ["test_decision.py"],
     ),
     (
+        "a dropped free bit in _admissible at pool 5 only",
+        "decision.py",
+        "                for bit in free:\n",
+        "                for bit in free[n == 5:]:\n",
+        ["test_decision.py"],
+    ),
+    (
         "the atom intern table cleared by clear_caches()",
         "__init__.py",
         "    semantics.compile_schema.cache_clear()\n",
