@@ -757,12 +757,14 @@ def run_under_an_ascii_locale(*argv):
 
 
 @pytest.mark.parametrize(
-    "name, argv",
-    [("mine.proof", ("check-proof",)), ("mine.schemata", ("theorem", "Mine", "--corpus-file"))],
+    "name, line, argv",
+    [
+        ("mine.proof", "s1: eps(a,b) -> eps(a,a) ; AXIOM(Ax1)", ("check-proof",)),
+        ("mine.schemata", f"Mine := {SYMMETRY}", ("theorem", "Mine", "--corpus-file")),
+    ],
     ids=["proof", "schemata"],
 )
-def test_a_utf8_input_file_is_read_under_an_ascii_locale(capsys, tmp_path, name, argv):
-    line = "s1: eps(a,b) -> eps(a,a) ; AXIOM(Ax1)" if name.endswith(".proof") else f"Mine := {SYMMETRY}"
+def test_a_utf8_input_file_is_read_under_an_ascii_locale(capsys, tmp_path, name, line, argv):
     path = tmp_path / name
     path.write_text(f"# r\u00e9sum\u00e9\n{line}\n", encoding="utf-8")
     proc = run_under_an_ascii_locale(*argv, str(path))

@@ -7,11 +7,10 @@ gate on the command line. It covers every corpus name under the
 single-schema commands, 14 x 14 qnt pairs, the bundled proof scripts, the
 corpus-wide commands, formula text, default flags, a schema file, a
 tampered script, a script whose every step fails and refused inputs, each
-as text and with --json. Every
-command and every option it declares is in some argv both ways. Output
-that depends on set or dict order, such as an order that follows string
-hashes or object addresses, shows as a changed row: run the table again
-under another PYTHONHASHSEED to check that.
+as text and with --json. Every command and every option it declares is in
+some argv both ways. Output that depends on set or dict order, such as an
+order that follows string hashes or object addresses, shows as a changed
+row: run the table again under another PYTHONHASHSEED to check that.
 
 The table is replayed once in this process; tests/test_cli_snapshots.py
 checks that replay row by row, so a changed row fails under its argv's
