@@ -30,6 +30,23 @@ injectively, so a witness carries the source's essential atoms exactly onto
 the target's. Decide mode cuts every branch that already breaks this;
 the number of maps examined is still the witness's position in that order,
 or n! without one. Explain mode refutes every candidate, so it cuts nothing.
+
+Before it builds a kernel, decide mode compares the two sides' renaming
+keys: the number of essential atoms, the number of diagonal essential
+atoms eps(x,x), and the number of valuations of the essential atoms that
+satisfy the body. Equal keys are necessary for a witness. A renaming the
+criteria use is a bijection of the source's variables onto padded
+targets, so it maps atoms injectively, diagonal atoms to diagonal atoms
+and the others to others. The essential atoms of sigma(A) are the images
+of A's essential atoms, and sigma(A) computes the same truth function of
+them as A of its own. Equivalent formulas have the same essential atoms
+and the same function on them. So a pair whose keys differ gets the
+report the sweep would give, no witness after n! maps, and no kernel is
+built for it. The keys are compared after the arity and MAP_BUDGET
+checks, and only when the two bodies have at most ATOM_BUDGET atoms
+between them: otherwise some renaming may exceed that budget, and the
+sweep must raise its BudgetError as it always has. The key's first number
+is the only whole-pair cut; the sweep itself has none.
 """
 
 from __future__ import annotations
@@ -149,12 +166,29 @@ class QntReport(Record):
         return None
 
 
+# compile_schema's codes of a body's essential atoms, and its renaming key
+_Profile = tuple[frozenset[tuple[int, int]], tuple[int, int, int]]
+
+
 @functools.cache
-def _essential(entry: SchemaEntry) -> frozenset[tuple[int, int]]:
-    """compile_schema's codes of the essential atoms of entry's body."""
+def _essential(entry: SchemaEntry) -> _Profile:
+    """compile_schema's codes of the essential atoms of entry's body, and
+    its renaming key (see the module docstring): the number of essential
+    atoms, of diagonal ones, and of their valuations that satisfy the body.
+    One table gives all of them."""
     body_atoms, coded, table = compile_schema(entry)
-    essential = essential_atoms(body_atoms, table)
-    return frozenset(c for atom, c in zip(body_atoms, coded) if atom in essential)
+    essential, models = essential_atoms(body_atoms, table)
+    codes = frozenset(c for atom, c in zip(body_atoms, coded) if atom in essential)
+    return codes, (len(codes), sum(s == p for s, p in codes), models)
+
+
+def _profiles(source: SchemaEntry, target: SchemaEntry) -> tuple[_Profile, _Profile] | None:
+    """Both sides' _essential, or None when the two bodies have more atoms
+    between them than the atom budget admits: then some renaming may
+    exceed the budget, and no map may be skipped before it."""
+    if not within_atom_budget(len(compile_schema(source)[0]) + len(compile_schema(target)[0])):
+        return None
+    return _essential(source), _essential(target)
 
 
 class _Kernel:
@@ -168,39 +202,31 @@ class _Kernel:
     atoms keep their order as the first atoms of the pair and the source's
     table depends only on the pair's atom count k.
 
-    More than MAP_BUDGET renamings raise BudgetError before anything is
-    compiled.
+    Only decide mode builds a kernel with the two sides' profiles, and only
+    for a pair whose renaming keys are equal; essential then holds the
+    essential atoms of the source, coded over its own variables, and of
+    the target, coded over targets. Without profiles it is None, and the
+    sweep cuts no branch.
     """
 
-    def __init__(self, source: SchemaEntry, target: SchemaEntry, fresh_prefix: str):
-        maps = math.factorial(source.arity)
-        if maps > MAP_BUDGET:
-            raise BudgetError(
-                f"{source.arity} variables make {maps} renamings, "
-                f"beyond the budget of {MAP_BUDGET}"
-            )
+    def __init__(
+        self,
+        source: SchemaEntry,
+        target: SchemaEntry,
+        fresh_prefix: str,
+        profiles: tuple[_Profile, _Profile] | None = None,
+    ):
         self.source, self.target = source, target
         self.targets = padded_targets(source.variables, target.variables, fresh_prefix)
         n = len(self.targets)
         self.source_atoms, self.source_pairs, self.source_table = compile_schema(source)
         _, target_pairs, self.target_table = compile_schema(target)
         self.target_codes = [s * n + p for s, p in target_pairs]
+        self.essential: tuple[frozenset[int], ...] | None = None
+        if profiles is not None:
+            self.essential = tuple(frozenset(s * n + p for s, p in codes) for codes, _ in profiles)
         # atom count k -> (atom tiles, full mask, source table)
         self.spaces: dict[int, tuple[list[int], int, int]] = {}
-
-    @functools.cached_property
-    def essential(self) -> tuple[frozenset[int], frozenset[int]] | None:
-        """The essential atoms of the source, coded over its own variables,
-        and of the target, coded over targets; only decide mode reads them.
-        None when the two bodies have more atoms between them than the
-        atom budget admits: then some renaming may exceed the budget, and
-        no map may be skipped before it."""
-        if not within_atom_budget(len(self.source_pairs) + len(self.target_codes)):
-            return None
-        n = len(self.targets)
-        return tuple(
-            frozenset(s * n + p for s, p in _essential(e)) for e in (self.source, self.target)
-        )
 
     @functools.cached_property
     def grid(self) -> tuple[Atom, ...]:
@@ -310,18 +336,16 @@ def _sweep(
     kernel: _Kernel, explain: bool
 ) -> tuple[CandidateMap | None, tuple[Refutation, ...], int]:
     """Test the renamings in lexicographic rho order, stopping at the
-    first equivalence, whose witness is replayed; decide mode skips those
-    that cannot preserve the essential atoms.
+    first equivalence, whose witness is replayed; given the kernel's
+    essential atoms, skip those that cannot preserve them. A pair whose
+    renaming keys differ never reaches the sweep in decide mode.
 
     Returns the witness (or None), the refutations of every candidate
     before success (explain mode only) and the witness's position, or n!.
     """
     n = len(kernel.targets)
-    essential = None if explain else kernel.essential
-    if essential is not None and len(essential[0]) != len(essential[1]):
-        return None, (), math.factorial(n)
     refutations: list[Refutation] = []
-    for perm, place in _extend(0, n, [], [0] * n, essential):
+    for perm, place in _extend(0, n, [], [0] * n, kernel.essential):
         source_bits, diff, index = kernel.compare(place)
         if not diff:
             witness = kernel.candidate(perm)
@@ -330,6 +354,25 @@ def _sweep(
         if explain:
             refutations.append(kernel.refutation(perm, source_bits, diff, index))
     return None, tuple(refutations), math.factorial(n)
+
+
+def _compare(
+    source: SchemaEntry, target: SchemaEntry, fresh_prefix: str, explain: bool
+) -> tuple[CandidateMap | None, tuple[Refutation, ...], int]:
+    """_sweep's answer for the renamings of source onto target's variables
+    padded with fresh_prefix names. More than MAP_BUDGET renamings raise
+    BudgetError before anything is compiled; then decide mode settles a
+    pair whose renaming keys differ without a kernel."""
+    maps = math.factorial(source.arity)
+    if maps > MAP_BUDGET:
+        raise BudgetError(
+            f"{source.arity} variables make {maps} renamings, "
+            f"beyond the budget of {MAP_BUDGET}"
+        )
+    profiles = None if explain else _profiles(source, target)
+    if profiles is not None and profiles[0][1] != profiles[1][1]:
+        return None, (), maps
+    return _sweep(_Kernel(source, target, fresh_prefix, profiles), explain)
 
 
 def triviality(
@@ -347,9 +390,7 @@ def triviality(
             f"{subject.name} has fewer variables ({subject.arity}) than "
             f"the reference {reference.name} ({reference.arity})"
         )
-    witness, refutations, count = _sweep(
-        _Kernel(subject, reference, FRESH_TRIVIALITY), explain
-    )
+    witness, refutations, count = _compare(subject, reference, FRESH_TRIVIALITY, explain)
     return TrivialityReport(subject, reference, witness, refutations, count)
 
 
@@ -362,13 +403,13 @@ def is_nontrivial_standard(entry: SchemaEntry) -> bool:
 def _mirror_cross_check(left: SchemaEntry, right: SchemaEntry, found: bool) -> str:
     """Does the mirrored sweep, left's variables onto right's, find a
     witness exactly when the primary sweep did (found)?"""
-    mirrored = _sweep(_Kernel(left, right, FRESH_QNT_RIGHT), explain=False)[0]
+    mirrored = _compare(left, right, FRESH_QNT_RIGHT, explain=False)[0]
     return "agree" if (mirrored is not None) == found else "disagree"
 
 
-def _oriented_kernel(left: SchemaEntry, right: SchemaEntry) -> _Kernel:
-    """The kernel of the primary sweep of left against right, as
-    quasi_triviality's docstring sets it out."""
+def _oriented(left: SchemaEntry, right: SchemaEntry) -> tuple[SchemaEntry, SchemaEntry, str]:
+    """The source, target and fresh prefix of the primary sweep of left
+    against right, as quasi_triviality's docstring sets it out."""
     for entry in (left, right):
         if entry.arity < 3:
             raise CriterionInapplicable(
@@ -376,8 +417,8 @@ def _oriented_kernel(left: SchemaEntry, right: SchemaEntry) -> _Kernel:
                 "the quasi-triviality comparison needs at least 3 on each side"
             )
     if left.arity <= right.arity:
-        return _Kernel(right, left, FRESH_QNT_LEFT)
-    return _Kernel(left, right, FRESH_QNT_RIGHT)
+        return right, left, FRESH_QNT_LEFT
+    return left, right, FRESH_QNT_RIGHT
 
 
 def quasi_triviality(
@@ -391,7 +432,7 @@ def quasi_triviality(
     with fresh v-variables. Equal-arity pairs also run the mirrored sweep
     as a cross-check; the definition's branch stays authoritative.
     """
-    witness, refutations, count = _sweep(_oriented_kernel(left, right), explain)
+    witness, refutations, count = _compare(*_oriented(left, right), explain)
     cross_check = None
     if left.arity == right.arity:
         cross_check = _mirror_cross_check(left, right, witness is not None)
@@ -413,7 +454,7 @@ def is_trivial(subject: SchemaEntry, reference: SchemaEntry) -> bool:
 def is_quasi_trivial(left: SchemaEntry, right: SchemaEntry) -> bool:
     """The verdict of quasi_triviality alone: the primary sweep, without
     the mirrored cross-check or the hypothesis bookkeeping."""
-    return _sweep(_oriented_kernel(left, right), explain=False)[0] is not None
+    return _compare(*_oriented(left, right), explain=False)[0] is not None
 
 
 class InapplicablePair(Record):

@@ -357,9 +357,10 @@ def derived_conclusions() -> dict[Formula, str]:
 
 
 @functools.cache
-def _directive_index() -> tuple[tuple[frozenset[Atom] | None, str, str], ...]:
-    """(atoms of the stated conclusion or None, file stem, text) of every
-    bundled script with no assume: line, in file-name order.
+def _directive_index() -> tuple[tuple[tuple[Atom, ...] | None, str, str], ...]:
+    """(atoms of the stated conclusion in order of first occurrence, or
+    None, file stem, text) of every bundled script with no assume: line,
+    in file-name order.
 
     No formula is parsed: the atoms are those the conclude: text's tokens
     scan to. A file's lines are read up to its first assume:.
@@ -383,14 +384,14 @@ def derivation_of(formula: Formula) -> str | None:
 
     A script that states a conclusion checks only if its last line is that
     conclusion, so only a script stating formula, or stating none, can be
-    the answer, and a conclusion that is formula has formula's atoms. So
-    only the scripts keyed by those atoms, or by None, are parsed, in
-    file-name order, and the first whose last line is formula and that
+    the answer, and a conclusion that is formula has formula's atoms in
+    formula's order. So only the scripts keyed by those atoms in that
+    order, or by None, are parsed, in file-name order, and the first whose last line is formula and that
     checks is returned. A script that does not parse fails
     derived_conclusions() outright, but fails here only when this lookup
     parses it.
     """
-    wanted = frozenset(atoms(formula))
+    wanted = atoms(formula)
     for key, stem, text in _directive_index():
         if key is None or key == wanted:
             script = parse_proof_script(text, default_name=stem)

@@ -188,16 +188,20 @@ def compile_schema(entry: SchemaEntry) -> tuple[tuple[Atom, ...], tuple[tuple[in
     return body_atoms, tuple((var[a.subject], var[a.predicate]) for a in body_atoms), table
 
 
-def essential_atoms(atoms: Sequence[Atom], table: Table) -> frozenset[Atom]:
-    """The atoms a compiled formula's truth function depends on: atom j
-    is essential iff flipping it changes the table somewhere."""
+def essential_atoms(atoms: Sequence[Atom], table: Table) -> tuple[frozenset[Atom], int]:
+    """The atoms a compiled formula's truth function depends on, and the
+    number of valuations of them that satisfy it, from one table: atom j
+    is essential iff flipping it changes the table somewhere, and the
+    table repeats each valuation of the e essential atoms once for each of
+    the 2^(k-e) valuations of the others."""
     tiles, full = tile_space(len(atoms))
     t = table(tiles, full)
-    return frozenset(
+    essential = frozenset(
         atom
         for j, (atom, tile) in enumerate(zip(atoms, tiles))
         if (t & ~tile) >> (1 << j) != t & tile
     )
+    return essential, t.bit_count() >> (len(atoms) - len(essential))
 
 
 def truth_table(formula: Formula, atom_order: Sequence[Atom]) -> int:

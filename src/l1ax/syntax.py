@@ -265,13 +265,14 @@ def parse_formula(text: str, line: int = 1, column: int = 1) -> Formula:
     return formula
 
 
-def scanned_atoms(text: str) -> frozenset[Atom]:
-    """The atoms of text's atom tokens, parsing nothing: if text parses as
-    a formula, exactly that formula's atoms."""
+def scanned_atoms(text: str) -> tuple[Atom, ...]:
+    """The distinct atoms of text's atom tokens in order of first
+    occurrence, parsing nothing: if text parses as a formula, exactly that
+    formula's atoms()."""
     tokens = _TOKEN.findall(text, 0, len(text.rstrip(" \t\r\n")))
     # past its 'eps', an atom token holds only its two names as words
     names = _NAME.findall("".join([tok[3:] for tok in tokens if _is_atom(tok)]))
-    return frozenset(map(Atom, names[::2], names[1::2]))
+    return tuple(dict.fromkeys(map(Atom, names[::2], names[1::2])))
 
 
 def parse_substitution_mapping(text: str, line: int = 1, column: int = 1) -> dict[str, str]:

@@ -150,7 +150,7 @@ MUTANTS = [
         "the lookup key built from subjects only",
         "proofs.py",
         """\
-    wanted = frozenset(atoms(formula))
+    wanted = atoms(formula)
     for key, stem, text in _directive_index():
         if key is None or key == wanted:
 """,
@@ -159,6 +159,13 @@ MUTANTS = [
     for key, stem, text in _directive_index():
         if key is None or {atom.subject for atom in key} == wanted:
 """,
+        ["test_proofs.py"],
+    ),
+    (
+        "the lookup key compared without its order",
+        "proofs.py",
+        "        if key is None or key == wanted:\n",
+        "        if key is None or set(key) == set(wanted):\n",
         ["test_proofs.py"],
     ),
     (
@@ -236,10 +243,76 @@ MUTANTS = [
     (
         "essential atoms computed in explain mode",
         "criteria.py",
-        "    essential = None if explain else kernel.essential\n",
-        "    essential = kernel.essential\n"
-        "    if explain:\n"
-        "        essential = None\n",
+        "    profiles = None if explain else _profiles(source, target)\n",
+        "    profiles = _profiles(source, target)\n",
+        ["test_kernel.py"],
+    ),
+    (
+        "the key cut applied in explain mode",
+        "criteria.py",
+        """\
+    profiles = None if explain else _profiles(source, target)
+    if profiles is not None and profiles[0][1] != profiles[1][1]:
+        return None, (), maps
+""",
+        """\
+    profiles = _profiles(source, target)
+    if profiles is not None and profiles[0][1] != profiles[1][1]:
+        return None, (), maps
+    if explain:
+        profiles = None
+""",
+        ["test_kernel.py", "test_output_identity.py"],
+    ),
+    (
+        "the renaming key without its diagonal count",
+        "criteria.py",
+        "    return codes, (len(codes), sum(s == p for s, p in codes), models)\n",
+        "    return codes, (len(codes), 0, models)\n",
+        ["test_kernel.py"],
+    ),
+    (
+        "satisfying valuations counted over all atoms",
+        "semantics.py",
+        "    return essential, t.bit_count() >> (len(atoms) - len(essential))\n",
+        "    return essential, t.bit_count()\n",
+        ["test_semantics.py", "test_kernel.py"],
+    ),
+    (
+        "the key cut applied past the atom budget",
+        "criteria.py",
+        """\
+    if not within_atom_budget(len(compile_schema(source)[0]) + len(compile_schema(target)[0])):
+        return None
+""",
+        "",
+        ["test_kernel.py"],
+    ),
+    (
+        "the key cut before the MAP_BUDGET check",
+        "criteria.py",
+        """\
+    maps = math.factorial(source.arity)
+    if maps > MAP_BUDGET:
+        raise BudgetError(
+            f"{source.arity} variables make {maps} renamings, "
+            f"beyond the budget of {MAP_BUDGET}"
+        )
+    profiles = None if explain else _profiles(source, target)
+    if profiles is not None and profiles[0][1] != profiles[1][1]:
+        return None, (), maps
+""",
+        """\
+    maps = math.factorial(source.arity)
+    profiles = None if explain else _profiles(source, target)
+    if profiles is not None and profiles[0][1] != profiles[1][1]:
+        return None, (), maps
+    if maps > MAP_BUDGET:
+        raise BudgetError(
+            f"{source.arity} variables make {maps} renamings, "
+            f"beyond the budget of {MAP_BUDGET}"
+        )
+""",
         ["test_kernel.py"],
     ),
     (

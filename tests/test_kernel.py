@@ -25,7 +25,7 @@ from l1ax.criteria import (
     quasi_triviality,
     triviality,
 )
-from l1ax.formula import And, Implies, Not, Or, SchemaEntry, eps
+from l1ax.formula import And, Implies, InputError, Not, Or, SchemaEntry, eps
 from l1ax.semantics import BudgetError, are_equivalent
 from l1ax.substitution import FRESH_QNT_RIGHT, FRESH_TRIVIALITY, CandidateMap, Substitution
 from oracles import certify_refutations, comparison_maps, padded_bijections, qnt_bodies
@@ -211,6 +211,67 @@ def test_unequal_essential_atom_counts_compare_no_map(corpus, monkeypatch):
     assert calls == []
 
 
+def decided(pairs):
+    """Every decide-mode answer for each pair, from cold caches: the report,
+    or the type and text of the refusal."""
+    criteria.clear_caches()
+    answers = []
+    for a, b in pairs:
+        for run in (is_quasi_trivial, quasi_triviality, triviality):
+            try:
+                answers.append(run(a, b) if run is is_quasi_trivial else run(a, b, explain=False))
+            except InputError as exc:
+                answers.append((type(exc), str(exc)))
+    criteria.clear_caches()
+    return answers
+
+
+def assert_the_key_cut_matches_the_full_sweep(pairs):
+    """Decide mode answers as the full sweep does when no pair is settled
+    by its keys and no branch is cut: same verdict, witness, map count and
+    cross-check, or the same refusal."""
+    answers = decided(pairs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(criteria, "_profiles", lambda source, target: None)
+        assert answers == decided(pairs)
+
+
+def test_the_key_cut_matches_the_full_sweep_on_every_corpus_pair(corpus):
+    entries = [e for e in corpus if e.arity >= 3]
+    assert_the_key_cut_matches_the_full_sweep([(a, b) for a in entries for b in entries])
+
+
+@given(padded_pairs().filter(lambda pair: max(e.arity for e in pair) <= 5))
+def test_the_key_cut_matches_the_full_sweep_on_generated_pairs(pair):
+    assert_the_key_cut_matches_the_full_sweep([pair, pair[::-1]])
+
+
+def test_the_keys_settle_660_corpus_pairs_before_any_kernel(corpus, monkeypatch):
+    entries = [e for e in corpus if e.arity >= 3]
+    key = {e.name: criteria._essential(e)[1] for e in entries}
+    differ = {(a.name, b.name) for a in entries for b in entries if key[a.name] != key[b.name]}
+    counts_differ = [pair for pair in differ if key[pair[0]][0] != key[pair[1]][0]]
+    assert (len(differ), len(counts_differ)) == (660, 362)
+    built = []
+    init = criteria._Kernel.__init__
+
+    def spy(kernel, source, target, *args):
+        built.append((source.name, target.name))
+        init(kernel, source, target, *args)
+
+    monkeypatch.setattr(criteria._Kernel, "__init__", spy)
+    trivial = {(a.name, b.name) for a in entries for b in entries if is_quasi_trivial(a, b)}
+    assert len(trivial) == 34
+    assert not trivial & differ
+    # one primary kernel for each pair whose keys are equal, oriented
+    assert sorted(built) == sorted(
+        (b, a) if corpus[a].arity <= corpus[b].arity else (a, b)
+        for a in key
+        for b in key
+        if (a, b) not in differ
+    )
+
+
 def test_explain_mode_computes_no_essential_atoms(corpus, monkeypatch):
     found = []
     essential = criteria._essential
@@ -264,6 +325,31 @@ def test_a_pair_over_the_budget_raises_alike_in_both_modes():
         is_quasi_trivial(source, target)
     messages.append(str(exc.value))
     assert messages == ["35 atoms exceed the budget of 30"] * 5
+
+
+# The same rows a-c against rows d-f without eps(f,f) or eps(a,b), and
+# two padded atoms: 18 essential atoms on each side, but 3 diagonal ones
+# against 2. The keys differ in their second number alone, and the first
+# map still meets 35 atoms.
+KEYED_DEF = (
+    "(eps(a,b) | !eps(a,b)) & (eps(c,c) | !eps(c,c)) & (eps(a,b) | "
+    + " | ".join(f"eps({x},{y})" for x in "def" for y in "abcdef" if x + y != "ff")
+    + ")"
+)
+
+
+def test_a_pair_over_the_budget_whose_keys_differ_still_raises():
+    source = SchemaEntry.make("abc", syntax.parse_formula(ROWS_ABC))
+    target = SchemaEntry.make("def", syntax.parse_formula(KEYED_DEF))
+    source_key, target_key = (criteria._essential(e)[1] for e in (source, target))
+    assert (source_key[:2], target_key[:2]) == ((18, 3), (18, 2))
+    for explain in (True, False):
+        for run in (triviality, quasi_triviality):
+            for pair in ((source, target), (target, source)):
+                with pytest.raises(BudgetError, match="^35 atoms exceed the budget of 30$"):
+                    run(*pair, explain=explain)
+    with pytest.raises(BudgetError, match="^35 atoms exceed the budget of 30$"):
+        is_quasi_trivial(source, target)
 
 
 def chain(k):

@@ -6,6 +6,8 @@ so counter 0 is the all-true valuation and the first falsifying counter is
 the canonical witness.
 """
 
+import itertools
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -136,6 +138,8 @@ def test_table_bit_equals_evaluation(f, seed):
 
 @given(formula_st)
 def test_essential_atoms_are_those_a_flip_can_change(f):
+    """The count beside them is that of their own satisfying valuations,
+    each tried once with every other atom true."""
     domain = merged_atom_order([f])
     expected = set()
     for k in range(2 ** len(domain)):
@@ -143,12 +147,17 @@ def test_essential_atoms_are_those_a_flip_can_change(f):
         for j, atom in enumerate(domain):
             if evaluate(f, Valuation.at_counter(domain, k ^ 1 << j)) != value:
                 expected.add(atom)
-    assert essential_atoms(*compile_formula(f)) == expected
+    models = sum(
+        evaluate(f, Valuation(domain, frozenset(domain).difference(false)))
+        for r in range(len(expected) + 1)
+        for false in itertools.combinations(sorted(expected, key=domain.index), r)
+    )
+    assert essential_atoms(*compile_formula(f)) == (expected, models)
 
 
 def test_a_padded_tautology_is_inessential():
     f = And(eps("a", "b"), Or(eps("b", "b"), Not(eps("b", "b"))))
-    assert essential_atoms(*compile_formula(f)) == {AB}
+    assert essential_atoms(*compile_formula(f)) == ({AB}, 1)
 
 
 def test_excluded_middle_is_a_tautology():

@@ -471,7 +471,15 @@ def test_atom_shaped_input_parses_as_the_reference_parses_it(parse, reference, t
 def test_scanned_atoms_are_the_atoms_of_what_parses(text):
     parsed = outcome(parse_formula, text)
     if not isinstance(parsed, tuple):
-        assert scanned_atoms(text) == frozenset(atoms(parsed))
+        assert scanned_atoms(text) == atoms(parsed)
+
+
+@given(formulas, st.sampled_from(["", " ", "\n\t "]))
+def test_scanned_atoms_of_a_printed_formula_are_its_atoms_in_order(f, blank):
+    """Most texts above do not parse; these all do, with blanks inside and
+    around every atom token."""
+    text = re.sub(r"([(),])", rf"{blank}\1{blank}", print_formula(f))
+    assert scanned_atoms(text) == atoms(parse_formula(text)) == atoms(f)
 
 
 # "X1" twice, so that duplicate definitions are drawn often
