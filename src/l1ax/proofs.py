@@ -386,10 +386,10 @@ def derivation_of(formula: Formula) -> str | None:
     conclusion, so only a script stating formula, or stating none, can be
     the answer, and a conclusion that is formula has formula's atoms in
     formula's order. So only the scripts keyed by those atoms in that
-    order, or by None, are parsed, in file-name order, and the first whose last line is formula and that
-    checks is returned. A script that does not parse fails
-    derived_conclusions() outright, but fails here only when this lookup
-    parses it.
+    order, or by None, are parsed, in file-name order, and the first whose
+    last line is formula and that checks is returned. A script that does
+    not parse fails derived_conclusions() outright, but fails here only
+    when this lookup parses it.
     """
     wanted = atoms(formula)
     for key, stem, text in _directive_index():

@@ -327,7 +327,7 @@ def test_a_pair_over_the_budget_raises_alike_in_both_modes():
     assert messages == ["35 atoms exceed the budget of 30"] * 5
 
 
-# The same rows a-c against rows d-f without eps(f,f) or eps(a,b), and
+# The same rows a-c against eps(a,b) or rows d-f without eps(f,f), behind
 # two padded atoms: 18 essential atoms on each side, but 3 diagonal ones
 # against 2. The keys differ in their second number alone, and the first
 # map still meets 35 atoms.
