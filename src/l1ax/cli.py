@@ -48,8 +48,8 @@ def _resolve(text: str, corpus: Loader) -> SchemaEntry:
 
 
 # name -> (help, arguments as (name or flag, add_argument options), run);
-# run returns only the output asked for (under --json the JSON payload
-# without "command", else the text) and the exit code
+# run returns only the output asked for (under --json the JSON payload,
+# reports unlowered and without "command", else the text) and the exit code
 Outcome = tuple[dict | str, int]
 Run = Callable[[argparse.Namespace, Loader], Outcome]
 COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...], Run]] = {}
@@ -72,7 +72,7 @@ def _taut(args: argparse.Namespace, corpus: Loader) -> Outcome:
     body = _resolve(args.formula, corpus).body
     verdict = is_tautology(body)
     if args.json:
-        return {"formula": print_formula(body), **reports.jsonable(verdict)}, 0
+        return {"formula": print_formula(body), **reports.members(verdict)}, 0
     return reports.taut_text(verdict), 0
 
 
@@ -81,7 +81,7 @@ def _theorem(args: argparse.Namespace, corpus: Loader) -> Outcome:
     body = _resolve(args.formula, corpus).body
     verdict = is_theorem(body)
     if args.json:
-        return {"formula": print_formula(body), **reports.jsonable(verdict)}, 0
+        return {"formula": print_formula(body), **reports.members(verdict)}, 0
     return reports.theorem_text(verdict), 0
 
 
@@ -98,7 +98,7 @@ def _nontrivial(args: argparse.Namespace, corpus: Loader) -> Outcome:
     subject = _resolve(args.schema, corpus)
     reference = _resolve(args.ref, corpus)
     report = triviality(subject, reference)
-    return reports.jsonable(report) if args.json else reports.triviality_text(report), 0
+    return reports.members(report) if args.json else reports.triviality_text(report), 0
 
 
 @_command(
@@ -111,7 +111,7 @@ def _qnt(args: argparse.Namespace, corpus: Loader) -> Outcome:
     left = _resolve(args.left, corpus)
     right = _resolve(args.right, corpus)
     report = quasi_triviality(left, right)
-    return reports.jsonable(report) if args.json else reports.qnt_text(report), 0
+    return reports.members(report) if args.json else reports.qnt_text(report), 0
 
 
 @_command(
@@ -151,7 +151,7 @@ def _matrix(args: argparse.Namespace, corpus: Loader) -> Outcome:
 def _characteristic(args: argparse.Namespace, corpus: Loader) -> Outcome:
     entry = _resolve(args.schema, corpus)
     report = characterize(entry, max_pool=args.max_pool)
-    return reports.jsonable(report) if args.json else reports.characterization_text(report), 0
+    return reports.members(report) if args.json else reports.characterization_text(report), 0
 
 
 @_command(
@@ -161,21 +161,21 @@ def _characteristic(args: argparse.Namespace, corpus: Loader) -> Outcome:
 )
 def _check_proof(args: argparse.Namespace, corpus: Loader) -> Outcome:
     result = check_proof(load_proof_file(args.file))
-    output = reports.jsonable(result) if args.json else reports.proof_check_text(result)
+    output = reports.members(result) if args.json else reports.proof_check_text(result)
     return output, 0 if result.ok else 1
 
 
 @_command("verify", "re-derive every established claim against the corpus")
 def _verify(args: argparse.Namespace, corpus: Loader) -> Outcome:
     report = run_verification(corpus())
-    output = reports.jsonable(report) if args.json else reports.verification_text(report)
+    output = reports.members(report) if args.json else reports.verification_text(report)
     return output, 0 if report.ok else 1
 
 
 @_command("conjectures", "full verdict sweep over the conjectured schemata")
 def _conjectures(args: argparse.Namespace, corpus: Loader) -> Outcome:
     rows = conjecture_report(corpus())
-    return {"rows": reports.jsonable(rows)} if args.json else reports.conjecture_text(rows), 0
+    return {"rows": rows} if args.json else reports.conjecture_text(rows), 0
 
 
 @functools.cache

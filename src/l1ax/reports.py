@@ -1,24 +1,26 @@
 """Serialization of report objects to JSON text and terminal text.
 
-jsonable() is the one lowering: a report Record becomes a dict of its
-fields and its properties, the flags and verdicts it derives from its
-witnesses, each value lowered in turn: formulas become their printed form,
-schema entries their name, substitutions source-to-target maps, tuples
-lists, and valuations an atom list plus the true subset. Two reports
-differ from that rule; each is marked below. Aggregate reports (matrix
-cells, conjecture rows) carry witness data but compress refutation sweeps
-to their count; the single-pair commands expose every refutation in full.
-json_document() is the one writer of what jsonable() makes as JSON text.
+One set of rules gives a report's JSON form: a Record becomes an object of
+its fields and its properties, the flags and verdicts it derives from its
+witnesses, each value lowered in turn: formulas and atoms become their
+printed form, schema entries their name, substitutions source-to-target
+maps, tuples arrays, and valuations an atom list plus the true subset. Two
+reports differ from that rule; each is marked below. Aggregate reports
+(matrix cells, conjecture rows) carry witness data but compress refutation
+sweeps to their count; the single-pair commands expose every refutation in
+full. json_document() writes that form in one pass, from a plan of sorted
+keys made once per record class; jsonable() reads its text back as a tree.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
+from operator import attrgetter
 
 from .characterize import CharacterizationReport
 from .criteria import InapplicablePair, QntReport, Refutation, TrivialityReport
 from .decision import TheoremVerdict
-from .formula import Formula, Record, SchemaEntry
+from .formula import Atom, Formula, Record, SchemaEntry
 from .proofs import ProofCheckResult
 from .semantics import SemanticsVerdict, Valuation
 from .substitution import CandidateMap, Substitution
@@ -26,116 +28,120 @@ from .syntax import print_formula
 from .verify import ConjectureRow, VerificationReport
 
 
-def jsonable(obj: object) -> object:
-    """The JSON-ready form of a report: its Record fields and properties,
-    lowered in turn."""
-    if obj is None or isinstance(obj, (bool, int, str)):
-        return obj
-    if isinstance(obj, (tuple, list)):
-        return [jsonable(x) for x in obj]
-    if isinstance(obj, Formula):
-        return print_formula(obj)
-    if isinstance(obj, SchemaEntry):
-        return obj.name
-    if isinstance(obj, Substitution):
-        return dict(obj.items)
-    if isinstance(obj, Valuation):
-        names = [str(a) for a in obj.domain]
-        return {
-            "atoms": names,
-            "true": [s for a, s in zip(obj.domain, names) if a in obj.true_atoms],
-        }
-    if isinstance(obj, ConjectureRow):
-        # exception: the whole schema entry, and both sweeps compressed
-        return {
-            "schema": {
-                "name": obj.entry.name,
-                "formula": print_formula(obj.entry.body),
-                "variables": list(obj.entry.variables),
-                "arity": obj.entry.arity,
-            },
-            "characterization": jsonable(obj.characterization),
-            "nontriviality": qnt_summary(obj.nontriviality),
-            "comparisons": {
-                name: qnt_summary(rep) for name, rep in obj.comparisons.items()
-            },
-        }
-    if not isinstance(obj, Record):
-        raise TypeError(f"no JSON form for {type(obj).__name__}")
-    data = {name: jsonable(getattr(obj, name)) for name in obj.attributes}
-    if isinstance(obj, Refutation):
-        # exception: the candidate's rho and sigma sit at the top level
-        data.update(data.pop("candidate"))
-    return data
+# values that stand for a plain value: a string, or a map or object of values
+_STAND_INS = {
+    **dict.fromkeys(Formula.__subclasses__(), print_formula),
+    Atom: str,
+    SchemaEntry: attrgetter("name"),
+    Substitution: lambda s: dict(s.items),
+    Valuation: lambda v: {"atoms": v.domain, "true": [a for a in v.domain if a in v.true_atoms]},
+}
+# each other record class's plan, made at import: its members' (key, getter), by key
+_PLANS = {
+    cls: tuple(sorted((name, attrgetter(name)) for name in cls.attributes))
+    for cls in Record.__subclasses__()
+    if cls.attributes and cls not in _STAND_INS
+}
+# exception: the candidate's rho and sigma sit at the top level
+_PLANS[Refutation] = tuple(sorted(
+    [(key, get) for key, get in _PLANS[Refutation] if key != "candidate"]
+    + [("rho", attrgetter("candidate.rho")), ("sigma", attrgetter("candidate.sigma"))]
+))
+# exception: the whole schema entry, and both sweeps compressed
+_PLANS[ConjectureRow] = tuple(sorted({
+    "schema": lambda row: dict(
+        name=row.entry.name, formula=row.entry.body,
+        variables=row.entry.variables, arity=row.entry.arity,
+    ),
+    "characterization": attrgetter("characterization"),
+    "nontriviality": lambda row: qnt_summary(row.nontriviality),
+    "comparisons": lambda row: {k: qnt_summary(v) for k, v in row.comparisons.items()},
+}.items()))
+
+
+def members(record: Record) -> dict:
+    """A report record's JSON object as a dict of values not yet lowered,
+    for a payload that adds keys of its own."""
+    return {key: get(record) for key, get in _PLANS[type(record)]}
 
 
 def qnt_summary(cell: QntReport | InapplicablePair | TrivialityReport) -> dict:
-    """Compressed matrix/sweep cell: witnesses kept, refutations counted.
-
-    Every map examined before the witness, or every map when there is
-    none, was refuted, whether or not the report lists the refutations.
-    """
-    if isinstance(cell, InapplicablePair):
-        return jsonable(cell)
-    data = jsonable(cell)
-    del data["refutations"]
-    data["refutation_count"] = cell.map_count - (cell.witness is not None)
+    """Compressed matrix/sweep cell as members() gives it: witnesses kept,
+    refutations counted. Every map examined before the witness, or every map
+    when there is none, was refuted, whether or not the report lists them."""
+    data = members(cell)
+    if data.pop("refutations", None) is not None:  # not an inapplicable pair
+        data["refutation_count"] = cell.map_count - (cell.witness is not None)
     return data
 
 
+def jsonable(obj: object) -> object:
+    """The JSON-ready form of a report: json_document's text read back as a
+    tree. A dict is a payload, not a report value: it raises TypeError, also
+    as an item of a list or tuple."""
+    if isinstance(obj, (tuple, list)):
+        return [jsonable(x) for x in obj]
+    if isinstance(obj, dict):
+        raise TypeError("no JSON form for dict")
+    import json
+
+    return json.loads(json_document(obj))
+
+
 def json_document(value: object) -> str:
-    """json.dumps(value, indent=2, sort_keys=True) for the values jsonable
-    makes: dicts with str keys, lists, str, int, bool and None; any other
-    type raises TypeError. The standard library encodes an indented document
-    in pure Python, through closures that leave reference cycles behind;
-    here only the strings go through its C escaper."""
+    """json.dumps(tree, indent=2, sort_keys=True), where tree is value lowered
+    by the rules above: a report value, or a dict with str keys that holds
+    them; anything else, a str or int subclass too, raises TypeError. The
+    standard library's indenting encoder runs in Python through closures that
+    leave reference cycles; here only strings go through its C escaper."""
     from json.encoder import encode_basestring_ascii  # only --json loads json
 
     out: list[str] = []
-    _write_json(value, "\n", out, encode_basestring_ascii)
+    _write(value, "\n", out, encode_basestring_ascii, {})
     return "".join(out)
 
 
-def _write_json(
-    value: object, indent: str, out: list[str], quote: Callable[[str], str]
-) -> None:
-    """Append value's JSON text to out, its lines indented after indent."""
-    if isinstance(value, str):
+def _write(value: object, indent: str, out: list, quote: Callable, atoms: dict) -> None:
+    """Append value's JSON text to out, its lines indented after indent;
+    atoms holds the quoted text of each atom of an array written so far."""
+    cls = value.__class__
+    if cls is str:
         out.append(quote(value))
+    elif cls is int:
+        out.append(str(value))
+    elif value is True or value is False or value is None:
+        out.append("true" if value else "null" if value is None else "false")
+    elif cls in _STAND_INS:
+        _write(_STAND_INS[cls](value), indent, out, quote, atoms)
+    elif cls in _PLANS:
+        inner = indent + "  "
+        sep = "{" + inner
+        for key, get in _PLANS[cls]:
+            out.append(f'{sep}"{key}": ')
+            _write(get(value), inner, out, quote, atoms)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif cls is list or cls is tuple:
+        inner = indent + "  "
+        sep = "[" + inner
+        for x in value:
+            out.append(sep)
+            if x.__class__ is Atom:
+                out.append(atoms.get(x) or atoms.setdefault(x, quote(str(x))))
+            else:
+                _write(x, inner, out, quote, atoms)
+            sep = "," + inner
+        out.append(indent + "]" if value else "[]")
     elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
         inner = indent + "  "
         sep = "{" + inner
         for key in sorted(value):
-            out.append(sep)
-            out.append(quote(key))  # TypeError unless key is a str
-            out.append(": ")
-            _write_json(value[key], inner, out, quote)
+            out.append(sep + quote(key) + ": ")  # TypeError unless key is a str
+            _write(value[key], inner, out, quote, atoms)
             sep = "," + inner
-        out.append(indent + "}")
-    elif isinstance(value, list):
-        if not value:
-            out.append("[]")
-            return
-        inner = indent + "  "
-        sep = "[" + inner
-        for item in value:
-            out.append(sep)
-            _write_json(item, inner, out, quote)
-            sep = "," + inner
-        out.append(indent + "]")
-    elif value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(indent + "}" if value else "{}")
     else:
-        raise TypeError(f"no JSON text for {type(value).__name__}")
+        raise TypeError(f"no JSON form for {type(value).__name__}")
 
 
 # terminal text

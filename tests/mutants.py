@@ -7,8 +7,13 @@ pytest on each of those files against the copy, stopping at the first
 failing test. The listed files are first run once against an unedited
 copy, where they must pass, so no kill comes from a test that fails anyway.
 
-The script exits 1 if a mutant survives, if its old text does not occur
-exactly once in its file, or if the unedited copy fails. Each pytest run
+An equivalent mutant, one that no test can kill because the program's
+output stays the same, is listed in EQUIVALENT with its reason; it is not
+run and not counted as killed.
+
+The script exits 1 if a mutant survives, if the old text of a mutant or of
+an equivalent one does not occur exactly once in its file, or if the
+unedited copy fails. Each pytest run
 may map at most MEMORY_LIMIT bytes, so a mutant that builds a table past
 the atom budget fails with MemoryError instead of filling the machine.
 
@@ -331,6 +336,67 @@ MUTANTS = [
         "    for name in os.listdir(root):\n",
         ["test_proofs.py"],
     ),
+    (
+        "a record plan left in attribute order",
+        "reports.py",
+        "    cls: tuple(sorted((name, attrgetter(name)) for name in cls.attributes))\n",
+        "    cls: tuple((name, attrgetter(name)) for name in cls.attributes)\n",
+        ["test_reports.py"],
+    ),
+    (
+        "the refutation's rho and sigma not lifted",
+        "reports.py",
+        """\
+_PLANS[Refutation] = tuple(sorted(
+    [(key, get) for key, get in _PLANS[Refutation] if key != "candidate"]
+    + [("rho", attrgetter("candidate.rho")), ("sigma", attrgetter("candidate.sigma"))]
+))
+""",
+        "",
+        ["test_reports.py"],
+    ),
+    (
+        "the atom memo shared across documents",
+        "reports.py",
+        '    _write(value, "\\n", out, encode_basestring_ascii, {})\n',
+        '    _write(value, "\\n", out, encode_basestring_ascii, _write.__dict__.setdefault("m", {}))\n',
+        ["test_reports.py"],
+    ),
+    (
+        "the atom memo keyed by the subject",
+        "reports.py",
+        "                out.append(atoms.get(x) or atoms.setdefault(x, quote(str(x))))\n",
+        "                out.append(atoms.get(x.subject) or atoms.setdefault(x.subject, quote(str(x))))\n",
+        ["test_reports.py"],
+    ),
+    (
+        "a valuation's true list written from the whole domain",
+        "reports.py",
+        '"true": [a for a in v.domain if a in v.true_atoms]',
+        '"true": list(v.domain)',
+        ["test_reports.py"],
+    ),
+]
+
+# (name, file under src/l1ax, old text, new text, why no test can kill it):
+# never run and not counted as killed; the script only checks that each old
+# text still occurs once, so the list does not go stale
+EQUIVALENT = [
+    (
+        "the atom memo bypassed",
+        "reports.py",
+        "atoms.get(x) or atoms.setdefault(x, quote(str(x)))",
+        "quote(str(x))",
+        "the memo only saves quoting an atom again: the text is the same",
+    ),
+    (
+        "the atom memo keyed by the atom's id",
+        "reports.py",
+        "atoms.get(x) or atoms.setdefault(x, quote(str(x)))",
+        "atoms.get(id(x)) or atoms.setdefault(id(x), quote(str(x)))",
+        "atoms are interned and kept for the life of the process, so one id "
+        "never names two atoms",
+    ),
 ]
 
 
@@ -390,10 +456,18 @@ def main(argv: list[str]) -> int:
         return 2
     chosen = [known[name] for name in argv] or MUTANTS
     start = time.perf_counter()
-    problems = run(chosen)
+    problems = [
+        f"{name}: its old text occurs {count} times in {file}"
+        for name, file, old, _, _ in EQUIVALENT
+        if (count := (ROOT / "src" / "l1ax" / file).read_text().count(old)) != 1
+    ]
+    problems += run(chosen)
     for problem in problems:
         print(f"error: {problem}", file=sys.stderr)
-    print(f"{len(chosen)} mutants, {len(problems)} problems, {time.perf_counter() - start:.1f} s")
+    print(
+        f"{len(chosen)} mutants, {len(problems)} problems, {len(EQUIVALENT)} equivalent "
+        f"listed and not run, {time.perf_counter() - start:.1f} s"
+    )
     return 1 if problems else 0
 
 

@@ -10,11 +10,15 @@ enumeration are each checked against a path they do not share.
 are_equivalent itself is checked against one table of the desugared Iff.
 The fused table compiler is checked against one closure per formula node,
 and the one-compile entailment against an atom walk and a table per formula.
+The one-pass JSON writer is checked against the two passes it replaced: a
+tree of dicts and lists first, then that tree's text.
 """
 
 import itertools
+from json.encoder import encode_basestring_ascii
 
-from l1ax.formula import Epsilon, Iff, Not, Or, atoms
+from l1ax.criteria import InapplicablePair, Refutation
+from l1ax.formula import Epsilon, Formula, Iff, Not, Or, Record, SchemaEntry, atoms
 from l1ax.semantics import (
     SemanticsVerdict,
     Valuation,
@@ -32,6 +36,8 @@ from l1ax.substitution import (
     CandidateMap,
     Substitution,
 )
+from l1ax.syntax import print_formula
+from l1ax.verify import ConjectureRow
 
 
 def all_instances(entry, pool):
@@ -179,3 +185,97 @@ def walked_equivalence(left, right):
     if diff == 0:
         return SemanticsVerdict(None)
     return SemanticsVerdict(Valuation.at_counter(order, lowest_set_bit(diff)))
+
+
+def two_pass_jsonable(obj):
+    """A report's JSON tree by the rules written out once more: a Record's
+    fields and properties, a refutation's rho and sigma lifted, a
+    conjecture row's own shape, each value lowered in turn."""
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, (tuple, list)):
+        return [two_pass_jsonable(x) for x in obj]
+    if isinstance(obj, Formula):
+        return print_formula(obj)
+    if isinstance(obj, SchemaEntry):
+        return obj.name
+    if isinstance(obj, Substitution):
+        return dict(obj.items)
+    if isinstance(obj, Valuation):
+        names = [str(a) for a in obj.domain]
+        return {
+            "atoms": names,
+            "true": [s for a, s in zip(obj.domain, names) if a in obj.true_atoms],
+        }
+    if isinstance(obj, ConjectureRow):
+        return {
+            "schema": {
+                "name": obj.entry.name,
+                "formula": print_formula(obj.entry.body),
+                "variables": list(obj.entry.variables),
+                "arity": obj.entry.arity,
+            },
+            "characterization": two_pass_jsonable(obj.characterization),
+            "nontriviality": two_pass_summary(obj.nontriviality),
+            "comparisons": {
+                name: two_pass_summary(rep) for name, rep in obj.comparisons.items()
+            },
+        }
+    if not isinstance(obj, Record):
+        raise TypeError(f"no JSON form for {type(obj).__name__}")
+    data = {name: two_pass_jsonable(getattr(obj, name)) for name in obj.attributes}
+    if isinstance(obj, Refutation):
+        data.update(data.pop("candidate"))
+    return data
+
+
+def two_pass_summary(cell):
+    """A matrix or sweep cell's tree with its refutations counted."""
+    data = two_pass_jsonable(cell)
+    if not isinstance(cell, InapplicablePair):
+        del data["refutations"]
+        data["refutation_count"] = cell.map_count - (cell.witness is not None)
+    return data
+
+
+def two_pass_json_document(value):
+    """The text of two_pass_jsonable(value): json.dumps(..., indent=2,
+    sort_keys=True) of the tree, written by a walk of the tree."""
+    out = []
+    _write_tree(two_pass_jsonable(value), "\n", out)
+    return "".join(out)
+
+
+def _write_tree(value, indent, out):
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _write_tree(value[key], inner, out)
+            sep = "," + inner
+        out.append(indent + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            _write_tree(item, inner, out)
+            sep = "," + inner
+        out.append(indent + "]")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, bool):
+        out.append("true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"no JSON text for {type(value).__name__}")

@@ -536,7 +536,7 @@ def test_json_document_covers_escapes_and_empty_containers():
     assert reports.json_document(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("value", [1.5, (1,), {1}, {"a": [0.0]}, {1: 2}])
+@pytest.mark.parametrize("value", [1.5, (1.5,), {1}, {"a": [0.0]}, {1: 2}])
 def test_json_document_rejects_other_types(value):
     with pytest.raises(TypeError):
         reports.json_document(value)
@@ -657,7 +657,8 @@ RENDER_ARGVS = [
 
 @pytest.fixture
 def renders(monkeypatch):
-    """Names of the reports functions called, jsonable and every *_text."""
+    """Names of the reports functions called, jsonable, json_document and
+    every *_text."""
     calls = []
 
     def counted(name, fn):
@@ -668,7 +669,7 @@ def renders(monkeypatch):
         return wrapper
 
     for name in dir(reports):
-        if name == "jsonable" or name.endswith("_text"):
+        if name in ("jsonable", "json_document") or name.endswith("_text"):
             monkeypatch.setattr(reports, name, counted(name, getattr(reports, name)))
     return calls
 
