@@ -5,9 +5,9 @@ placeholders unexpanded) to [exit code, sha256 of stdout, sha256 of stderr];
 a path that a message prints reads as its placeholder. It is the one byte
 gate on the command line. It covers every corpus name under the
 single-schema commands, 14 x 14 qnt pairs, the bundled proof scripts, the
-corpus-wide commands, formula text, default flags, a schema file, a
-tampered script, a script whose every step fails and refused inputs, each
-as text and with --json. Every command and every option it declares is in
+corpus-wide commands, formula text down to a single atom, default flags,
+schema files, a tampered script, a script whose every step fails and
+refused inputs, each as text and with --json. Every command and every option it declares is in
 some argv both ways. Output that depends on set or dict order, such as an
 order that follows string hashes or object addresses, shows as a changed
 row: run the table again under another PYTHONHASHSEED to check that.
@@ -96,6 +96,10 @@ SUBST_TRAILING = (
 # a schema file whose entry uses a name of the fresh-variable pools
 RESERVED = "Mine := eps(a,u1) -> eps(a,a)\n"
 
+# schema files that name an entry twice, and that name one '1bad'
+REPEATED = "X := eps(a,b) -> eps(a,a)\nX := eps(a,b) -> eps(b,a)\n"
+BAD_NAME = "1bad := eps(a,b) -> eps(a,a)\n"
+
 # nine variables make 9! renamings, beyond the sweep budget
 CHAIN9 = " & ".join(f"eps({x},{y})" for x, y in zip("abcdefgh", "bcdefghi"))
 
@@ -177,6 +181,10 @@ ERRORS = [
     ("taut", IFF_CHAIN),
     ("check-proof", "{subst_atom}"),
     *(("check-proof", "{" + key + "}") for key in REFUSED_SCRIPTS),
+    ("taut", ""),
+    ("theorem", "X", "--corpus-file", "{repeated}"),
+    ("theorem", "Ax1", "--corpus-file", "{bad_name}"),
+    ("nontrivial", "A_t", "--ref", "A_M8"),
 ]
 
 CASES = [
@@ -210,6 +218,9 @@ CASES = [
     ("matrix", "--corpus", "{corpus}"),
     ("check-proof", "{tampered}"),
     ("check-proof", "{failing_steps}"),
+    # schema bodies that are a single atom
+    ("theorem", "eps(a,a)"),
+    ("characteristic", "eps(a,b)"),
     *ERRORS,
 ]
 
@@ -231,6 +242,8 @@ def _write_files(root: Path) -> dict[str, str]:
         ("subst_trailing", "subst_trailing.proof", SUBST_TRAILING),
         ("subst_atom", "subst_atom.proof", SUBST_ATOM),
         ("reserved", "reserved.schemata", RESERVED),
+        ("repeated", "repeated.schemata", REPEATED),
+        ("bad_name", "bad_name.schemata", BAD_NAME),
         ("tampered", "bad.proof", tampered),
         ("corpus", "mixed.schemata", CORPUS),
         ("failing_steps", "failing_steps.proof", FAILING_STEPS),
@@ -284,7 +297,7 @@ def working_python(minor: int) -> str | None:
 
 def test_the_table_covers_every_case():
     assert len(NAMES) == 30 and len(SCRIPTS) == 12
-    assert len(_argvs()) == 750 + 2 * len(ERRORS) == 828
+    assert len(_argvs()) == 754 + 2 * len(ERRORS) == 840
     assert len(CHAIN9.split(" & ")) == 8
     assert len(OVER_BUDGET.split(" | ")) == 31
     assert sorted(json.loads(DATA.read_text())) == sorted(map(" ".join, _argvs()))
