@@ -3,9 +3,10 @@
 Formulas are built from epsilon atoms over name variables with negation and
 disjunction as the primitive connectives. Conjunction, implication and
 equivalence are provided as constructor functions that desugar immediately,
-so every formula object consists of Epsilon, Not and Or nodes only. All nodes
-are immutable and hashable. Atoms are interned, one object per name pair, so
-they compare and hash by identity; nodes compare structurally.
+so every formula object consists of Atom, Not and Or nodes only. All nodes
+are immutable and hashable. An atom is the leaf itself, interned, one object
+per name pair, so atoms compare and hash by identity; Not and Or nodes
+compare structurally.
 
 Record, the immutable-value base of the package, and InputError live here
 because every other module imports this one.
@@ -13,7 +14,6 @@ because every other module imports this one.
 
 from __future__ import annotations
 
-import functools
 import re
 from collections.abc import Callable
 
@@ -33,7 +33,7 @@ class InputError(ValueError):
 
 # (field count, has __post_init__) -> make(set__hash, *field setters), which
 # returns __init__, __eq__ and __hash__ over the placeholder fields _0, _1, ...
-# One compile per shape: the 26 record classes of the package come in 9.
+# One compile per shape: the 25 record classes of the package come in 9.
 _MAKERS: dict[tuple[int, bool], Callable[..., tuple]] = {}
 
 
@@ -137,10 +137,12 @@ class Record(metaclass=_RecordType):
         return type(self), tuple(getattr(self, f) for f in self.__slots__)
 
 
-# atoms are built by the thousand from a handful of names
-@functools.lru_cache(maxsize=4096)
 def is_valid_variable(name: str) -> bool:
     return bool(VARIABLE_RE.match(name)) and name not in RESERVED_WORDS
+
+
+class Formula(Record):
+    """Base class for formula nodes. Concrete nodes: Atom (the leaf), Not, Or."""
 
 
 # (subject, predicate) -> its one Atom. Never cleared, not even by
@@ -150,8 +152,9 @@ def is_valid_variable(name: str) -> bool:
 _ATOMS: dict[tuple[NameVar, NameVar], Atom] = {}
 
 
-class Atom(Record):
-    """An epsilon atom: subject variable and predicate variable.
+class Atom(Formula):
+    """An epsilon atom, the leaf of every formula: subject variable and
+    predicate variable.
 
     Atom(x, y) returns the one atom of the pair, made on the first call
     whose names pass is_valid_variable; a refused name raises on every
@@ -181,14 +184,6 @@ class Atom(Record):
         return f"eps({self.subject},{self.predicate})"
 
 
-class Formula(Record):
-    """Base class for formula nodes. Concrete nodes: Epsilon, Not, Or."""
-
-
-class Epsilon(Formula):
-    atom: Atom
-
-
 class Not(Formula):
     operand: Formula
 
@@ -199,7 +194,7 @@ class Or(Formula):
 
 
 def eps(subject: NameVar, predicate: NameVar) -> Formula:
-    return Epsilon(Atom(subject, predicate))
+    return Atom(subject, predicate)
 
 
 def And(left: Formula, right: Formula) -> Formula:
@@ -229,8 +224,8 @@ def atoms(formula: Formula) -> tuple[Atom, ...]:
     stack = [formula]
     while stack:
         node = stack.pop()
-        if isinstance(node, Epsilon):
-            seen.setdefault(node.atom)
+        if isinstance(node, Atom):
+            seen.setdefault(node)
         elif isinstance(node, Not):
             stack.append(node.operand)
         elif isinstance(node, Or):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable, Iterable, Sequence
 
-from .formula import Atom, Epsilon, Formula, InputError, Not, Or, Record, SchemaEntry
+from .formula import Atom, Formula, InputError, Not, Or, Record, SchemaEntry
 
 ATOM_BUDGET = 30
 
@@ -86,8 +86,8 @@ class Valuation(Record):
 def evaluate(formula: Formula, valuation: Valuation) -> bool:
     """Pointwise evaluation; the replay path used to certify reported witnesses."""
     node = type(formula)
-    if node is Epsilon:
-        return valuation.value(formula.atom)
+    if node is Atom:
+        return valuation.value(formula)
     if node is Not:
         return not evaluate(formula.operand, valuation)
     if node is Or:
@@ -138,8 +138,8 @@ def _closure(f: Formula, order: dict[Atom, int]) -> Table:
     connective pattern; operands compile left first, so atoms are numbered
     in order of first occurrence."""
     node = type(f)
-    if node is Epsilon:
-        i = order.setdefault(f.atom, len(order))
+    if node is Atom:
+        i = order.setdefault(f, len(order))
         return lambda t, full: t[i]
     if node is Or:
         if type(f.left) is Not:
@@ -155,8 +155,8 @@ def _closure(f: Formula, order: dict[Atom, int]) -> Table:
     if node is Not:
         g = f.operand
         inner = type(g)
-        if inner is Epsilon:
-            i = order.setdefault(g.atom, len(order))
+        if inner is Atom:
+            i = order.setdefault(g, len(order))
             return lambda t, full: full ^ t[i]
         if inner is Not:
             return _closure(g.operand, order)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 
-from .formula import Atom, Epsilon, Formula, NameVar, Not, Or, Record
+from .formula import Atom, Formula, NameVar, Not, Or, Record
 
 # Fresh variables come from reserved pools so reported witnesses are stable:
 # y1,y2,... pad triviality maps, u1,u2,... pad the first quasi-triviality
@@ -51,8 +51,7 @@ class Substitution(Record):
         return dict(self.items)
 
     def apply(self, formula: Formula) -> Formula:
-        # each distinct atom is renamed once
-        return _rename(formula, self.mapping, {})
+        return _rename(formula, self.mapping)
 
     def is_injective(self) -> bool:
         targets = [t for _, t in self.items]
@@ -67,22 +66,16 @@ class Substitution(Record):
         return "{" + ", ".join(f"{s}->{t}" for s, t in self.items) + "}"
 
 
-def _rename(f: Formula, m: Mapping[NameVar, NameVar], images: dict[Atom, Epsilon]) -> Formula:
-    """f with every variable x renamed to m.get(x, x); images holds the
-    renamed atoms met so far."""
+def _rename(f: Formula, m: Mapping[NameVar, NameVar]) -> Formula:
+    """f with every variable x renamed to m.get(x, x); an atom's image is
+    the interned atom of the renamed pair."""
     node = type(f)
-    if node is Epsilon:
-        a = f.atom
-        image = images.get(a)
-        if image is None:
-            image = images[a] = Epsilon(
-                Atom(m.get(a.subject, a.subject), m.get(a.predicate, a.predicate))
-            )
-        return image
+    if node is Atom:
+        return Atom(m.get(f.subject, f.subject), m.get(f.predicate, f.predicate))
     if node is Not:
-        return Not(_rename(f.operand, m, images))
+        return Not(_rename(f.operand, m))
     if node is Or:
-        return Or(_rename(f.left, m, images), _rename(f.right, m, images))
+        return Or(_rename(f.left, m), _rename(f.right, m))
     raise TypeError(f"not a formula node: {f!r}")
 
 

@@ -13,7 +13,7 @@ Grammar (binding from loosest to tightest):
 One compiled regex splits the input into token strings; the parser reads
 them by index. A well-formed atom, 'eps(' var ',' var ')' with blanks
 allowed between its parts, is one token, which the parser turns straight
-into an Epsilon; any other text scans into operators, words and single
+into an Atom; any other text scans into operators, words and single
 characters, and fails as it would if atoms were scanned part by part. An
 error message quotes an atom token as 'eps', its first part. Positions are
 not tracked per token: a ParseError's span is worked out from the offset
@@ -35,7 +35,6 @@ from collections.abc import Iterator
 from .formula import (
     And,
     Atom,
-    Epsilon,
     Formula,
     Iff,
     Implies,
@@ -102,9 +101,9 @@ class _Parser:
 
     Tokens are plain strings; the span of an error is worked out from the
     text only when the error is raised. The formula methods return the
-    formula, its depth after desugaring (an Epsilon is 1, '&' adds 3
+    formula, its depth after desugaring (an atom is 1, '&' adds 3
     levels, '<->' 5), bounded by MAX_DEPTH, and its desugared node count
-    (an Epsilon is 1; '!' adds 1, '|' 1, '->' 2, '&' 4; 'l <-> r' is
+    (an atom is 1; '!' adds 1, '|' 1, '->' 2, '&' 4; 'l <-> r' is
     8 + 2l + 2r), bounded by MAX_SIZE. `nest` counts the '!' and
     right-nested '->' enclosing the current position; each adds a level, so
     bounding it by MAX_DEPTH as the parser descends refuses no formula the
@@ -198,7 +197,7 @@ class _Parser:
         tok = self.tokens[op]
         if _is_atom(tok):
             self.pos += 1
-            return Epsilon(Atom(*_NAME.findall(tok, 3))), 1, 1
+            return Atom(*_NAME.findall(tok, 3)), 1, 1
         if tok == "!":
             self.pos += 1
             operand, depth, size = self.parse_not(nest + 1)
@@ -220,7 +219,7 @@ class _Parser:
             self.expect(",", "','")
             predicate = self.parse_variable()
             self.expect(")", "')'")
-            return Epsilon(Atom(subject, predicate)), 1, 1
+            return Atom(subject, predicate), 1, 1
         raise self.error("expected a formula", op)
 
     def parse_variable(self) -> str:
@@ -320,6 +319,8 @@ _IFF, _IMP, _OR, _AND, _NOT, _ATOM = range(6)
 
 
 def _render(f: Formula, level: int) -> str:
+    if isinstance(f, Atom):
+        return str(f)
     pair = match_iff(f)
     if pair is not None:
         text = f"{_render(pair[0], _IFF)} <-> {_render(pair[1], _IMP)}"
@@ -337,8 +338,6 @@ def _render(f: Formula, level: int) -> str:
     if isinstance(f, Or):
         text = f"{_render(f.left, _OR)} | {_render(f.right, _AND)}"
         return f"({text})" if level > _OR else text
-    if isinstance(f, Epsilon):
-        return str(f.atom)
     raise TypeError(f"not a formula node: {f!r}")
 
 

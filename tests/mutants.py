@@ -321,6 +321,20 @@ MUTANTS = [
         ["test_kernel.py"],
     ),
     (
+        "_rename renames only the subject",
+        "substitution.py",
+        "        return Atom(m.get(f.subject, f.subject), m.get(f.predicate, f.predicate))\n",
+        "        return Atom(m.get(f.subject, f.subject), f.predicate)\n",
+        ["test_substitution.py", "test_formula.py"],
+    ),
+    (
+        "a negated atom compiled without its complement",
+        "semantics.py",
+        "            return lambda t, full: full ^ t[i]\n",
+        "            return lambda t, full: t[i]\n",
+        ["test_semantics.py"],
+    ),
+    (
         "an Ax1-violating valuation admitted from pool 3",
         "decision.py",
         "    counters.sort()\n",

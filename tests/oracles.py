@@ -18,7 +18,7 @@ import itertools
 from json.encoder import encode_basestring_ascii
 
 from l1ax.criteria import InapplicablePair, Refutation
-from l1ax.formula import Epsilon, Formula, Iff, Not, Or, Record, SchemaEntry, atoms
+from l1ax.formula import Atom, Formula, Iff, Not, Or, Record, SchemaEntry, atoms
 from l1ax.semantics import (
     SemanticsVerdict,
     Valuation,
@@ -130,8 +130,8 @@ def admissible_tiles(counters, atom_count):
 
 
 def _node_closure(f, order):
-    if isinstance(f, Epsilon):
-        i = order.setdefault(f.atom, len(order))
+    if isinstance(f, Atom):
+        i = order.setdefault(f, len(order))
         return lambda t, full: t[i]
     if isinstance(f, Not):
         operand = _node_closure(f.operand, order)

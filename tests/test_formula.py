@@ -1,6 +1,6 @@
-"""Formula constructors, desugaring, variable bookkeeping, and the Record
-base of every immutable value, checked against a frozen, slotted dataclass
-with the same fields."""
+"""Formula constructors, desugaring, variable bookkeeping, the interned atom
+as the leaf of every formula, and the Record base of every immutable value,
+checked against a frozen, slotted dataclass with the same fields."""
 
 import builtins
 import copy
@@ -20,7 +20,6 @@ from l1ax import formula
 from l1ax.formula import (
     And,
     Atom,
-    Epsilon,
     Iff,
     Implies,
     Not,
@@ -33,15 +32,15 @@ from l1ax.formula import (
     name_variables,
 )
 from l1ax.proofs import Justification
-from l1ax.semantics import Valuation
+from l1ax.semantics import Valuation, compile_formula, evaluate
 from l1ax.substitution import Substitution
+from l1ax.syntax import parse_formula, print_formula
 
 
 def test_eps_builds_an_epsilon_node():
     f = eps("a", "b")
-    assert isinstance(f, Epsilon)
-    assert f.atom == Atom("a", "b")
-    assert str(f.atom) == "eps(a,b)"
+    assert f is Atom("a", "b")
+    assert str(f) == "eps(a,b)"
 
 
 def test_atom_rejects_bad_variable_names():
@@ -119,6 +118,49 @@ def test_formula_nodes_are_hashable_values():
     assert len({eps("a", "b"), eps("a", "b"), eps("b", "a")}) == 2
 
 
+def leaves(f):
+    """f's leaves left to right, repeats kept."""
+    if isinstance(f, Not):
+        return leaves(f.operand)
+    if isinstance(f, Or):
+        return leaves(f.left) + leaves(f.right)
+    return [f]
+
+
+def test_every_parsed_leaf_is_the_interned_atom():
+    f = parse_formula("eps(a,b) -> eps(a,b)")
+    assert f == Implies(Atom("a", "b"), Atom("a", "b"))
+    assert [leaf is Atom("a", "b") for leaf in leaves(f)] == [True, True]
+
+
+def test_renamed_and_copied_formulas_keep_the_interned_leaves():
+    f = parse_formula("eps(a,b) & eps(b,c) -> eps(b,a)")
+    image = Substitution.of({"a": "c", "c": "a"}).apply(f)
+    assert image == parse_formula("eps(c,b) & eps(b,a) -> eps(b,c)")
+    for g, expected in (
+        (image, ("c", "b", "b", "a", "b", "c")),
+        (copy.deepcopy(f), ("a", "b", "b", "c", "b", "a")),
+        (pickle_round_trip(f), ("a", "b", "b", "c", "b", "a")),
+    ):
+        found = leaves(g)
+        assert found == [Atom(*expected[i:i + 2]) for i in range(0, 6, 2)]
+        assert all(leaf is Atom(leaf.subject, leaf.predicate) for leaf in found)
+
+
+def test_a_single_atom_formula_round_trips():
+    a = Atom("b", "a")
+    assert print_formula(a) == "eps(b,a)"
+    assert parse_formula(print_formula(a)) is a
+    domain, table = compile_formula(a)
+    # counter 0 makes the atom true, counter 1 false
+    assert domain == (a,) and table([0b01], 0b11) == 0b01
+    assert evaluate(a, Valuation((a,), frozenset({a})))
+    assert not evaluate(a, Valuation((a,), frozenset()))
+    assert Substitution.of({"a": "c"}).apply(a) is Atom("b", "c")
+    assert Substitution.identity().apply(a) is a
+    assert atoms(a) == (a,) and name_variables(a) == ("b", "a")
+
+
 def record_classes():
     modules = [
         importlib.import_module(f"l1ax.{info.name}")
@@ -171,7 +213,7 @@ def sample_values(cls, fields):
 
 
 def test_every_record_class_is_found():
-    assert len(record_classes()) == 26  # 25 values and the Formula base
+    assert len(record_classes()) == 25  # 24 values and the Formula base
 
 
 def pickle_round_trip(value):

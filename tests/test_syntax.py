@@ -18,7 +18,6 @@ from l1ax import proofs, syntax
 from l1ax.formula import (
     And,
     Atom,
-    Epsilon,
     Formula,
     Iff,
     Implies,
@@ -311,7 +310,7 @@ class _Parser:
             self.expect("COMMA", "','")
             predicate = self.parse_variable()
             self.expect("RPAREN", "')'")
-            return Epsilon(Atom(subject, predicate))
+            return Atom(subject, predicate)
         raise ParseError("expected a formula", tok.span)
 
     def parse_variable(self) -> str:
@@ -536,7 +535,7 @@ def test_an_error_at_the_end_counts_the_trailing_blanks():
 
 
 def depth(f):
-    """AST depth, an Epsilon counting 1."""
+    """AST depth, an atom counting 1."""
     if isinstance(f, Not):
         return 1 + depth(f.operand)
     if isinstance(f, Or):
