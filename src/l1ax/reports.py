@@ -31,7 +31,7 @@ from .verify import ConjectureRow, VerificationReport
 # values that stand for a plain value: a string, or a map or object of values
 _STAND_INS = {
     **dict.fromkeys(Formula.__subclasses__(), print_formula),
-    Atom: str,
+    Atom: str,  # replaces its Formula entry: the printed text, without the printer
     SchemaEntry: attrgetter("name"),
     Substitution: lambda s: dict(s.items),
     Valuation: lambda v: {"atoms": v.domain, "true": [a for a in v.domain if a in v.true_atoms]},

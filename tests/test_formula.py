@@ -137,14 +137,9 @@ def test_renamed_and_copied_formulas_keep_the_interned_leaves():
     f = parse_formula("eps(a,b) & eps(b,c) -> eps(b,a)")
     image = Substitution.of({"a": "c", "c": "a"}).apply(f)
     assert image == parse_formula("eps(c,b) & eps(b,a) -> eps(b,c)")
-    for g, expected in (
-        (image, ("c", "b", "b", "a", "b", "c")),
-        (copy.deepcopy(f), ("a", "b", "b", "c", "b", "a")),
-        (pickle_round_trip(f), ("a", "b", "b", "c", "b", "a")),
-    ):
-        found = leaves(g)
-        assert found == [Atom(*expected[i:i + 2]) for i in range(0, 6, 2)]
-        assert all(leaf is Atom(leaf.subject, leaf.predicate) for leaf in found)
+    assert copy.deepcopy(f) == f == pickle_round_trip(f)
+    for g in (image, copy.deepcopy(f), pickle_round_trip(f)):
+        assert all(leaf is Atom(leaf.subject, leaf.predicate) for leaf in leaves(g))
 
 
 def test_a_single_atom_formula_round_trips():
