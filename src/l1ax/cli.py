@@ -16,20 +16,41 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib.util
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from types import ModuleType
 
 from . import reports
-from .characterize import characterize
 from .corpus import Corpus, UnknownSchemaName, load_corpus
-from .criteria import qnt_matrix, quasi_triviality, triviality
-from .decision import is_theorem
 from .formula import InputError, SchemaEntry
-from .proofs import check_proof, load_proof_file
 from .semantics import is_tautology
 from .syntax import is_valid_schema_name, parse_formula, print_formula
-from .verify import conjecture_report, run_verification
+
+
+def _registered(name: str) -> ModuleType:
+    """The package's module `name`, put in sys.modules now but run only at
+    its first attribute read, so each command runs only the modules it uses;
+    a tool that reads every loaded namespace, as the benchmark's tracer does
+    to rebind functions, runs them all. The lazy loader of Python 3.10 and
+    3.11 is not thread-safe, and the command line runs in one thread."""
+    full = f"{__package__}.{name}"
+    if full not in sys.modules:
+        spec = importlib.util.find_spec(full)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[full] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[full])
+        setattr(sys.modules[__package__], name, sys.modules[full])
+    return sys.modules[full]
+
+
+_registered("axioms")  # no command calls it, but decision and proofs run it
+characterize = _registered("characterize")
+criteria = _registered("criteria")
+decision = _registered("decision")
+proofs = _registered("proofs")
+verify = _registered("verify")
 
 Loader = Callable[[], Corpus]
 
@@ -79,7 +100,7 @@ def _taut(args: argparse.Namespace, corpus: Loader) -> Outcome:
 @_command("theorem", "validity over all admissible valuations", _FORMULA)
 def _theorem(args: argparse.Namespace, corpus: Loader) -> Outcome:
     body = _resolve(args.formula, corpus).body
-    verdict = is_theorem(body)
+    verdict = decision.is_theorem(body)
     if args.json:
         return {"formula": print_formula(body), **reports.members(verdict)}, 0
     return reports.theorem_text(verdict), 0
@@ -97,7 +118,7 @@ def _theorem(args: argparse.Namespace, corpus: Loader) -> Outcome:
 def _nontrivial(args: argparse.Namespace, corpus: Loader) -> Outcome:
     subject = _resolve(args.schema, corpus)
     reference = _resolve(args.ref, corpus)
-    report = triviality(subject, reference)
+    report = criteria.triviality(subject, reference)
     return reports.members(report) if args.json else reports.triviality_text(report), 0
 
 
@@ -110,7 +131,7 @@ def _nontrivial(args: argparse.Namespace, corpus: Loader) -> Outcome:
 def _qnt(args: argparse.Namespace, corpus: Loader) -> Outcome:
     left = _resolve(args.left, corpus)
     right = _resolve(args.right, corpus)
-    report = quasi_triviality(left, right)
+    report = criteria.quasi_triviality(left, right)
     return reports.members(report) if args.json else reports.qnt_text(report), 0
 
 
@@ -127,7 +148,7 @@ def _matrix(args: argparse.Namespace, corpus: Loader) -> Outcome:
         entries = tuple(load_corpus(Path(args.corpus)))
     else:
         entries = corpus().established_five()
-    cells = qnt_matrix(entries)
+    cells = criteria.qnt_matrix(entries)
     if args.json:
         summaries = {f"{a}|{b}": reports.qnt_summary(c) for (a, b), c in cells.items()}
         return {"entries": [e.name for e in entries], "cells": summaries}, 0
@@ -150,7 +171,7 @@ def _matrix(args: argparse.Namespace, corpus: Loader) -> Outcome:
 )
 def _characteristic(args: argparse.Namespace, corpus: Loader) -> Outcome:
     entry = _resolve(args.schema, corpus)
-    report = characterize(entry, max_pool=args.max_pool)
+    report = characterize.characterize(entry, max_pool=args.max_pool)
     return reports.members(report) if args.json else reports.characterization_text(report), 0
 
 
@@ -160,21 +181,21 @@ def _characteristic(args: argparse.Namespace, corpus: Loader) -> Outcome:
     ("file", dict(help="path to a .proof script")),
 )
 def _check_proof(args: argparse.Namespace, corpus: Loader) -> Outcome:
-    result = check_proof(load_proof_file(args.file))
+    result = proofs.check_proof(proofs.load_proof_file(args.file))
     output = reports.members(result) if args.json else reports.proof_check_text(result)
     return output, 0 if result.ok else 1
 
 
 @_command("verify", "re-derive every established claim against the corpus")
 def _verify(args: argparse.Namespace, corpus: Loader) -> Outcome:
-    report = run_verification(corpus())
+    report = verify.run_verification(corpus())
     output = reports.members(report) if args.json else reports.verification_text(report)
     return output, 0 if report.ok else 1
 
 
 @_command("conjectures", "full verdict sweep over the conjectured schemata")
 def _conjectures(args: argparse.Namespace, corpus: Loader) -> Outcome:
-    rows = conjecture_report(corpus())
+    rows = verify.conjecture_report(corpus())
     return {"rows": rows} if args.json else reports.conjecture_text(rows), 0
 
 

@@ -9,7 +9,8 @@ reports differ from that rule; each is marked below. Aggregate reports
 (matrix cells, conjecture rows) carry witness data but compress refutation
 sweeps to their count; the single-pair commands expose every refutation in
 full. json_document() writes that form in one pass, from a plan of sorted
-keys made once per record class; jsonable() reads its text back as a tree.
+keys made at the first write of each record class; jsonable() reads its
+text back as a tree.
 """
 
 from __future__ import annotations
@@ -17,16 +18,20 @@ from __future__ import annotations
 from collections.abc import Callable
 from operator import attrgetter
 
-from .characterize import CharacterizationReport
-from .criteria import InapplicablePair, QntReport, Refutation, TrivialityReport
-from .decision import TheoremVerdict
 from .formula import Atom, Formula, Record, SchemaEntry
-from .proofs import ProofCheckResult
 from .semantics import SemanticsVerdict, Valuation
 from .substitution import CandidateMap, Substitution
 from .syntax import print_formula
-from .verify import ConjectureRow, VerificationReport
 
+# true for a type checker only: writing a report runs no module but the one
+# that made it, so the deciding modules' classes name annotations alone
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .characterize import CharacterizationReport
+    from .criteria import InapplicablePair, QntReport, Refutation, TrivialityReport
+    from .decision import TheoremVerdict
+    from .proofs import ProofCheckResult
+    from .verify import ConjectureRow, VerificationReport
 
 # values that stand for a plain value: a string, or a map or object of values
 _STAND_INS = {
@@ -36,33 +41,48 @@ _STAND_INS = {
     Substitution: lambda s: dict(s.items),
     Valuation: lambda v: {"atoms": v.domain, "true": [a for a in v.domain if a in v.true_atoms]},
 }
-# each other record class's plan, made at import: its members' (key, getter), by key
-_PLANS = {
-    cls: tuple(sorted((name, attrgetter(name)) for name in cls.attributes))
-    for cls in Record.__subclasses__()
-    if cls.attributes and cls not in _STAND_INS
-}
-# exception: the candidate's rho and sigma sit at the top level
-_PLANS[Refutation] = tuple(sorted(
-    [(key, get) for key, get in _PLANS[Refutation] if key != "candidate"]
-    + [("rho", attrgetter("candidate.rho")), ("sigma", attrgetter("candidate.sigma"))]
-))
-# exception: the whole schema entry, and both sweeps compressed
-_PLANS[ConjectureRow] = tuple(sorted({
-    "schema": lambda row: dict(
-        name=row.entry.name, formula=row.entry.body,
-        variables=row.entry.variables, arity=row.entry.arity,
-    ),
-    "characterization": attrgetter("characterization"),
-    "nontriviality": lambda row: qnt_summary(row.nontriviality),
-    "comparisons": lambda row: {k: qnt_summary(v) for k, v in row.comparisons.items()},
-}.items()))
+# each other record class's plan, made at its first write and kept: its
+# members' (key, getter), by key
+_PLANS: dict[type, tuple[tuple[str, Callable], ...]] = {}
+
+
+def _plan(cls: type) -> tuple[tuple[str, Callable], ...] | None:
+    """The plan of cls, or None if cls is no record class that has one. The
+    classes reshaped below are known by name, so that no module is run to
+    compare them."""
+    if cls in _PLANS:
+        return _PLANS[cls]
+    if Record not in cls.__bases__ or not cls.attributes or cls in _STAND_INS:
+        return None
+    getters = {name: attrgetter(name) for name in cls.attributes}
+    if _is(cls, "criteria.Refutation"):
+        # exception: the candidate's rho and sigma sit at the top level
+        del getters["candidate"]
+        getters.update(rho=attrgetter("candidate.rho"), sigma=attrgetter("candidate.sigma"))
+    elif _is(cls, "verify.ConjectureRow"):
+        # exception: the whole schema entry, and both sweeps compressed
+        getters = {
+            "schema": lambda row: dict(
+                name=row.entry.name, formula=row.entry.body,
+                variables=row.entry.variables, arity=row.entry.arity,
+            ),
+            "characterization": attrgetter("characterization"),
+            "nontriviality": lambda row: qnt_summary(row.nontriviality),
+            "comparisons": lambda row: {k: qnt_summary(v) for k, v in row.comparisons.items()},
+        }
+    _PLANS[cls] = tuple(sorted(getters.items()))
+    return _PLANS[cls]
+
+
+def _is(cls: type, name: str) -> bool:
+    """Whether cls is the class of this package that module.Class names."""
+    return f"{cls.__module__}.{cls.__qualname__}" == f"{__package__}.{name}"
 
 
 def members(record: Record) -> dict:
     """A report record's JSON object as a dict of values not yet lowered,
     for a payload that adds keys of its own."""
-    return {key: get(record) for key, get in _PLANS[type(record)]}
+    return {key: get(record) for key, get in _plan(type(record))}
 
 
 def qnt_summary(cell: QntReport | InapplicablePair | TrivialityReport) -> dict:
@@ -140,6 +160,8 @@ def _write(value: object, indent: str, out: list, quote: Callable, atoms: dict) 
             _write(value[key], inner, out, quote, atoms)
             sep = "," + inner
         out.append(indent + "}" if value else "{}")
+    elif _plan(cls):  # a record class written for the first time
+        _write(value, indent, out, quote, atoms)
     else:
         raise TypeError(f"no JSON form for {type(value).__name__}")
 
@@ -239,7 +261,7 @@ def matrix_text(cells: dict[tuple[str, str], QntReport | InapplicablePair]) -> s
     off_diagonal_qnt = 0
     off_diagonal = 0
     for (a, b), cell in cells.items():
-        if isinstance(cell, InapplicablePair):
+        if _is(type(cell), "criteria.InapplicablePair"):
             lines.append(f"{a} vs {b}: inapplicable ({cell.reason})")
             continue
         note = _sigma_note(cell)

@@ -219,7 +219,8 @@ class _Parser:
             self.expect(",", "','")
             predicate = self.parse_variable()
             self.expect(")", "')'")
-            return Atom(subject, predicate), 1, 1
+            # a fault guard: parts that pass these checks scan as one atom token
+            raise RuntimeError(f"eps({subject},{predicate}) was not scanned as one atom")
         raise self.error("expected a formula", op)
 
     def parse_variable(self) -> str:

@@ -353,20 +353,23 @@ MUTANTS = [
     (
         "a record plan left in attribute order",
         "reports.py",
-        "    cls: tuple(sorted((name, attrgetter(name)) for name in cls.attributes))\n",
-        "    cls: tuple((name, attrgetter(name)) for name in cls.attributes)\n",
+        "    _PLANS[cls] = tuple(sorted(getters.items()))\n",
+        "    _PLANS[cls] = tuple(getters.items())\n",
         ["test_reports.py"],
     ),
     (
         "the refutation's rho and sigma not lifted",
         "reports.py",
         """\
-_PLANS[Refutation] = tuple(sorted(
-    [(key, get) for key, get in _PLANS[Refutation] if key != "candidate"]
-    + [("rho", attrgetter("candidate.rho")), ("sigma", attrgetter("candidate.sigma"))]
-))
+    if _is(cls, "criteria.Refutation"):
+        # exception: the candidate's rho and sigma sit at the top level
+        del getters["candidate"]
+        getters.update(rho=attrgetter("candidate.rho"), sigma=attrgetter("candidate.sigma"))
+    elif _is(cls, "verify.ConjectureRow"):
 """,
-        "",
+        """\
+    if _is(cls, "verify.ConjectureRow"):
+""",
         ["test_reports.py"],
     ),
     (

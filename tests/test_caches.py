@@ -16,14 +16,16 @@ from l1ax.cli import main
 
 # built once per process and the same for every request. formula._ATOMS,
 # the atom intern table, must never be cleared: an atom built after a
-# clearing would be unequal to an equal one still alive
-PROGRAM_CONSTANTS = {"cli.build_parser", "formula._ATOMS"}
+# clearing would be unequal to an equal one still alive. reports._PLANS
+# holds each record class's JSON plan, made at the class's first write
+PROGRAM_CONSTANTS = {"cli.build_parser", "formula._ATOMS", "reports._PLANS"}
 
 ARGVS = [
     ["taut", "eps(a,b) -> eps(b,a)"],
     ["theorem", "A_M8"],
     ["nontrivial", "A_M8"],
     ["qnt", "A_S1", "A_S2"],
+    ["qnt", "A_S1", "A_S2", "--json"],
     ["matrix"],
     ["characteristic", "A_S3", "--max-pool", "3"],
     ["check-proof", str(Path(l1ax.__file__).with_name("proofs") / "s3_from_base.proof")],

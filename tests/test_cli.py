@@ -965,7 +965,7 @@ def test_a_stray_key_error_is_an_internal_fault(capsys, monkeypatch):
     def faulty_lookup(left, right):
         return {}[left.name]
 
-    monkeypatch.setattr(cli, "quasi_triviality", faulty_lookup)
+    monkeypatch.setattr(l1ax.criteria, "quasi_triviality", faulty_lookup)
     code, out, err = run(capsys, "qnt", "A_S1", "A_S2")
     assert (code, out, err) == (3, "", "internal error: 'A_S1'\n")
 
@@ -975,7 +975,7 @@ def test_a_stray_exception_is_an_internal_fault(capsys, monkeypatch, error):
     def faulty_check(formula):
         raise error("a fault of the program")
 
-    monkeypatch.setattr(cli, "is_theorem", faulty_check)
+    monkeypatch.setattr(l1ax.decision, "is_theorem", faulty_check)
     code, out, err = run(capsys, "theorem", "A_t")
     assert (code, out, err) == (3, "", "internal error: a fault of the program\n")
 

@@ -14,9 +14,11 @@ clear_caches and loads none of its modules. Only semantics loads atom_tile
 or ATOM_BUDGET: every table takes its valuation space from
 semantics.tile_space.
 
-It also checks that importing l1ax.cli loads every module the benchmark's
-tracer wraps: the tracer rebinds functions in the namespaces loaded when it
-is installed, so a module imported later would go untraced. Each traced
+It also checks that importing l1ax.cli puts in sys.modules every module the
+benchmark's tracer wraps: the tracer rebinds functions in the namespaces
+listed when it is installed, so a module imported later would go untraced.
+Six of them are registered to run at their first use, and a fresh
+interpreter per command pins which modules' code each command runs. Each traced
 attribute must exist too, as must the cache statistics the tracer reads
 after each op, so renaming a traced function fails here first. The same fresh
 import must add none of the standard modules in SLOW_AT_START_UP, which
@@ -131,10 +133,11 @@ SLOW_AT_START_UP = {
 }
 
 
-def printed_by(python, code):
-    """The stdout of code run by python in a fresh interpreter."""
+def printed_by(python, code, *args):
+    """The stdout of code run by python in a fresh interpreter, with args as
+    its sys.argv[1:]."""
     return subprocess.run(
-        [python, "-c", code],
+        [python, "-c", code, *args],
         capture_output=True,
         text=True,
         timeout=60,
@@ -201,3 +204,72 @@ def test_importing_the_cli_adds_no_slow_module_on_other_interpreters(minor):
     if python is None:
         pytest.skip(f"no working python3.{minor} on PATH")
     assert sorted(added_by_importing_the_cli(python) & SLOW_AT_START_UP) == []
+
+
+
+# the modules that l1ax.cli registers in sys.modules to run at their first
+# use, and the ones of them that each command runs; every command also runs
+# the modules that importing l1ax.cli runs
+REGISTERED = {"axioms", "characterize", "criteria", "decision", "proofs", "verify"}
+CRITERIA = {"axioms", "criteria", "decision"}
+RUN_BY_COMMAND = {
+    "taut": set(),
+    "theorem": {"axioms", "decision"},
+    "characteristic": {"axioms", "characterize", "decision", "proofs"},
+    "check-proof": {"axioms", "proofs"},
+    "qnt": CRITERIA,
+    "nontrivial": CRITERIA,
+    "matrix": CRITERIA,
+    "verify": REGISTERED,
+    "conjectures": REGISTERED,
+}
+IMPORTED = {"cli", "corpus", "formula", "reports", "semantics", "substitution", "syntax"}
+
+# prints main's exit code, if it ran a command, then the package's modules
+# whose code ran: a module's namespace gets __builtins__ when its code runs,
+# and a read through object.__getattribute__ does not run a registered module
+RAN = """\
+import contextlib, io, sys
+import l1ax.cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = l1ax.cli.main(sys.argv[1:])
+    print(code)
+print(*sorted(
+    name[len("l1ax."):] for name, module in sys.modules.items()
+    if name.startswith("l1ax.") and "__builtins__" in object.__getattribute__(module, "__dict__")
+))
+"""
+
+
+def test_every_command_has_its_modules_pinned():
+    from l1ax.cli import COMMANDS
+
+    assert sorted(RUN_BY_COMMAND) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (),
+        ("taut", "eps(a,b) -> eps(b,a)"),
+        ("theorem", "A_M8"),
+        ("theorem", "A_M8", "--json"),
+        ("characteristic", "A_S3"),
+        ("characteristic", "A_S3", "--json"),
+        ("check-proof", str(PACKAGE / "proofs" / "s3_from_base.proof")),
+        ("qnt", "A_S1", "A_S2", "--json"),
+        ("nontrivial", "A_M8"),
+        ("matrix",),
+        ("matrix", "--json"),
+        ("verify",),
+        ("conjectures", "--json"),
+    ],
+    ids=lambda argv: " ".join(Path(a).name for a in argv) or "import alone",
+)
+def test_each_command_runs_only_its_own_modules(argv):
+    lines = printed_by(sys.executable, RAN, *argv).splitlines()
+    if argv:
+        assert lines.pop(0) == "0"
+    ran = set(lines[0].split())
+    assert ran == IMPORTED | (RUN_BY_COMMAND[argv[0]] if argv else set())
