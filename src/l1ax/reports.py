@@ -23,8 +23,9 @@ from .semantics import SemanticsVerdict, Valuation
 from .substitution import CandidateMap, Substitution
 from .syntax import print_formula
 
-# true for a type checker only: writing a report runs no module but the one
-# that made it, so the deciding modules' classes name annotations alone
+# the deciding modules' report classes, for annotations only: a type checker
+# takes TYPE_CHECKING as true, while at run time writing a report runs no
+# module but the one that made it
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .characterize import CharacterizationReport
