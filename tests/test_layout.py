@@ -18,8 +18,8 @@ It also checks that importing l1ax.cli puts in sys.modules every module the
 benchmark's tracer wraps: the tracer rebinds functions in the namespaces
 listed when it is installed, so a module imported later would go untraced.
 Six of them are registered to run at their first use, and a fresh
-interpreter per command pins which modules' code each command runs. Each traced
-attribute must exist too, as must the cache statistics the tracer reads
+interpreter per command pins which modules' code each command runs. Each
+traced attribute must exist too, as must the cache statistics the tracer reads
 after each op, so renaming a traced function fails here first. The same fresh
 import must add none of the standard modules in SLOW_AT_START_UP, which
 every command would pay for, on this interpreter and on each of Python
@@ -204,7 +204,6 @@ def test_importing_the_cli_adds_no_slow_module_on_other_interpreters(minor):
     if python is None:
         pytest.skip(f"no working python3.{minor} on PATH")
     assert sorted(added_by_importing_the_cli(python) & SLOW_AT_START_UP) == []
-
 
 
 # the modules that l1ax.cli registers in sys.modules to run at their first
