@@ -45,7 +45,6 @@ def _registered(name: str) -> ModuleType:
     return sys.modules[full]
 
 
-_registered("axioms")  # no command calls it, but decision and proofs run it
 characterize = _registered("characterize")
 criteria = _registered("criteria")
 decision = _registered("decision")
@@ -196,7 +195,9 @@ def _verify(args: argparse.Namespace, corpus: Loader) -> Outcome:
 @_command("conjectures", "full verdict sweep over the conjectured schemata")
 def _conjectures(args: argparse.Namespace, corpus: Loader) -> Outcome:
     rows = verify.conjecture_report(corpus())
-    return {"rows": rows} if args.json else reports.conjecture_text(rows), 0
+    if args.json:
+        return {"rows": [reports.conjecture_summary(row) for row in rows]}, 0
+    return reports.conjecture_text(rows), 0
 
 
 @functools.cache

@@ -90,17 +90,18 @@ class CriterionInapplicable(InputError):
 
 
 class Refutation(Record):
-    """A candidate map plus a valuation on which the two sides disagree.
+    """A candidate map, as its rho and sigma, plus a valuation on which the
+    two sides disagree.
 
     substituted_value is the value of the schema the map was applied to;
     target_value, its negation, is the value of the schema it was compared
     against. The target replays by pointwise evaluation of the stored
     valuation, the substituted schema by evaluating the unsubstituted one
-    at the valuation's pullback through the map's sigma (the substitution
-    lemma).
+    at the valuation's pullback through sigma (the substitution lemma).
     """
 
-    candidate: CandidateMap
+    rho: tuple[int, ...]
+    sigma: Substitution
     valuation: Valuation
     substituted_value: bool
 
@@ -285,7 +286,7 @@ class _Kernel:
             or evaluate(self.target.body, valuation) == substituted_value
         ):
             raise RuntimeError(f"refutation of {cand.sigma} fails its replay")
-        return Refutation(cand, valuation, substituted_value)
+        return Refutation(cand.rho, cand.sigma, valuation, substituted_value)
 
     def replay_witness(self, witness: CandidateMap) -> None:
         substituted = witness.sigma.apply(self.source.body)

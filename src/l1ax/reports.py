@@ -1,13 +1,14 @@
 """Serialization of report objects to JSON text and terminal text.
 
-One set of rules gives a report's JSON form: a Record becomes an object of
-its fields and its properties, the flags and verdicts it derives from its
-witnesses, each value lowered in turn: formulas and atoms become their
-printed form, schema entries their name, substitutions source-to-target
-maps, tuples arrays, and valuations an atom list plus the true subset. Two
-reports differ from that rule; each is marked below. Aggregate reports
-(matrix cells, conjecture rows) carry witness data but compress refutation
-sweeps to their count; the single-pair commands expose every refutation in
+One rule gives every report's JSON form: a Record becomes an object of its
+fields and its properties, the flags and verdicts it derives from its
+witnesses, by sorted key, each value lowered in turn: formulas and atoms
+become their printed form, schema entries their name, substitutions
+source-to-target maps, tuples arrays, and valuations an atom list plus the
+true subset. Aggregate commands write summaries built from that form:
+qnt_summary compresses a matrix cell's refutation sweep to its count, and
+conjecture_summary gives a conjecture row its whole schema entry and both
+sweeps so compressed; the single-pair commands expose every refutation in
 full. json_document() writes that form in one pass, from a plan of sorted
 keys made at the first write of each record class; jsonable() reads its
 text back as a tree.
@@ -48,36 +49,14 @@ _PLANS: dict[type, tuple[tuple[str, Callable], ...]] = {}
 
 
 def _plan(cls: type) -> tuple[tuple[str, Callable], ...] | None:
-    """The plan of cls, or None if cls is no record class that has one. The
-    classes reshaped below are known by name, so that no module is run to
-    compare them."""
+    """The plan of cls, or None if cls is no record class that has one: its
+    attributes, fields and properties alike, each read by its own name."""
     if cls in _PLANS:
         return _PLANS[cls]
     if Record not in cls.__bases__ or not cls.attributes or cls in _STAND_INS:
         return None
-    getters = {name: attrgetter(name) for name in cls.attributes}
-    if _is(cls, "criteria.Refutation"):
-        # exception: the candidate's rho and sigma sit at the top level
-        del getters["candidate"]
-        getters.update(rho=attrgetter("candidate.rho"), sigma=attrgetter("candidate.sigma"))
-    elif _is(cls, "verify.ConjectureRow"):
-        # exception: the whole schema entry, and both sweeps compressed
-        getters = {
-            "schema": lambda row: dict(
-                name=row.entry.name, formula=row.entry.body,
-                variables=row.entry.variables, arity=row.entry.arity,
-            ),
-            "characterization": attrgetter("characterization"),
-            "nontriviality": lambda row: qnt_summary(row.nontriviality),
-            "comparisons": lambda row: {k: qnt_summary(v) for k, v in row.comparisons.items()},
-        }
-    _PLANS[cls] = tuple(sorted(getters.items()))
+    _PLANS[cls] = tuple(sorted((name, attrgetter(name)) for name in cls.attributes))
     return _PLANS[cls]
-
-
-def _is(cls: type, name: str) -> bool:
-    """Whether cls is the class of this package that module.Class names."""
-    return f"{cls.__module__}.{cls.__qualname__}" == f"{__package__}.{name}"
 
 
 def members(record: Record) -> dict:
@@ -94,6 +73,21 @@ def qnt_summary(cell: QntReport | InapplicablePair | TrivialityReport) -> dict:
     if data.pop("refutations", None) is not None:  # not an inapplicable pair
         data["refutation_count"] = cell.map_count - (cell.witness is not None)
     return data
+
+
+def conjecture_summary(row: ConjectureRow) -> dict:
+    """A conjecture row as the conjectures command writes it: the whole
+    schema entry, the characterization, and both sweeps as qnt_summary
+    gives them."""
+    entry = row.entry
+    return {
+        "schema": dict(
+            name=entry.name, formula=entry.body, variables=entry.variables, arity=entry.arity
+        ),
+        "characterization": row.characterization,
+        "nontriviality": qnt_summary(row.nontriviality),
+        "comparisons": {name: qnt_summary(cell) for name, cell in row.comparisons.items()},
+    }
 
 
 def jsonable(obj: object) -> object:
@@ -187,7 +181,7 @@ def _count(n: int, noun: str) -> str:
     return f"{n} {noun}" if n == 1 else f"{n} {noun}s"
 
 
-def _describe_map(candidate: CandidateMap) -> str:
+def _describe_map(candidate: CandidateMap | Refutation) -> str:
     rho = ",".join(str(k) for k in candidate.rho)
     return f"sigma {candidate.sigma} rho ({rho})"
 
@@ -205,7 +199,7 @@ def refutation_lines(refutations: tuple[Refutation, ...]) -> list[str]:
     lines = []
     for i, ref in enumerate(refutations, start=1):
         lines.append(
-            f"  {i}. {_describe_map(ref.candidate)}: "
+            f"  {i}. {_describe_map(ref)}: "
             f"substituted={str(ref.substituted_value).lower()} "
             f"target={str(ref.target_value).lower()} "
             f"under {valuation_text(ref.valuation)}"
@@ -262,7 +256,7 @@ def matrix_text(cells: dict[tuple[str, str], QntReport | InapplicablePair]) -> s
     off_diagonal_qnt = 0
     off_diagonal = 0
     for (a, b), cell in cells.items():
-        if _is(type(cell), "criteria.InapplicablePair"):
+        if cell.verdict == "inapplicable":
             lines.append(f"{a} vs {b}: inapplicable ({cell.reason})")
             continue
         note = _sigma_note(cell)

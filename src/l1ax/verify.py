@@ -92,7 +92,7 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
         check(report.map_count == 24, f"{report.map_count} maps, expected 24")
         sigma_cc = Substitution.of({"a": "a", "b": "b", "c": "c", "d": "y1"})
         check(
-            any(r.candidate.sigma == sigma_cc for r in report.refutations),
+            any(r.sigma == sigma_cc for r in report.refutations),
             f"no refutation of {sigma_cc}",
         )
         substituted = sigma_cc.apply(c["A_M8"].body)
@@ -241,7 +241,7 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
             check(cell.cross_check in (None, "agree"), (a, b))
         pair = quasi_triviality(c["A_S1"], c["A_S2"])
         sigma = Substitution.of({"a": "c", "b": "d", "c": "a", "d": "b"})
-        hits = [r for r in pair.refutations if r.candidate.sigma == sigma]
+        hits = [r for r in pair.refutations if r.sigma == sigma]
         check(hits, "expected the printed sigma among the refutations")
         falsified = set(hits[0].valuation.false_atoms())
         check(falsified & {Atom("c", "b"), Atom("d", "c")}, falsified)
@@ -302,10 +302,14 @@ def run_verification(corpus: Corpus | None = None) -> VerificationReport:
 class ConjectureRow(Record):
     """Every computed verdict for one conjectured schema."""
 
-    entry: SchemaEntry
     characterization: CharacterizationReport
     nontriviality: TrivialityReport
     comparisons: dict[str, QntReport]
+
+    @property
+    def entry(self) -> SchemaEntry:
+        """The conjectured schema, the characterization's subject."""
+        return self.characterization.subject
 
 
 def conjecture_report(corpus: Corpus | None = None) -> tuple[ConjectureRow, ...]:
@@ -321,7 +325,6 @@ def conjecture_report(corpus: Corpus | None = None) -> tuple[ConjectureRow, ...]
     for entry in c.conjecture_entries():
         rows.append(
             ConjectureRow(
-                entry=entry,
                 characterization=characterize(entry),
                 nontriviality=triviality(entry, c["A_t"], explain=False),
                 comparisons={

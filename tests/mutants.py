@@ -353,24 +353,16 @@ MUTANTS = [
     (
         "a record plan left in attribute order",
         "reports.py",
-        "    _PLANS[cls] = tuple(sorted(getters.items()))\n",
-        "    _PLANS[cls] = tuple(getters.items())\n",
+        "    _PLANS[cls] = tuple(sorted((name, attrgetter(name)) for name in cls.attributes))\n",
+        "    _PLANS[cls] = tuple((name, attrgetter(name)) for name in cls.attributes)\n",
         ["test_reports.py"],
     ),
     (
-        "the refutation's rho and sigma not lifted",
+        "a conjecture row's comparisons not summarised",
         "reports.py",
-        """\
-    if _is(cls, "criteria.Refutation"):
-        # exception: the candidate's rho and sigma sit at the top level
-        del getters["candidate"]
-        getters.update(rho=attrgetter("candidate.rho"), sigma=attrgetter("candidate.sigma"))
-    elif _is(cls, "verify.ConjectureRow"):
-""",
-        """\
-    if _is(cls, "verify.ConjectureRow"):
-""",
-        ["test_reports.py"],
+        '        "comparisons": {name: qnt_summary(cell) for name, cell in row.comparisons.items()},\n',
+        '        "comparisons": row.comparisons,\n',
+        ["test_reports.py", "test_output_identity.py"],
     ),
     (
         "the atom memo shared across documents",

@@ -17,7 +17,7 @@ tree of dicts and lists first, then that tree's text.
 import itertools
 from json.encoder import encode_basestring_ascii
 
-from l1ax.criteria import InapplicablePair, Refutation
+from l1ax.criteria import InapplicablePair
 from l1ax.formula import Atom, Formula, Iff, Not, Or, Record, SchemaEntry, atoms
 from l1ax.semantics import (
     SemanticsVerdict,
@@ -37,7 +37,6 @@ from l1ax.substitution import (
     Substitution,
 )
 from l1ax.syntax import print_formula
-from l1ax.verify import ConjectureRow
 
 
 def all_instances(entry, pool):
@@ -92,7 +91,7 @@ def certify_refutations(report, source_body, target_body):
     """Replay every reported refutation and require a genuine disagreement
     at the lowest counter where the two sides differ."""
     for ref in report.refutations:
-        image = ref.candidate.sigma.apply(source_body)
+        image = ref.sigma.apply(source_body)
         assert evaluate(image, ref.valuation) == ref.substituted_value
         assert evaluate(target_body, ref.valuation) == ref.target_value
         assert ref.substituted_value != ref.target_value
@@ -189,8 +188,7 @@ def walked_equivalence(left, right):
 
 def two_pass_jsonable(obj):
     """A report's JSON tree by the rules written out once more: a Record's
-    fields and properties, a refutation's rho and sigma lifted, a
-    conjecture row's own shape, each value lowered in turn."""
+    fields and properties, each value lowered in turn."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (tuple, list)):
@@ -207,25 +205,15 @@ def two_pass_jsonable(obj):
             "atoms": names,
             "true": [s for a, s in zip(obj.domain, names) if a in obj.true_atoms],
         }
-    if isinstance(obj, ConjectureRow):
-        return {
-            "schema": {
-                "name": obj.entry.name,
-                "formula": print_formula(obj.entry.body),
-                "variables": list(obj.entry.variables),
-                "arity": obj.entry.arity,
-            },
-            "characterization": two_pass_jsonable(obj.characterization),
-            "nontriviality": two_pass_summary(obj.nontriviality),
-            "comparisons": {
-                name: two_pass_summary(rep) for name, rep in obj.comparisons.items()
-            },
-        }
     if not isinstance(obj, Record):
         raise TypeError(f"no JSON form for {type(obj).__name__}")
-    data = {name: two_pass_jsonable(getattr(obj, name)) for name in obj.attributes}
-    if isinstance(obj, Refutation):
-        data.update(data.pop("candidate"))
+    data = {}
+    for name in obj.attributes:
+        value = getattr(obj, name)
+        if isinstance(value, dict):  # a member map, such as a row's comparisons
+            data[name] = {key: two_pass_jsonable(v) for key, v in value.items()}
+        else:
+            data[name] = two_pass_jsonable(value)
     return data
 
 
@@ -238,11 +226,34 @@ def two_pass_summary(cell):
     return data
 
 
+def two_pass_conjecture_summary(row):
+    """A conjecture row's tree as the conjectures command writes it: the
+    whole schema entry, the characterization, and both sweeps summarised."""
+    return {
+        "schema": {
+            "name": row.entry.name,
+            "formula": print_formula(row.entry.body),
+            "variables": list(row.entry.variables),
+            "arity": row.entry.arity,
+        },
+        "characterization": two_pass_jsonable(row.characterization),
+        "nontriviality": two_pass_summary(row.nontriviality),
+        "comparisons": {
+            name: two_pass_summary(rep) for name, rep in row.comparisons.items()
+        },
+    }
+
+
 def two_pass_json_document(value):
     """The text of two_pass_jsonable(value): json.dumps(..., indent=2,
     sort_keys=True) of the tree, written by a walk of the tree."""
+    return tree_text(two_pass_jsonable(value))
+
+
+def tree_text(tree):
+    """json.dumps(tree, indent=2, sort_keys=True), by a walk of the tree."""
     out = []
-    _write_tree(two_pass_jsonable(value), "\n", out)
+    _write_tree(tree, "\n", out)
     return "".join(out)
 
 

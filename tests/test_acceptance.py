@@ -181,7 +181,7 @@ def test_criterion_7_pairwise_matrix():
         # one of its two distinguished atoms
         cell = explained[("A_S1", "A_S2")]
         wanted = {"a": "c", "b": "d", "c": "a", "d": "b"}
-        match = [r for r in cell.refutations if r.candidate.sigma.mapping == wanted]
+        match = [r for r in cell.refutations if r.sigma.mapping == wanted]
         assert len(match) == 1
         val = match[0].valuation
         assert (val.value(Atom("c", "b")) is False) or (

@@ -33,8 +33,8 @@ def test_four_variable_schema_nontrivial_with_full_refutation_list(corpus):
     certify_refutations(report, corpus["A_M8"].body, A_T.body)
 
     first = report.refutations[0]
-    assert first.candidate.rho == (1, 2, 3, 4)
-    assert first.candidate.sigma.mapping == {"a": "a", "b": "b", "c": "c", "d": "y1"}
+    assert first.rho == (1, 2, 3, 4)
+    assert first.sigma.mapping == {"a": "a", "b": "b", "c": "c", "d": "y1"}
     assert first.valuation.counter == 6
     assert {str(a) for a in first.valuation.false_atoms()} == {
         "eps(a,a)",

@@ -101,7 +101,7 @@ def test_kernel_matches_the_ast_path_on_every_candidate(pair):
         if diff:
             perm = tuple(r - 1 for r in cand.rho)
             ref = kernel.refutation(perm, source_bits, diff, index)
-            assert ref.candidate == cand
+            assert (ref.rho, ref.sigma) == (cand.rho, cand.sigma)
             assert ref.valuation == oracle.witness
 
 

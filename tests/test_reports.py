@@ -4,8 +4,10 @@ reports.json_document writes a report straight from its records; the
 oracle in tests/oracles.py first lowers the report to a tree of dicts and
 lists by the rules written out once more, then writes that tree. Both must
 give the same bytes, and jsonable the same tree, on every record a command
-reaches, on explain-mode sweeps of generated pairs, and on proof-check and
-verification results that carry arbitrary text.
+reaches, on explain-mode sweeps of generated pairs, on proof-check and
+verification results that carry arbitrary text, and on the conjecture
+rows' summaries. Every record's keys are its attributes, by name, with no
+class reshaped.
 """
 
 import json
@@ -14,7 +16,12 @@ from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import two_pass_json_document, two_pass_jsonable
+from oracles import (
+    tree_text,
+    two_pass_conjecture_summary,
+    two_pass_json_document,
+    two_pass_jsonable,
+)
 from test_cli import records_within
 from test_kernel import padded_pairs
 
@@ -62,7 +69,8 @@ def reached_reports():
 
 def test_every_reached_record_is_written_as_the_two_passes_write_it():
     records = reached_reports()
-    # both reshaped records and the records that hold valuations are reached
+    # the records with a sweep or a candidate map, and the records that hold
+    # valuations, are reached
     reached = {type(r) for r in records}
     assert {Refutation, ConjectureRow, TheoremVerdict, RecoveryOutcome} <= reached
     for record in records:
@@ -72,6 +80,21 @@ def test_every_reached_record_is_written_as_the_two_passes_write_it():
         assert json.loads(reports.json_document(payload)) == {
             "command": "c", **two_pass_jsonable(record)
         }
+
+
+def test_every_reached_record_has_its_attributes_as_keys_by_name():
+    for record in reached_reports():
+        assert list(reports.members(record)) == sorted(type(record).attributes)
+
+
+def test_a_conjecture_summary_is_written_as_the_two_passes_write_it():
+    rows = [r for r in reached_reports() if isinstance(r, ConjectureRow)]
+    assert rows
+    for row in rows:
+        summary = reports.conjecture_summary(row)
+        oracle = two_pass_conjecture_summary(row)
+        assert reports.json_document(summary) == tree_text(oracle)
+        assert json.loads(reports.json_document({"rows": [summary]})) == {"rows": [oracle]}
 
 
 @given(padded_pairs().filter(lambda pair: max(e.arity for e in pair) <= 4))
