@@ -10,17 +10,20 @@ internal fault: any other exception, such as a witness that fails its
 replay, a KeyError but an unknown name or a ValueError but an InputError,
 reported on one stderr line with nothing on stdout.
 Output is deterministic: two runs of the same command are byte-identical.
+
+A plain command line is read from the command table without argparse,
+which is imported only for help, for a usage error or for another spelling,
+such as --opt=value or an abbreviated option, and so writes every message.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import importlib.util
 import sys
 from collections.abc import Callable
 from pathlib import Path
-from types import ModuleType
+from types import ModuleType, SimpleNamespace
 
 from . import reports
 from .corpus import Corpus, UnknownSchemaName, load_corpus
@@ -71,8 +74,17 @@ def _resolve(text: str, corpus: Loader) -> SchemaEntry:
 # run returns only the output asked for (under --json the JSON payload,
 # reports unlowered and without "command", else the text) and the exit code
 Outcome = tuple[dict | str, int]
-Run = Callable[[argparse.Namespace, Loader], Outcome]
+Run = Callable[[SimpleNamespace, Loader], Outcome]
 COMMANDS: dict[str, tuple[str, tuple[tuple[str, dict], ...], Run]] = {}
+
+# the options that every command takes, declared before its own arguments
+COMMON = (
+    ("--json", dict(action="store_true", default=False, help="emit the JSON report shape")),
+    (
+        "--corpus-file",
+        dict(metavar="FILE", help="use a schema file instead of the bundled corpus for name lookup"),
+    ),
+)
 
 
 def _command(name: str, help_text: str, *arguments: tuple[str, dict]) -> Callable:
@@ -88,7 +100,7 @@ _SCHEMA = ("schema", dict(help="schema name or formula text"))
 
 
 @_command("taut", "classical tautology check", _FORMULA)
-def _taut(args: argparse.Namespace, corpus: Loader) -> Outcome:
+def _taut(args: SimpleNamespace, corpus: Loader) -> Outcome:
     body = _resolve(args.formula, corpus).body
     verdict = is_tautology(body)
     if args.json:
@@ -97,7 +109,7 @@ def _taut(args: argparse.Namespace, corpus: Loader) -> Outcome:
 
 
 @_command("theorem", "validity over all admissible valuations", _FORMULA)
-def _theorem(args: argparse.Namespace, corpus: Loader) -> Outcome:
+def _theorem(args: SimpleNamespace, corpus: Loader) -> Outcome:
     body = _resolve(args.formula, corpus).body
     verdict = decision.is_theorem(body)
     if args.json:
@@ -114,7 +126,7 @@ def _theorem(args: argparse.Namespace, corpus: Loader) -> Outcome:
         dict(default="A_t", help="reference schema name or formula (default A_t)"),
     ),
 )
-def _nontrivial(args: argparse.Namespace, corpus: Loader) -> Outcome:
+def _nontrivial(args: SimpleNamespace, corpus: Loader) -> Outcome:
     subject = _resolve(args.schema, corpus)
     reference = _resolve(args.ref, corpus)
     report = criteria.triviality(subject, reference)
@@ -127,7 +139,7 @@ def _nontrivial(args: argparse.Namespace, corpus: Loader) -> Outcome:
     ("left", _SCHEMA[1]),
     ("right", _SCHEMA[1]),
 )
-def _qnt(args: argparse.Namespace, corpus: Loader) -> Outcome:
+def _qnt(args: SimpleNamespace, corpus: Loader) -> Outcome:
     left = _resolve(args.left, corpus)
     right = _resolve(args.right, corpus)
     report = criteria.quasi_triviality(left, right)
@@ -142,7 +154,7 @@ def _qnt(args: argparse.Namespace, corpus: Loader) -> Outcome:
         dict(metavar="FILE", help="schema file whose entries form the matrix"),
     ),
 )
-def _matrix(args: argparse.Namespace, corpus: Loader) -> Outcome:
+def _matrix(args: SimpleNamespace, corpus: Loader) -> Outcome:
     if args.corpus is not None:
         entries = tuple(load_corpus(Path(args.corpus)))
     else:
@@ -168,7 +180,7 @@ def _matrix(args: argparse.Namespace, corpus: Loader) -> Outcome:
         ),
     ),
 )
-def _characteristic(args: argparse.Namespace, corpus: Loader) -> Outcome:
+def _characteristic(args: SimpleNamespace, corpus: Loader) -> Outcome:
     entry = _resolve(args.schema, corpus)
     report = characterize.characterize(entry, max_pool=args.max_pool)
     return reports.members(report) if args.json else reports.characterization_text(report), 0
@@ -179,21 +191,21 @@ def _characteristic(args: argparse.Namespace, corpus: Loader) -> Outcome:
     "check a proof script file",
     ("file", dict(help="path to a .proof script")),
 )
-def _check_proof(args: argparse.Namespace, corpus: Loader) -> Outcome:
+def _check_proof(args: SimpleNamespace, corpus: Loader) -> Outcome:
     result = proofs.check_proof(proofs.load_proof_file(args.file))
     output = reports.members(result) if args.json else reports.proof_check_text(result)
     return output, 0 if result.ok else 1
 
 
 @_command("verify", "re-derive every established claim against the corpus")
-def _verify(args: argparse.Namespace, corpus: Loader) -> Outcome:
+def _verify(args: SimpleNamespace, corpus: Loader) -> Outcome:
     report = verify.run_verification(corpus())
     output = reports.members(report) if args.json else reports.verification_text(report)
     return output, 0 if report.ok else 1
 
 
 @_command("conjectures", "full verdict sweep over the conjectured schemata")
-def _conjectures(args: argparse.Namespace, corpus: Loader) -> Outcome:
+def _conjectures(args: SimpleNamespace, corpus: Loader) -> Outcome:
     rows = verify.conjecture_report(corpus())
     if args.json:
         return {"rows": [reports.conjecture_summary(row) for row in rows]}, 0
@@ -201,9 +213,11 @@ def _conjectures(args: argparse.Namespace, corpus: Loader) -> Outcome:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
     """The argument parser, built once per process: a constant of the
     program, like the compiled scanner, so clear_caches() keeps it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="l1ax",
         description=(
@@ -213,22 +227,56 @@ def build_parser() -> argparse.ArgumentParser:
             "and a machine-checked regression battery."
         ),
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--json", action="store_true", help="emit the JSON report shape"
-    )
-    common.add_argument(
-        "--corpus-file",
-        metavar="FILE",
-        default=None,
-        help="use a schema file instead of the bundled corpus for name lookup",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments, _) in COMMANDS.items():
-        p = sub.add_parser(name, parents=[common], help=help_text)
-        for flag, options in arguments:
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in COMMON + arguments:
             p.add_argument(flag, **options)
     return parser
+
+
+def read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace that build_parser() gives for argv, read from the
+    command table, when argv is a command's name followed by its
+    positionals and its declared options: each option at most once and
+    spelled in full, its value the next word, put through the option's type
+    and checked against its choices. No word but an option starts with "-".
+    Any other argv gives None."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    declared = COMMON + COMMANDS[argv[0]][1]
+    options = {flag: kw for flag, kw in declared if flag.startswith("-")}
+    names = [name for name, _ in declared if not name.startswith("-")]
+    positionals, given = [], {}
+    words = iter(argv[1:])
+    for word in words:
+        kw = options.get(word)
+        if kw is None:
+            if word.startswith("-"):
+                return None
+            positionals.append(word)
+            continue
+        if kw.get("action") == "store_true":
+            value = True
+        else:
+            value = next(words, "-")
+            if value.startswith("-"):
+                return None
+            try:
+                value = kw.get("type", str)(value)
+            except ValueError:
+                return None
+            if value not in kw.get("choices", (value,)):
+                return None
+        if word in given:
+            return None
+        given[word] = value
+    if len(positionals) != len(names):
+        return None
+    args = SimpleNamespace(command=argv[0], **dict(zip(names, positionals)))
+    for flag, kw in options.items():
+        setattr(args, flag[2:].replace("-", "_"), given.get(flag, kw.get("default")))
+    return args
 
 
 def _corpus_loader(path: str | None) -> Loader:
@@ -243,7 +291,8 @@ def _corpus_loader(path: str | None) -> Loader:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    plain = read_plain(sys.argv[1:] if argv is None else argv)
+    args = plain or build_parser().parse_args(argv, SimpleNamespace())
     try:
         output, code = COMMANDS[args.command][2](args, _corpus_loader(args.corpus_file))
         if args.json:

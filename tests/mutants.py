@@ -385,6 +385,27 @@ MUTANTS = [
         '"true": list(v.domain)',
         ["test_reports.py"],
     ),
+    (
+        "a repeated option accepted by the plain reader",
+        "cli.py",
+        """\
+        if word in given:
+            return None
+        given[word] = value
+""",
+        "        given.setdefault(word, value)\n",
+        ["test_cli.py"],
+    ),
+    (
+        "an option's choices not checked by the plain reader",
+        "cli.py",
+        """\
+            if value not in kw.get("choices", (value,)):
+                return None
+""",
+        "",
+        ["test_cli.py"],
+    ),
 ]
 
 # (name, file under src/l1ax, old text, new text, why no test can kill it):
@@ -405,6 +426,17 @@ EQUIVALENT = [
         "atoms.get(id(x)) or atoms.setdefault(id(x), quote(str(x)))",
         "atoms are interned and kept for the life of the process, so one id "
         "never names two atoms",
+    ),
+    (
+        "a repeated option read by the plain reader, its last value kept",
+        "cli.py",
+        """\
+        if word in given:
+            return None
+""",
+        "",
+        "argparse keeps a repeated option's last value too; the reader leaves "
+        "a repeat to argparse so that it need not follow that rule",
     ),
 ]
 

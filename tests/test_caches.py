@@ -26,6 +26,8 @@ ARGVS = [
     ["nontrivial", "A_M8"],
     ["qnt", "A_S1", "A_S2"],
     ["qnt", "A_S1", "A_S2", "--json"],
+    # an abbreviated --json, which only argparse reads: so the parser is built
+    ["theorem", "A_M8", "--js"],
     ["matrix"],
     ["characteristic", "A_S3", "--max-pool", "3"],
     ["check-proof", str(Path(l1ax.__file__).with_name("proofs") / "s3_from_base.proof")],

@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import l1ax
@@ -210,6 +210,80 @@ def test_characteristic_rejects_bad_pool(capsys):
         main(["characteristic", "A_M8", "--max-pool", "7"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def read_by_argparse(argv):
+    """vars() of argparse's namespace for argv, or None where argparse
+    exits, for help or a usage error."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def assert_read_plainly_as_argparse_reads(argv):
+    plain = cli.read_plain(argv)
+    assert plain is None or vars(plain) == read_by_argparse(argv), argv
+
+
+def test_every_table_argv_is_read_plainly_as_argparse_reads_it():
+    from test_output_identity import _argvs
+
+    for argv in map(list, _argvs()):
+        assert cli.read_plain(argv) is not None, argv
+        assert_read_plainly_as_argparse_reads(argv)
+
+
+# command names, the declared options, other spellings of them, and values:
+# empty, space-led, out of choices or spelled with a leading zero
+ARGV_WORDS = sorted(
+    {flag for _, arguments, _ in cli.COMMANDS.values() for flag, _ in cli.COMMON + arguments}
+    | {"--js", "--max-pool=3", "--", "-h", "-x", "--help"}
+    | {"A_M8", "A_t", "eps(a,b)", "", " ", " -x", "3", "4", "5", "03", "-1", "x"}
+    | set(cli.COMMANDS)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([*cli.COMMANDS, "nope", "-h"]),
+    st.lists(st.sampled_from(ARGV_WORDS), max_size=7),
+)
+@example("nontrivial", ["A_M8", "--ref", "A_t", "--ref", "A_M8"])
+@example("characteristic", ["A_M8", "--max-pool", "5"])
+@example("characteristic", ["A_M8", "--max-pool", "03", "--json"])
+@example("qnt", ["A_M8"])
+@example("qnt", ["A_M8", "A_t", "A_t"])
+def test_a_drawn_argv_is_read_plainly_as_argparse_reads_it_or_left_to_it(command, words):
+    assert_read_plainly_as_argparse_reads([command, *words])
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["qnt", "A_M8"], "l1ax qnt: error: the following arguments are required: right"),
+        (
+            ["characteristic", "A_M8", "--max-pool", "5"],
+            "l1ax characteristic: error: argument --max-pool: invalid choice: 5 (choose from 3, 4)",
+        ),
+    ],
+)
+def test_a_usage_error_is_written_by_argparse(capsys, argv, error):
+    assert cli.read_plain(argv) is None
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"usage: l1ax {argv[0]} ") and err.endswith(f"\n{error}\n")
+
+
+def test_an_abbreviated_option_is_read_by_argparse(capsys):
+    argv = ["qnt", "--js", "A", "B"]
+    assert cli.read_plain(argv) is None
+    assert read_by_argparse(argv) == vars(cli.read_plain(["qnt", "--json", "A", "B"]))
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "") and err.startswith("error: unknown schema name 'A'; known names: ")
 
 
 def test_check_proof_accepts_bundled_scripts(capsys, tmp_path):

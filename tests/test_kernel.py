@@ -253,23 +253,39 @@ def test_the_keys_settle_660_corpus_pairs_before_any_kernel(corpus, monkeypatch)
     counts_differ = [pair for pair in differ if key[pair[0]][0] != key[pair[1]][0]]
     assert (len(differ), len(counts_differ)) == (660, 362)
     built = []
-    init = criteria._Kernel.__init__
+    # kernel -> its pair, oriented, and the number of its table compares
+    compares = {}
+    init, compare = criteria._Kernel.__init__, criteria._Kernel.compare
 
     def spy(kernel, source, target, *args):
         built.append((source.name, target.name))
+        compares[kernel] = [built[-1], 0]
         init(kernel, source, target, *args)
 
+    def counted(kernel, place):
+        compares[kernel][1] += 1
+        return compare(kernel, place)
+
     monkeypatch.setattr(criteria._Kernel, "__init__", spy)
+    monkeypatch.setattr(criteria._Kernel, "compare", counted)
     trivial = {(a.name, b.name) for a in entries for b in entries if is_quasi_trivial(a, b)}
     assert len(trivial) == 34
     assert not trivial & differ
     # one primary kernel for each pair whose keys are equal, oriented
-    assert sorted(built) == sorted(
-        (b, a) if corpus[a].arity <= corpus[b].arity else (a, b)
+    oriented = {
+        (a, b): (b, a) if corpus[a].arity <= corpus[b].arity else (a, b)
         for a in key
         for b in key
-        if (a, b) not in differ
-    )
+    }
+    assert sorted(built) == sorted(oriented[pair] for pair in oriented if pair not in differ)
+    # of the 124 equal-key pairs, the essential-atom cut settles 90 before
+    # any table compare, and each quasi-trivial pair its first compare finds
+    assert len(compares) == len(entries) ** 2 - len(differ) == 124
+    by_count = {}
+    for pair, count in compares.values():
+        by_count.setdefault(count, []).append(pair)
+    assert sorted(by_count) == [0, 1] and len(by_count[0]) == 90
+    assert sorted(by_count[1]) == sorted(oriented[pair] for pair in trivial)
 
 
 def test_explain_mode_computes_no_essential_atoms(corpus, monkeypatch):

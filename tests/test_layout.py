@@ -23,7 +23,9 @@ traced attribute must exist too, as must the cache statistics the tracer reads
 after each op, so renaming a traced function fails here first. The same fresh
 import must add none of the standard modules in SLOW_AT_START_UP, which
 every command would pay for, on this interpreter and on each of Python
-3.10, 3.12 and 3.13 that starts here.
+3.10, 3.12 and 3.13 that starts here. A plain command leaves argparse
+unimported too; --help, a usage error and another spelling of an option
+import it.
 """
 
 import ast
@@ -121,10 +123,13 @@ def test_only_semantics_lays_out_a_valuation_space():
 # need neither dataclasses nor inspect, nor copy or pickle unless they are
 # copied; only --json needs json; the bundled data are read as plain files;
 # annotations are never evaluated and collections.abc names the few
-# aliases, so typing is not needed either
+# aliases, so typing is not needed either; a plain command line is read
+# without argparse, which imports gettext
 SLOW_AT_START_UP = {
+    "argparse",
     "copy",
     "dataclasses",
+    "gettext",
     "importlib.resources",
     "inspect",
     "json",
@@ -225,16 +230,20 @@ RUN_BY_COMMAND = {
 }
 IMPORTED = {"cli", "corpus", "formula", "reports", "semantics", "substitution", "syntax"}
 
-# prints main's exit code, if it ran a command, then the package's modules
-# whose code ran: a module's namespace gets __builtins__ when its code runs,
-# and a read through object.__getattribute__ does not run a registered module
+# prints main's exit code, or argparse's, and whether argparse was imported,
+# if it ran a command, then the package's modules whose code ran: a module's
+# namespace gets __builtins__ when its code runs, and a read through
+# object.__getattribute__ does not run a registered module
 RAN = """\
 import contextlib, io, sys
 import l1ax.cli
 if sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = l1ax.cli.main(sys.argv[1:])
-    print(code)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = l1ax.cli.main(sys.argv[1:])
+        except SystemExit as exc:
+            code = exc.code
+    print(code, "argparse" in sys.modules)
 print(*sorted(
     name[len("l1ax."):] for name, module in sys.modules.items()
     if name.startswith("l1ax.") and "__builtins__" in object.__getattribute__(module, "__dict__")
@@ -270,6 +279,21 @@ def test_every_command_has_its_modules_pinned():
 def test_each_command_runs_only_its_own_modules(argv):
     lines = printed_by(sys.executable, RAN, *argv).splitlines()
     if argv:
-        assert lines.pop(0) == "0"
+        assert lines.pop(0) == "0 False"
     ran = set(lines[0].split())
     assert ran == IMPORTED | (RUN_BY_COMMAND[argv[0]] if argv else set())
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("--help",), 0),
+        (("characteristic", "--help"), 0),
+        (("qnt", "A_M8"), 2),
+        (("characteristic", "A_M8", "--max-pool", "5"), 2),
+        (("theorem", "A_M8", "--js"), 0),
+    ],
+    ids=lambda value: " ".join(value) if isinstance(value, tuple) else str(value),
+)
+def test_only_help_usage_errors_and_other_spellings_import_argparse(argv, code):
+    assert printed_by(sys.executable, RAN, *argv).splitlines()[0] == f"{code} True"
