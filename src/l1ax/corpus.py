@@ -13,6 +13,7 @@ load, so a bad line fails every request.
 
 from __future__ import annotations
 
+import os
 from collections.abc import Iterator
 from pathlib import Path
 
@@ -150,8 +151,8 @@ def load_corpus(path: str | Path | None = None) -> Corpus:
     a bad file fails whichever entries are used. Files are read as UTF-8
     whatever the locale."""
     if path is None:
-        text = (Path(__file__).with_name("data") / "corpus.schemata").read_text(encoding="utf-8")
-        return Corpus(text, "bundled corpus")
+        with open(os.path.join(os.path.dirname(__file__), "data", "corpus.schemata"), "rb") as f:
+            return Corpus(f.read().decode(), "bundled corpus")
     corpus = Corpus(Path(path).read_text(encoding="utf-8"), str(path))
     for _ in corpus:
         pass

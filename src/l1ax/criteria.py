@@ -15,11 +15,12 @@ the lowest bit where the two tables differ is the counter-valuation
 are_equivalent would report. The comparisons run in two modes. Decide mode
 (explain=False) returns the verdict, the witness and the number of maps
 examined. Explain mode, the default, also builds a Refutation for every
-candidate before the witness and replays each one by pointwise evaluation
-through the substitution lemma: sigma(source) holds at a valuation exactly
-when the source holds at its pullback through sigma, so no substituted
-formula is built; each image eps(sigma(x), sigma(y)) is the interned atom
-of its names, so the valuation over the kernel's grid finds it by identity.
+candidate before the witness, straight from the sweep's map with no
+CandidateMap, and replays each one by pointwise evaluation through the
+substitution lemma: sigma(source) holds at a valuation exactly when the
+source holds at its pullback through sigma, so no substituted formula is
+built; each image eps(sigma(x), sigma(y)) is the interned atom of its
+names, so the valuation over the kernel's grid finds it by identity.
 Only reports that print refutations ask for explain mode.
 Both modes replay the witness through Substitution.apply and are_equivalent;
 the tests keep Substitution.apply as the oracle of the refutation replay.
@@ -221,6 +222,11 @@ class _Kernel:
         self.targets = padded_targets(source.variables, target.variables, fresh_prefix)
         n = len(self.targets)
         self.source_atoms, self.source_pairs, self.source_table = compile_schema(source)
+        # the source variables in name order, as sigma lists them, and each
+        # source atom with the places of its two variables in that order
+        self.by_name = sorted(range(n), key=source.variables.__getitem__)
+        at = {s: i for i, s in enumerate(self.by_name)}
+        self.ranked = [(a, at[s], at[p]) for a, (s, p) in zip(self.source_atoms, self.source_pairs)]
         _, target_pairs, self.target_table = compile_schema(target)
         self.target_codes = [s * n + p for s, p in target_pairs]
         self.essential: tuple[frozenset[int], ...] | None = None
@@ -254,39 +260,30 @@ class _Kernel:
         return candidate_map(self.source.variables, self.targets, perm)
 
     def refutation(
-        self, perm: tuple[int, ...], source_bits: int, diff: int, index: dict[int, int]
+        self, perm: Sequence[int], place: Sequence[int], source_bits: int, diff: int, index: dict
     ) -> Refutation:
-        """The refutation at the lowest differing bit, replayed by pointwise
-        evaluation. By the substitution lemma sigma(source) holds at the
-        valuation exactly when the source holds at its pullback through the
-        reported sigma, which gives eps(x,y) the value of eps(sigma(x),
-        sigma(y)); so no substituted formula is built, and the images come
-        from sigma alone, never from place or index. Atoms are interned, so
-        an image in the grid is the grid's own atom, and one outside it is
-        another atom, which Valuation.value refuses."""
-        grid = self.grid
-        domain = tuple([grid[c] for c in index])
+        """The refutation at the lowest differing bit, its rho and sigma as
+        candidate_map gives them, replayed by pointwise evaluation. By the
+        substitution lemma sigma(source) holds at the valuation exactly when
+        the source holds at its pullback through sigma, which gives eps(x,y)
+        the value of eps(sigma(x), sigma(y)); so no substituted formula is
+        built, and the images come from sigma's items alone, never from place
+        or index. Atoms are interned, so an image in the grid is the grid's
+        own atom, and one outside it is another atom, which Valuation refuses."""
         counter = lowest_set_bit(diff)
-        valuation = Valuation.at_counter(domain, counter)
+        valuation = Valuation.at_counter(tuple(map(self.grid.__getitem__, index)), counter)
         substituted_value = bool(source_bits >> counter & 1)
-        cand = self.candidate(perm)
-        m = cand.sigma.mapping
-        pullback = Valuation(
-            self.source_atoms,
-            frozenset(
-                [
-                    a
-                    for a in self.source_atoms
-                    if valuation.value(Atom(m[a.subject], m[a.predicate]))
-                ]
-            ),
-        )
+        variables, targets = self.source.variables, self.targets
+        sigma = Substitution(tuple([(variables[s], targets[place[s]]) for s in self.by_name]))
+        images = [t for _, t in sigma.items]
+        true = [a for a, s, p in self.ranked if valuation.value(Atom(images[s], images[p]))]
+        pullback = Valuation(self.source_atoms, frozenset(true))
         if (
             evaluate(self.source.body, pullback) != substituted_value
             or evaluate(self.target.body, valuation) == substituted_value
         ):
-            raise RuntimeError(f"refutation of {cand.sigma} fails its replay")
-        return Refutation(cand.rho, cand.sigma, valuation, substituted_value)
+            raise RuntimeError(f"refutation of {sigma} fails its replay")
+        return Refutation(tuple([s + 1 for s in perm]), sigma, valuation, substituted_value)
 
     def replay_witness(self, witness: CandidateMap) -> None:
         substituted = witness.sigma.apply(self.source.body)
@@ -353,7 +350,7 @@ def _sweep(
             kernel.replay_witness(witness)
             return witness, tuple(refutations), _position(perm)
         if explain:
-            refutations.append(kernel.refutation(perm, source_bits, diff, index))
+            refutations.append(kernel.refutation(perm, place, source_bits, diff, index))
     return None, tuple(refutations), math.factorial(n)
 
 

@@ -133,7 +133,11 @@ def _write(value: object, indent: str, out: list, quote: Callable, atoms: dict) 
         sep = "{" + inner
         for key, get in _PLANS[cls]:
             out.append(f'{sep}"{key}": ')
-            _write(get(value), inner, out, quote, atoms)
+            x = get(value)
+            if x.__class__ is str:
+                out.append(quote(x))
+            else:
+                _write(x, inner, out, quote, atoms)
             sep = "," + inner
         out.append(indent + "}")
     elif cls is list or cls is tuple:
@@ -141,8 +145,11 @@ def _write(value: object, indent: str, out: list, quote: Callable, atoms: dict) 
         sep = "[" + inner
         for x in value:
             out.append(sep)
-            if x.__class__ is Atom:
+            item = x.__class__
+            if item is Atom:
                 out.append(atoms.get(x) or atoms.setdefault(x, quote(str(x))))
+            elif item is str or item is int:
+                out.append(quote(x) if item is str else str(x))
             else:
                 _write(x, inner, out, quote, atoms)
             sep = "," + inner
@@ -152,7 +159,11 @@ def _write(value: object, indent: str, out: list, quote: Callable, atoms: dict) 
         sep = "{" + inner
         for key in sorted(value):
             out.append(sep + quote(key) + ": ")  # TypeError unless key is a str
-            _write(value[key], inner, out, quote, atoms)
+            x = value[key]
+            if x.__class__ is str:
+                out.append(quote(x))
+            else:
+                _write(x, inner, out, quote, atoms)
             sep = "," + inner
         out.append(indent + "}" if value else "{}")
     elif _plan(cls):  # a record class written for the first time
@@ -166,11 +177,17 @@ def _write(value: object, indent: str, out: list, quote: Callable, atoms: dict) 
 
 def valuation_text(v: Valuation) -> str:
     """The shorter of the false-side and true-side descriptions; on a tie,
-    the false side, which is str(v)."""
-    true = [a for a in v.domain if a in v.true_atoms]
-    if not true or len(true) * 2 >= len(v.domain):
-        return str(v)
-    return "true: " + ", ".join(map(str, true)) + "; all other atoms false"
+    the false side, which is str(v). The domain is read once."""
+    domain, true_atoms = v.domain, v.true_atoms
+    true = [a for a in domain if a in true_atoms]
+    if len(true) == len(domain):
+        return "all atoms true"
+    if not true:
+        return "all atoms false"
+    if len(true) * 2 < len(domain):
+        return "true: " + ", ".join(map(str, true)) + "; all other atoms false"
+    false = [str(a) for a in domain if a not in true_atoms]
+    return "false: " + ", ".join(false) + "; all other atoms true"
 
 
 def _bool_text(value: bool) -> str:
@@ -182,8 +199,7 @@ def _count(n: int, noun: str) -> str:
 
 
 def _describe_map(candidate: CandidateMap | Refutation) -> str:
-    rho = ",".join(str(k) for k in candidate.rho)
-    return f"sigma {candidate.sigma} rho ({rho})"
+    return f"sigma {candidate.sigma} rho ({','.join(map(str, candidate.rho))})"
 
 
 def _sigma_note(report: QntReport) -> str:
@@ -196,15 +212,11 @@ def _sigma_note(report: QntReport) -> str:
 
 
 def refutation_lines(refutations: tuple[Refutation, ...]) -> list[str]:
-    lines = []
-    for i, ref in enumerate(refutations, start=1):
-        lines.append(
-            f"  {i}. {_describe_map(ref)}: "
-            f"substituted={str(ref.substituted_value).lower()} "
-            f"target={str(ref.target_value).lower()} "
-            f"under {valuation_text(ref.valuation)}"
-        )
-    return lines
+    return [
+        f"  {i}. {_describe_map(ref)}: substituted={str(ref.substituted_value).lower()} "
+        f"target={str(ref.target_value).lower()} under {valuation_text(ref.valuation)}"
+        for i, ref in enumerate(refutations, start=1)
+    ]
 
 
 def triviality_text(report: TrivialityReport) -> str:
@@ -248,11 +260,7 @@ def qnt_text(report: QntReport) -> str:
 
 
 def matrix_text(cells: dict[tuple[str, str], QntReport | InapplicablePair]) -> str:
-    names = []
-    for a, _ in cells:
-        if a not in names:
-            names.append(a)
-    lines = [f"entries: {', '.join(names)}"]
+    lines = [f"entries: {', '.join(dict.fromkeys(a for a, _ in cells))}"]
     off_diagonal_qnt = 0
     off_diagonal = 0
     for (a, b), cell in cells.items():

@@ -52,10 +52,8 @@ class Valuation(Record):
                 f"counter {counter} outside 0..{(1 << len(domain)) - 1} "
                 f"for {len(domain)} atoms"
             )
-        true = frozenset(
-            [atom for j, atom in enumerate(domain) if not (counter >> j) & 1]
-        )
-        return cls(domain=tuple(domain), true_atoms=true)
+        true = frozenset([atom for j, atom in enumerate(domain) if not (counter >> j) & 1])
+        return cls(domain if domain.__class__ is tuple else tuple(domain), true)
 
     @property
     def counter(self) -> int:

@@ -348,15 +348,11 @@ def print_formula(f: Formula) -> str:
 
 # schema files
 
-SCHEMA_NAME_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
+_SCHEMA_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_-]*")
 
 
 def is_valid_schema_name(name: str) -> bool:
-    return (
-        bool(name)
-        and name[0].isalpha()
-        and all(c in SCHEMA_NAME_CHARS for c in name)
-    )
+    return _SCHEMA_NAME.fullmatch(name) is not None
 
 
 def split_lines(text: str, sep: str, expected: str) -> Iterator[tuple[int, str, str, int]]:

@@ -321,6 +321,20 @@ MUTANTS = [
         ["test_kernel.py"],
     ),
     (
+        "a refutation's sigma listed in slot order",
+        "criteria.py",
+        "        sigma = Substitution(tuple([(variables[s], targets[place[s]]) for s in self.by_name]))\n",
+        "        sigma = Substitution(tuple([(variables[s], targets[place[s]]) for s in perm]))\n",
+        ["test_kernel.py"],
+    ),
+    (
+        "a refutation's rho without its +1",
+        "criteria.py",
+        "        return Refutation(tuple([s + 1 for s in perm]), sigma, valuation, substituted_value)\n",
+        "        return Refutation(tuple(perm), sigma, valuation, substituted_value)\n",
+        ["test_kernel.py"],
+    ),
+    (
         "_rename renames only the subject",
         "substitution.py",
         "        return Atom(m.get(f.subject, f.subject), m.get(f.predicate, f.predicate))\n",

@@ -11,7 +11,10 @@ are_equivalent itself is checked against one table of the desugared Iff.
 The fused table compiler is checked against one closure per formula node,
 and the one-compile entailment against an atom walk and a table per formula.
 The one-pass JSON writer is checked against the two passes it replaced: a
-tree of dicts and lists first, then that tree's text.
+tree of dicts and lists first, then that tree's text. The schema-name
+pattern is checked against a scan of the name one character at a time, and
+the one-pass valuation text against the rule it inlines, which falls back
+on str(v).
 """
 
 import itertools
@@ -290,3 +293,22 @@ def _write_tree(value, indent, out):
         out.append(int.__repr__(value))
     else:
         raise TypeError(f"no JSON text for {type(value).__name__}")
+
+
+SCHEMA_NAME_CHARS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-"
+
+
+def char_scan_schema_name(name):
+    """The schema-name test one character at a time: a letter first, and
+    every character an ASCII letter, digit, '_' or '-'. A non-ASCII letter
+    passes isalpha() but is not in SCHEMA_NAME_CHARS."""
+    return bool(name) and name[0].isalpha() and all(c in SCHEMA_NAME_CHARS for c in name)
+
+
+def shorter_side_text(v):
+    """The shorter of the false-side and true-side descriptions of v; on a
+    tie, the false side, which is str(v)."""
+    true = [a for a in v.domain if a in v.true_atoms]
+    if not true or len(true) * 2 >= len(v.domain):
+        return str(v)
+    return "true: " + ", ".join(map(str, true)) + "; all other atoms false"

@@ -27,7 +27,7 @@ from l1ax.criteria import (
 )
 from l1ax.formula import And, Implies, InputError, Not, Or, SchemaEntry, eps
 from l1ax.semantics import BudgetError, are_equivalent
-from l1ax.substitution import FRESH_QNT_RIGHT, FRESH_TRIVIALITY, CandidateMap, Substitution
+from l1ax.substitution import FRESH_QNT_RIGHT, FRESH_TRIVIALITY, Substitution
 from oracles import certify_refutations, comparison_maps, padded_bijections, qnt_bodies
 
 SRC = str(Path(l1ax.__file__).resolve().parents[1])
@@ -100,7 +100,7 @@ def test_kernel_matches_the_ast_path_on_every_candidate(pair):
         assert (diff == 0) == oracle.holds
         if diff:
             perm = tuple(r - 1 for r in cand.rho)
-            ref = kernel.refutation(perm, source_bits, diff, index)
+            ref = kernel.refutation(perm, place_of(cand), source_bits, diff, index)
             assert (ref.rho, ref.sigma) == (cand.rho, cand.sigma)
             assert ref.valuation == oracle.witness
 
@@ -519,6 +519,27 @@ def test_refutations_are_built_only_for_reports_that_show_them(
     assert counts == {"refutation": built, "replay_witness": replayed}
 
 
+def test_a_refuted_map_builds_no_candidate_map(corpus, monkeypatch):
+    """Explain mode takes a refutation's rho and sigma straight from the
+    sweep's permutation; only a witness is built by candidate_map."""
+    built = []
+    candidate_map = criteria.candidate_map
+
+    def spy(*args):
+        built.append(args)
+        return candidate_map(*args)
+
+    monkeypatch.setattr(criteria, "candidate_map", spy)
+    l1ax.clear_caches()
+    report = triviality(corpus["A_M8"], corpus["A_t"])
+    assert (report.witness, len(report.refutations)) == (None, 24)
+    assert built == []
+    # one witness of the primary sweep, one of the mirrored sweep
+    report = quasi_triviality(corpus["Star"], corpus["A_M8"])
+    assert (report.verdict, report.cross_check) == ("quasi-trivial", "agree")
+    assert len(built) == 2
+
+
 TAMPERED_REPLAY = """
 import sys
 from l1ax import criteria
@@ -557,15 +578,15 @@ def test_a_refutation_at_a_counter_where_the_tables_agree_fails_its_replay(corpu
     kernel = criteria._Kernel(corpus["A_M8"], corpus["A_t"], FRESH_TRIVIALITY)
     perm = (1, 0, 3, 2)  # its own inverse, so also its place
     source_bits, diff, index = kernel.compare(perm)
-    kernel.refutation(perm, source_bits, diff, index)  # the true diff replays
+    kernel.refutation(perm, perm, source_bits, diff, index)  # the true diff replays
     agree = next(c for c in range(1 << len(index)) if not diff >> c & 1)
     message = r"^refutation of \{a->b, b->a, c->y1, d->c\} fails its replay$"
     with pytest.raises(RuntimeError, match=message):
-        kernel.refutation(perm, source_bits, 1 << agree, index)
+        kernel.refutation(perm, perm, source_bits, 1 << agree, index)
     # a source table wrong at that counter fakes a disagreement that the
     # target confirms; only the substitution-lemma replay of the source sees it
     with pytest.raises(RuntimeError, match=message):
-        kernel.refutation(perm, source_bits ^ 1 << agree, 1 << agree, index)
+        kernel.refutation(perm, perm, source_bits ^ 1 << agree, 1 << agree, index)
 
 
 def test_a_refutation_looks_every_image_up_in_the_valuation_domain(corpus):
@@ -574,26 +595,20 @@ def test_a_refutation_looks_every_image_up_in_the_valuation_domain(corpus):
     source_bits, diff, index = kernel.compare(perm)
     del index[next(iter(index))]  # the first source atom leaves the domain
     with pytest.raises(ValueError, match=r"outside valuation domain"):
-        kernel.refutation(perm, source_bits, diff, index)
+        kernel.refutation(perm, perm, source_bits, diff, index)
 
 
-def test_a_refutation_image_outside_the_grid_is_refused(corpus, monkeypatch):
+def test_a_refutation_image_outside_the_grid_is_refused(corpus):
     """The images come from sigma alone: one that names no grid atom is
-    looked up as itself and refused by the valuation."""
-    candidate = criteria._Kernel.candidate
-
-    def stray(kernel, perm):
-        cand = candidate(kernel, perm)
-        mapping = {**cand.sigma.mapping, kernel.source.variables[0]: "zz"}
-        return CandidateMap(cand.rho, Substitution.of(mapping))
-
-    monkeypatch.setattr(criteria._Kernel, "candidate", stray)
+    looked up as itself and refused by the valuation. The kernel's grid is
+    built first, so a target renamed afterwards reaches sigma but no code."""
     kernel = criteria._Kernel(corpus["A_M8"], corpus["A_t"], FRESH_TRIVIALITY)
-    assert "zz" not in kernel.targets
+    assert all("zz" not in (atom.subject, atom.predicate) for atom in kernel.grid)
+    kernel.targets = ("zz", *kernel.targets[1:])
     perm = (0, 1, 2, 3)
     source_bits, diff, index = kernel.compare(perm)
     with pytest.raises(ValueError, match=r"^atom eps\(zz,[a-z0-9]+\) outside valuation domain$"):
-        kernel.refutation(perm, source_bits, diff, index)
+        kernel.refutation(perm, perm, source_bits, diff, index)
 
 
 # the substitution-lemma replay against Substitution.apply, every

@@ -11,8 +11,10 @@ from dataclasses import dataclass
 from importlib import resources
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+
+from oracles import SCHEMA_NAME_CHARS, char_scan_schema_name
 
 from l1ax import proofs, syntax
 from l1ax.formula import (
@@ -661,3 +663,17 @@ def test_larger_formulas_fail_as_parse_errors(text, column):
         parse_formula(text, line=2)
     assert exc.value.message == f"formula expands to more than {MAX_SIZE} nodes"
     assert exc.value.span == SourceSpan(2, column)
+
+
+@given(st.text() | st.text(alphabet=SCHEMA_NAME_CHARS + "éßΩ٣ª_-\n "))
+@example("")
+@example("é")
+@example("Ωmega")
+@example("aé")
+@example("1a")
+@example("_a")
+@example("-a")
+@example("A_t-1")
+@example("a\n")
+def test_the_schema_name_pattern_is_the_character_scan(name):
+    assert syntax.is_valid_schema_name(name) == char_scan_schema_name(name)
