@@ -222,11 +222,6 @@ class _Kernel:
         self.targets = padded_targets(source.variables, target.variables, fresh_prefix)
         n = len(self.targets)
         self.source_atoms, self.source_pairs, self.source_table = compile_schema(source)
-        # the source variables in name order, as sigma lists them, and each
-        # source atom with the places of its two variables in that order
-        self.by_name = sorted(range(n), key=source.variables.__getitem__)
-        at = {s: i for i, s in enumerate(self.by_name)}
-        self.ranked = [(a, at[s], at[p]) for a, (s, p) in zip(self.source_atoms, self.source_pairs)]
         _, target_pairs, self.target_table = compile_schema(target)
         self.target_codes = [s * n + p for s, p in target_pairs]
         self.essential: tuple[frozenset[int], ...] | None = None
@@ -239,6 +234,15 @@ class _Kernel:
     def grid(self) -> tuple[Atom, ...]:
         """The atom of every code."""
         return grid_atoms(self.targets)
+
+    @functools.cached_property
+    def ranked(self) -> tuple[list[int], list[tuple[Atom, int, int]]]:
+        """The source variables in name order, as sigma lists them, and
+        each source atom with the ranks of its two variables in that order;
+        only explain mode's refutations read them."""
+        by_name = sorted(range(len(self.targets)), key=self.source.variables.__getitem__)
+        at = {s: i for i, s in enumerate(by_name)}
+        return by_name, [(a, at[s], at[p]) for a, (s, p) in zip(self.source_atoms, self.source_pairs)]
 
     def compare(self, place: Sequence[int]) -> tuple[int, int, dict[int, int]]:
         """The source's table, the bits where the two tables differ, and
@@ -263,20 +267,24 @@ class _Kernel:
         self, perm: Sequence[int], place: Sequence[int], source_bits: int, diff: int, index: dict
     ) -> Refutation:
         """The refutation at the lowest differing bit, its rho and sigma as
-        candidate_map gives them, replayed by pointwise evaluation. By the
-        substitution lemma sigma(source) holds at the valuation exactly when
-        the source holds at its pullback through sigma, which gives eps(x,y)
-        the value of eps(sigma(x), sigma(y)); so no substituted formula is
-        built, and the images come from sigma's items alone, never from place
-        or index. Atoms are interned, so an image in the grid is the grid's
-        own atom, and one outside it is another atom, which Valuation refuses."""
+        candidate_map gives them for perm, replayed by pointwise evaluation.
+        sigma is read off place, the renaming compare tabled, and rho off
+        perm; _extend yields place as perm's inverse, and a test pins that.
+        By the substitution lemma sigma(source) holds at the valuation
+        exactly when the source holds at its pullback through sigma, which
+        gives eps(x,y) the value of eps(sigma(x), sigma(y)); so no
+        substituted formula is built, and the pullback's images come from
+        sigma's items alone, not from index. Atoms are interned, so an image
+        in the grid is the grid's own atom, and one outside it is another
+        atom, which Valuation refuses."""
         counter = lowest_set_bit(diff)
         valuation = Valuation.at_counter(tuple(map(self.grid.__getitem__, index)), counter)
         substituted_value = bool(source_bits >> counter & 1)
         variables, targets = self.source.variables, self.targets
-        sigma = Substitution(tuple([(variables[s], targets[place[s]]) for s in self.by_name]))
+        by_name, ranked = self.ranked
+        sigma = Substitution(tuple([(variables[s], targets[place[s]]) for s in by_name]))
         images = [t for _, t in sigma.items]
-        true = [a for a, s, p in self.ranked if valuation.value(Atom(images[s], images[p]))]
+        true = [a for a, s, p in ranked if valuation.value(Atom(images[s], images[p]))]
         pullback = Valuation(self.source_atoms, frozenset(true))
         if (
             evaluate(self.source.body, pullback) != substituted_value

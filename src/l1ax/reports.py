@@ -133,11 +133,7 @@ def _write(value: object, indent: str, out: list, quote: Callable, atoms: dict) 
         sep = "{" + inner
         for key, get in _PLANS[cls]:
             out.append(f'{sep}"{key}": ')
-            x = get(value)
-            if x.__class__ is str:
-                out.append(quote(x))
-            else:
-                _write(x, inner, out, quote, atoms)
+            _write(get(value), inner, out, quote, atoms)
             sep = "," + inner
         out.append(indent + "}")
     elif cls is list or cls is tuple:
@@ -145,11 +141,8 @@ def _write(value: object, indent: str, out: list, quote: Callable, atoms: dict) 
         sep = "[" + inner
         for x in value:
             out.append(sep)
-            item = x.__class__
-            if item is Atom:
+            if x.__class__ is Atom:
                 out.append(atoms.get(x) or atoms.setdefault(x, quote(str(x))))
-            elif item is str or item is int:
-                out.append(quote(x) if item is str else str(x))
             else:
                 _write(x, inner, out, quote, atoms)
             sep = "," + inner
@@ -159,11 +152,7 @@ def _write(value: object, indent: str, out: list, quote: Callable, atoms: dict) 
         sep = "{" + inner
         for key in sorted(value):
             out.append(sep + quote(key) + ": ")  # TypeError unless key is a str
-            x = value[key]
-            if x.__class__ is str:
-                out.append(quote(x))
-            else:
-                _write(x, inner, out, quote, atoms)
+            _write(value[key], inner, out, quote, atoms)
             sep = "," + inner
         out.append(indent + "}" if value else "{}")
     elif _plan(cls):  # a record class written for the first time
@@ -177,17 +166,12 @@ def _write(value: object, indent: str, out: list, quote: Callable, atoms: dict) 
 
 def valuation_text(v: Valuation) -> str:
     """The shorter of the false-side and true-side descriptions; on a tie,
-    the false side, which is str(v). The domain is read once."""
-    domain, true_atoms = v.domain, v.true_atoms
-    true = [a for a in domain if a in true_atoms]
-    if len(true) == len(domain):
-        return "all atoms true"
-    if not true:
-        return "all atoms false"
-    if len(true) * 2 < len(domain):
-        return "true: " + ", ".join(map(str, true)) + "; all other atoms false"
-    false = [str(a) for a in domain if a not in true_atoms]
-    return "false: " + ", ".join(false) + "; all other atoms true"
+    the false side, which is str(v)."""
+    domain = v.domain
+    true = [a for a in domain if a in v.true_atoms]
+    if not true or len(true) * 2 >= len(domain):
+        return str(v)
+    return "true: " + ", ".join(map(str, true)) + "; all other atoms false"
 
 
 def _bool_text(value: bool) -> str:

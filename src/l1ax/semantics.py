@@ -53,7 +53,7 @@ class Valuation(Record):
                 f"for {len(domain)} atoms"
             )
         true = frozenset([atom for j, atom in enumerate(domain) if not (counter >> j) & 1])
-        return cls(domain if domain.__class__ is tuple else tuple(domain), true)
+        return cls(domain=tuple(domain), true_atoms=true)
 
     @property
     def counter(self) -> int:

@@ -323,8 +323,15 @@ MUTANTS = [
     (
         "a refutation's sigma listed in slot order",
         "criteria.py",
-        "        sigma = Substitution(tuple([(variables[s], targets[place[s]]) for s in self.by_name]))\n",
+        "        sigma = Substitution(tuple([(variables[s], targets[place[s]]) for s in by_name]))\n",
         "        sigma = Substitution(tuple([(variables[s], targets[place[s]]) for s in perm]))\n",
+        ["test_kernel.py"],
+    ),
+    (
+        "the sweep's place not the inverse of its perm",
+        "criteria.py",
+        "        yield tuple(perm), tuple(place)\n",
+        "        yield tuple(place), tuple(place)\n",
         ["test_kernel.py"],
     ),
     (

@@ -12,9 +12,7 @@ The fused table compiler is checked against one closure per formula node,
 and the one-compile entailment against an atom walk and a table per formula.
 The one-pass JSON writer is checked against the two passes it replaced: a
 tree of dicts and lists first, then that tree's text. The schema-name
-pattern is checked against a scan of the name one character at a time, and
-the one-pass valuation text against the rule it inlines, which falls back
-on str(v).
+pattern is checked against a scan of the name one character at a time.
 """
 
 import itertools
@@ -303,12 +301,3 @@ def char_scan_schema_name(name):
     every character an ASCII letter, digit, '_' or '-'. A non-ASCII letter
     passes isalpha() but is not in SCHEMA_NAME_CHARS."""
     return bool(name) and name[0].isalpha() and all(c in SCHEMA_NAME_CHARS for c in name)
-
-
-def shorter_side_text(v):
-    """The shorter of the false-side and true-side descriptions of v; on a
-    tie, the false side, which is str(v)."""
-    true = [a for a in v.domain if a in v.true_atoms]
-    if not true or len(true) * 2 >= len(v.domain):
-        return str(v)
-    return "true: " + ", ".join(map(str, true)) + "; all other atoms false"

@@ -44,7 +44,6 @@ from l1ax.syntax import (
     print_formula,
 )
 from l1ax.verify import ConjectureRow, VerificationItem, VerificationReport, conjecture_report
-from oracles import shorter_side_text
 from test_corpus import schema_files
 
 
@@ -627,14 +626,6 @@ def test_valuation_text_names_the_shorter_side():
     assert text(0b1011) == "true: eps(b,a); all other atoms false"
     # a tie names the false side
     assert text(0b0110) == "false: eps(a,b), eps(b,a); all other atoms true"
-
-
-@given(st.integers(0, 9).flatmap(lambda k: st.tuples(st.just(k), st.integers(0, (1 << k) - 1))))
-def test_valuation_text_is_the_shorter_side_rule(size_and_counter):
-    size, counter = size_and_counter
-    domain = tuple(Atom(x, y) for x in "abc" for y in "abc")[:size]
-    valuation = Valuation.at_counter(domain, counter)
-    assert reports.valuation_text(valuation) == shorter_side_text(valuation)
 
 
 # a request reads the bundled corpus only to resolve a name-shaped argument,

@@ -5,6 +5,7 @@ decides are_equivalent on the result; the kernel must agree with it on
 every candidate, verdict and counter-valuation alike.
 """
 
+import itertools
 import os
 import subprocess
 import sys
@@ -163,6 +164,32 @@ def test_sweeps_match_the_ast_sweep(pair):
 @given(padded_pairs())
 def test_sweeps_match_the_ast_sweep_on_padded_schemata(pair):
     assert_sweeps_match_the_ast_sweep(*pair)
+
+
+def extend_cases():
+    """A variable count and either no cut or two random sets of essential
+    codes, as _extend takes them."""
+
+    def cuts(n):
+        codes = st.frozensets(st.integers(0, max(n * n - 1, 0)))
+        return st.tuples(st.just(n), st.none() | st.tuples(codes, codes))
+
+    return st.integers(0, 5).flatmap(cuts)
+
+
+@given(extend_cases())
+def test_every_map_of_the_sweep_comes_with_its_inverse(case):
+    """A refutation reads sigma off place and rho off perm, so every map
+    _extend yields, with or without essential cuts, pairs perm with its
+    inverse; the perms come in lexicographic order, all n! without cuts."""
+    n, essential = case
+    maps = list(criteria._extend(0, n, [], [0] * n, essential))
+    for perm, place in maps:
+        assert [place[s] for s in perm] == list(range(n))
+    perms = [perm for perm, _ in maps]
+    assert perms == sorted(set(perms))
+    if essential is None:
+        assert perms == list(itertools.permutations(range(n)))
 
 
 def count_compares(monkeypatch):
