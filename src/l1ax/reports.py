@@ -244,7 +244,11 @@ def qnt_text(report: QntReport) -> str:
 
 
 def matrix_text(cells: dict[tuple[str, str], QntReport | InapplicablePair]) -> str:
-    lines = [f"entries: {', '.join(dict.fromkeys(a for a, _ in cells))}"]
+    names = []
+    for a, _ in cells:
+        if a not in names:
+            names.append(a)
+    lines = [f"entries: {', '.join(names)}"]
     off_diagonal_qnt = 0
     off_diagonal = 0
     for (a, b), cell in cells.items():
